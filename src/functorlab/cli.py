@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import elcat, modrep, report, sfunctor, simples, vfunctor
-from .gf import BudgetExceeded, LinearMap
+from .gf import BudgetExceeded, LinearMap, check_prime, restrict, rref
 from .vfunctor import WindowExceeded
 
 EXIT_OK = 0
@@ -21,11 +21,18 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_ERROR = 2
 
 
+def _prime(text: str) -> int:
+    try:
+        return check_prime(int(text))
+    except ValueError as exc:  # argparse prints the message of an ArgumentTypeError only
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_common(ap: argparse.ArgumentParser, suppress: bool):
     # shared flags live on the main parser and on every subparser, the latter
     # with suppressed defaults so values given before the subcommand survive
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    ap.add_argument("--p", type=int, default=d(2), help="field characteristic (prime)")
+    ap.add_argument("--p", type=_prime, default=d(2), help="field characteristic (prime)")
     ap.add_argument("--cap", type=int, default=d(3), help="dimension cap / window")
     ap.add_argument("--n-max", type=int, default=d(2), help="largest polynomial degree")
     ap.add_argument("--seed", type=int, default=d(0), help="seed for all derived streams")
@@ -336,10 +343,8 @@ def run_verify_theorems(args) -> tuple[dict, int]:
             continue
         cr = vfunctor.cross_effect(F2w, sk.index[(rclass, 0)], (1, 1))
         o = sk.objects[cr.plus_index]
-        from .vfunctor import _restrict
-
         for shear in sk.shears(o.rclass, o.vdim):
-            m = _restrict(F2w.mat(cr.plus_index, cr.plus_index, shear), cr.basis, cr.basis, sk.p)
+            m = restrict(F2w.mat(cr.plus_index, cr.plus_index, shear), cr.basis, cr.basis, sk.p)
             ok_shear &= bool(np.array_equal(m, np.eye(cr.dim, dtype=np.int64)))
     suites["shears_act_trivially_on_cross_effects"] = ok_shear
 
@@ -349,10 +354,8 @@ def run_verify_theorems(args) -> tuple[dict, int]:
         I = vfunctor.injective_cogen(sk, sk.index[(rclass, 0)], window=min(3, sk.window))
         rt = vfunctor.bar_roundtrip_iso(I)
         ok_bar &= rt.is_natural()
-        from .gf import rref as _rref
-
         ok_bar &= all(
-            m.shape[0] == m.shape[1] and len(_rref(m, sk.p)[1]) == m.shape[0]
+            m.shape[0] == m.shape[1] and len(rref(m, sk.p)[1]) == m.shape[0]
             for m in rt.mats.values()
         )
     suites["degree_zero_round_trip"] = ok_bar

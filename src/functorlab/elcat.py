@@ -153,7 +153,8 @@ def build_rector_skeleton(S: SetFunctor, cap: int | None = None, budget: int = D
                 g_from_rep = orbit[rep]
                 # (g_from_rep)^* s = rep; member -> rep needs w with w^* rep = member
                 w = g_from_rep.inverse() @ gamma
-                assert S.act(w, rep) == member
+                if S.act(w, rep) != member:
+                    raise ValueError(f"the action is not functorial: {w} does not carry {rep} to {member}")
                 witnesses[member] = (cls, w)
     return RectorSkeleton(S, cap, classes, witnesses, auts)
 
@@ -263,7 +264,8 @@ class Skeleton:
             self.p,
         ) @ iso.map
         idx = self.index[(r, v)]
-        assert self.S.act(w, self.objects[idx].obj) == o
+        if self.S.act(w, self.objects[idx].obj) != o:
+            raise ValueError(f"the action is not functorial: {w} does not carry object {idx} to {o}")
         self._rep_cache[o] = (idx, w)
         return idx, w
 

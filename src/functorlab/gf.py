@@ -21,6 +21,17 @@ import numpy as np
 
 DEFAULT_MAP_BUDGET = 1 << 20
 
+# Most vectors one exhaustive scan may visit: the kernel spins of the
+# splitting engine, the exhaustive simplicity route and the isomorphism
+# searches all stop here.
+SCAN_BUDGET = 1 << 12
+
+# Entries are stored as uint8, so no larger prime fits.
+MAX_PRIME = 251
+
+# Separates the entries of a matrix written into a JSON map key.
+MAP_KEY_SEP = "."
+
 # Matrices at least this wide go through the packed GF(2) path.
 _PACK_THRESHOLD = 48
 
@@ -47,8 +58,11 @@ def is_prime(p: int) -> bool:
 
 
 def check_prime(p: int) -> int:
+    """p when it is a prime that fits the uint8 storage."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
+    if p > MAX_PRIME:
+        raise ValueError(f"p = {p} exceeds {MAX_PRIME}, the largest prime entries can be stored for")
     return p
 
 
@@ -191,6 +205,117 @@ def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
     for i, pc in enumerate(pivots):
         x[pc] = r[i, n]
     return x
+
+
+def _stacked_nullspace(rows_iter, ncols: int, p: int) -> np.ndarray:
+    """Kernel of a tall stacked system, reducing row chunks incrementally."""
+    basis = np.zeros((0, ncols), dtype=np.int64)
+    for chunk in rows_iter:
+        chunk = np.asarray(chunk, dtype=np.int64).reshape(-1, ncols) % p
+        if not chunk.size:
+            continue
+        stacked = np.concatenate([basis, chunk], axis=0)
+        r, piv = rref(stacked, p)
+        basis = r[: len(piv)]
+        if basis.shape[0] == ncols:
+            break
+    return nullspace(basis, p) if basis.size else np.eye(ncols, dtype=np.int64)
+
+
+def intertwiner_space(shapes: dict, blocks, p: int) -> list[dict]:
+    """Basis of the solutions of the equations X_j a = b X_i.
+
+    ``shapes`` maps each unknown's key to its (rows, cols) and fixes the
+    column layout of the system.  ``blocks`` yields (i, j, a, b) with
+    a: cols_i -> cols_j and b: rows_i -> rows_j; it is consumed lazily and
+    left unfinished once the equations force every unknown to zero.  Each
+    solution is a dict key -> matrix.
+    """
+    offsets, total = {}, 0
+    for key, (r, c) in shapes.items():
+        offsets[key] = total
+        total += r * c
+    if total == 0:
+        return []
+
+    def rows():
+        # row-major vec: vec(X a) = (I kron a^T) vec(X), vec(b X) = (b kron I) vec(X)
+        for i, j, a, b in blocks:
+            (nb_i, na_i), (nb_j, na_j) = shapes[i], shapes[j]
+            if nb_j * na_i == 0:
+                continue
+            block = np.zeros((nb_j * na_i, total), dtype=np.int64)
+            block[:, offsets[j]: offsets[j] + nb_j * na_j] = np.kron(np.eye(nb_j, dtype=np.int64), a.T)
+            block[:, offsets[i]: offsets[i] + nb_i * na_i] -= np.kron(b, np.eye(na_i, dtype=np.int64))
+            yield block % p
+
+    sols = _stacked_nullspace(rows(), total, p)
+    return [
+        {key: s[offsets[key]: offsets[key] + r * c].reshape(r, c) for key, (r, c) in shapes.items()}
+        for s in sols
+    ]
+
+
+def nonzero_combinations(basis: np.ndarray, p: int):
+    """Every nonzero combination of the rows of basis, coefficients in lexicographic order."""
+    for coeffs in itertools.product(range(p), repeat=basis.shape[0]):
+        if any(coeffs):
+            yield (np.asarray(coeffs, dtype=np.int64) @ basis) % p
+
+
+def spans_invertible(basis: list[list[np.ndarray]], p: int) -> bool:
+    """Whether some combination of the basis elements, each a list of square
+    blocks, is invertible in every block.
+
+    At most SCAN_BUDGET nonzero combinations are tried.  When that covers all
+    of them the answer is exact either way; otherwise seeded random
+    combinations are tried, a hit answers True, and a miss raises
+    ``BudgetExceeded`` instead of guessing False.
+    """
+    if not basis:
+        return False
+    k = len(basis)
+    stacks = [np.stack(blocks) for blocks in zip(*basis)]  # one (k, n, n) stack per block
+
+    def invertible(coeffs):
+        return all(rank(np.tensordot(coeffs, s, axes=1) % p, p) == s.shape[1] == s.shape[2] for s in stacks)
+
+    if p**k - 1 <= SCAN_BUDGET:
+        return any(invertible(c) for c in nonzero_combinations(np.eye(k, dtype=np.int64), p))
+    rng = np.random.default_rng(0)
+    for _ in range(SCAN_BUDGET):
+        if invertible(rng.integers(0, p, size=k)):
+            return True
+    raise BudgetExceeded("isomorphism search", p**k, SCAN_BUDGET)
+
+
+def restrict(big: np.ndarray, src_basis: np.ndarray, dst_basis: np.ndarray, p: int) -> np.ndarray:
+    """Matrix of big from span(src_basis) to span(dst_basis), both RREF row
+    bases; raises when big does not send the one into the other."""
+    img = (big @ src_basis.T) % p
+    x = img[_pivots(dst_basis), :]
+    if not np.array_equal((dst_basis.T @ x) % p, img):
+        raise ValueError("subspace is not respected")
+    return x
+
+
+def _pivots(rref_rows: np.ndarray) -> list[int]:
+    return [int(np.nonzero(row)[0][0]) for row in rref_rows]
+
+
+def encode_entries(m: LinearMap) -> str:
+    """The entries of m, row-major, as a JSON map-key fragment."""
+    return MAP_KEY_SEP.join(str(x) for x in m.arr.flatten())
+
+
+def decode_entries(text: str, rows: int, cols: int, p: int) -> LinearMap:
+    """Inverse of encode_entries; also reads keys written with one character per entry."""
+    parts = text.split(MAP_KEY_SEP)
+    if len(parts) != rows * cols:
+        parts = list(text)
+    if len(parts) != rows * cols:
+        raise ValueError(f"map key {text!r} does not hold {rows}x{cols} entries")
+    return LinearMap.from_array(np.asarray([int(c) for c in parts], dtype=np.int64).reshape(rows, cols), p)
 
 
 def row_space_contains(rref_rows: np.ndarray, pivots: list[int], vec: np.ndarray, p: int) -> bool:
@@ -336,8 +461,7 @@ class Subspace:
 
     @property
     def pivots(self) -> list[int]:
-        arr = self.basis_arr
-        return [int(np.nonzero(arr[i])[0][0]) for i in range(self.dim)]
+        return _pivots(self.basis_arr)
 
     def contains_vector(self, vec) -> bool:
         v = np.asarray(vec, dtype=np.int64).reshape(-1)
@@ -368,9 +492,8 @@ class Subspace:
 
     def vectors(self):
         """All vectors of the subspace, deterministic order."""
-        b = self.basis_arr
-        for coeffs in itertools.product(range(self.p), repeat=self.dim):
-            yield (np.asarray(coeffs, dtype=np.int64) @ b) % self.p if self.dim else np.zeros(self.ambient, dtype=np.int64)
+        yield np.zeros(self.ambient, dtype=np.int64)
+        yield from nonzero_combinations(self.basis_arr, self.p)
 
     def __repr__(self):
         return f"Subspace(p={self.p}, dim {self.dim} of F^{self.ambient}, {self.basis_arr.tolist()})"

@@ -1,11 +1,17 @@
 """Modular representation engine for small finite groups over F_p.
 
 Groups are element tables; modules are left modules given by one matrix per
-group generator.  Irreducibility uses the standard splitting strategy: a
-seeded search for singular algebra elements with small kernels, spinning the
-kernel vectors (and the dual kernel under the transposed action) and
-certifying irreducibility when every spin fills the module.  Simple modules
-are collected by chopping the regular module to composition factors.
+group generator.  ``find_invariant_subspace`` is the package's one splitting
+engine (the MeatAxe with the Holt-Rees certificate) and works on any list of
+operator matrices: group modules pass their generators, and the simplicity
+certificate of functors passes the operators of the category algebra.  It
+searches with seeded random algebra elements for a singular element with a
+small kernel, spins the kernel vectors (and the dual kernel under the
+transposed action), and certifies irreducibility when every spin fills the
+space.  Simple modules are collected by chopping the regular module to
+composition factors.  Isomorphism is decided exactly from the intertwiner
+space: an invertible element is found, or its absence is proved by a full
+scan, or the search raises ``BudgetExceeded``.
 
 Symmetric groups carry the partition machinery: p-regular partitions and the
 symmetrizer products whose right ideals realize the simple modules.
@@ -18,10 +24,19 @@ from dataclasses import dataclass, field
 import numpy as np
 import sympy
 
-from .gf import LinearMap, nullspace, rref, solve
+from .gf import (
+    SCAN_BUDGET,
+    LinearMap,
+    intertwiner_space,
+    nonzero_combinations,
+    nullspace,
+    restrict,
+    rref,
+    solve,
+    spans_invertible,
+)
 
 DEFAULT_GROUP_BUDGET = 1000
-NORTON_KERNEL_BUDGET = 1 << 10
 
 
 class SplittingFailure(RuntimeError):
@@ -255,40 +270,26 @@ def trivial_module(G: FiniteGroup, p: int) -> GroupModule:
     return GroupModule(G, p, 1, {g: np.eye(1, dtype=np.int64) for g in G.generators}, name="triv")
 
 
-def spin(M: GroupModule, vectors: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """RREF basis of the submodule generated by the given vectors."""
-    mats = [m.T % M.p if transpose else m for m in M.generator_matrices()]
-    basis, pivots = rref(np.asarray(vectors, dtype=np.int64).reshape(-1, M.dim), M.p)
+def spin(ops: list[np.ndarray], vectors: np.ndarray, p: int, transpose: bool = False) -> np.ndarray:
+    """RREF basis of the smallest subspace that contains the vectors and is
+    invariant under ops (under their transposes with ``transpose``)."""
+    mats = [m.T % p if transpose else m for m in ops]
+    basis, pivots = rref(np.atleast_2d(np.asarray(vectors, dtype=np.int64)), p)
     basis = basis[: len(pivots)]
-    frontier = basis
-    while frontier.shape[0]:
-        images = []
-        for m in mats:
-            images.append((frontier @ m.T) % M.p)
-        cand = np.concatenate([basis] + images, axis=0)
-        new_basis, piv = rref(cand, M.p)
+    while basis.shape[0]:
+        images = [(basis @ m.T) % p for m in mats]
+        new_basis, piv = rref(np.concatenate([basis] + images, axis=0), p)
         new_basis = new_basis[: len(piv)]
         if new_basis.shape[0] == basis.shape[0]:
             break
-        # keep iterating on the vectors that enlarged the span
-        frontier = new_basis
         basis = new_basis
     return basis
 
 
 def submodule(M: GroupModule, basis: np.ndarray, name: str | None = None) -> GroupModule:
     basis = np.asarray(basis, dtype=np.int64)
-    k = basis.shape[0]
-    incl = basis.T
-    piv = [int(np.nonzero(basis[i])[0][0]) for i in range(k)]
-    gens = {}
-    for g, m in M.gen_mats.items():
-        img = (m @ incl) % M.p
-        x = img[piv, :] % M.p
-        if not np.array_equal((incl @ x) % M.p, img):
-            raise ValueError("basis is not invariant")
-        gens[g] = x
-    return GroupModule(M.group, M.p, k, gens, name=name or f"sub({M.name})")
+    gens = {g: restrict(m, basis, basis, M.p) for g, m in M.gen_mats.items()}
+    return GroupModule(M.group, M.p, basis.shape[0], gens, name=name or f"sub({M.name})")
 
 
 def quotient_module(M: GroupModule, basis: np.ndarray, name: str | None = None) -> GroupModule:
@@ -376,99 +377,102 @@ def _factor_poly(coeffs: np.ndarray, p: int) -> list[np.ndarray]:
     return out
 
 
-def find_invariant_subspace(M: GroupModule, seed: int = 0, max_tries: int = 60):
-    """Proper nonzero invariant subspace (RREF rows), or None with certificate.
+def find_invariant_subspace(
+    ops: list[np.ndarray], p: int, seed: int = 0, pool: list[np.ndarray] | None = None, max_tries: int = 60
+):
+    """Proper nonzero subspace invariant under ops (RREF rows), or None with
+    certificate.
 
-    The certified-None answer means: for some singular algebra element N every
-    vector of ker N spins to the whole module and every vector of ker N^T
-    dual-spins to the whole dual, which rules out proper submodules.
+    Each try draws an algebra element theta: one to three scaled members of
+    ``pool`` summed or, without a pool, one to three scaled words of length
+    one or two in ops.  For the first irreducible factor f of a local minimal
+    polynomial of theta whose N = f(theta) has a nonzero kernel of at most
+    SCAN_BUDGET vectors, every nonzero vector of ker N is spun under ops and
+    every nonzero vector of ker N^T under their transposes.  A spin short of
+    the whole space gives the subspace (on the dual side, its annihilator).
+    When none is short, no proper invariant subspace exists (Holt-Rees), and
+    the answer None is that certificate.
     """
-    d = M.dim
+    d = (ops if pool is None else pool)[0].shape[0]
     if d <= 1:
         return None
     rng = np.random.default_rng(seed)
-    mats = [M.element_matrix(i) for i in range(len(M.group))]
-    for attempt in range(max_tries):
+    for _ in range(max_tries):
         theta = np.zeros((d, d), dtype=np.int64)
-        for _ in range(rng.integers(1, 4)):
-            theta = (theta + int(rng.integers(1, M.p)) * mats[int(rng.integers(0, len(mats)))]) % M.p
-        v = rng.integers(0, M.p, size=d)
+        for _ in range(int(rng.integers(1, 4))):
+            if pool is not None:
+                c = int(rng.integers(1, p))
+                term = pool[int(rng.integers(0, len(pool)))]
+            else:
+                term = np.eye(d, dtype=np.int64)
+                for _ in range(int(rng.integers(1, 3))):
+                    term = (term @ ops[int(rng.integers(0, len(ops)))]) % p
+                c = int(rng.integers(1, p))
+            theta = (theta + c * term) % p
+        v = rng.integers(0, p, size=d)
         if not v.any():
             continue
-        poly = _local_min_poly(theta, v, M.p)
+        poly = _local_min_poly(theta, v, p)
         if len(poly) <= 1:
             continue
-        factors = sorted(_factor_poly(poly, M.p), key=len)
-        for f in factors:
-            N = _poly_eval_matrix(f, theta, M.p)
-            ker = nullspace(N, M.p)
-            if ker.shape[0] == 0:
+        for f in sorted(_factor_poly(poly, p), key=len):
+            N = _poly_eval_matrix(f, theta, p)
+            ker = nullspace(N, p)
+            if ker.shape[0] == 0 or p ** ker.shape[0] > SCAN_BUDGET:
                 continue
-            if M.p ** ker.shape[0] > NORTON_KERNEL_BUDGET:
-                continue
-            # spin every nonzero kernel vector
-            for coeffs in itertools.product(range(M.p), repeat=ker.shape[0]):
-                if not any(coeffs):
-                    continue
-                w = (np.asarray(coeffs, dtype=np.int64) @ ker) % M.p
-                sp = spin(M, w)
+            for w in nonzero_combinations(ker, p):
+                sp = spin(ops, w, p)
                 if sp.shape[0] < d:
                     return sp
-            # dual side
-            kerT = nullspace(N.T % M.p, M.p)
-            for coeffs in itertools.product(range(M.p), repeat=kerT.shape[0]):
-                if not any(coeffs):
-                    continue
-                w = (np.asarray(coeffs, dtype=np.int64) @ kerT) % M.p
-                sp = spin(M, w, transpose=True)
+            for w in nonzero_combinations(nullspace(N.T % p, p), p):
+                sp = spin(ops, w, p, transpose=True)
                 if sp.shape[0] < d:
-                    return nullspace(sp, M.p)
+                    return nullspace(sp, p)
             return None
     raise SplittingFailure(f"no splitting decision after {max_tries} tries (seed {seed})")
+
+
+def _split(M: GroupModule, seed: int):
+    pool = [M.element_matrix(i) for i in range(len(M.group))]
+    return find_invariant_subspace(M.generator_matrices(), M.p, seed=seed, pool=pool)
 
 
 def is_irreducible(M: GroupModule, seed: int = 0) -> bool:
     if M.dim == 0:
         return False
-    return find_invariant_subspace(M, seed=seed) is None
+    return _split(M, seed) is None
 
 
 def chop(M: GroupModule, seed: int = 0) -> list[GroupModule]:
     """Composition factors, in a deterministic order for a fixed seed."""
     if M.dim == 0:
         return []
-    sub = find_invariant_subspace(M, seed=seed)
+    sub = _split(M, seed)
     if sub is None:
         return [M]
     return chop(submodule(M, sub), seed=seed + 1) + chop(quotient_module(M, sub), seed=seed + 2)
 
 
-def iso_modules(m1: GroupModule, m2: GroupModule) -> bool:
-    """Isomorphism test via the intertwiner equation X a1(g) = a2(g) X."""
+def module_hom(m1: GroupModule, m2: GroupModule) -> list[np.ndarray]:
+    """Basis of Hom(m1, m2): the matrices X with X m1(g) = m2(g) X for every generator g."""
     if m1.group is not m2.group and m1.group.table.tolist() != m2.group.table.tolist():
         raise ValueError("modules over different groups")
+    if m1.p != m2.p:
+        raise ValueError("modules over different fields")
+    blocks = ((0, 0, m1.gen_mats[g], m2.gen_mats[g]) for g in m1.group.generators)
+    return [s[0] for s in intertwiner_space({0: (m2.dim, m1.dim)}, blocks, m1.p)]
+
+
+def iso_modules(m1: GroupModule, m2: GroupModule) -> bool:
+    """Exact isomorphism test: whether Hom(m1, m2) holds an invertible map.
+
+    Raises ``BudgetExceeded`` when the intertwiner space is too large to
+    settle within SCAN_BUDGET candidates (see ``gf.spans_invertible``).
+    """
     if (m1.p, m1.dim) != (m2.p, m2.dim):
         return False
-    d = m1.dim
-    if d == 0:
-        return True
-    rows = []
-    for g in m1.group.generators:
-        a1, a2 = m1.gen_mats[g], m2.gen_mats[g]
-        # vec(X A1 - A2 X) = (A1^T kron I - I kron A2) vec(X)
-        rows.append((np.kron(a1.T, np.eye(d, dtype=np.int64)) - np.kron(np.eye(d, dtype=np.int64), a2)) % m1.p)
-    system = np.concatenate(rows, axis=0) if rows else np.zeros((0, d * d), dtype=np.int64)
-    sols = nullspace(system, m1.p)
-    for coeffs in itertools.product(range(m1.p), repeat=min(sols.shape[0], 6)):
-        if not any(coeffs):
-            continue
-        x = np.zeros(d * d, dtype=np.int64)
-        for c, srow in zip(coeffs, sols):
-            x = (x + c * srow) % m1.p
-        X = x.reshape(d, d)
-        if len(rref(X, m1.p)[1]) == d:
-            return True
-    return False
+    homs = module_hom(m1, m2)
+    return m1.dim == 0 or spans_invertible([[x] for x in homs], m1.p)
 
 
 @dataclass
@@ -643,17 +647,8 @@ def right_ideal_module(elt: dict, n: int, p: int, name: str = "ideal") -> GroupM
         rows.append(rmul_matrix(g) @ vec % p)
     basis, piv = rref(np.stack(rows), p)
     basis = basis[: len(piv)]
-    k = basis.shape[0]
-    incl = basis.T
-    pivcols = [int(np.nonzero(basis[i])[0][0]) for i in range(k)]
-    gens = {}
-    for g in G.generators:
-        act = rmul_matrix(int(G.inverse[g]))
-        img = (act @ incl) % p
-        x = img[pivcols, :]
-        assert np.array_equal((incl @ x) % p, img), "ideal is not right-stable"
-        gens[g] = x
-    return GroupModule(G, p, k, gens, name=name)
+    gens = {g: restrict(rmul_matrix(int(G.inverse[g])), basis, basis, p) for g in G.generators}
+    return GroupModule(G, p, basis.shape[0], gens, name=name)
 
 
 def epsilon_lambda_module(lam: Partition, n: int, p: int, variant: str = "crc") -> GroupModule:
@@ -758,8 +753,4 @@ class TensorSymmetrizerImage:
         kron = np.eye(1, dtype=np.int64)
         for _ in range(self.n):
             kron = np.kron(kron, big)
-        img = (kron @ src.T) % self.p
-        piv = [int(np.nonzero(dst[i])[0][0]) for i in range(dst.shape[0])]
-        x = img[piv, :]
-        assert np.array_equal((dst.T @ x) % self.p, img), "image basis not respected"
-        return x % self.p
+        return restrict(kron, src, dst, self.p)

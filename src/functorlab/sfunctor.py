@@ -25,6 +25,8 @@ from .gf import (
     Subspace,
     check_prime,
     count_maps,
+    decode_entries,
+    encode_entries,
     enumerate_maps,
     enumerate_subspaces,
     preimage,
@@ -549,7 +551,7 @@ def to_json_dict(S: SetFunctor, map_budget: int = DEFAULT_MAP_BUDGET) -> dict:
     for n in range(S.cap + 1):
         for m in range(S.cap + 1):
             for alpha in enumerate_maps(S.p, n, m):
-                key = f"{alpha.rows}x{alpha.cols}:" + "".join(str(x) for x in alpha.arr.flatten())
+                key = f"{alpha.rows}x{alpha.cols}:{encode_entries(alpha)}"
                 action[key] = [S.act(alpha, s).index for s in S.elements(m)]
     return {
         "p": S.p,
@@ -565,8 +567,7 @@ def from_json_dict(doc: dict, name: str = "table") -> TableFunctor:
     for key, tab in doc["action"].items():
         shape, digits = key.split(":")
         rows, cols = (int(x) for x in shape.split("x"))
-        arr = np.asarray([int(c) for c in digits], dtype=np.int64).reshape(rows, cols) if digits else np.zeros((rows, cols), dtype=np.int64)
-        lm = LinearMap.from_array(arr, p)
+        lm = decode_entries(digits, rows, cols, p)
         action[(lm.cols, lm.rows, lm.data)] = tuple(tab)
     return TableFunctor(p, cap, sizes, action, name=name)
 

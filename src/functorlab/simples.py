@@ -8,29 +8,28 @@ class, and differenced back to recover the module.
 
 Simplicity certification is exhaustive (every nonzero value vector must
 generate everything) when the value spaces are small enough to scan, and
-otherwise runs the algebra splitting engine on the direct sum of the value
-spaces, with object projections adjoined so invariant subspaces are exactly
-morphism-stable families.
+otherwise runs the package's one splitting engine,
+``modrep.find_invariant_subspace``, on the direct sum of the value spaces,
+with object projections adjoined so invariant subspaces are exactly
+morphism-stable families.  Isomorphism of functors, like that of modules, is
+decided exactly from the space of natural transformations.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import nullspace, rref
+from .gf import SCAN_BUDGET, nonzero_combinations, rref, spans_invertible
 from .elcat import Skeleton
 from .modrep import (
     FiniteGroup,
     GroupModule,
-    SplittingFailure,
-    _factor_poly,
-    _local_min_poly,
-    _poly_eval_matrix,
     epsilon_lambda_module,
+    find_invariant_subspace,
     iso_modules,
+    module_hom,
     p_regular_partitions,
     simple_modules,
 )
@@ -51,8 +50,6 @@ from .vfunctor import (
     tensor_sigma_n,
     aut_sigma_group,
 )
-
-CERTIFY_SCAN_BUDGET = 1 << 12
 
 
 @dataclass
@@ -108,27 +105,26 @@ def verify_quotient_equivalence(F: VecFunctor, n: int) -> dict:
 # simplicity certificates
 
 
-def certify_simple(F: VecFunctor, scan_budget: int = CERTIFY_SCAN_BUDGET, seed: int = 0):
+def certify_simple(F: VecFunctor, scan_budget: int = SCAN_BUDGET, seed: int = 0):
     """True iff every nonzero value vector generates the whole functor on the
-    window.  Small value spaces are scanned exhaustively; otherwise the
-    algebra splitting engine decides.  Returns (bool, witness)."""
+    window.  Value spaces of at most scan_budget vectors (by default
+    SCAN_BUDGET) are scanned exhaustively; otherwise the splitting engine
+    decides.  Returns (bool, witness)."""
     if F.is_zero():
         return False, "zero functor"
     max_dim = max(F.dim(i) for i in F.object_indices())
     if F.p**max_dim <= scan_budget:
         for i in F.object_indices():
-            for coeffs in itertools.product(range(F.p), repeat=F.dim(i)):
-                if not any(coeffs):
-                    continue
-                x = np.asarray(coeffs, dtype=np.int64)
+            for x in nonzero_combinations(np.eye(F.dim(i), dtype=np.int64), F.p):
                 gen = generated_subfunctor(F, i, x)
                 if gen.total_dim() != F.total_dim():
                     return False, (i, x, gen)
         return True, None
-    sub = _algebra_invariant_subspace(F, seed=seed)
+    ops, offs = _module_ops(F)
+    sub = find_invariant_subspace(ops, F.p, seed=seed)
     if sub is None:
         return True, None
-    return False, sub
+    return False, _graded_pieces(F, offs, sub)
 
 
 def _module_ops(F: VecFunctor):
@@ -139,7 +135,6 @@ def _module_ops(F: VecFunctor):
         offs[i] = total
         total += F.dim(i)
     ops = []
-    eye = np.eye(total, dtype=np.int64)
     for i in idxs:  # object projections keep invariant subspaces graded
         m = np.zeros((total, total), dtype=np.int64)
         m[offs[i]: offs[i] + F.dim(i), offs[i]: offs[i] + F.dim(i)] = np.eye(F.dim(i), dtype=np.int64)
@@ -150,68 +145,8 @@ def _module_ops(F: VecFunctor):
         m = np.zeros((total, total), dtype=np.int64)
         m[offs[j]: offs[j] + F.dim(j), offs[i]: offs[i] + F.dim(i)] = F.mat(i, j, g)
         ops.append(m)
-    ops.append(eye)
-    return ops, offs, total
-
-
-def _algebra_invariant_subspace(F: VecFunctor, seed: int = 0, max_tries: int = 60):
-    """Splitting over the category algebra: None certifies simplicity."""
-    ops, offs, total = _module_ops(F)
-    rng = np.random.default_rng(seed)
-    p = F.p
-
-    def spin(vecs, transpose=False):
-        basis, piv = rref(np.asarray(vecs, dtype=np.int64).reshape(-1, total), p)
-        basis = basis[: len(piv)]
-        changed = True
-        while changed:
-            changed = False
-            for op in ops:
-                m = op.T if transpose else op
-                img = (basis @ m.T) % p
-                stacked = np.concatenate([basis, img], axis=0)
-                nb, piv = rref(stacked, p)
-                nb = nb[: len(piv)]
-                if nb.shape[0] != basis.shape[0]:
-                    basis = nb
-                    changed = True
-        return basis
-
-    for _ in range(max_tries):
-        theta = np.zeros((total, total), dtype=np.int64)
-        for _ in range(int(rng.integers(1, 4))):
-            word = np.eye(total, dtype=np.int64)
-            for _ in range(int(rng.integers(1, 3))):
-                word = (word @ ops[int(rng.integers(0, len(ops)))]) % p
-            theta = (theta + int(rng.integers(1, p)) * word) % p
-        v = rng.integers(0, p, size=total)
-        if not v.any():
-            continue
-        poly = _local_min_poly(theta, v, p)
-        if len(poly) <= 1:
-            continue
-        for f in sorted(_factor_poly(poly, p), key=len):
-            N = _poly_eval_matrix(f, theta, p)
-            ker = nullspace(N, p)
-            if ker.shape[0] == 0 or p**ker.shape[0] > CERTIFY_SCAN_BUDGET:
-                continue
-            for coeffs in itertools.product(range(p), repeat=ker.shape[0]):
-                if not any(coeffs):
-                    continue
-                w = (np.asarray(coeffs, dtype=np.int64) @ ker) % p
-                sp = spin(w)
-                if 0 < sp.shape[0] < total:
-                    return _graded_pieces(F, offs, sp)
-            kerT = nullspace(N.T % p, p)
-            for coeffs in itertools.product(range(p), repeat=kerT.shape[0]):
-                if not any(coeffs):
-                    continue
-                w = (np.asarray(coeffs, dtype=np.int64) @ kerT) % p
-                sp = spin(w, transpose=True)
-                if 0 < sp.shape[0] < total:
-                    return _graded_pieces(F, offs, nullspace(sp, p))
-            return None
-    raise SplittingFailure(f"no simplicity decision after {max_tries} tries (seed {seed})")
+    ops.append(np.eye(total, dtype=np.int64))
+    return ops, offs
 
 
 def _graded_pieces(F: VecFunctor, offs: dict, basis: np.ndarray) -> SubFunctor:
@@ -272,67 +207,36 @@ def delta_n_module(F: VecFunctor, n: int, rclass: int, group: FiniteGroup) -> Gr
 
 def sigma_restriction_module(M: GroupModule, n: int) -> GroupModule:
     """Restrict a module over Aut x Sym(n) to the symmetric factor."""
-    G = M.group
-    sym = FiniteGroup.symmetric(n)
-    aut_identity = G.labels[G.identity][0]
-    gens = {}
-    for gidx in sym.generators:
-        perm = sym.labels[gidx]
-        gens[gidx] = M.element_matrix(G.index[(aut_identity, perm)])
-    return GroupModule(sym, M.p, M.dim, gens, name=f"{M.name}|Sym")
+    aut_identity = M.group.labels[M.group.identity][0]
+    return M.restricted_to_subgroup(FiniteGroup.symmetric(n), lambda perm: (aut_identity, perm))
 
 
 def isotypic_data(M: GroupModule, n: int, p: int) -> tuple | None:
     """(partition parts, i) when M restricted to Sym(n) is i copies of one
-    simple symmetric-group module; None otherwise."""
+    simple symmetric-group module; None otherwise.
+
+    For a simple D, dim Hom(D, rest) = i dim End(D) says the socle of rest
+    holds i copies of D, which is all of rest exactly when dim rest = i dim D.
+    """
     rest = sigma_restriction_module(M, n)
     for lam in p_regular_partitions(n, p):
         D = epsilon_lambda_module(lam, n, p)
-        if rest.dim % D.dim:
-            continue
-        i = rest.dim // D.dim
-        big = _direct_sum_module(D, i)
-        if iso_modules(rest, big):
+        i, r = divmod(rest.dim, D.dim)
+        if not r and len(module_hom(D, rest)) == i * len(module_hom(D, D)):
             return (lam.parts, i)
     return None
 
 
-def _direct_sum_module(M: GroupModule, copies: int) -> GroupModule:
-    G = M.group
-    d = M.dim * copies
-    gens = {}
-    for g in G.generators:
-        m = np.zeros((d, d), dtype=np.int64)
-        for c in range(copies):
-            m[c * M.dim:(c + 1) * M.dim, c * M.dim:(c + 1) * M.dim] = M.gen_mats[g]
-        gens[g] = m
-    return GroupModule(G, M.p, d, gens, name=f"{M.name}^{copies}")
-
-
-def functor_iso(F: VecFunctor, G: VecFunctor, tries: int = 6) -> bool:
-    """Natural isomorphism test: matching dims plus an invertible element of
-    the transformation space."""
+def functor_iso(F: VecFunctor, G: VecFunctor) -> bool:
+    """Exact natural isomorphism test: matching dims plus an invertible
+    element of the transformation space.  Raises ``BudgetExceeded`` when that
+    space is too large to settle (see ``gf.spans_invertible``)."""
     if F.dims_list() != G.dims_list():
         return False
     basis = nat_space(F, G)
     if not basis:
         return F.is_zero() and G.is_zero()
-    idxs = F.object_indices()
-    combos = [t.mats for t in basis[:tries]]
-    for count in range(1, min(len(basis), tries) + 1):
-        for select in itertools.combinations(range(len(combos)), count):
-            mats = {}
-            for i in idxs:
-                m = np.zeros((G.dim(i), F.dim(i)), dtype=np.int64)
-                for s in select:
-                    m = (m + combos[s][i]) % F.p
-                mats[i] = m
-            if all(
-                m.shape[0] == m.shape[1] and len(rref(m, F.p)[1]) == m.shape[0]
-                for m in mats.values()
-            ):
-                return True
-    return False
+    return spans_invertible([list(t.mats.values()) for t in basis], F.p)
 
 
 def _simples_for_class_degree(sk: Skeleton, rclass: int, n: int, seed: int, group_budget: int) -> list[SimpleDescriptor]:

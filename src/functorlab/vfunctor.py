@@ -22,10 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import (
+    BudgetExceeded,
     LinearMap,
     Subspace,
+    _stacked_nullspace,
+    decode_entries,
+    encode_entries,
+    intertwiner_space,
     nullspace,
     proj_with_kernel,
+    restrict,
     rref,
 )
 from .elcat import Skeleton, SkObject
@@ -286,7 +292,6 @@ def delta_bar(F: VecFunctor) -> VecFunctor:
     if window < 0:
         raise WindowExceeded("no room to difference: window is empty")
     bases: dict[int, np.ndarray] = {}
-    pivots: dict[int, list[int]] = {}
     dims: dict[int, int] = {}
     for o in sk.objects:
         if o.dim > window:
@@ -295,7 +300,6 @@ def delta_bar(F: VecFunctor) -> VecFunctor:
         proj = sk.proj_one(o.rclass, o.vdim)
         ker = nullspace(F.mat(up, o.index, proj), F.p)
         bases[o.index] = ker
-        pivots[o.index] = [int(np.nonzero(row)[0][0]) for row in ker]
         dims[o.index] = ker.shape[0]
 
     def rule(i, j, gamma):
@@ -303,12 +307,7 @@ def delta_bar(F: VecFunctor) -> VecFunctor:
         up_i = sk.index[(oi.rclass, oi.vdim + 1)]
         up_j = sk.index[(oj.rclass, oj.vdim + 1)]
         gplus = gamma.direct_sum(LinearMap.identity(1, F.p))
-        big = F.mat(up_i, up_j, gplus)
-        img = (big @ bases[i].T) % F.p
-        x = img[pivots[j], :]
-        if not np.array_equal((bases[j].T @ x) % F.p, img):
-            raise ValueError("difference subspaces are not respected")
-        return x
+        return restrict(F.mat(up_i, up_j, gplus), bases[i], bases[j], F.p)
 
     out = VecFunctor(sk, window, dims, rule, name=f"D({F.name})")
     out.bases = bases  # inclusion data for restriction of transformations
@@ -374,16 +373,7 @@ class CrossEffect:
         full_perm = tuple(range(base_v)) + tuple(base_v + perm[t] for t in range(n))
         g = sk.perm_trivial(o.rclass, o.vdim, full_perm)
         big = self.F.mat(self.plus_index, self.plus_index, g)
-        return _restrict(big, self.basis, self.basis, self.F.p)
-
-
-def _restrict(big: np.ndarray, src_basis: np.ndarray, dst_basis: np.ndarray, p: int) -> np.ndarray:
-    img = (big @ src_basis.T) % p
-    piv = [int(np.nonzero(row)[0][0]) for row in dst_basis]
-    x = img[piv, :]
-    if not np.array_equal((dst_basis.T @ x) % p, img):
-        raise ValueError("subspace is not respected")
-    return x
+        return restrict(big, self.basis, self.basis, self.F.p)
 
 
 def cross_effect(F: VecFunctor, base: int, dims: tuple[int, ...]) -> CrossEffect:
@@ -449,7 +439,7 @@ class SubFunctor:
         dims = {i: b.shape[0] for i, b in self.bases.items()}
 
         def rule(i, j, gamma):
-            return _restrict(F.mat(i, j, gamma), self.bases[i], self.bases[j], F.p)
+            return restrict(F.mat(i, j, gamma), self.bases[i], self.bases[j], F.p)
 
         out = VecFunctor(F.sk, F.window, dims, rule, name=name or f"sub({F.name})")
         out.bases = self.bases
@@ -528,21 +518,6 @@ def quotient_functor(F: VecFunctor, sub: SubFunctor, name: str | None = None) ->
     out.quotient_projs = projs
     out.quotient_sects = sects
     return out
-
-
-def _stacked_nullspace(rows_iter, ncols: int, p: int) -> np.ndarray:
-    """Kernel of a tall stacked system, reducing row chunks incrementally."""
-    basis = np.zeros((0, ncols), dtype=np.int64)
-    for chunk in rows_iter:
-        chunk = np.asarray(chunk, dtype=np.int64).reshape(-1, ncols) % p
-        if not chunk.size:
-            continue
-        stacked = np.concatenate([basis, chunk], axis=0)
-        r, piv = rref(stacked, p)
-        basis = r[: len(piv)]
-        if basis.shape[0] == ncols:
-            break
-    return nullspace(basis, p) if basis.size else np.eye(ncols, dtype=np.int64)
 
 
 def p_n(F: VecFunctor, n: int, known_degree_bound: int | None = None) -> SubFunctor:
@@ -960,7 +935,7 @@ def delta_n_sigma(F: VecFunctor, n: int, name: str | None = None) -> SigmaNFunct
         plus2 = sk.index[(r2, n)]
         gamma = sk._diag(sk.objects[plus1], f, LinearMap.identity(n, sk.p))
         big = F.mat(plus1, plus2, gamma)
-        return _restrict(big, crs[r1].basis, crs[r2].basis, sk.p)
+        return restrict(big, crs[r1].basis, crs[r2].basis, sk.p)
 
     out = SigmaNFunctor(sk, n, dims, sigma_gens, rmap, name=name or f"D^{n}({F.name})")
     out.cross_effects = crs
@@ -974,25 +949,14 @@ def unit_map(M: SigmaNFunctor, TM: TensorSigma, DTM: SigmaNFunctor, r: int) -> n
     n = TM.n
     mdim = M.dim(r)
     plus = sk.index[(r, n)]
-    cr = DTM.cross_effects[r]
-    cols = []
     idx_id = 0
     # the basis tensor e_0 (x) e_1 (x) ... inside (F^n)^{(x) n}
     for t, J in enumerate(itertools.product(range(n), repeat=n)):
         if J == tuple(range(n)):
             idx_id = t
             break
-    for b in range(mdim):
-        plain = np.zeros((n**n) * mdim, dtype=np.int64)
-        plain[idx_id * mdim + b] = 1
-        vec = (TM.plain_to_quotient(plus) @ plain) % sk.p
-        cols.append(vec)
-    stacked = np.stack(cols, axis=1) if cols else np.zeros((TM.dim(plus), 0), dtype=np.int64)
-    piv = [int(np.nonzero(row)[0][0]) for row in cr.basis]
-    x = stacked[piv, :]
-    if not np.array_equal((cr.basis.T @ x) % sk.p, stacked):
-        raise ValueError("unit image misses the cross effect")
-    return x % sk.p
+    plain = np.eye((n**n) * mdim, dtype=np.int64)[idx_id * mdim: (idx_id + 1) * mdim]
+    return restrict(TM.plain_to_quotient(plus), plain, DTM.cross_effects[r].basis, sk.p)
 
 
 def counit(F: VecFunctor, n: int) -> tuple["NatTransform", TensorSigma, SigmaNFunctor]:
@@ -1103,47 +1067,14 @@ def nat_space(A: VecFunctor, B: VecFunctor, verify: bool = True) -> list[NatTran
     """
     sk = A.sk
     w = min(A.window, B.window)
-    idxs = [o.index for o in sk.objects if o.dim <= w]
-    offsets = {}
-    total = 0
-    for i in idxs:
-        offsets[i] = total
-        total += A.dim(i) * B.dim(i)
-    if total == 0:
-        return []
-    gens = [
-        (i, j, g)
+    shapes = {o.index: (B.dim(o.index), A.dim(o.index)) for o in sk.objects if o.dim <= w}
+    blocks = (
+        (i, j, A.mat(i, j, g), B.mat(i, j, g))
         for (i, j, g) in sk.generating_morphisms()
         if sk.objects[i].dim <= w and sk.objects[j].dim <= w
-    ]
-
-    def rows():
-        # X_j A(g) - B(g) X_i = 0; unknowns X_i are row-major vectorized
-        for i, j, g in gens:
-            a = A.mat(i, j, g)  # (A_j, A_i)
-            b = B.mat(i, j, g)  # (B_j, B_i)
-            na_i, na_j = A.dim(i), A.dim(j)
-            nb_i, nb_j = B.dim(i), B.dim(j)
-            neq = nb_j * na_i
-            if neq == 0:
-                continue
-            block = np.zeros((neq, total), dtype=np.int64)
-            if nb_j * na_j:
-                block[:, offsets[j]: offsets[j] + nb_j * na_j] = np.kron(
-                    np.eye(nb_j, dtype=np.int64), a.T
-                )
-            if nb_i * na_i:
-                sl = slice(offsets[i], offsets[i] + nb_i * na_i)
-                block[:, sl] = (block[:, sl] - np.kron(b, np.eye(na_i, dtype=np.int64))) % A.p
-            yield block % A.p
-
-    sols = _stacked_nullspace(rows(), total, A.p)
+    )
     out = []
-    for srow in sols:
-        mats = {}
-        for i in idxs:
-            size = A.dim(i) * B.dim(i)
-            mats[i] = srow[offsets[i]: offsets[i] + size].reshape(B.dim(i), A.dim(i)) if size else np.zeros((B.dim(i), A.dim(i)), dtype=np.int64)
+    for mats in intertwiner_space(shapes, blocks, A.p):
         t = NatTransform(A, B, mats)
         if verify and not t.is_natural(generators_only=True):
             raise ValueError("solver produced a non-natural transformation")
@@ -1156,51 +1087,23 @@ def sigma_hom_space(M: SigmaNFunctor, N: SigmaNFunctor) -> int:
     action and the class maps."""
     sk = M.sk
     classes = sorted(set(M.classes()) | set(N.classes()))
-    offsets, total = {}, 0
-    for r in classes:
-        offsets[r] = total
-        total += M.dim(r) * N.dim(r)
-    if total == 0:
-        return 0
-    rows = []
-    # equivariance for the transposition generators, object by object
-    for r in classes:
-        na, nb = M.dim(r), N.dim(r)
-        if na * nb == 0:
-            continue
-        for t in range(M.n - 1):
-            a = M.sigma_gen(r, t)
-            b = N.sigma_gen(r, t)
-            block = np.zeros((nb * na, total), dtype=np.int64)
-            block[:, offsets[r]: offsets[r] + nb * na] = (
-                np.kron(np.eye(nb, dtype=np.int64), a.T) - np.kron(b, np.eye(na, dtype=np.int64))
-            ) % sk.p
-            rows.append(block)
-    # naturality for the class maps: Y_{r2} M(f) = N(f) Y_{r1}
-    for r1 in classes:
-        for r2 in classes:
-            for f in sk.rector_hom(r1, r2):
-                a = M.rmap(r1, r2, f)  # (M_2, M_1)
-                b = N.rmap(r1, r2, f)  # (N_2, N_1)
-                na1, na2 = M.dim(r1), M.dim(r2)
-                nb1, nb2 = N.dim(r1), N.dim(r2)
-                neq = nb2 * na1
-                if neq == 0:
-                    continue
-                block = np.zeros((neq, total), dtype=np.int64)
-                if nb2 * na2:
-                    block[:, offsets[r2]: offsets[r2] + nb2 * na2] = np.kron(
-                        np.eye(nb2, dtype=np.int64), a.T
-                    )
-                if nb1 * na1:
-                    sl = slice(offsets[r1], offsets[r1] + nb1 * na1)
-                    block[:, sl] = (block[:, sl] - np.kron(b, np.eye(na1, dtype=np.int64))) % sk.p
-                if block.any():
-                    rows.append(block % sk.p)
-    if not rows:
-        return total
-    sols = _stacked_nullspace(iter(rows), total, sk.p)
-    return sols.shape[0]
+    shapes = {r: (N.dim(r), M.dim(r)) for r in classes}
+
+    def blocks():
+        # equivariance for the transposition generators, object by object;
+        # a class where either side vanishes gives no equation
+        for r in classes:
+            if M.dim(r) * N.dim(r) == 0:
+                continue
+            for t in range(M.n - 1):
+                yield r, r, M.sigma_gen(r, t), N.sigma_gen(r, t)
+        # naturality for the class maps: Y_{r2} M(f) = N(f) Y_{r1}
+        for r1 in classes:
+            for r2 in classes:
+                for f in sk.rector_hom(r1, r2):
+                    yield r1, r2, M.rmap(r1, r2, f), N.rmap(r1, r2, f)
+
+    return len(intertwiner_space(shapes, blocks(), sk.p))
 
 
 def functor_to_json(F: VecFunctor, map_budget: int = 1 << 20) -> dict:
@@ -1209,8 +1112,6 @@ def functor_to_json(F: VecFunctor, map_budget: int = 1 << 20) -> dict:
     sk = F.sk
     idxs = F.object_indices()
     total = sum(len(sk.hom(i, j)) for i in idxs for j in idxs)
-    from .gf import BudgetExceeded
-
     if total > map_budget:
         raise BudgetExceeded("maps", total, map_budget)
     dims = [
@@ -1222,8 +1123,7 @@ def functor_to_json(F: VecFunctor, map_budget: int = 1 << 20) -> dict:
         for j in idxs:
             oi, oj = sk.objects[i], sk.objects[j]
             for g in sk.hom(i, j):
-                digits = "".join(str(x) for x in g.arr.flatten())
-                key = f"{oi.rclass},{oi.vdim}->{oj.rclass},{oj.vdim}:{digits}"
+                key = f"{oi.rclass},{oi.vdim}->{oj.rclass},{oj.vdim}:{encode_entries(g)}"
                 maps[key] = F.mat(i, j, g).tolist()
     return {"schema": 1, "p": F.p, "window": F.window, "dims": dims, "maps": maps}
 
@@ -1239,11 +1139,8 @@ def functor_from_json(sk: Skeleton, doc: dict, name: str = "loaded") -> VecFunct
         r1, v1 = (int(x) for x in src.split(","))
         r2, v2 = (int(x) for x in dst.split(","))
         i, j = sk.index[(r1, v1)], sk.index[(r2, v2)]
-        d1 = sk.objects[i].dim
-        d2 = sk.objects[j].dim
-        arr = np.asarray([int(c) for c in digits], dtype=np.int64).reshape(d2, d1) if digits else np.zeros((d2, d1), dtype=np.int64)
-        value = np.asarray(mat, dtype=np.int64).reshape(dims[j], dims[i])
-        table[(i, j, LinearMap.from_array(arr, sk.p).data)] = value
+        gamma = decode_entries(digits, sk.objects[j].dim, sk.objects[i].dim, sk.p)
+        table[(i, j, gamma.data)] = np.asarray(mat, dtype=np.int64).reshape(dims[j], dims[i])
 
     def rule(i, j, gamma):
         return table[(i, j, gamma.data)]
@@ -1294,13 +1191,10 @@ def ses_delta_exactness(F: VecFunctor, sub: SubFunctor) -> bool:
             return False
         up = sk.index[(o.rclass, o.vdim + 1)]
         # inclusion and projection at the enlarged object, restricted to kernels
-        inc_big = sub.bases[up].T  # sub coords -> F coords
-        proj_big = Fq.quotient_projs[up]
-        inc = _restrict((inc_big % F.p), dS.bases[i], dF.bases[i], F.p)
-        img = (proj_big @ dF.bases[i].T) % F.p
-        piv = [int(np.nonzero(row)[0][0]) for row in dQ.bases[i]]
-        proj = img[piv, :]
-        if not np.array_equal((dQ.bases[i].T @ proj) % F.p, img):
+        inc = restrict(sub.bases[up].T % F.p, dS.bases[i], dF.bases[i], F.p)  # sub coords -> F coords
+        try:
+            proj = restrict(Fq.quotient_projs[up], dF.bases[i], dQ.bases[i], F.p)
+        except ValueError:
             return False
         if len(rref(inc.T, F.p)[1]) != dS.dim(i):
             return False  # induced inclusion not injective
@@ -1332,7 +1226,7 @@ def tensor_of_unit(M: SigmaNFunctor, TM: TensorSigma, T_DTM: TensorSigma, units:
 def restrict_nat_to_cross(phi: NatTransform, n: int, r: int, src_cr: CrossEffect, dst_cr: CrossEffect) -> np.ndarray:
     """Matrix of the n-fold difference of a transformation at one class."""
     plus = phi.src.sk.index[(r, n)]
-    return _restrict(phi.mats[plus], src_cr.basis, dst_cr.basis, phi.src.p)
+    return restrict(phi.mats[plus], src_cr.basis, dst_cr.basis, phi.src.p)
 
 
 def adjunction_check(M: SigmaNFunctor, F: VecFunctor, n: int) -> dict:

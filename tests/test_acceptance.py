@@ -114,7 +114,7 @@ def test_criterion_06_exactness(sk_plain, sk_hom):
 
 
 def test_criterion_07_shears_identity(sk_hom):
-    from functorlab.vfunctor import _restrict
+    from functorlab.gf import restrict
 
     n = 2
     G = vf.aut_sigma_group(sk_hom, 1, n)
@@ -131,7 +131,7 @@ def test_criterion_07_shears_identity(sk_hom):
             cr = vf.cross_effect(F, sk_hom.index[(rclass, 0)], (1, 1))
             o = F.sk.objects[cr.plus_index]
             for shear in sk_hom.shears(o.rclass, o.vdim):
-                m = _restrict(F.mat(cr.plus_index, cr.plus_index, shear), cr.basis, cr.basis, 2)
+                m = restrict(F.mat(cr.plus_index, cr.plus_index, shear), cr.basis, cr.basis, 2)
                 assert np.array_equal(m, np.eye(cr.dim, dtype=np.int64))
                 checked += 1
     line(7, checked > 0, f"{checked} shear actions restrict to the identity on second cross effects")

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from functorlab import cli
 
 
@@ -233,3 +235,17 @@ def test_shared_flags_accepted_after_subcommand(capsys):
     )
     assert before[0] == after[0] == 0
     assert json.loads(before[1]) == json.loads(after[1])
+
+
+def test_p_not_prime_rejected_at_parse_time(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--p", "4", "simples-of-group", "--group", "sym:3"])
+    assert exc.value.code == 2
+    assert "p = 4 is not prime" in capsys.readouterr().err
+
+
+def test_p_too_large_for_storage_rejected_at_parse_time(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--p", "257", "--builtin", "representable", "--u-dim", "1", "--cap", "1", "rector"])
+    assert exc.value.code == 2
+    assert "exceeds 251" in capsys.readouterr().err

@@ -9,6 +9,9 @@ from functorlab.gf import (
     BudgetExceeded,
     LinearMap,
     Subspace,
+    check_prime,
+    decode_entries,
+    encode_entries,
     enumerate_invertibles,
     enumerate_maps,
     enumerate_subspaces,
@@ -205,3 +208,40 @@ def test_enumerate_injections():
     assert len(list(enumerate_injections(2, 1, 2))) == 3
     # |injections F_2^2 -> F_2^3| = (2^3 - 1)(2^3 - 2)
     assert len(list(enumerate_injections(2, 2, 3))) == 42
+
+
+def test_map_key_codec_reads_both_layouts():
+    m = LinearMap.from_array([[0, 10], [3, 1]], 11)
+    assert encode_entries(m) == "0.10.3.1"
+    assert decode_entries(encode_entries(m), 2, 2, 11) == m
+    # keys written with one character per entry still read back
+    old = LinearMap.from_array([[0, 1], [1, 1]], 2)
+    assert decode_entries("0111", 2, 2, 2) == old
+    assert decode_entries("7", 1, 1, 11) == LinearMap.from_array([[7]], 11)
+    assert decode_entries("", 0, 3, 2) == LinearMap.zero(0, 3, 2)
+    with pytest.raises(ValueError):
+        decode_entries("0.1.1", 2, 2, 2)
+
+
+def test_check_prime_rejects_what_uint8_cannot_store():
+    assert check_prime(251) == 251
+    for bad in (4, 1, 257):
+        with pytest.raises(ValueError):
+            check_prime(bad)
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so no check may rest on one
+    import ast
+    from pathlib import Path
+
+    import functorlab
+
+    root = Path(functorlab.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(root.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

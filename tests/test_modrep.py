@@ -1,9 +1,11 @@
 """Groups, modules, splitting, partitions and symmetrizer ideals."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from functorlab.gf import LinearMap, rref
+from functorlab.gf import BudgetExceeded, LinearMap, enumerate_vectors, rref
 from functorlab import modrep as mr
 
 
@@ -186,7 +188,7 @@ def test_tensor_symmetrizer_functoriality():
 def test_spin_and_submodule(S3):
     M = mr.regular_module(S3, 2)
     ones = np.ones((1, 6), dtype=np.int64)
-    sp = mr.spin(M, ones)
+    sp = mr.spin(M.generator_matrices(), ones, 2)
     assert sp.shape[0] == 1  # the all-ones vector spans a trivial submodule
     sub = mr.submodule(M, sp)
     assert sub.dim == 1 and sub.validate()
@@ -226,3 +228,49 @@ def test_module_json_roundtrip(S3):
     # same action on the relabeled group
     for g in two.group.generators:
         assert np.array_equal(back.gen_mats[g], two.gen_mats[g])
+
+
+def test_iso_modules_trivial_powers_exact():
+    # Hom(T^k, T^k) has dimension k^2, past what a partial scan covers
+    S2 = mr.FiniteGroup.symmetric(2)
+    for k in range(1, 5):
+        Tk = mr.GroupModule(S2, 2, k, {g: np.eye(k, dtype=np.int64) for g in S2.generators})
+        assert mr.iso_modules(Tk, Tk)
+    T3 = mr.GroupModule(S2, 2, 3, {g: np.eye(3, dtype=np.int64) for g in S2.generators})
+    swap = mr.GroupModule(S2, 2, 3, {g: np.eye(3, dtype=np.int64)[[1, 0, 2]] for g in S2.generators})
+    assert not mr.iso_modules(T3, swap)
+    # too many candidates to rule out: undecided, never a silent False
+    T5 = mr.GroupModule(S2, 2, 5, {g: np.eye(5, dtype=np.int64) for g in S2.generators})
+    other = mr.GroupModule(S2, 2, 5, {g: np.eye(5, dtype=np.int64)[[1, 0, 2, 3, 4]] for g in S2.generators})
+    with pytest.raises(BudgetExceeded):
+        mr.iso_modules(T5, other)
+
+
+def _permutation_module(G, p):
+    n = len(G.labels[0])
+    gens = {g: np.eye(n, dtype=np.int64)[:, list(G.labels[g])] for g in G.generators}
+    return mr.GroupModule(G, p, n, gens, name="perm")
+
+
+def test_find_invariant_subspace_against_brute_force():
+    # None exactly when every nonzero vector generates the whole module, the
+    # submodule of v being the span of its images under all group elements
+    for n in (3, 4):
+        G = mr.FiniteGroup.symmetric(n)
+        for p in (2, 3):
+            mods = mr.simple_modules(G, p).simples + [_permutation_module(G, p)]
+            if n == 3:
+                mods.append(mr.regular_module(G, p))
+            for M in mods:
+                assert M.validate()
+                els = [M.element_matrix(i) for i in range(len(G))]
+                full = all(
+                    len(rref(np.stack([(e @ v) % p for e in els]), p)[1]) == M.dim
+                    for v in itertools.islice(enumerate_vectors(p, M.dim), 1, None)
+                )
+                for seed in (0, 1, 2):
+                    sub = mr.find_invariant_subspace(M.generator_matrices(), p, seed=seed, pool=els)
+                    assert (sub is None) == full
+                    if sub is not None:
+                        assert 0 < sub.shape[0] < M.dim
+                        assert mr.submodule(M, sub).validate()

@@ -226,3 +226,14 @@ def test_weak_noetherian_partial_certificate(SU2):
     assert rep.ok and rep.partial and rep.window == 2
     full = sf.check_weak_noetherian(SU2)
     assert full.ok and not full.partial and full.window == 3
+
+
+def test_json_roundtrip_p11():
+    # entries of 10 and above need the separator-joined map keys
+    S = sf.RepresentableFunctor(11, 1, 1)
+    doc = sf.to_json_dict(S)
+    T = sf.from_json_dict(doc)
+    assert sf.to_json_dict(T) == doc
+    alpha = LinearMap.from_array([[10]], 11)
+    for s in S.elements(1):
+        assert T.act(alpha, s) == S.act(alpha, s)

@@ -163,13 +163,21 @@ def test_support_check_injective_cogen_multiclass(skhom):
 
 
 def test_algebra_route_matches_exhaustive(hom_simples):
-    for d in hom_simples[:3]:
+    for d in hom_simples:
         ok_scan, _ = sp.certify_simple(d.realization, scan_budget=1 << 12)
         ok_alg, _ = sp.certify_simple(d.realization, scan_budget=0)
         assert ok_scan == ok_alg == True  # noqa: E712
-    F2 = vf.direct_sum(hom_simples[0].realization, hom_simples[0].realization)
-    ok_alg, witness = sp.certify_simple(F2, scan_budget=0)
-    assert not ok_alg and witness.total_dim() > 0
+    # sums whose largest value space has 2, 2^11 and 2^12 vectors: the default
+    # scans all three, and on the last two the algebra route spins kernels of
+    # 11 and 12 dimensions
+    d0, d1, d2 = (d.realization for d in hom_simples[:3])
+    for F in (vf.direct_sum(d0, d0), vf.direct_sum(vf.direct_sum(d2, d1), d0), vf.direct_sum(d2, d2)):
+        ok_scan, witness = sp.certify_simple(F)
+        assert not ok_scan and isinstance(witness, tuple)
+        for seed in range(3):
+            ok_alg, sub = sp.certify_simple(F, scan_budget=0, seed=seed)
+            assert not ok_alg and sub.is_stable()
+            assert 0 < sub.total_dim() < F.total_dim()
 
 
 def test_seed_independence_iso_matching(skhom):
@@ -234,3 +242,19 @@ def test_p3_classification_with_automorphism_pairing():
     assert by_class1[0].realization.dims_list() == by_class1[1].realization.dims_list()
     assert not sp.functor_iso(by_class1[0].realization, by_class1[1].realization)
     assert not mr.iso_modules(by_class1[0].module, by_class1[1].module)
+
+
+def test_isotypic_data_three_trivial_copies():
+    # (Sym(3) permutation module) x (trivial) restricts to three copies of
+    # the trivial Sym(2)-module
+    G = mr.FiniteGroup.product(mr.FiniteGroup.symmetric(3), mr.FiniteGroup.symmetric(2))
+    gens = {g: np.eye(3, dtype=np.int64)[:, list(G.labels[g][0])] for g in G.generators}
+    M = mr.GroupModule(G, 2, 3, gens)
+    assert M.validate()
+    assert sp.isotypic_data(M, 2, 2) == ((2,), 3)
+
+
+def test_functor_iso_triple_sum(hom_simples):
+    F = hom_simples[0].realization
+    F3 = vf.direct_sum(vf.direct_sum(F, F), F)
+    assert sp.functor_iso(F3, F3)

@@ -168,9 +168,9 @@ def test_shears_act_as_identity_on_cross_effects(skhom):
     o = skhom.objects[cr.plus_index]
     for shear in skhom.shears(o.rclass, o.vdim):
         big = F.mat(cr.plus_index, cr.plus_index, shear)
-        from functorlab.vfunctor import _restrict
+        from functorlab.gf import restrict
 
-        restricted = _restrict(big, cr.basis, cr.basis, 2)
+        restricted = restrict(big, cr.basis, cr.basis, 2)
         assert np.array_equal(restricted, np.eye(cr.dim, dtype=np.int64))
 
 
@@ -181,11 +181,11 @@ def test_shears_on_tensor_sigma_cross_effects(skhom):
     TM = vf.tensor_sigma_n(skhom, M, n, window=3)
     cr = vf.cross_effect(TM, skhom.index[(1, 0)], (1, 1))
     o = skhom.objects[cr.plus_index]
-    from functorlab.vfunctor import _restrict
+    from functorlab.gf import restrict
 
     for shear in skhom.shears(o.rclass, o.vdim):
         big = TM.mat(cr.plus_index, cr.plus_index, shear)
-        assert np.array_equal(_restrict(big, cr.basis, cr.basis, 2), np.eye(cr.dim, dtype=np.int64))
+        assert np.array_equal(restrict(big, cr.basis, cr.basis, 2), np.eye(cr.dim, dtype=np.int64))
 
 
 # -- exactness -------------------------------------------------------------------
@@ -538,3 +538,15 @@ def test_function_space_lift(plain):
     # restriction of functions along an injection of hom-sets is onto
     d = vf.delta_bar(I1)
     assert [d.dim(plain.index[(0, v)]) for v in range(3)] == [1, 2, 4]
+
+
+def test_functor_json_roundtrip_p11():
+    # entries of 10 and above need the separator-joined map keys
+    sk = ec.Skeleton(sf.RepresentableFunctor(11, 0, 2))
+    F = vf.forgetful_lift(sk, vf.TensorPower(2, 11), window=1)
+    doc = vf.functor_to_json(F)
+    G = vf.functor_from_json(sk, doc)
+    assert vf.functor_to_json(G) == doc
+    i = sk.index[(0, 1)]
+    g = LinearMap.from_array([[10]], 11)
+    assert np.array_equal(G.mat(i, i, g), F.mat(i, i, g))
