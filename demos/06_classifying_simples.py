@@ -52,7 +52,7 @@ print(f"so the unquotiented tensor is simple: {ok} (the witness sits inside that
 print()
 print("== the quotient-equivalence diagnostics on a sample ==")
 F = vf.forgetful_lift(sk, vf.TensorPower(2, 2), window=3)
-print(sp.verify_main1(F, 2))
+print(sp.verify_quotient_equivalence(F, 2))
 
 print()
 print("== constant base: the classical classification up to degree 3 ==")

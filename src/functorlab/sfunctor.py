@@ -8,6 +8,14 @@ On top of the raw tables sits the kernel calculus: the kernel of an element,
 its regular reduction, regularity, the two noetherianity conditions, the
 connected-component splitting and the box-sum of an element with a trivial
 block.
+
+The kernel calculus reads a per-dimension factorization table, built once per
+functor and dimension: for every subspace u of F_p^d and every t in
+S(F_p^{d - dim u}) it records (u, t) under the element proj_u^* t.  The kernel
+of s is then the largest u recorded under s (with the check that it contains
+every other one), and its regular reduction is the t recorded with that u.
+check_weak_noetherian lists each Hom set once and memoises alpha^{-1}(ker s)
+per (alpha, ker s) for the length of one call.
 """
 
 from __future__ import annotations
@@ -61,6 +69,7 @@ class SetFunctor:
         self._act_cache: dict = {}
         self._table_cache: dict = {}
         self._kernel_cache: dict[SElement, Subspace] = {}
+        self._factor_table: dict[int, list[list[tuple[Subspace, SElement]]]] = {}
 
     def size(self, d: int) -> int:
         raise NotImplementedError
@@ -353,6 +362,24 @@ def _random_map(rng, p, dom, cod) -> LinearMap:
 # kernel calculus
 
 
+def _factorizations(S: SetFunctor, d: int) -> list[list[tuple[Subspace, SElement]]]:
+    """For each s in S(d), every (u, t) with proj_u^* t = s, where proj_u is
+    the canonical projection along u; u in enumerate_subspaces order, then t
+    in element order.  Built in one pass per dimension and kept on S."""
+    table = S._factor_table.get(d)
+    if table is None:
+        table = [[] for _ in range(S.size(d))]
+        for u in enumerate_subspaces(S.p, d):
+            projm, _ = proj_with_kernel(u)
+            for t in S.elements(d - u.dim):
+                idx = S.act(projm, t).index
+                if not 0 <= idx < len(table):
+                    raise InvalidFunctorData(f"pullback of {t} along {projm} is out of range: {idx}")
+                table[idx].append((u, t))
+        S._factor_table[d] = table
+    return table
+
+
 def kernel_of(S: SetFunctor, s: SElement) -> Subspace:
     """The unique maximal subspace U with s in the image of the pullback of
     the canonical projection along U.  Verifies maximality; a pair of
@@ -361,12 +388,7 @@ def kernel_of(S: SetFunctor, s: SElement) -> Subspace:
     hit = S._kernel_cache.get(s)
     if hit is not None:
         return hit
-    d = s.dim
-    candidates = []
-    for u in enumerate_subspaces(S.p, d):
-        projm, _ = proj_with_kernel(u)
-        if any(S.act(projm, t) == s for t in S.elements(d - u.dim)):
-            candidates.append(u)
+    candidates = [u for u, _ in _factorizations(S, s.dim)[s.index]]
     best = max(candidates, key=lambda u: u.dim)
     for u in candidates:
         if not best.contains(u):
@@ -381,8 +403,7 @@ def tilde(S: SetFunctor, s: SElement) -> SElement:
     """The regular reduction: the unique t with proj^* t = s for the canonical
     projection along ker(s)."""
     u = kernel_of(S, s)
-    projm, _ = proj_with_kernel(u)
-    matches = [t for t in S.elements(s.dim - u.dim) if S.act(projm, t) == s]
+    matches = [t for v, t in _factorizations(S, s.dim)[s.index] if v == u]
     if len(matches) != 1:
         raise InvalidFunctorData(f"expected exactly one reduction of {s}, found {len(matches)}")
     t = matches[0]
@@ -423,14 +444,18 @@ def check_weak_noetherian(S: SetFunctor, budget: int = DEFAULT_MAP_BUDGET) -> We
     ):
         window -= 1
     checked = 0
+    preimages: dict[tuple[LinearMap, Subspace], Subspace] = {}
     for m in range(window + 1):
+        homs = [list(enumerate_maps(S.p, n, m, budget)) for n in range(window + 1)]
         for s in S.elements(m):
             ker_s = kernel_of(S, s)
-            for n in range(window + 1):
-                for alpha in enumerate_maps(S.p, n, m, budget):
+            for maps in homs:
+                for alpha in maps:
                     checked += 1
                     lhs = kernel_of(S, S.act(alpha, s))
-                    rhs = preimage(alpha, ker_s)
+                    rhs = preimages.get((alpha, ker_s))
+                    if rhs is None:
+                        rhs = preimages[alpha, ker_s] = preimage(alpha, ker_s)
                     if lhs != rhs:
                         return WeakNoetherianReport(
                             False, checked, window, (alpha, s, lhs, rhs), window < S.cap

@@ -1,0 +1,57 @@
+"""The demos name only what functorlab has: every `alias.name` on an imported
+functorlab module, and every name imported from one, resolves.  Parsed with
+ast, so the demos themselves do not run."""
+
+import ast
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def unresolved_names(source: str) -> list[str]:
+    tree = ast.parse(source)
+    aliases = {}  # local name -> functorlab module
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "functorlab" and a.asname:
+                    aliases[a.asname] = importlib.import_module(a.name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "functorlab":
+            mod = importlib.import_module(node.module)
+            for a in node.names:
+                value = getattr(mod, a.name, None)
+                if value is None:  # a submodule the package does not import itself
+                    try:
+                        value = importlib.import_module(f"{node.module}.{a.name}")
+                    except ImportError:
+                        missing.append(f"{node.module}.{a.name} (line {node.lineno})")
+                if isinstance(value, types.ModuleType):
+                    aliases[a.asname or a.name] = value
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and not hasattr(aliases[node.value.id], node.attr)
+        ):
+            missing.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
+    return missing
+
+
+def test_there_are_demos():
+    assert len(DEMOS) >= 6
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_names_resolve(path):
+    assert unresolved_names(path.read_text()) == []
+
+
+def test_unresolved_names_are_reported():
+    src = "from functorlab import simples as sp\nfrom functorlab.gf import nope\nsp.verify_main1(1, 2)\n"
+    assert unresolved_names(src) == ["functorlab.gf.nope (line 2)", "sp.verify_main1 (line 3)"]

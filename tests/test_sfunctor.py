@@ -1,8 +1,20 @@
 """Set-functor layer: validation, kernel calculus, noetherianity, box-sums."""
 
+import functools
+
 import pytest
 
-from functorlab.gf import LinearMap, Subspace, enumerate_maps, kernel_space
+from functorlab.gf import (
+    DEFAULT_MAP_BUDGET,
+    LinearMap,
+    Subspace,
+    count_maps,
+    enumerate_maps,
+    enumerate_subspaces,
+    kernel_space,
+    preimage,
+    proj_with_kernel,
+)
 from functorlab import sfunctor as sf
 
 
@@ -237,3 +249,161 @@ def test_json_roundtrip_p11():
     alpha = LinearMap.from_array([[10]], 11)
     for s in S.elements(1):
         assert T.act(alpha, s) == S.act(alpha, s)
+
+
+# ---------------------------------------------------------------------------
+# the factorization table and the preimage memo against the per-element
+# searches they replaced, kept here as oracles
+
+
+def oracle_kernel_of(S, s):
+    """Try every subspace u of F^d and scan S(d - dim u) for a preimage of s."""
+    candidates = []
+    for u in enumerate_subspaces(S.p, s.dim):
+        projm, _ = proj_with_kernel(u)
+        if any(S.act(projm, t) == s for t in S.elements(s.dim - u.dim)):
+            candidates.append(u)
+    best = max(candidates, key=lambda u: u.dim)
+    for u in candidates:
+        if not best.contains(u):
+            raise sf.InvalidFunctorData(
+                f"kernel ambiguity at {s}: incomparable maximal factorizations {best} and {u}"
+            )
+    return best
+
+
+def oracle_tilde(S, s):
+    u = oracle_kernel_of(S, s)
+    projm, _ = proj_with_kernel(u)
+    matches = [t for t in S.elements(s.dim - u.dim) if S.act(projm, t) == s]
+    if len(matches) != 1:
+        raise sf.InvalidFunctorData(f"expected exactly one reduction of {s}, found {len(matches)}")
+    t = matches[0]
+    if oracle_kernel_of(S, t).dim != 0:
+        raise sf.WeakNoetherianityViolation(f"reduction of {s} is not regular")
+    return t
+
+
+def oracle_check_weak_noetherian(S, budget=DEFAULT_MAP_BUDGET):
+    """Element by element: every Hom set enumerated and every preimage computed anew."""
+    kernel = functools.cache(lambda s: oracle_kernel_of(S, s))
+    window = S.cap
+    while window > 0 and any(
+        count_maps(S.p, n, m) > budget for n in range(window + 1) for m in range(window + 1)
+    ):
+        window -= 1
+    checked = 0
+    for m in range(window + 1):
+        for s in S.elements(m):
+            ker_s = kernel(s)
+            for n in range(window + 1):
+                for alpha in enumerate_maps(S.p, n, m, budget):
+                    checked += 1
+                    lhs = kernel(S.act(alpha, s))
+                    rhs = preimage(alpha, ker_s)
+                    if lhs != rhs:
+                        return sf.WeakNoetherianReport(
+                            False, checked, window, (alpha, s, lhs, rhs), window < S.cap
+                        )
+    return sf.WeakNoetherianReport(True, checked, window, None, window < S.cap)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (sf.InvalidFunctorData, sf.WeakNoetherianityViolation) as err:
+        return type(err), str(err)
+
+
+def ambiguous_table():
+    """Not a functor: S = {*}, {a}, {x, y} on dimensions <= 2, where x is the
+    pullback of a along the projections by two different lines of F_2^2 but
+    not of * along the zero map, so x has two incomparable maximal
+    factorizations.  Only the projections the kernel calculus uses are set."""
+    p = 2
+    action = {}
+
+    def pull(u, tab):
+        projm, _ = proj_with_kernel(u)
+        action[(projm.cols, projm.rows, projm.data)] = tab
+
+    for d, size in enumerate([1, 1, 2]):
+        pull(Subspace.zero(d, p), tuple(range(size)))
+    pull(Subspace.full(1, p), (0,))
+    _, line1, line2, line3, plane = enumerate_subspaces(p, 2)
+    pull(line1, (0,))
+    pull(line2, (0,))
+    pull(line3, (1,))
+    pull(plane, (1,))
+    return sf.TableFunctor(p, 2, [1, 1, 2], action, name="ambiguous")
+
+
+def orbit_u2():
+    return sf.OrbitFunctor(2, 2, [LinearMap.from_array([[0, 1], [1, 0]], 2)], 3)
+
+
+def union():
+    return sf.disjoint_union(sf.RepresentableFunctor(2, 1, 3), orbit_u2())
+
+
+KERNEL_CASES = {
+    "representable-u0-cap4": lambda: sf.RepresentableFunctor(2, 0, 4),
+    "representable-u1-cap4": lambda: sf.RepresentableFunctor(2, 1, 4),
+    "representable-u2-cap3": lambda: sf.RepresentableFunctor(2, 2, 3),
+    "representable-p3-u1-cap2": lambda: sf.RepresentableFunctor(3, 1, 2),
+    "orbit": orbit_u2,
+    "subspaces-cap3": lambda: sf.SubspaceFunctor(2, 3),
+    "union": union,
+    "union-component-0": lambda: sf.split_components(union())[0],
+    "union-component-1": lambda: sf.split_components(union())[1],
+    "kernel-mismatch": sf.kernel_mismatch_example,
+    "ambiguous": ambiguous_table,
+}
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_kernel_table_matches_element_search(case):
+    S, T = KERNEL_CASES[case](), KERNEL_CASES[case]()
+    for s in S.all_elements():
+        assert outcome(sf.kernel_of, S, s) == outcome(oracle_kernel_of, T, s), s
+        assert outcome(sf.tilde, S, s) == outcome(oracle_tilde, T, s), s
+
+
+def test_ambiguous_factorization_raises_on_that_element_only():
+    S = ambiguous_table()
+    x, y = sf.SElement(2, 0), sf.SElement(2, 1)
+    assert sf.kernel_of(S, y) == Subspace.full(2, 2)  # the table of S(2) is built without raising
+    assert sf.tilde(S, y) == sf.SElement(0, 0)
+    with pytest.raises(sf.InvalidFunctorData, match="kernel ambiguity"):
+        sf.kernel_of(S, x)
+    with pytest.raises(sf.InvalidFunctorData, match="kernel ambiguity"):
+        sf.tilde(S, x)
+    for s in S.all_elements():
+        if s != x:
+            sf.tilde(S, s)
+
+
+def test_out_of_range_pullback_fails_loudly():
+    T = sf.from_json_dict(sf.to_json_dict(sf.RepresentableFunctor(2, 1, 1)))
+    T.action[(1, 0, b"")] = (-1,)  # the zero map F^1 -> F^0 pulls back to index -1
+    with pytest.raises(sf.InvalidFunctorData, match="out of range"):
+        sf.kernel_of(T, sf.SElement(1, 0))
+
+
+WEAK_CASES = {
+    "su2-cap3": (lambda: sf.RepresentableFunctor(2, 2, 3), DEFAULT_MAP_BUDGET),
+    "kernel-mismatch": (sf.kernel_mismatch_example, DEFAULT_MAP_BUDGET),
+    "subspaces-cap3": (lambda: sf.SubspaceFunctor(2, 3), DEFAULT_MAP_BUDGET),
+    "representable-small-budget": (lambda: sf.RepresentableFunctor(2, 1, 3), 70),
+}
+
+
+@pytest.mark.parametrize("case", WEAK_CASES)
+def test_weak_noetherian_matches_element_loop(case):
+    make, budget = WEAK_CASES[case]
+    got = sf.check_weak_noetherian(make(), budget)
+    want = oracle_check_weak_noetherian(make(), budget)
+    # dataclass equality: ok, checked, window, witness and partial
+    assert got == want
+    assert got.partial == (case == "representable-small-budget")
+    assert got.ok == (case != "kernel-mismatch")
