@@ -21,11 +21,30 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_ERROR = 2
 
 
-def _prime(text: str) -> int:
-    try:
-        return check_prime(int(text))
-    except ValueError as exc:  # argparse prints the message of an ArgumentTypeError only
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _int_flag(check):
+    """argparse type: the int check returns; a ValueError from int() or check becomes the parse error."""
+
+    def parse(text: str) -> int:
+        try:
+            return check(int(text))
+        except ValueError as exc:  # argparse prints the message of an ArgumentTypeError only
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+def _at_least(low: int, below: str):
+    def check(value: int) -> int:
+        if value < low:
+            raise ValueError(f"{value} is {below}")
+        return value
+
+    return check
+
+
+_prime = _int_flag(check_prime)
+_non_negative = _int_flag(_at_least(0, "negative"))
+_positive = _int_flag(_at_least(1, "not positive"))
 
 
 def _add_common(ap: argparse.ArgumentParser, suppress: bool):
@@ -33,15 +52,15 @@ def _add_common(ap: argparse.ArgumentParser, suppress: bool):
     # with suppressed defaults so values given before the subcommand survive
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     ap.add_argument("--p", type=_prime, default=d(2), help="field characteristic (prime)")
-    ap.add_argument("--cap", type=int, default=d(3), help="dimension cap / window")
-    ap.add_argument("--n-max", type=int, default=d(2), help="largest polynomial degree")
+    ap.add_argument("--cap", type=_non_negative, default=d(3), help="dimension cap / window")
+    ap.add_argument("--n-max", type=_non_negative, default=d(2), help="largest polynomial degree")
     ap.add_argument("--seed", type=int, default=d(0), help="seed for all derived streams")
-    ap.add_argument("--jobs", type=int, default=d(1), help="worker pool bound")
+    ap.add_argument("--jobs", type=_positive, default=d(1), help="worker pool bound")
     ap.add_argument("--budget-maps", type=int, default=d(1 << 20), help="map enumeration budget")
     ap.add_argument("--budget-group", type=int, default=d(1000), help="group order budget")
     ap.add_argument("--input", type=str, default=d(None), help="sfunctor.json or builtin spec file")
     ap.add_argument("--builtin", type=str, default=d(None), help="representable | orbit | subspaces | kernel-mismatch")
-    ap.add_argument("--u-dim", type=int, default=d(2), help="target dimension for builtins")
+    ap.add_argument("--u-dim", type=_non_negative, default=d(2), help="target dimension for builtins")
     ap.add_argument("--format", dest="fmt", choices=["json", "markdown"], default=d("json"))
     ap.add_argument("--output", type=str, default=d(None), help="write the report here instead of stdout")
 

@@ -221,6 +221,7 @@ class Skeleton:
         self._hom: dict[tuple[int, int], list[LinearMap]] = {}
         self._hom_pos: dict[tuple[int, int], dict[bytes, int]] = {}
         self._rep_cache: dict[ElObject, tuple[int, LinearMap]] = {}
+        self._generators: list[tuple[int, int, LinearMap]] | None = None
 
     @property
     def p(self) -> int:
@@ -351,8 +352,11 @@ class Skeleton:
 
         Block-diagonal moves (all regular-class morphisms; elementary
         invertibles, adjacent projections and inclusions on the trivial
-        block) together with elementary shears.
+        block) together with elementary shears.  Built on the first call and
+        kept on the skeleton; callers must not change the list.
         """
+        if self._generators is not None:
+            return self._generators
         gens: list[tuple[int, int, LinearMap]] = []
         for a in self.objects:
             r, v = a.rclass, a.vdim
@@ -378,6 +382,7 @@ class Skeleton:
             for f in self.rector.aut_groups[r]:
                 if f != LinearMap.identity(a.wdim, self.p):
                     gens.append((a.index, a.index, self._diag(a, f, LinearMap.identity(v, self.p))))
+        self._generators = gens
         return gens
 
     def _diag(self, a: SkObject, f: LinearMap, h: LinearMap) -> LinearMap:

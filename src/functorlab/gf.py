@@ -9,6 +9,10 @@ For p = 2 a bit-packed elimination path (rows packed into uint64 words)
 backs rref/rank/kernel computations on larger matrices; the dense generic
 path and the packed path compute the same canonical forms and the test
 suite checks them against each other.
+
+``closure`` is the one closure engine: the smallest family of subspaces that
+contains given vectors and is closed under a set of linear maps between them.
+Generated subfunctors and module spins both run on it.
 """
 
 from __future__ import annotations
@@ -209,15 +213,10 @@ def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
 
 def _stacked_nullspace(rows_iter, ncols: int, p: int) -> np.ndarray:
     """Kernel of a tall stacked system, reducing row chunks incrementally."""
-    basis = np.zeros((0, ncols), dtype=np.int64)
+    basis, pivots = np.zeros((0, ncols), dtype=np.int64), []
     for chunk in rows_iter:
-        chunk = np.asarray(chunk, dtype=np.int64).reshape(-1, ncols) % p
-        if not chunk.size:
-            continue
-        stacked = np.concatenate([basis, chunk], axis=0)
-        r, piv = rref(stacked, p)
-        basis = r[: len(piv)]
-        if basis.shape[0] == ncols:
+        basis, pivots, _ = _extend(basis, pivots, np.asarray(chunk, dtype=np.int64).reshape(-1, ncols) % p, p)
+        if len(pivots) == ncols:
             break
     return nullspace(basis, p) if basis.size else np.eye(ncols, dtype=np.int64)
 
@@ -254,6 +253,59 @@ def intertwiner_space(shapes: dict, blocks, p: int) -> list[dict]:
         {key: s[offsets[key]: offsets[key] + r * c].reshape(r, c) for key, (r, c) in shapes.items()}
         for s in sols
     ]
+
+
+def closure(dims: dict, edges, start: dict, p: int) -> dict:
+    """Smallest family of subspaces V_k of F_p^dims[k] that contains the start
+    vectors and is closed under the edges, as RREF row bases per key.
+
+    An edge (i, j, m) sends V_i into V_j by the dims[j] x dims[i] matrix m, or
+    by m() when m is callable; m() is called once, when V_i first has vectors
+    to push.  Semi-naive: each round pushes only each piece's increment, the
+    rows of its new RREF at new pivot columns, which span a complement of the
+    old space because a subspace's pivots are pivots of every space containing
+    it.  It stops once no piece grows or every piece is full.
+    """
+    outgoing = {k: [] for k in dims}
+    for i, j, m in edges:
+        outgoing[i].append([j, m])
+    bases = {k: np.zeros((0, n), dtype=np.int64) for k, n in dims.items()}
+    pivots: dict = {k: [] for k in dims}
+    not_full = {k for k, n in dims.items() if n}
+    pending = {k: [np.asarray(v, dtype=np.int64).reshape(-1, dims[k]) % p] for k, v in start.items() if dims[k]}
+    while pending and not_full:
+        grown = {}
+        for k, rows in pending.items():
+            bases[k], pivots[k], inc = _extend(bases[k], pivots[k], np.concatenate(rows), p)
+            if inc.shape[0]:
+                grown[k] = inc
+            if len(pivots[k]) == dims[k]:
+                not_full.discard(k)
+        pending = {}
+        for i, inc in grown.items():
+            for edge in outgoing[i]:
+                j, m = edge
+                if j in not_full:
+                    if callable(m):
+                        edge[1] = m = m()
+                    pending.setdefault(j, []).append((inc @ m.T) % p)
+    return bases
+
+
+def _extend(basis: np.ndarray, pivots: list[int], rows: np.ndarray, p: int):
+    """The RREF basis and pivots of span(basis) + span(rows), and the
+    increment: the rows of that basis at pivot columns not in ``pivots``."""
+    if pivots:
+        rows = (rows - rows[:, pivots] @ basis) % p
+    rows = rows[rows.any(axis=1)]
+    if not rows.shape[0]:
+        return basis, pivots, rows
+    inc, piv = rref(rows, p)
+    inc = inc[: len(piv)]
+    if pivots:
+        basis = (basis - basis[:, piv] @ inc) % p
+    order = np.argsort(pivots + piv)
+    return np.concatenate([basis, inc])[order], sorted(pivots + piv), inc
 
 
 def nonzero_combinations(basis: np.ndarray, p: int):

@@ -8,8 +8,10 @@ certificate of functors passes the operators of the category algebra.  It
 searches with seeded random algebra elements for a singular element with a
 small kernel, spins the kernel vectors (and the dual kernel under the
 transposed action), and certifies irreducibility when every spin fills the
-space.  Simple modules are collected by chopping the regular module to
-composition factors.  Isomorphism is decided exactly from the intertwiner
+space.  A spin is ``gf.closure`` on one piece: each round multiplies only the
+vectors new since the last round, and it stops as soon as the space is full.
+Simple modules are collected by chopping the regular module to composition
+factors.  Isomorphism is decided exactly from the intertwiner
 space: an invertible element is found, or its absence is proved by a full
 scan, or the search raises ``BudgetExceeded``.
 
@@ -27,6 +29,7 @@ import sympy
 from .gf import (
     SCAN_BUDGET,
     LinearMap,
+    closure,
     intertwiner_space,
     nonzero_combinations,
     nullspace,
@@ -272,18 +275,11 @@ def trivial_module(G: FiniteGroup, p: int) -> GroupModule:
 
 def spin(ops: list[np.ndarray], vectors: np.ndarray, p: int, transpose: bool = False) -> np.ndarray:
     """RREF basis of the smallest subspace that contains the vectors and is
-    invariant under ops (under their transposes with ``transpose``)."""
-    mats = [m.T % p if transpose else m for m in ops]
-    basis, pivots = rref(np.atleast_2d(np.asarray(vectors, dtype=np.int64)), p)
-    basis = basis[: len(pivots)]
-    while basis.shape[0]:
-        images = [(basis @ m.T) % p for m in mats]
-        new_basis, piv = rref(np.concatenate([basis] + images, axis=0), p)
-        new_basis = new_basis[: len(piv)]
-        if new_basis.shape[0] == basis.shape[0]:
-            break
-        basis = new_basis
-    return basis
+    invariant under ops (under their transposes with ``transpose``): the
+    closure engine on one piece with one loop edge per operator."""
+    vecs = np.atleast_2d(np.asarray(vectors, dtype=np.int64))
+    edges = [(0, 0, m.T if transpose else m) for m in ops]
+    return closure({0: vecs.shape[1]}, edges, {0: vecs}, p)[0]
 
 
 def submodule(M: GroupModule, basis: np.ndarray, name: str | None = None) -> GroupModule:

@@ -12,12 +12,15 @@ certificates, greatest polynomial subfunctors, the restriction/extension
 comparison with functors on (regular classes) x (plain spaces), the balanced
 tensor construction attached to a symmetric-group module functor, and
 natural-transformation spaces as kernels of assembled linear systems.
+Generated subfunctors come from ``gf.closure``, the one closure engine, run
+over the skeleton's generating morphisms.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,11 +29,13 @@ from .gf import (
     LinearMap,
     Subspace,
     _stacked_nullspace,
+    closure,
     decode_entries,
     encode_entries,
     intertwiner_space,
     nullspace,
     proj_with_kernel,
+    rank,
     restrict,
     rref,
 )
@@ -422,16 +427,12 @@ class SubFunctor:
 
     def is_stable(self, generators=None) -> bool:
         F = self.parent
-        gens = generators or F.sk.generating_morphisms()
+        gens = F.sk.generating_morphisms() if generators is None else generators
         for i, j, g in gens:
-            if F.sk.objects[i].dim > F.window or F.sk.objects[j].dim > F.window:
+            if F.sk.objects[i].dim > F.window or F.sk.objects[j].dim > F.window or not self.bases[i].shape[0]:
                 continue
-            img = (F.mat(i, j, g) @ self.bases[i].T).T % F.p
-            for row in img:
-                stacked = np.concatenate([self.bases[j], row.reshape(1, -1)], axis=0)
-                r, piv = rref(stacked, F.p)
-                if len(piv) != self.bases[j].shape[0]:
-                    return False
+            if not _spans(self.bases[j], (self.bases[i] @ F.mat(i, j, g).T) % F.p, F.p):
+                return False
         return True
 
     def to_functor(self, name: str | None = None) -> VecFunctor:
@@ -446,14 +447,12 @@ class SubFunctor:
         return out
 
     def contains(self, other: "SubFunctor") -> bool:
-        for i, b in other.bases.items():
-            mine = self.bases[i]
-            for row in b:
-                stacked = np.concatenate([mine, row.reshape(1, -1)], axis=0)
-                _, piv = rref(stacked, self.parent.p)
-                if len(piv) != mine.shape[0]:
-                    return False
-        return True
+        return all(_spans(self.bases[i], b, self.parent.p) for i, b in other.bases.items())
+
+
+def _spans(basis: np.ndarray, rows: np.ndarray, p: int) -> bool:
+    """Whether the rows lie in the span of the independent rows of basis: one stacked rank test."""
+    return not rows.shape[0] or rank(np.concatenate([basis, rows]), p) == basis.shape[0]
 
 
 def zero_subfunctor(F: VecFunctor) -> SubFunctor:
@@ -467,35 +466,18 @@ def full_subfunctor(F: VecFunctor) -> SubFunctor:
 
 
 def generated_subfunctor(F: VecFunctor, start: int, vectors) -> SubFunctor:
-    """Smallest morphism-stable family of subspaces containing the vectors.
+    """Smallest morphism-stable family of subspaces containing the vectors."""
+    return _closure_subfunctor(F, {start: np.asarray(vectors, dtype=np.int64).reshape(-1, F.dim(start))})
 
-    Closure runs over the generating morphisms; every skeletal morphism is a
-    composite of those, so the spans agree with images under full hom-sets.
-    """
-    sk = F.sk
-    vecs = np.asarray(vectors, dtype=np.int64).reshape(-1, F.dim(start)) % F.p
-    bases = {i: np.zeros((0, F.dim(i)), dtype=np.int64) for i in F.object_indices()}
-    r, piv = rref(vecs, F.p)
-    bases[start] = r[: len(piv)]
-    gens = [
-        (i, j, g)
-        for (i, j, g) in sk.generating_morphisms()
-        if sk.objects[i].dim <= F.window and sk.objects[j].dim <= F.window
-    ]
-    changed = True
-    while changed:
-        changed = False
-        for i, j, g in gens:
-            if bases[i].shape[0] == 0:
-                continue
-            img = (F.mat(i, j, g) @ bases[i].T).T % F.p
-            stacked = np.concatenate([bases[j], img], axis=0)
-            nb, piv = rref(stacked, F.p)
-            nb = nb[: len(piv)]
-            if nb.shape[0] != bases[j].shape[0]:
-                bases[j] = nb
-                changed = True
-    return SubFunctor(F, bases)
+
+def _closure_subfunctor(F: VecFunctor, starts: dict) -> SubFunctor:
+    """``gf.closure`` of the start vectors (object index -> rows) under the
+    generating morphisms, reading each matrix only when its source has new
+    vectors; every skeletal morphism is a composite of those, so the spans
+    agree with images under full hom-sets."""
+    dims = {i: F.dim(i) for i in F.object_indices()}
+    edges = [(i, j, partial(F.mat, i, j, g)) for (i, j, g) in F.sk.generating_morphisms() if i in dims and j in dims]
+    return SubFunctor(F, closure(dims, edges, starts, F.p))
 
 
 def quotient_functor(F: VecFunctor, sub: SubFunctor, name: str | None = None) -> VecFunctor:
@@ -1153,27 +1135,11 @@ def random_subfunctor(F: VecFunctor, rng: np.random.Generator, max_seeds: int = 
     idxs = [i for i in F.object_indices() if F.dim(i) > 0]
     if not idxs:
         return zero_subfunctor(F)
-    current = zero_subfunctor(F)
+    starts: dict[int, list] = {}
     for _ in range(int(rng.integers(1, max_seeds + 1))):
         i = int(rng.choice(idxs))
-        x = rng.integers(0, F.p, size=F.dim(i))
-        if not x.any():
-            continue
-        gen = generated_subfunctor(F, i, x)
-        current = SubFunctor(
-            F,
-            {
-                j: _row_union(current.bases[j], gen.bases[j], F.p)
-                for j in F.object_indices()
-            },
-        )
-    return current
-
-
-def _row_union(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    stacked = np.concatenate([a, b], axis=0)
-    r, piv = rref(stacked, p)
-    return r[: len(piv)]
+        starts.setdefault(i, []).append(rng.integers(0, F.p, size=F.dim(i)))
+    return _closure_subfunctor(F, starts)
 
 
 def ses_delta_exactness(F: VecFunctor, sub: SubFunctor) -> bool:

@@ -1,8 +1,10 @@
 """Command-line contract: exit codes, formats, file interchange, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,11 +181,15 @@ def test_vfunctor_json_roundtrip(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same package as this test, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "functorlab.cli", "--builtin", "representable", "--u-dim", "1",
          "--cap", "2", "validate"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"]
@@ -249,3 +255,20 @@ def test_p_too_large_for_storage_rejected_at_parse_time(capsys):
         cli.main(["--p", "257", "--builtin", "representable", "--u-dim", "1", "--cap", "1", "rector"])
     assert exc.value.code == 2
     assert "exceeds 251" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, reason",
+    [
+        ("--cap", "-1", "-1 is negative"),
+        ("--u-dim", "-1", "-1 is negative"),
+        ("--n-max", "-1", "-1 is negative"),
+        ("--jobs", "0", "0 is not positive"),
+    ],
+    ids=["cap", "u-dim", "n-max", "jobs"],
+)
+def test_out_of_range_int_flag_rejected_at_parse_time(capsys, flag, value, reason):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--builtin", "representable", "--u-dim", "1", "--cap", "1", flag, value, "rector"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {reason}" in capsys.readouterr().err

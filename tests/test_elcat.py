@@ -1,5 +1,7 @@
 """Element-category skeletons: hom-sets, decomposition, block form."""
 
+import inspect
+
 import pytest
 
 from functorlab.gf import LinearMap
@@ -155,6 +157,14 @@ def test_generators_generate_all_homs(SU2):
             expect = {g.data for g in small.hom(i, j)}
             got = set(reach.get((i, j), {}).keys())
             assert got == expect, (i, j, len(got), len(expect))
+
+
+def test_generating_morphisms_built_once_per_skeleton(SU2, sk):
+    gens = sk.generating_morphisms()
+    assert sk.generating_morphisms() is gens
+    assert gens == ec.Skeleton(SU2).generating_morphisms()
+    # a plain function in the class dict, so it can be wrapped from there
+    assert inspect.isfunction(ec.Skeleton.__dict__["generating_morphisms"])
 
 
 def test_decompose_functor_laws(SU2):

@@ -9,7 +9,9 @@ from functorlab.gf import (
     BudgetExceeded,
     LinearMap,
     Subspace,
+    _stacked_nullspace,
     check_prime,
+    closure,
     decode_entries,
     encode_entries,
     enumerate_invertibles,
@@ -245,3 +247,79 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# -- the closure engine ---------------------------------------------------------
+
+
+def _closure_oracle(dims, edges, start, p):
+    """Every basis through every edge, round after round, until nothing changes."""
+    bases = {k: np.zeros((0, n), dtype=np.int64) for k, n in dims.items()}
+    for k, v in start.items():
+        if not dims[k]:
+            continue
+        r, piv = rref(np.asarray(v, dtype=np.int64).reshape(-1, dims[k]), p)
+        bases[k] = r[: len(piv)]
+    changed = True
+    while changed:
+        changed = False
+        for i, j, m in edges:
+            if not bases[i].shape[0]:
+                continue
+            r, piv = rref(np.concatenate([bases[j], (bases[i] @ m.T) % p]), p)
+            if len(piv) != bases[j].shape[0]:
+                bases[j] = r[: len(piv)]
+                changed = True
+    return bases
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_closure_matches_fixed_point_on_random_graphs(p):
+    rng = np.random.default_rng(p)
+    for _ in range(40):
+        dims = {k: int(rng.integers(0, 5)) for k in range(int(rng.integers(1, 5)))}
+        edges = []
+        for _ in range(int(rng.integers(0, 7))):
+            i, j = (int(k) for k in rng.integers(0, len(dims), size=2))
+            m = rng.integers(0, p, size=(dims[j], dims[i]))
+            # sparse maps leave proper closures more often
+            edges.append((i, j, m * (rng.random(m.shape) < 0.4)))
+        start = {k: rng.integers(0, p, size=(int(rng.integers(0, 3)), n)) for k, n in dims.items() if rng.random() < 0.6}
+        got = closure(dims, edges, start, p)
+        want = _closure_oracle(dims, edges, start, p)
+        assert got.keys() == want.keys()
+        for k in dims:
+            assert np.array_equal(got[k], want[k]), (dims, k)
+
+
+def test_closure_pushes_increments_and_reads_matrices_lazily():
+    calls = []
+
+    def counted(name, m):
+        def read():
+            calls.append(name)
+            return np.asarray(m, dtype=np.int64)
+        return read
+
+    def never():
+        raise AssertionError("matrix read without vectors to push")
+
+    # a nilpotent shift on F_2^4 reaches one new vector per round from e_3
+    shift = np.eye(4, k=1, dtype=np.int64)
+    out = closure({0: 4}, [(0, 0, counted("shift", shift))], {0: [0, 0, 0, 1]}, 2)
+    assert np.array_equal(out[0], np.eye(4, dtype=np.int64)) and calls == ["shift"]
+    # piece 2 never has vectors; piece 0 is full from the start; 1 fills from 0
+    calls.clear()
+    edges = [(0, 1, counted("0->1", np.eye(2))), (2, 1, never), (1, 0, never)]
+    out = closure({0: 2, 1: 2, 2: 3}, edges, {0: np.eye(2)}, 2)
+    assert [b.shape[0] for b in out.values()] == [2, 2, 0] and calls == ["0->1"]
+
+
+def test_stacked_nullspace_matches_one_shot_kernel():
+    rng = np.random.default_rng(3)
+    for p in (2, 3):
+        for _ in range(30):
+            ncols = int(rng.integers(1, 8))
+            chunks = [rng.integers(0, p, size=(int(rng.integers(0, 5)), ncols)) * (rng.random() < 0.8) for _ in range(4)]
+            want = nullspace(np.concatenate(chunks), p)
+            assert np.array_equal(_stacked_nullspace(iter(chunks), ncols, p), want)

@@ -196,6 +196,40 @@ def test_spin_and_submodule(S3):
     assert quot.dim == 5 and quot.validate()
 
 
+def _spin_oracle(ops, vectors, p, transpose=False):
+    """Round-by-round spin: the whole basis times every operator until no growth."""
+    mats = [m.T % p if transpose else m for m in ops]
+    basis, pivots = rref(np.atleast_2d(np.asarray(vectors, dtype=np.int64)), p)
+    basis = basis[: len(pivots)]
+    while basis.shape[0]:
+        images = [(basis @ m.T) % p for m in mats]
+        new_basis, piv = rref(np.concatenate([basis] + images, axis=0), p)
+        new_basis = new_basis[: len(piv)]
+        if new_basis.shape[0] == basis.shape[0]:
+            break
+        basis = new_basis
+    return basis
+
+
+def test_spin_matches_round_by_round_oracle():
+    rng = np.random.default_rng(5)
+    for p in (2, 3):
+        S3, S4 = mr.FiniteGroup.symmetric(3), mr.FiniteGroup.symmetric(4)
+        mods = [mr.regular_module(S3, p), _permutation_module(S4, p)] + mr.simple_modules(S4, p).simples
+        proper = 0
+        for M in mods:
+            ops = M.generator_matrices()
+            starts = [np.zeros(M.dim, dtype=np.int64), np.ones(M.dim, dtype=np.int64)]
+            starts += [rng.integers(0, p, size=(int(rng.integers(1, 3)), M.dim)) for _ in range(6)]
+            starts += list(np.eye(M.dim, dtype=np.int64))
+            for v in starts:
+                for transpose in (False, True):
+                    got = mr.spin(ops, v, p, transpose=transpose)
+                    assert np.array_equal(got, _spin_oracle(ops, v, p, transpose=transpose)), (M.name, p)
+                    proper += 0 < got.shape[0] < M.dim
+        assert proper >= 4
+
+
 def test_group_budget():
     with pytest.raises(ValueError):
         mr.simple_modules(mr.FiniteGroup.symmetric(3), 2, budget=2)

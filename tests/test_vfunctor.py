@@ -1,9 +1,11 @@
 """Difference calculus, cross effects, polynomial filtration, adjunction."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from functorlab.gf import LinearMap
+from functorlab.gf import LinearMap, rref
 from functorlab import elcat as ec
 from functorlab import modrep as mr
 from functorlab import sfunctor as sf
@@ -253,6 +255,156 @@ def test_generated_subfunctor_matches_full_hom_span(skhom):
 
         r, piv = rref(np.stack(vecs), 2)
         assert len(piv) == gen.bases[o.index].shape[0]
+
+
+def _generated_oracle(F, start, vectors):
+    """Fixed-point closure: every basis through every generating morphism,
+    round after round, until no basis grows."""
+    sk, p = F.sk, F.p
+    vecs = np.asarray(vectors, dtype=np.int64).reshape(-1, F.dim(start)) % p
+    bases = {i: np.zeros((0, F.dim(i)), dtype=np.int64) for i in F.object_indices()}
+    r, piv = rref(vecs, p)
+    bases[start] = r[: len(piv)]
+    gens = [(i, j, g) for (i, j, g) in sk.generating_morphisms() if i in bases and j in bases]
+    changed = True
+    while changed:
+        changed = False
+        for i, j, g in gens:
+            if bases[i].shape[0] == 0:
+                continue
+            img = (F.mat(i, j, g) @ bases[i].T).T % p
+            nb, piv = rref(np.concatenate([bases[j], img], axis=0), p)
+            if len(piv) != bases[j].shape[0]:
+                bases[j] = nb[: len(piv)]
+                changed = True
+    return bases
+
+
+def _assert_generated_matches_oracle(F, start, vectors):
+    got = vf.generated_subfunctor(F, start, vectors)
+    want = _generated_oracle(F, start, vectors)
+    assert got.bases.keys() == want.keys()
+    for i in want:
+        assert np.array_equal(got.bases[i], want[i]), (F.name, start, i)
+    return got
+
+
+def _starts(F, rng, per_object=3):
+    """Random start vectors (one or two at a time) at every object with values."""
+    for i in F.object_indices():
+        for _ in range(per_object if F.dim(i) else 0):
+            yield i, rng.integers(0, F.p, size=(int(rng.integers(1, 3)), F.dim(i)))
+
+
+def test_generated_subfunctor_matches_fixed_point_oracle(plain, skhom):
+    rng = np.random.default_rng(7)
+    G = vf.aut_sigma_group(skhom, 0, 2)
+    TM = vf.tensor_sigma_n(skhom, vf.sigma_functor_from_module(skhom, 0, 2, mr.trivial_module(G, 2)), 2)
+    functors = [
+        tensor_lift(skhom, 2, window=2),
+        tensor_lift(plain, 2, window=3),
+        vf.injective_cogen(skhom, skhom.index[(1, 1)], window=2),
+        TM,
+    ]
+    proper = 0
+    for F in functors:
+        for start, vecs in _starts(F, rng):
+            gen = _assert_generated_matches_oracle(F, start, vecs)
+            proper += 0 < gen.total_dim() < F.total_dim()
+    # every nonzero vector of one value space, from the tensor square
+    F = functors[0]
+    start = skhom.index[(0, 2)]
+    for x in itertools.product(range(2), repeat=F.dim(start)):
+        _assert_generated_matches_oracle(F, start, np.asarray(x))
+    assert proper >= 10
+
+
+def test_random_subfunctor_matches_sum_of_generated(plain, skhom):
+    # one closure of all the seeds against the union of one oracle closure per seed
+    for sk, n in [(plain, 2), (skhom, 2), (plain, 3)]:
+        F = tensor_lift(sk, n, window=3)
+        idxs = [i for i in F.object_indices() if F.dim(i) > 0]
+        for seed in range(6):
+            got = vf.random_subfunctor(F, np.random.default_rng(1000 + seed), max_seeds=3)
+            rng = np.random.default_rng(1000 + seed)
+            want = {i: np.zeros((0, F.dim(i)), dtype=np.int64) for i in F.object_indices()}
+            for _ in range(int(rng.integers(1, 4))):
+                i = int(rng.choice(idxs))
+                gen = _generated_oracle(F, i, rng.integers(0, F.p, size=F.dim(i)))
+                for j in want:
+                    r, piv = rref(np.concatenate([want[j], gen[j]]), F.p)
+                    want[j] = r[: len(piv)]
+            assert all(np.array_equal(got.bases[j], want[j]) for j in want)
+
+
+def test_certify_simple_witness_matches_oracle(skhom):
+    from functorlab import simples as sp
+
+    G = vf.aut_sigma_group(skhom, 0, 2)
+    TM = vf.tensor_sigma_n(skhom, vf.sigma_functor_from_module(skhom, 0, 2, mr.trivial_module(G, 2)), 2)
+    T1 = tensor_lift(skhom, 1, window=2)
+    for F in (TM, vf.direct_sum(T1, T1)):
+        ok, (i, x, gen) = sp.certify_simple(F)
+        assert not ok and 0 < gen.total_dim() < F.total_dim()
+        want = _generated_oracle(F, i, x)
+        assert all(np.array_equal(gen.bases[k], want[k]) for k in want)
+
+
+def _is_stable_oracle(sub):
+    F = sub.parent
+    for i, j, g in F.sk.generating_morphisms():
+        if F.sk.objects[i].dim > F.window or F.sk.objects[j].dim > F.window:
+            continue
+        for row in (F.mat(i, j, g) @ sub.bases[i].T).T % F.p:
+            if len(rref(np.concatenate([sub.bases[j], row.reshape(1, -1)]), F.p)[1]) != sub.bases[j].shape[0]:
+                return False
+    return True
+
+
+def _contains_oracle(big, small):
+    for i, b in small.bases.items():
+        for row in b:
+            if len(rref(np.concatenate([big.bases[i], row.reshape(1, -1)]), big.parent.p)[1]) != big.bases[i].shape[0]:
+                return False
+    return True
+
+
+def _random_family(F, rng):
+    """Independent random subspaces per object: almost never stable."""
+    bases = {}
+    for i in F.object_indices():
+        r, piv = rref(rng.integers(0, F.p, size=(int(rng.integers(0, F.dim(i) + 1)), F.dim(i))), F.p)
+        bases[i] = r[: len(piv)]
+    return vf.SubFunctor(F, bases)
+
+
+def test_is_stable_and_contains_match_per_row_oracles(skhom):
+    rng = np.random.default_rng(11)
+    F = tensor_lift(skhom, 2, window=2)
+    families = [vf.zero_subfunctor(F), vf.full_subfunctor(F), vf.p_n(F, 1, known_degree_bound=2)]
+    families += [vf.generated_subfunctor(F, i, v) for i, v in _starts(F, rng, per_object=1)]
+    families += [_random_family(F, rng) for _ in range(8)]
+    stable = [_is_stable_oracle(s) for s in families]
+    assert [s.is_stable() for s in families] == stable
+    assert any(stable) and not all(stable)
+    held = []
+    for a in families:
+        for b in families:
+            want = _contains_oracle(a, b)
+            assert a.contains(b) == want
+            held.append(want)
+    assert any(held) and not all(held)
+
+
+def test_is_stable_with_empty_generator_list(skhom):
+    F = tensor_lift(skhom, 2, window=2)
+    start, below = skhom.index[(0, 2)], skhom.index[(0, 1)]
+    sub = vf.generated_subfunctor(F, start, [1, 0, 0, 1])
+    unstable = vf.SubFunctor(F, {**sub.bases, below: np.zeros((0, F.dim(below)), dtype=np.int64)})
+    assert sub.is_stable() and not unstable.is_stable()
+    # no generators to check, so nothing can fail
+    assert unstable.is_stable(generators=[])
+    assert not unstable.is_stable(generators=[g for g in skhom.generating_morphisms() if g[0] == start])
 
 
 # -- restriction / extension -------------------------------------------------------
