@@ -47,6 +47,18 @@ _non_negative = _int_flag(_at_least(0, "negative"))
 _positive = _int_flag(_at_least(1, "not positive"))
 
 
+def _non_negative_list(length: int | None = None):
+    """argparse type: comma-separated non-negative ints, ``length`` of them when given."""
+
+    def parse(text: str) -> tuple[int, ...]:
+        values = tuple(_non_negative(part) for part in text.split(","))
+        if length is not None and len(values) != length:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {length} comma-separated ints")
+        return values
+
+    return parse
+
+
 def _add_common(ap: argparse.ArgumentParser, suppress: bool):
     # shared flags live on the main parser and on every subparser, the latter
     # with suppressed defaults so values given before the subcommand survive
@@ -56,8 +68,8 @@ def _add_common(ap: argparse.ArgumentParser, suppress: bool):
     ap.add_argument("--n-max", type=_non_negative, default=d(2), help="largest polynomial degree")
     ap.add_argument("--seed", type=int, default=d(0), help="seed for all derived streams")
     ap.add_argument("--jobs", type=_positive, default=d(1), help="worker pool bound")
-    ap.add_argument("--budget-maps", type=int, default=d(1 << 20), help="map enumeration budget")
-    ap.add_argument("--budget-group", type=int, default=d(1000), help="group order budget")
+    ap.add_argument("--budget-maps", type=_positive, default=d(1 << 20), help="map enumeration budget")
+    ap.add_argument("--budget-group", type=_positive, default=d(1000), help="group order budget")
     ap.add_argument("--input", type=str, default=d(None), help="sfunctor.json or builtin spec file")
     ap.add_argument("--builtin", type=str, default=d(None), help="representable | orbit | subspaces | kernel-mismatch")
     ap.add_argument("--u-dim", type=_non_negative, default=d(2), help="target dimension for builtins")
@@ -89,12 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--save-functor", type=str, default=None, help="write the (differenced) functor tables here")
         if name == "delta":
-            p.add_argument("--times", type=int, default=1)
+            p.add_argument("--times", type=_non_negative, default=1)
 
     p = sub.add_parser("cross-effect", parents=[common], help="joint omission kernel at a base object")
     p.add_argument("--functor", type=str, default="tensor:2")
-    p.add_argument("--base", type=str, default="0,0", help="skeletal object as class,trivial-dim")
-    p.add_argument("--blocks", type=str, default="1,1", help="block dimensions")
+    p.add_argument("--base", type=_non_negative_list(2), default="0,0", help="skeletal object as class,trivial-dim")
+    p.add_argument("--blocks", type=_non_negative_list(), default="1,1", help="block dimensions")
 
     p = sub.add_parser("simples-of-group", parents=[common], help="simple modules of a small group")
     p.add_argument("--group", type=str, default="sym:3", help="sym:n | autsym:class,n")
@@ -277,8 +289,10 @@ def run_cross_effect(args) -> tuple[dict, int]:
     S = resolve_set_functor(args)
     sk = elcat.Skeleton(S, budget=args.budget_maps)
     F = resolve_functor(sk, args.functor)
-    r, v = (int(x) for x in args.base.split(","))
-    blocks = tuple(int(x) for x in args.blocks.split(","))
+    r, v = args.base
+    if (r, v) not in sk.index:
+        raise ValueError(f"the skeleton has no object of class {r} with trivial dim {v}")
+    blocks = args.blocks
     cr = vfunctor.cross_effect(F, sk.index[(r, v)], blocks)
     body = {
         "functor": F.name,

@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 import numpy as np
-import sympy
 
 from .gf import (
     SCAN_BUDGET,
@@ -363,6 +362,7 @@ def _poly_eval_matrix(coeffs: np.ndarray, A: np.ndarray, p: int) -> np.ndarray:
 
 def _factor_poly(coeffs: np.ndarray, p: int) -> list[np.ndarray]:
     """Irreducible factors (each monic, low degree first), via sympy over GF(p)."""
+    import sympy  # here, its only use, so that importing functorlab does not load it
     x = sympy.Symbol("x")
     expr = sum(int(c) * x**i for i, c in enumerate(coeffs))
     poly = sympy.Poly(expr, x, modulus=p)

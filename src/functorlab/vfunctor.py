@@ -13,7 +13,8 @@ comparison with functors on (regular classes) x (plain spaces), the balanced
 tensor construction attached to a symmetric-group module functor, and
 natural-transformation spaces as kernels of assembled linear systems.
 Generated subfunctors come from ``gf.closure``, the one closure engine, run
-over the skeleton's generating morphisms.
+over the skeleton's generating morphisms; ``p_n`` runs the same engine on
+annihilators, pushing functionals backwards along the transposed generators.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .gf import (
     BudgetExceeded,
     LinearMap,
     Subspace,
-    _stacked_nullspace,
     closure,
     decode_entries,
     encode_entries,
@@ -320,6 +320,8 @@ def delta_bar(F: VecFunctor) -> VecFunctor:
 
 
 def delta_bar_power(F: VecFunctor, k: int) -> VecFunctor:
+    if k < 0:
+        raise ValueError(f"cannot difference {k} times")
     out = F
     for _ in range(k):
         out = delta_bar(out)
@@ -467,17 +469,27 @@ def full_subfunctor(F: VecFunctor) -> SubFunctor:
 
 def generated_subfunctor(F: VecFunctor, start: int, vectors) -> SubFunctor:
     """Smallest morphism-stable family of subspaces containing the vectors."""
-    return _closure_subfunctor(F, {start: np.asarray(vectors, dtype=np.int64).reshape(-1, F.dim(start))})
+    rows = np.asarray(vectors, dtype=np.int64).reshape(-1, F.dim(start))
+    return SubFunctor(F, _closure(F, {start: rows}))
 
 
-def _closure_subfunctor(F: VecFunctor, starts: dict) -> SubFunctor:
+def _closure(F: VecFunctor, starts: dict, dual: bool = False) -> dict:
     """``gf.closure`` of the start vectors (object index -> rows) under the
     generating morphisms, reading each matrix only when its source has new
     vectors; every skeletal morphism is a composite of those, so the spans
-    agree with images under full hom-sets."""
+    agree with images under full hom-sets.  With ``dual`` the rows are
+    functionals pushed backwards, x -> x F(g), along each g: i -> j."""
     dims = {i: F.dim(i) for i in F.object_indices()}
-    edges = [(i, j, partial(F.mat, i, j, g)) for (i, j, g) in F.sk.generating_morphisms() if i in dims and j in dims]
-    return SubFunctor(F, closure(dims, edges, starts, F.p))
+    gens = [(i, j, g) for (i, j, g) in F.sk.generating_morphisms() if i in dims and j in dims]
+    if dual:
+        edges = [(j, i, partial(_transposed_mat, F, i, j, g)) for (i, j, g) in gens]
+    else:
+        edges = [(i, j, partial(F.mat, i, j, g)) for (i, j, g) in gens]
+    return closure(dims, edges, starts, F.p)
+
+
+def _transposed_mat(F: VecFunctor, i: int, j: int, g: LinearMap) -> np.ndarray:
+    return F.mat(i, j, g).T
 
 
 def quotient_functor(F: VecFunctor, sub: SubFunctor, name: str | None = None) -> VecFunctor:
@@ -503,12 +515,16 @@ def quotient_functor(F: VecFunctor, sub: SubFunctor, name: str | None = None) ->
 
 
 def p_n(F: VecFunctor, n: int, known_degree_bound: int | None = None) -> SubFunctor:
-    """Greatest subfunctor of polynomial degree <= n, computed object by object.
+    """Greatest subfunctor of polynomial degree <= n, as one annihilator closure.
 
-    An element x of F(o) generates a degree <= n subfunctor exactly when the
-    (n+1)-st difference of the generated map out of the representable functor
-    at o vanishes; that condition is linear in x, so each value of p_n(F) is
-    the kernel of one assembled system.
+    For a constraint object o, plus is o with k = n+1 more trivial
+    coordinates, e_t in End(plus) zeroes trivial coordinate o.vdim+t and
+    eps_o = prod_{t<k} (1 - F(e_t)).  As hom(i, plus) = X x Y_0 x ... x Y_{k-1}
+    (block form), the joint kernel of the k omission maps on F_p[hom(i, plus)]
+    is spanned by the sums sum_S (-1)^|S| [e_S g], which F sends to
+    eps_o F(g).  So x is in p_n(F)(i) iff eps_o F(g) x = 0 for all o and all
+    g: i -> plus: p_n(F) is the kernel of the rows of every eps_o closed under
+    the transposed generating morphisms by ``gf.closure``.
 
     Constraint objects run over everything with n+1 dimensions of headroom.
     When the caller certifies deg F <= n+1 the differences of subfunctors of
@@ -518,52 +534,21 @@ def p_n(F: VecFunctor, n: int, known_degree_bound: int | None = None) -> SubFunc
     sk = F.sk
     k = n + 1
     fast = known_degree_bound is not None and known_degree_bound <= k
-    constraint_objs = []
-    for o in sk.objects:
-        if o.dim + k > F.window:
-            continue
-        if fast and o.vdim != 0:
-            continue
-        constraint_objs.append(o)
+    constraint_objs = [o for o in sk.objects if o.dim + k <= F.window and not (fast and o.vdim)]
     if not constraint_objs:
         raise WindowExceeded(f"window {F.window} too small to test degree {n}")
 
-    bases = {}
-    for i in F.object_indices():
-        if F.dim(i) == 0:
-            bases[i] = np.zeros((0, 0), dtype=np.int64)
-            continue
-
-        def rows():
-            for o in constraint_objs:
-                plus = sk.index[(o.rclass, o.vdim + k)]
-                homs = sk.hom(i, plus)
-                if not homs:
-                    continue
-                pos = {g.data: t for t, g in enumerate(homs)}
-                omission_rows = []
-                for t in range(k):
-                    coords = (o.vdim + t,)
-                    pi = sk.drop_coords(o.rclass, o.vdim + k, coords)
-                    buckets: dict[bytes, list[int]] = {}
-                    for g in homs:
-                        buckets.setdefault((pi @ g).data, []).append(pos[g.data])
-                    for members in buckets.values():
-                        row = np.zeros(len(homs), dtype=np.int64)
-                        row[members] = 1
-                        omission_rows.append(row)
-                omega = np.stack(omission_rows) if omission_rows else np.zeros((0, len(homs)), dtype=np.int64)
-                romega, piv = rref(omega, F.p)
-                romega = romega[: len(piv)]
-                # stack of F-matrices over the hom-set
-                G = np.stack([F.mat(i, plus, g) for g in homs])  # (H, out, in)
-                H, nout, nin = G.shape
-                flat = G.reshape(H, nout * nin)
-                lift = (romega.T @ flat[piv].reshape(len(piv), nout * nin)) % F.p
-                E = (flat - lift) % F.p
-                yield E.reshape(H * nout, nin)
-
-        bases[i] = _stacked_nullspace(rows(), F.dim(i), F.p)
+    starts = {}
+    for o in constraint_objs:
+        plus = sk.index[(o.rclass, o.vdim + k)]
+        eye = np.eye(F.dim(plus), dtype=np.int64)
+        eps = eye
+        for t in range(k):
+            drop = sk.drop_coords(o.rclass, o.vdim + k, (o.vdim + t,))
+            eps = (eps @ (eye - F.mat(plus, plus, drop.transpose() @ drop))) % F.p
+        starts[plus] = eps
+    ann = _closure(F, starts, dual=True)
+    bases = {i: nullspace(a, F.p) if a.shape[0] else np.eye(F.dim(i), dtype=np.int64) for i, a in ann.items()}
 
     out = SubFunctor(F, bases)
     if not out.is_stable():
@@ -1139,7 +1124,7 @@ def random_subfunctor(F: VecFunctor, rng: np.random.Generator, max_seeds: int = 
     for _ in range(int(rng.integers(1, max_seeds + 1))):
         i = int(rng.choice(idxs))
         starts.setdefault(i, []).append(rng.integers(0, F.p, size=F.dim(i)))
-    return _closure_subfunctor(F, starts)
+    return SubFunctor(F, _closure(F, starts))
 
 
 def ses_delta_exactness(F: VecFunctor, sub: SubFunctor) -> bool:

@@ -195,6 +195,20 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["ok"]
 
 
+def test_import_leaves_sympy_unloaded():
+    # sympy is loaded only when the splitting engine factors a polynomial
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, functorlab.cli; print('sympy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_jobs_flag_deterministic(capsys):
     outs = []
     for jobs in ("1", "2"):
@@ -272,3 +286,38 @@ def test_out_of_range_int_flag_rejected_at_parse_time(capsys, flag, value, reaso
         cli.main(["--builtin", "representable", "--u-dim", "1", "--cap", "1", flag, value, "rector"])
     assert exc.value.code == 2
     assert f"argument {flag}: {reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (["--budget-maps", "0", "rector"], "argument --budget-maps: 0 is not positive"),
+        (["--budget-group", "-3", "rector"], "argument --budget-group: -3 is not positive"),
+        (["delta", "--times", "-1"], "argument --times: -1 is negative"),
+        (["cross-effect", "--blocks", "0,-1"], "argument --blocks: -1 is negative"),
+        (["cross-effect", "--base", "0,-1"], "argument --base: -1 is negative"),
+        (["cross-effect", "--base", "1"], "argument --base: '1' is not 2 comma-separated ints"),
+    ],
+    ids=["budget-maps", "budget-group", "times", "blocks", "base", "base-arity"],
+)
+def test_malformed_subcommand_int_rejected_at_parse_time(capsys, args, reason):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--builtin", "representable", "--u-dim", "1", "--cap", "2", *args])
+    assert exc.value.code == 2
+    assert reason in capsys.readouterr().err
+
+
+def test_cross_effect_base_outside_skeleton_exit_2(capsys):
+    # a well-formed base the skeleton lacks is an input error, not a counterexample
+    code = cli.main(["--builtin", "representable", "--u-dim", "1", "--cap", "2", "cross-effect", "--base", "7,0"])
+    assert code == 2
+    assert "no object of class 7 with trivial dim 0" in capsys.readouterr().err
+
+
+def test_negative_difference_count_raises():
+    from functorlab import elcat, sfunctor, vfunctor
+
+    sk = elcat.Skeleton(sfunctor.RepresentableFunctor(2, 0, 2))
+    F = vfunctor.forgetful_lift(sk, vfunctor.TensorPower(1, 2))
+    with pytest.raises(ValueError, match="cannot difference -1 times"):
+        vfunctor.delta_bar_power(F, -1)

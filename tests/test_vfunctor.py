@@ -239,6 +239,133 @@ def test_p_n_of_direct_sum_picks_low_degree_part(plain):
         assert p1.bases[i].shape[0] == T1.dim(i)
 
 
+def _p_n_oracle(F, n, known_degree_bound=None):
+    """The omission-system p_n: for each object i, one row block per map in
+    hom(i, plus) of the kernel of the omission buckets, stacked into one
+    system whose kernel is the value of p_n(F) at i."""
+    from functorlab.gf import _stacked_nullspace
+
+    sk = F.sk
+    k = n + 1
+    fast = known_degree_bound is not None and known_degree_bound <= k
+    constraint_objs = [o for o in sk.objects if o.dim + k <= F.window and not (fast and o.vdim != 0)]
+    if not constraint_objs:
+        raise vf.WindowExceeded(f"window {F.window} too small to test degree {n}")
+    bases = {}
+    for i in F.object_indices():
+        if F.dim(i) == 0:
+            bases[i] = np.zeros((0, 0), dtype=np.int64)
+            continue
+
+        def rows():
+            for o in constraint_objs:
+                plus = sk.index[(o.rclass, o.vdim + k)]
+                homs = sk.hom(i, plus)
+                if not homs:
+                    continue
+                pos = {g.data: t for t, g in enumerate(homs)}
+                omission_rows = []
+                for t in range(k):
+                    pi = sk.drop_coords(o.rclass, o.vdim + k, (o.vdim + t,))
+                    buckets = {}
+                    for g in homs:
+                        buckets.setdefault((pi @ g).data, []).append(pos[g.data])
+                    for members in buckets.values():
+                        row = np.zeros(len(homs), dtype=np.int64)
+                        row[members] = 1
+                        omission_rows.append(row)
+                romega, piv = rref(np.stack(omission_rows), F.p)
+                romega = romega[: len(piv)]
+                G = np.stack([F.mat(i, plus, g) for g in homs])
+                H, nout, nin = G.shape
+                flat = G.reshape(H, nout * nin)
+                lift = (romega.T @ flat[piv].reshape(len(piv), nout * nin)) % F.p
+                yield ((flat - lift) % F.p).reshape(H * nout, nin)
+
+        bases[i] = _stacked_nullspace(rows(), F.dim(i), F.p)
+    out = vf.SubFunctor(F, bases)
+    if not out.is_stable():
+        raise ValueError("greatest polynomial subfunctor came out unstable; window too small")
+    return out
+
+
+def _assert_p_n_matches_oracle(F, n, known_degree_bound=None):
+    try:
+        want = _p_n_oracle(F, n, known_degree_bound)
+    except (vf.WindowExceeded, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            vf.p_n(F, n, known_degree_bound)
+        assert str(got.value) == str(exc)
+        return None
+    got = vf.p_n(F, n, known_degree_bound)
+    assert got.bases.keys() == want.bases.keys()
+    for i in want.bases:
+        assert got.bases[i].shape == want.bases[i].shape, (F.name, n, i)
+        assert np.array_equal(got.bases[i], want.bases[i]), (F.name, n, i)
+    return got
+
+
+def _p_n_cases(plain, skhom):
+    """(functor, n, known degree bound) triples covering lifts, sums,
+    cogenerators, symmetrizer images, p = 3 and a balanced tensor."""
+    for sk in (plain, skhom):
+        for deg in (1, 2):
+            F = tensor_lift(sk, deg, window=3)
+            for n in range(3):
+                yield F, n, None
+                yield F, n, deg
+            yield F, 3, None  # no object has four dimensions of headroom
+    T1, T2 = tensor_lift(plain, 1, window=3), tensor_lift(plain, 2, window=3)
+    for n in range(3):
+        yield vf.direct_sum(T2, T1), n, 2
+        yield vf.direct_sum(T2, T1), n, None
+    for sk in (plain, skhom):
+        for o in sk.objects:
+            if o.dim <= 2:
+                I = vf.injective_cogen(sk, o.index, window=2)
+                yield I, 0, None
+                yield I, 1, None
+    for parts, n in [((1,), 1), ((2,), 2), ((2, 1), 3)]:
+        lam = mr.Partition(parts)
+        img = mr.TensorSymmetrizerImage(mr.epsilon_lambda(lam, n, 2), n, 2)
+        yield vf.forgetful_lift(plain, img, window=3), n - 1, n
+    sk3 = ec.Skeleton(sf.RepresentableFunctor(3, 1, 2))
+    for deg in (1, 2):
+        F = vf.forgetful_lift(sk3, vf.TensorPower(deg, 3))
+        for n in range(2):
+            yield F, n, None
+            yield F, n, deg
+    G = vf.aut_sigma_group(skhom, 1, 2)
+    mod = mr.simple_modules(G, 2, seed=0).simples[-1]
+    TM = vf.tensor_sigma_n(skhom, vf.sigma_functor_from_module(skhom, 1, 2, mod), 2)
+    yield TM, 1, 2
+
+
+def test_p_n_matches_omission_system_oracle(plain, skhom):
+    answered = raised = proper = 0
+    for F, n, bound in _p_n_cases(plain, skhom):
+        got = _assert_p_n_matches_oracle(F, n, bound)
+        if got is None:
+            raised += 1
+            continue
+        answered += 1
+        proper += 0 < got.total_dim() < F.total_dim()
+    assert answered >= 50 and raised >= 4 and proper >= 10
+
+
+def test_p_n_never_enumerates_hom_sets(plain, monkeypatch):
+    F = vf.direct_sum(tensor_lift(plain, 2, window=3), tensor_lift(plain, 1, window=3))
+    want = _p_n_oracle(F, 1, 2)
+
+    def refuse(self, i, j):
+        raise AssertionError("p_n enumerated a hom-set")
+
+    monkeypatch.setattr(ec.Skeleton, "hom", refuse)
+    for bound in (2, None):
+        got = vf.p_n(F, 1, known_degree_bound=bound)
+        assert all(np.array_equal(got.bases[i], want.bases[i]) for i in want.bases)
+
+
 def test_generated_subfunctor_matches_full_hom_span(skhom):
     F = tensor_lift(skhom, 2, window=2)
     start = skhom.index[(0, 2)]
