@@ -144,12 +144,15 @@ def resolve_set_functor(args) -> sfunctor.SetFunctor:
 def resolve_functor(sk: elcat.Skeleton, spec: str) -> vfunctor.VecFunctor:
     kind, _, rest = spec.partition(":")
     if kind == "tensor":
-        return vfunctor.forgetful_lift(sk, vfunctor.TensorPower(int(rest or 1), sk.p))
+        n = int(rest or 1)
+        if n < 0:
+            raise ValueError(f"tensor power {n} is negative")
+        return vfunctor.forgetful_lift(sk, vfunctor.TensorPower(n, sk.p))
     if kind == "constant":
         return vfunctor.constant_functor(sk, int(rest or 1))
     if kind == "cogen":
         r, v = (int(x) for x in rest.split(","))
-        return vfunctor.injective_cogen(sk, sk.index[(r, v)])
+        return vfunctor.injective_cogen(sk, _object_index(sk, r, v))
     if kind == "symmetrizer":
         parts = tuple(int(x) for x in rest.split(","))
         lam = modrep.Partition(parts)
@@ -166,6 +169,12 @@ def resolve_functor(sk: elcat.Skeleton, spec: str) -> vfunctor.VecFunctor:
             raise ValueError(f"{rest}: tables violate the functor laws")
         return F
     raise ValueError(f"unknown functor spec {spec!r}")
+
+
+def _object_index(sk: elcat.Skeleton, r: int, v: int) -> int:
+    if (r, v) not in sk.index:
+        raise ValueError(f"the skeleton has no object of class {r} with trivial dim {v}")
+    return sk.index[(r, v)]
 
 
 def config_dict(args) -> dict:
@@ -290,10 +299,8 @@ def run_cross_effect(args) -> tuple[dict, int]:
     sk = elcat.Skeleton(S, budget=args.budget_maps)
     F = resolve_functor(sk, args.functor)
     r, v = args.base
-    if (r, v) not in sk.index:
-        raise ValueError(f"the skeleton has no object of class {r} with trivial dim {v}")
     blocks = args.blocks
-    cr = vfunctor.cross_effect(F, sk.index[(r, v)], blocks)
+    cr = vfunctor.cross_effect(F, _object_index(sk, r, v), blocks)
     body = {
         "functor": F.name,
         "base": {"class": r, "trivial_dim": v},

@@ -112,9 +112,6 @@ class RectorSkeleton:
     def class_index(self, o: ElObject) -> int:
         return self.witnesses[o][0]
 
-    def class_dims(self) -> list[int]:
-        return [c.dim for c in self.classes]
-
 
 def build_rector_skeleton(S: SetFunctor, cap: int | None = None, budget: int = DEFAULT_MAP_BUDGET) -> RectorSkeleton:
     """Orbit/stabilizer computation of GL(d) acting on regular elements.
@@ -197,7 +194,7 @@ class Skeleton:
     """Skeleton of the category of elements on dimensions <= window.
 
     Hom-sets are enumerated lazily and cached; composition is by matrix
-    product with index lookup.  Morphisms between skeletal objects are block
+    product.  Morphisms between skeletal objects are block
     lower triangular in the (regular | trivial) coordinates.
     """
 
@@ -219,7 +216,6 @@ class Skeleton:
                 self.index[(r, v)] = sk.index
                 self.objects.append(sk)
         self._hom: dict[tuple[int, int], list[LinearMap]] = {}
-        self._hom_pos: dict[tuple[int, int], dict[bytes, int]] = {}
         self._rep_cache: dict[ElObject, tuple[int, LinearMap]] = {}
         self._generators: list[tuple[int, int, LinearMap]] | None = None
 
@@ -234,20 +230,11 @@ class Skeleton:
         key = (i, j)
         if key not in self._hom:
             a, b = self.objects[i], self.objects[j]
-            mors = hom_set(self.S, a.obj, b.obj, self.budget)
-            self._hom[key] = [m.map for m in mors]
-            self._hom_pos[key] = {m.map.data: k for k, m in enumerate(mors)}
+            self._hom[key] = [m.map for m in hom_set(self.S, a.obj, b.obj, self.budget)]
         return self._hom[key]
-
-    def hom_position(self, i: int, j: int, gamma: LinearMap) -> int:
-        self.hom(i, j)
-        return self._hom_pos[(i, j)][gamma.data]
 
     def identity(self, i: int) -> LinearMap:
         return LinearMap.identity(self.objects[i].dim, self.p)
-
-    def is_morphism(self, i: int, j: int, gamma: LinearMap) -> bool:
-        return self.S.act(gamma, self.objects[j].obj) == self.objects[i].obj
 
     # -- routing of arbitrary pairs onto the skeleton ------------------------
 

@@ -3,17 +3,19 @@
 Groups are element tables; modules are left modules given by one matrix per
 group generator.  ``find_invariant_subspace`` is the package's one splitting
 engine (the MeatAxe with the Holt-Rees certificate) and works on any list of
-operator matrices: group modules pass their generators, and the simplicity
-certificate of functors passes the operators of the category algebra.  It
-searches with seeded random algebra elements for a singular element with a
-small kernel, spins the kernel vectors (and the dual kernel under the
-transposed action), and certifies irreducibility when every spin fills the
-space.  A spin is ``gf.closure`` on one piece: each round multiplies only the
-vectors new since the last round, and it stops as soon as the space is full.
-Simple modules are collected by chopping the regular module to composition
-factors.  Isomorphism is decided exactly from the intertwiner
-space: an invertible element is found, or its absence is proved by a full
-scan, or the search raises ``BudgetExceeded``.
+operator matrices with a required pool of algebra elements to draw from:
+group modules pass their generators and element matrices, and the
+simplicity certificate of functors passes the generators of End(o) at one
+object with their pairwise products.  It searches with seeded random
+algebra elements for a singular element with a small kernel, spins the
+kernel vectors (and the dual kernel under the transposed action), and
+certifies irreducibility when every spin fills the space.  A spin is
+``gf.closure`` on one piece: each round multiplies only the vectors new
+since the last round, and it stops as soon as the space is full.  Simple
+modules are collected by chopping the regular module to composition
+factors.  Isomorphism is decided exactly from the intertwiner space: an
+invertible element is found, or its absence is proved by a full scan, or
+the search raises ``BudgetExceeded``.
 
 Symmetric groups carry the partition machinery: p-regular partitions and the
 symmetrizer products whose right ideals realize the simple modules.
@@ -374,14 +376,14 @@ def _factor_poly(coeffs: np.ndarray, p: int) -> list[np.ndarray]:
 
 
 def find_invariant_subspace(
-    ops: list[np.ndarray], p: int, seed: int = 0, pool: list[np.ndarray] | None = None, max_tries: int = 60
+    ops: list[np.ndarray], p: int, pool: list[np.ndarray], seed: int = 0, max_tries: int = 60
 ):
     """Proper nonzero subspace invariant under ops (RREF rows), or None with
     certificate.
 
     Each try draws an algebra element theta: one to three scaled members of
-    ``pool`` summed or, without a pool, one to three scaled words of length
-    one or two in ops.  For the first irreducible factor f of a local minimal
+    ``pool`` summed.  The pool is required, nonempty and inside the algebra
+    that ops generate.  For the first irreducible factor f of a local minimal
     polynomial of theta whose N = f(theta) has a nonzero kernel of at most
     SCAN_BUDGET vectors, every nonzero vector of ker N is spun under ops and
     every nonzero vector of ker N^T under their transposes.  A spin short of
@@ -389,21 +391,15 @@ def find_invariant_subspace(
     When none is short, no proper invariant subspace exists (Holt-Rees), and
     the answer None is that certificate.
     """
-    d = (ops if pool is None else pool)[0].shape[0]
+    d = pool[0].shape[0]
     if d <= 1:
         return None
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
         theta = np.zeros((d, d), dtype=np.int64)
         for _ in range(int(rng.integers(1, 4))):
-            if pool is not None:
-                c = int(rng.integers(1, p))
-                term = pool[int(rng.integers(0, len(pool)))]
-            else:
-                term = np.eye(d, dtype=np.int64)
-                for _ in range(int(rng.integers(1, 3))):
-                    term = (term @ ops[int(rng.integers(0, len(ops)))]) % p
-                c = int(rng.integers(1, p))
+            c = int(rng.integers(1, p))
+            term = pool[int(rng.integers(0, len(pool)))]
             theta = (theta + c * term) % p
         v = rng.integers(0, p, size=d)
         if not v.any():
@@ -430,7 +426,7 @@ def find_invariant_subspace(
 
 def _split(M: GroupModule, seed: int):
     pool = [M.element_matrix(i) for i in range(len(M.group))]
-    return find_invariant_subspace(M.generator_matrices(), M.p, seed=seed, pool=pool)
+    return find_invariant_subspace(M.generator_matrices(), M.p, pool, seed=seed)
 
 
 def is_irreducible(M: GroupModule, seed: int = 0) -> bool:

@@ -6,13 +6,14 @@ formed, its greatest lower-degree subfunctor is quotiented away, and the
 result is certified simple on the window, checked to be supported on a single
 class, and differenced back to recover the module.
 
-Simplicity certification is exhaustive (every nonzero value vector must
-generate everything) when the value spaces are small enough to scan, and
-otherwise runs the package's one splitting engine,
-``modrep.find_invariant_subspace``, on the direct sum of the value spaces,
-with object projections adjoined so invariant subspaces are exactly
-morphism-stable families.  Isomorphism of functors, like that of modules, is
-decided exactly from the space of natural transformations.
+Simplicity is certified by idempotent condensation at one object o: F is
+simple iff F(o) is a simple F_p[End(o)]-module, F(o) generates F, and no
+nonzero subfunctor vanishes at o; then a nonzero subfunctor N meets F(o),
+contains it, and so is F.  The last two conditions are closures over the
+generating morphisms; the first spins F(o) under monoid generators of
+End(o), exhaustively for small F(o) and otherwise through the package's one
+splitting engine, ``modrep.find_invariant_subspace``.  Isomorphism of functors, like that of modules, is decided
+exactly from the space of natural transformations.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import SCAN_BUDGET, nonzero_combinations, rref, spans_invertible
+from .gf import SCAN_BUDGET, nonzero_combinations, nullspace, rref, spans_invertible
 from .elcat import Skeleton
 from .modrep import (
     FiniteGroup,
@@ -32,11 +33,13 @@ from .modrep import (
     module_hom,
     p_regular_partitions,
     simple_modules,
+    spin,
 )
 from .vfunctor import (
     SubFunctor,
     VecFunctor,
     WindowExceeded,
+    _closure,
     counit,
     delta_bar_power,
     delta_n_sigma,
@@ -105,57 +108,64 @@ def verify_quotient_equivalence(F: VecFunctor, n: int) -> dict:
 # simplicity certificates
 
 
-def certify_simple(F: VecFunctor, scan_budget: int = SCAN_BUDGET, seed: int = 0):
-    """True iff every nonzero value vector generates the whole functor on the
-    window.  Value spaces of at most scan_budget vectors (by default
-    SCAN_BUDGET) are scanned exhaustively; otherwise the splitting engine
-    decides.  Returns (bool, witness)."""
+def certify_simple(F: VecFunctor, seed: int = 0):
+    """Whether F is simple on the window: (True, None), or (False, witness)
+    with a proper nonzero stable ``SubFunctor`` ("zero functor" for F = 0).
+
+    At the object o with the smallest (dim F(o), dim o) among F(o) != 0, F is
+    simple iff (a) F(o) is a simple F_p[End(o)]-module, (b) F(o) generates F
+    and (c) no nonzero subfunctor vanishes at o (Green, LNM 830, 6.2; Kuhn,
+    Amer. J. Math. 116).  Each is necessary; conversely a nonzero subfunctor N
+    has N(o) != 0 by (c), so N(o) = F(o) by (a) and N = F by (b).  A failure
+    of (a) gives the subfunctor generated by a proper submodule, whose value
+    at o is that submodule.
+    """
     if F.is_zero():
         return False, "zero functor"
-    max_dim = max(F.dim(i) for i in F.object_indices())
-    if F.p**max_dim <= scan_budget:
-        for i in F.object_indices():
-            for x in nonzero_combinations(np.eye(F.dim(i), dtype=np.int64), F.p):
-                gen = generated_subfunctor(F, i, x)
-                if gen.total_dim() != F.total_dim():
-                    return False, (i, x, gen)
-        return True, None
-    ops, offs = _module_ops(F)
-    sub = find_invariant_subspace(ops, F.p, seed=seed)
+    objs = F.sk.objects
+    o = min((i for i in F.object_indices() if F.dim(i)), key=lambda i: (F.dim(i), objs[i].dim))
+    whole = np.eye(F.dim(o), dtype=np.int64)
+    gen = _closure(F, {o: whole})  # (b)
+    if any(b.shape[0] < F.dim(i) for i, b in gen.items()):
+        return False, SubFunctor(F, gen)
+    ann = _closure(F, {o: whole}, dual=True)  # (c): its kernels vanish at o and hold all that do
+    if any(a.shape[0] < F.dim(i) for i, a in ann.items()):
+        return False, SubFunctor(F, {i: nullspace(a, F.p) for i, a in ann.items()})
+    sub = _end_submodule(F, o, seed)  # (a)
     if sub is None:
         return True, None
-    return False, _graded_pieces(F, offs, sub)
+    return False, generated_subfunctor(F, o, sub)
 
 
-def _module_ops(F: VecFunctor):
-    """Generator matrices of the category algebra acting on the summed values."""
-    idxs = F.object_indices()
-    offs, total = {}, 0
-    for i in idxs:
-        offs[i] = total
-        total += F.dim(i)
-    ops = []
-    for i in idxs:  # object projections keep invariant subspaces graded
-        m = np.zeros((total, total), dtype=np.int64)
-        m[offs[i]: offs[i] + F.dim(i), offs[i]: offs[i] + F.dim(i)] = np.eye(F.dim(i), dtype=np.int64)
-        ops.append(m)
-    for (i, j, g) in F.sk.generating_morphisms():
-        if F.sk.objects[i].dim > F.window or F.sk.objects[j].dim > F.window:
-            continue
-        m = np.zeros((total, total), dtype=np.int64)
-        m[offs[j]: offs[j] + F.dim(j), offs[i]: offs[i] + F.dim(i)] = F.mat(i, j, g)
-        ops.append(m)
-    ops.append(np.eye(total, dtype=np.int64))
-    return ops, offs
+def _end_generators(sk: Skeleton, o: int) -> list:
+    """Monoid generators of End(o): its generating morphisms and, when o has
+    a trivial coordinate, the idempotent zeroing the last one.  They suffice
+    as [[f,0],[g,h]] = diag(f,1) shear(g) diag(1,h) and M_v(F_p) is generated
+    by GL_v and one idempotent of rank v-1 (Howie)."""
+    a = sk.objects[o]
+    gens = [g for (i, j, g) in sk.generating_morphisms() if i == j == o]
+    if a.vdim:
+        gens.append(sk.incl_one(a.rclass, a.vdim - 1) @ sk.proj_one(a.rclass, a.vdim - 1))
+    return gens
 
 
-def _graded_pieces(F: VecFunctor, offs: dict, basis: np.ndarray) -> SubFunctor:
-    bases = {}
-    for i in F.object_indices():
-        block = basis[:, offs[i]: offs[i] + F.dim(i)]
-        r, piv = rref(block, F.p)
-        bases[i] = r[: len(piv)]
-    return SubFunctor(F, bases)
+def _end_submodule(F: VecFunctor, o: int, seed: int):
+    """A proper nonzero End(o)-submodule of F(o), or None if F(o) is simple.
+    Up to SCAN_BUDGET vectors every nonzero vector is spun; beyond it the
+    basis vectors (settling an End(o) too small for the splitting engine's
+    kernels), then the engine, drawing from the generators and their products."""
+    d, p = F.dim(o), F.p
+    eye = np.eye(d, dtype=np.int64)
+    ops = [F.mat(o, o, g) for g in _end_generators(F.sk, o)] or [eye]  # End(o) = {1}
+    scan = p**d <= SCAN_BUDGET
+    for x in nonzero_combinations(eye, p) if scan else eye:
+        sub = spin(ops, x, p)
+        if sub.shape[0] < d:
+            return sub
+    if scan:
+        return None
+    pool = ops + [(a @ b) % p for a in ops for b in ops]
+    return find_invariant_subspace(ops, p, pool, seed=seed)
 
 
 def support_check(F: VecFunctor):

@@ -404,14 +404,6 @@ def cross_effect(F: VecFunctor, base: int, dims: tuple[int, ...]) -> CrossEffect
     return CrossEffect(F, base, tuple(dims), plus, nullspace(stacked, F.p))
 
 
-def delta_equals_cross(F: VecFunctor, base: int, n: int) -> bool:
-    """Iterated differences against the n-fold cross effect at one-dim blocks."""
-    dk = delta_bar_power(F, n)
-    if F.sk.objects[base].dim > dk.window:
-        raise WindowExceeded("object outside the differenced window")
-    return dk.dim(base) == cross_effect(F, base, (1,) * n).dim
-
-
 # ---------------------------------------------------------------------------
 # subfunctors, quotients, generated subfunctors, p_n
 

@@ -314,6 +314,42 @@ def test_cross_effect_base_outside_skeleton_exit_2(capsys):
     assert "no object of class 7 with trivial dim 0" in capsys.readouterr().err
 
 
+def test_cogen_outside_skeleton_exit_2(capsys):
+    # an injective cogenerator at an object the skeleton lacks is an input
+    # error, exit 2, not a counterexample, exit 1
+    code = cli.main(["--cap", "2", "cross-effect", "--functor", "cogen:9,9"])
+    assert code == 2
+    assert "no object of class 9 with trivial dim 9" in capsys.readouterr().err
+
+
+def test_negative_tensor_power_exit_2(capsys):
+    code = cli.main(["--cap", "2", "degree", "--functor", "tensor:-1"])
+    assert code == 2
+    assert "tensor power -1 is negative" in capsys.readouterr().err
+
+
+def _simples_payload(tmp_path, argv, seed):
+    out = tmp_path / f"simples-{seed}.json"
+    assert cli.main([*argv, "--seed", str(seed), "--output", str(out), "enumerate-simples"]) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize(
+    "argv,count",
+    [
+        (["--builtin", "representable", "--u-dim", "1", "--cap", "5", "--n-max", "3"], 10),
+        (["--builtin", "representable", "--u-dim", "0", "--cap", "4", "--n-max", "3"], 5),
+    ],
+    ids=["rank-one-cap5-n3", "plain-cap4-n3"],
+)
+def test_enumerate_simples_seed_independent(tmp_path, capsys, argv, count):
+    # the simplicity certificate spins no random kernel on these outputs, so
+    # every seed finds the same simples, each run in about a second
+    a, b = (_simples_payload(tmp_path, argv, seed) for seed in (1, 11))
+    assert a["count"] == count and a["complete_for_n_max"]
+    assert a["simples"] == b["simples"]
+
+
 def test_negative_difference_count_raises():
     from functorlab import elcat, sfunctor, vfunctor
 

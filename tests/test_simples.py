@@ -10,6 +10,94 @@ from functorlab import modrep as mr
 from functorlab import sfunctor as sf
 from functorlab import simples as sp
 from functorlab import vfunctor as vf
+from functorlab.gf import SCAN_BUDGET, nonzero_combinations, rref
+
+
+# -- the routes certify_simple took before condensation, kept as oracles -------
+
+
+def _scan_oracle(F):
+    """Exhaustive: F is simple iff every nonzero vector of every value space
+    generates F.  Returns (bool, (object, vector, generated subfunctor))."""
+    for i in F.object_indices():
+        for x in nonzero_combinations(np.eye(F.dim(i), dtype=np.int64), F.p):
+            gen = vf.generated_subfunctor(F, i, x)
+            if gen.total_dim() != F.total_dim():
+                return False, (i, x, gen)
+    return True, None
+
+
+def _module_ops(F):
+    """Generator matrices of the category algebra acting on the summed values."""
+    idxs = F.object_indices()
+    offs, total = {}, 0
+    for i in idxs:
+        offs[i] = total
+        total += F.dim(i)
+    ops = []
+    for i in idxs:  # object projections keep invariant subspaces graded
+        m = np.zeros((total, total), dtype=np.int64)
+        m[offs[i]: offs[i] + F.dim(i), offs[i]: offs[i] + F.dim(i)] = np.eye(F.dim(i), dtype=np.int64)
+        ops.append(m)
+    for (i, j, g) in F.sk.generating_morphisms():
+        if F.sk.objects[i].dim > F.window or F.sk.objects[j].dim > F.window:
+            continue
+        m = np.zeros((total, total), dtype=np.int64)
+        m[offs[j]: offs[j] + F.dim(j), offs[i]: offs[i] + F.dim(i)] = F.mat(i, j, g)
+        ops.append(m)
+    ops.append(np.eye(total, dtype=np.int64))
+    return ops, offs
+
+
+def _graded_pieces(F, offs, basis):
+    bases = {}
+    for i in F.object_indices():
+        block = basis[:, offs[i]: offs[i] + F.dim(i)]
+        r, piv = rref(block, F.p)
+        bases[i] = r[: len(piv)]
+    return vf.SubFunctor(F, bases)
+
+
+class _Words:
+    """The words of length one and two in ops, formed when drawn: the
+    splitting engine's pool for the block-matrix route."""
+
+    def __init__(self, ops, p):
+        self.ops, self.p = ops, p
+
+    def __len__(self):
+        return len(self.ops) * (len(self.ops) + 1)
+
+    def __getitem__(self, k):
+        n = len(self.ops)
+        if k < n:
+            return self.ops[k]
+        a, b = divmod(k - n, n)
+        return (self.ops[a] @ self.ops[b]) % self.p
+
+
+def _block_meataxe_oracle(F, seed=0):
+    """The splitting engine on the sum of all value spaces."""
+    ops, offs = _module_ops(F)
+    sub = mr.find_invariant_subspace(ops, F.p, _Words(ops, F.p), seed=seed)
+    return (True, None) if sub is None else (False, _graded_pieces(F, offs, sub))
+
+
+def _old_certify(F, seed=0):
+    """The old certify_simple: a scan when every value space has at most
+    SCAN_BUDGET vectors, the block-matrix MeatAxe otherwise."""
+    if F.is_zero():
+        return False, "zero functor"
+    if F.p ** max(F.dim(i) for i in F.object_indices()) <= SCAN_BUDGET:
+        return _scan_oracle(F)
+    return _block_meataxe_oracle(F, seed)
+
+
+def _assert_witness(F, witness):
+    """A failure's witness is a proper, nonzero, stable subfunctor."""
+    assert isinstance(witness, vf.SubFunctor) and witness.parent is F
+    assert witness.is_stable()
+    assert 0 < witness.total_dim() < F.total_dim()
 
 
 @pytest.fixture(scope="module")
@@ -133,10 +221,12 @@ def test_certify_simple_rejects_presimple(skhom):
     assert [lower.bases[skhom.index[(0, v)]].shape[0] for v in range(5)] == [0, 1, 2, 3, 4]
     ok, witness = sp.certify_simple(TM)
     assert not ok
-    # the witness is inside the lower filtration
-    if isinstance(witness, tuple):
-        i, x, gen = witness
-        assert lower.contains(gen)
+    _assert_witness(TM, witness)
+    # F(o) at o = (0, 1) is one-dimensional and lies in the lower filtration,
+    # so the subfunctor it generates is the witness, as the scan finds too
+    assert lower.contains(witness)
+    ok_scan, (_, _, gen) = _scan_oracle(TM)
+    assert not ok_scan and lower.contains(gen)
 
 
 def test_certify_simple_direct_sum_fails(hom_simples):
@@ -144,6 +234,7 @@ def test_certify_simple_direct_sum_fails(hom_simples):
     F2 = vf.direct_sum(d.realization, d.realization)
     ok, witness = sp.certify_simple(F2)
     assert not ok
+    _assert_witness(F2, witness)
 
 
 def test_support_check_direct_sum_across_classes(hom_simples):
@@ -163,21 +254,24 @@ def test_support_check_injective_cogen_multiclass(skhom):
 
 
 def test_algebra_route_matches_exhaustive(hom_simples):
+    # condensation, the exhaustive scan and the block-matrix MeatAxe agree
     for d in hom_simples:
-        ok_scan, _ = sp.certify_simple(d.realization, scan_budget=1 << 12)
-        ok_alg, _ = sp.certify_simple(d.realization, scan_budget=0)
-        assert ok_scan == ok_alg == True  # noqa: E712
-    # sums whose largest value space has 2, 2^11 and 2^12 vectors: the default
-    # scans all three, and on the last two the algebra route spins kernels of
-    # 11 and 12 dimensions
+        F = d.realization
+        assert sp.certify_simple(F) == (True, None)
+        assert _scan_oracle(F) == (True, None) and _block_meataxe_oracle(F) == (True, None)
+    # sums whose largest value space has 2, 2^11 and 2^12 vectors: the scan
+    # covers all three, and on the last two the MeatAxe spins kernels of 11
+    # and 12 dimensions
     d0, d1, d2 = (d.realization for d in hom_simples[:3])
     for F in (vf.direct_sum(d0, d0), vf.direct_sum(vf.direct_sum(d2, d1), d0), vf.direct_sum(d2, d2)):
-        ok_scan, witness = sp.certify_simple(F)
-        assert not ok_scan and isinstance(witness, tuple)
+        assert not _scan_oracle(F)[0]
         for seed in range(3):
-            ok_alg, sub = sp.certify_simple(F, scan_budget=0, seed=seed)
-            assert not ok_alg and sub.is_stable()
-            assert 0 < sub.total_dim() < F.total_dim()
+            ok_alg, sub = _block_meataxe_oracle(F, seed)
+            assert not ok_alg
+            _assert_witness(F, sub)
+            ok, witness = sp.certify_simple(F, seed=seed)
+            assert not ok
+            _assert_witness(F, witness)
 
 
 def test_seed_independence_iso_matching(skhom):
@@ -258,3 +352,97 @@ def test_functor_iso_triple_sum(hom_simples):
     F = hom_simples[0].realization
     F3 = vf.direct_sum(vf.direct_sum(F, F), F)
     assert sp.functor_iso(F3, F3)
+
+
+# -- condensation at one object against the old routes --------------------------
+
+
+@pytest.mark.parametrize("p,u_dim,cap", [(2, 0, 3), (2, 1, 3), (3, 0, 2), (2, 2, 3)])
+def test_end_generators_generate_end(p, u_dim, cap):
+    # condition (a) is exact only if these generate End(o) as a monoid
+    sk = ec.Skeleton(sf.RepresentableFunctor(p, u_dim, cap))
+    for o in sk.objects:
+        gens = sp._end_generators(sk, o.index)
+        reached = {sk.identity(o.index).data}
+        frontier = [sk.identity(o.index)]
+        while frontier:
+            new = [g @ m for m in frontier for g in gens]
+            frontier = [m for m in new if m.data not in reached]
+            reached |= {m.data for m in frontier}
+        assert reached == {m.data for m in sk.hom(o.index, o.index)}
+
+
+def _condensation_object(F):
+    objs = F.sk.objects
+    return min((i for i in F.object_indices() if F.dim(i)), key=lambda i: (F.dim(i), objs[i].dim))
+
+
+def _failed_condition(F, witness):
+    """Which of (a), (b), (c) a witness answers, read from its value at o."""
+    k = witness.dim(_condensation_object(F))
+    return "c" if k == 0 else "b" if k == F.dim(_condensation_object(F)) else "a"
+
+
+def _functor_family(sk, n_max, window):
+    """T^n lifts with their p_k pieces and quotients, constants, I[o] and
+    P[o] at window 2, the classification outputs and their pairwise sums, and
+    a quotient of each by a random subfunctor."""
+    rng = np.random.default_rng(0)
+    out = []
+    for n in (1, 2, 3):
+        T = vf.forgetful_lift(sk, vf.TensorPower(n, sk.p), window)
+        out.append(T)
+        for k in range(n):
+            try:
+                lower = vf.p_n(T, k)
+            except vf.WindowExceeded:
+                continue
+            out += [lower.to_functor(), vf.quotient_functor(T, lower)]
+    out += [vf.constant_functor(sk, dim, window) for dim in (1, 2)]
+    for o in sk.objects:
+        if o.dim <= 2:
+            out += [vf.injective_cogen(sk, o.index, window=2), vf.projective_gen(sk, o.index, window=2)]
+    simples = [d.realization for d in sp.enumerate_simples(sk, n_max, seed=0)]
+    out += simples
+    out += [vf.direct_sum(a, b) for k, a in enumerate(simples) for b in simples[k:]]
+    out += [vf.quotient_functor(F, vf.random_subfunctor(F, rng)) for F in list(out) if not F.is_zero()]
+    return out
+
+
+@pytest.mark.parametrize(
+    "p,u_dim,cap,n_max,window",
+    [(2, 0, 4, 3, 3), (2, 1, 4, 2, 3), (2, 2, 3, 1, 3), (3, 0, 3, 2, 3), (3, 1, 3, 1, 3), (3, 2, 2, 0, 2)],
+)
+def test_certify_simple_matches_old_routes(monkeypatch, p, u_dim, cap, n_max, window):
+    # A failure carries a proper, nonzero, stable witness, which proves it on
+    # its own; a success must be confirmed by the old route.  The old route
+    # may give up (SplittingFailure) on large kernels, so it is asked only
+    # where the new answer needs it or it can decide.  With SCAN_BUDGET forced
+    # to 1, condition (a) goes through the splitting engine for every F(o),
+    # and its verdict must not change.
+    sk = ec.Skeleton(sf.RepresentableFunctor(p, u_dim, cap))
+    family = _functor_family(sk, n_max, window)
+    verdicts, failed = [], Counter()
+    for F in family:
+        ok, witness = sp.certify_simple(F)
+        verdicts.append(ok)
+        if not ok:
+            if F.is_zero():
+                assert witness == "zero functor"
+                continue
+            _assert_witness(F, witness)
+            failed[_failed_condition(F, witness)] += 1
+        try:
+            assert _old_certify(F)[0] == ok
+        except mr.SplittingFailure:
+            assert not ok
+    monkeypatch.setattr(sp, "SCAN_BUDGET", 1)
+    for F, ok in zip(family, verdicts):
+        ok_engine, witness = sp.certify_simple(F)
+        assert ok_engine == ok
+        if not ok and not F.is_zero():
+            _assert_witness(F, witness)
+    assert 0 < sum(verdicts) < len(family)
+    assert failed["a"] and failed["b"]
+    if u_dim:
+        assert failed["c"]

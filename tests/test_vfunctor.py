@@ -464,17 +464,39 @@ def test_random_subfunctor_matches_sum_of_generated(plain, skhom):
             assert all(np.array_equal(got.bases[j], want[j]) for j in want)
 
 
-def test_certify_simple_witness_matches_oracle(skhom):
+def test_certify_simple_witness_matches_oracle(plain, skhom):
+    # One functor per condition of the condensation criterion at o.  (b) The
+    # trivial-module tensor: F(o) generates a proper subfunctor, the witness.
+    # (a) T1 + T1 over the plain base: F(o) is not a simple End(o)-module,
+    # and the witness is the subfunctor generated by a proper submodule.
+    # (c) The constant functor over the rank-one base: the witness is the
+    # largest subfunctor vanishing at o, the joint kernel of F(g) over g in
+    # hom(-, o).
     from functorlab import simples as sp
+    from functorlab.gf import nullspace
 
     G = vf.aut_sigma_group(skhom, 0, 2)
     TM = vf.tensor_sigma_n(skhom, vf.sigma_functor_from_module(skhom, 0, 2, mr.trivial_module(G, 2)), 2)
-    T1 = tensor_lift(skhom, 1, window=2)
-    for F in (TM, vf.direct_sum(T1, T1)):
-        ok, (i, x, gen) = sp.certify_simple(F)
-        assert not ok and 0 < gen.total_dim() < F.total_dim()
-        want = _generated_oracle(F, i, x)
-        assert all(np.array_equal(gen.bases[k], want[k]) for k in want)
+    T1 = tensor_lift(plain, 1, window=2)
+    for F, condition in ((TM, "b"), (vf.direct_sum(T1, T1), "a"), (vf.constant_functor(skhom, window=3), "c")):
+        ok, witness = sp.certify_simple(F)
+        assert not ok and witness.is_stable() and 0 < witness.total_dim() < F.total_dim()
+        sk = F.sk
+        o = min((i for i in F.object_indices() if F.dim(i)), key=lambda i: (F.dim(i), sk.objects[i].dim))
+        at_o = witness.bases[o]
+        if condition == "c":
+            assert at_o.shape[0] == 0
+            want = {}
+            for i in F.object_indices():
+                maps = [F.mat(i, o, g) for g in sk.hom(i, o)]
+                want[i] = nullspace(np.concatenate(maps or [np.zeros((0, F.dim(i)), dtype=np.int64)]), 2)
+        else:
+            assert 0 < at_o.shape[0] <= F.dim(o) and (at_o.shape[0] == F.dim(o)) == (condition == "b")
+            for g in sk.hom(o, o):  # an End(o)-submodule
+                img = (at_o @ F.mat(o, o, g).T) % 2
+                assert len(rref(np.concatenate([at_o, img]), 2)[1]) == at_o.shape[0]
+            want = _generated_oracle(F, o, at_o)
+        assert all(np.array_equal(witness.bases[k], want[k]) for k in want)
 
 
 def _is_stable_oracle(sub):
