@@ -480,7 +480,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         body, code = HANDLERS[args.command](args)
-    except (BudgetExceeded, WindowExceeded, ValueError, OSError) as exc:
+    except (BudgetExceeded, WindowExceeded, sfunctor.InvalidFunctorData, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
     doc = report.make_report(args.command, config_dict(args), body, ok=(code == EXIT_OK))

@@ -26,6 +26,7 @@ from .gf import (
     Subspace,
     block_map,
     count_maps,
+    elementary_invertibles,
     enumerate_maps,
     general_linear,
     proj_with_kernel,
@@ -158,7 +159,25 @@ def build_rector_skeleton(S: SetFunctor, cap: int | None = None, budget: int = D
 
 def check_injectivity(S: SetFunctor, R: RectorSkeleton, budget: int = DEFAULT_MAP_BUDGET):
     """Every morphism between regular pairs must be injective; returns
-    (True, None) or (False, witness)."""
+    (True, None) or (False, witness).
+
+    Injectivity is invariant under isomorphism, so a lawful functor is decided
+    on the hom-sets between class representatives.  Functors that are not
+    lawful, such as tables, and a reduced check that fails or meets the budget
+    take the loop over all pairs of regular elements, which reports its first
+    witness.
+    """
+    if S.lawful:
+        try:
+            if all(
+                mor.map.is_injective()
+                for a in R.classes
+                for b in R.classes
+                for mor in hom_set(S, a, b, budget)
+            ):
+                return True, None
+        except BudgetExceeded:
+            pass
     regs = [s for d in range(R.cap + 1) for s in regular_set(S, d)]
     for a in regs:
         for b in regs:
@@ -352,7 +371,7 @@ class Skeleton:
                 gens.append((self.index[(r, v + 1)], a.index, self.proj_one(r, v)))
                 gens.append((a.index, self.index[(r, v + 1)], self.incl_one(r, v)))
             # elementary invertibles on the trivial block
-            for h in _elementary_invertibles(self.p, v):
+            for h in elementary_invertibles(self.p, v):
                 gens.append((a.index, a.index, self._diag(a, LinearMap.identity(a.wdim, self.p), h)))
             # shears, elementary only
             for pos in range(a.wdim * v):
@@ -382,29 +401,6 @@ class Skeleton:
         """Morphisms between regular class representatives."""
         a, b = self.rector.classes[r1], self.rector.classes[r2]
         return [m.map for m in hom_set(self.S, a, b, self.budget)]
-
-
-def _elementary_invertibles(p: int, n: int) -> list[LinearMap]:
-    """Transvections, swaps of adjacent coordinates and scalings: generate GL(n, p)."""
-    out = []
-    eye = np.eye(n, dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            m = eye.copy()
-            m[i, j] = 1
-            out.append(LinearMap.from_array(m, p))
-    for i in range(n - 1):
-        m = eye.copy()
-        m[[i, i + 1]] = m[[i + 1, i]]
-        out.append(LinearMap.from_array(m, p))
-    if p > 2 and n >= 1:
-        for a in range(2, p):
-            m = eye.copy()
-            m[0, 0] = a
-            out.append(LinearMap.from_array(m, p))
-    return out
 
 
 def verify_block_form(S: SetFunctor, sk: Skeleton, i: int, j: int) -> bool:

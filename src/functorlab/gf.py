@@ -640,6 +640,29 @@ def general_linear(p: int, dim: int) -> tuple[LinearMap, ...]:
     return tuple(enumerate_invertibles(p, dim))
 
 
+def elementary_invertibles(p: int, n: int) -> list[LinearMap]:
+    """Transvections, swaps of adjacent coordinates and scalings: generate GL(n, p)."""
+    out = []
+    eye = np.eye(n, dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            m = eye.copy()
+            m[i, j] = 1
+            out.append(LinearMap.from_array(m, p))
+    for i in range(n - 1):
+        m = eye.copy()
+        m[[i, i + 1]] = m[[i + 1, i]]
+        out.append(LinearMap.from_array(m, p))
+    if p > 2 and n >= 1:
+        for a in range(2, p):
+            m = eye.copy()
+            m[0, 0] = a
+            out.append(LinearMap.from_array(m, p))
+    return out
+
+
 def enumerate_vectors(p: int, dim: int):
     for digits in itertools.product(range(p), repeat=dim):
         yield np.asarray(digits, dtype=np.int64)

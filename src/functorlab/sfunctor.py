@@ -14,8 +14,13 @@ functor and dimension: for every subspace u of F_p^d and every t in
 S(F_p^{d - dim u}) it records (u, t) under the element proj_u^* t.  The kernel
 of s is then the largest u recorded under s (with the check that it contains
 every other one), and its regular reduction is the t recorded with that u.
-check_weak_noetherian lists each Hom set once and memoises alpha^{-1}(ker s)
-per (alpha, ker s) for the length of one call.
+
+check_weak_noetherian decides a lawful functor (one whose identity and
+composition laws hold by construction) on GL-orbit representatives: one
+element per GL_m-orbit of S(m) and one map per image subspace, reporting the
+pair count those cover.  The exhaustive pair loop stays as the table route,
+for functors that are not lawful, and as the witness route, when the reduced
+check finds a violation.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .gf import (
     check_prime,
     count_maps,
     decode_entries,
+    elementary_invertibles,
     encode_entries,
     enumerate_maps,
     enumerate_subspaces,
@@ -60,7 +66,15 @@ class WeakNoetherianityViolation(RuntimeError):
 
 
 class SetFunctor:
-    """Base class; concrete functors implement size() and _act()."""
+    """Base class; concrete functors implement size() and _act().
+
+    ``lawful`` says whether the identity and composition laws hold by
+    construction.  The certificates decide on GL-orbit representatives only
+    then; tables and unknown subclasses are unvalidated data and keep the
+    exhaustive loops.
+    """
+
+    lawful = False
 
     def __init__(self, p: int, cap: int, name: str = "S"):
         self.p = check_prime(p)
@@ -130,12 +144,18 @@ class TableFunctor(SetFunctor):
         return self.sizes[d]
 
     def _act(self, alpha: LinearMap, s: int) -> int:
-        tab = self.action[(alpha.cols, alpha.rows, alpha.data)]
+        tab = self.action.get((alpha.cols, alpha.rows, alpha.data))
+        if tab is None:
+            raise InvalidFunctorData(
+                f"the table has no pullback along the map {alpha.rows}x{alpha.cols}:{encode_entries(alpha)}"
+            )
         return tab[s]
 
 
 class RepresentableFunctor(SetFunctor):
     """S_U(W) = Hom(W, U) with pullback by precomposition."""
+
+    lawful = True
 
     def __init__(self, p: int, u_dim: int, cap: int):
         super().__init__(p, cap, name=f"representable(U=F_{p}^{u_dim})")
@@ -165,6 +185,8 @@ class RepresentableFunctor(SetFunctor):
 
 class OrbitFunctor(SetFunctor):
     """Hom(W, U) modulo a subgroup of GL(U) acting by postcomposition."""
+
+    lawful = True
 
     def __init__(self, p: int, u_dim: int, generators: list[LinearMap], cap: int):
         super().__init__(p, cap, name=f"orbit(U=F_{p}^{u_dim})")
@@ -213,6 +235,8 @@ class SubspaceFunctor(SetFunctor):
     not noetherian: the zero subspace is regular in every dimension.
     """
 
+    lawful = True
+
     def __init__(self, p: int, cap: int):
         super().__init__(p, cap, name="subspaces")
         self._elts = {d: enumerate_subspaces(p, d) for d in range(cap + 1)}
@@ -247,6 +271,8 @@ def disjoint_union(a: SetFunctor, b: SetFunctor) -> SetFunctor:
         raise ValueError("mismatched functors")
 
     class _Union(SetFunctor):
+        lawful = a.lawful and b.lawful
+
         def size(self, d):
             return a.size(d) + b.size(d)
 
@@ -432,17 +458,79 @@ class WeakNoetherianReport:
 
 
 def check_weak_noetherian(S: SetFunctor, budget: int = DEFAULT_MAP_BUDGET) -> WeakNoetherianReport:
-    """Compare ker(alpha^* s) with alpha^{-1}(ker s), exhaustively within the cap.
+    """Compare ker(alpha^* s) with alpha^{-1}(ker s) for every pair (alpha, s)
+    within the cap; ``checked`` counts those pairs.
 
     When the map enumeration for the full cap exceeds the budget, the check
     runs on the largest affordable window instead and the certificate is
     marked partial, carrying that window.
+
+    The test at (alpha, s) is the test at (g alpha h, (g^{-1})^* s) for g in
+    GL_m and h in GL_n.  So a lawful functor is decided on one s per GL_m-orbit
+    of S(m) and one alpha per image subspace; when that finds a violation, the
+    exhaustive loop runs and reports its first witness.  Functors that are not
+    lawful, such as tables, always take the loop.
     """
     window = S.cap
     while window > 0 and any(
         count_maps(S.p, n, m) > budget for n in range(window + 1) for m in range(window + 1)
     ):
         window -= 1
+    dims = range(window + 1)
+    if S.lawful and _weak_noetherian_on_orbits(S, window):
+        checked = sum(S.size(m) * count_maps(S.p, n, m) for m in dims for n in dims)
+        return WeakNoetherianReport(True, checked, window, None, window < S.cap)
+    return _weak_noetherian_loop(S, window, budget)
+
+
+def _weak_noetherian_on_orbits(S: SetFunctor, window: int) -> bool:
+    """The pair test on GL_m-orbit representatives s of S(m) and, for each
+    subspace W of F^m with dim W <= n, the one map F^n -> F^m whose columns
+    are the RREF basis of W followed by zeros: every surjection onto W is
+    that map times an invertible."""
+    preimages: dict[tuple[LinearMap, Subspace], Subspace] = {}
+    for m in range(window + 1):
+        alphas = []
+        subspaces = enumerate_subspaces(S.p, m)
+        for n in range(window + 1):
+            for w in subspaces:
+                if w.dim <= n:
+                    arr = np.zeros((m, n), dtype=np.int64)
+                    arr[:, : w.dim] = w.basis_arr.T
+                    alphas.append(LinearMap.from_array(arr, S.p))
+        for s in _orbit_representatives(S, m):
+            ker_s = kernel_of(S, s)
+            for alpha in alphas:
+                rhs = preimages.get((alpha, ker_s))
+                if rhs is None:
+                    rhs = preimages[alpha, ker_s] = preimage(alpha, ker_s)
+                if kernel_of(S, S.act(alpha, s)) != rhs:
+                    return False
+    return True
+
+
+def _orbit_representatives(S: SetFunctor, m: int) -> list[SElement]:
+    """The first element of each GL_m-orbit of S(m), by union-find over the
+    pullbacks along the elementary invertibles, which generate GL_m."""
+    parent = list(range(S.size(m)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for g in elementary_invertibles(S.p, m):
+        for i in range(len(parent)):
+            a, b = find(i), find(S.act(g, i).index)
+            if a != b:  # every root is the smallest index of its orbit
+                parent[max(a, b)] = min(a, b)
+    return [SElement(m, i) for i in range(len(parent)) if parent[i] == i]
+
+
+def _weak_noetherian_loop(S: SetFunctor, window: int, budget: int) -> WeakNoetherianReport:
+    """Every pair in enumeration order, stopping at the first violation.  Each
+    Hom set is listed once and alpha^{-1}(ker s) is memoised per (alpha, ker s)."""
     checked = 0
     preimages: dict[tuple[LinearMap, Subspace], Subspace] = {}
     for m in range(window + 1):
@@ -512,6 +600,7 @@ def split_components(S: SetFunctor) -> list[SetFunctor]:
         class _Component(SetFunctor):
             def __init__(self, base, members, gamma_idx):
                 super().__init__(base.p, base.cap, name=f"{base.name}^{gamma_idx}")
+                self.lawful = base.lawful
                 self.base = base
                 self.members = members
                 self.position = {

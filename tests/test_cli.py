@@ -328,6 +328,44 @@ def test_negative_tensor_power_exit_2(capsys):
     assert "tensor power -1 is negative" in capsys.readouterr().err
 
 
+def test_rector_frontier_u3_cap4(capsys):
+    # 16 classes against 218 regular elements; the pair loop took about a minute
+    code, out = run_cli(["--builtin", "representable", "--u-dim", "3", "--cap", "4", "rector"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["all_regular_morphisms_injective"] is True
+    assert len(doc["classes"]) == 16
+
+
+def _write_table(tmp_path, S, edit):
+    from functorlab import sfunctor as sf
+
+    doc = sf.to_json_dict(S)
+    edit(doc["action"])
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["check-noetherian", "rector"])
+def test_out_of_range_pullback_table_exit_2(tmp_path, capsys, command):
+    # malformed input, exit 2, not a counterexample, exit 1
+    from functorlab import sfunctor as sf
+
+    path = _write_table(tmp_path, sf.RepresentableFunctor(2, 1, 1), lambda action: action.update({"0x1:": [-1]}))
+    code = cli.main(["--input", path, command])
+    assert code == 2
+    assert "is out of range: -1" in capsys.readouterr().err
+
+
+def test_missing_map_table_exit_2(tmp_path, capsys):
+    from functorlab import sfunctor as sf
+
+    path = _write_table(tmp_path, sf.RepresentableFunctor(2, 1, 2), lambda action: action.pop("2x2:0.1.1.0"))
+    code = cli.main(["--input", path, "check-noetherian"])
+    assert code == 2
+    assert "no pullback along the map 2x2:0.1.1.0" in capsys.readouterr().err
+
+
 def _simples_payload(tmp_path, argv, seed):
     out = tmp_path / f"simples-{seed}.json"
     assert cli.main([*argv, "--seed", str(seed), "--output", str(out), "enumerate-simples"]) == 0

@@ -4,7 +4,7 @@ import inspect
 
 import pytest
 
-from functorlab.gf import LinearMap
+from functorlab.gf import DEFAULT_MAP_BUDGET, LinearMap, enumerate_maps
 from functorlab import elcat as ec
 from functorlab import sfunctor as sf
 
@@ -120,6 +120,67 @@ def test_representatives_pairwise_nonisomorphic(sk, SU2):
 def test_injectivity_su2(SU2, sk):
     ok, wit = ec.check_injectivity(SU2, sk.rector)
     assert ok, wit
+
+
+def oracle_check_injectivity(S, R, budget=DEFAULT_MAP_BUDGET):
+    """The exhaustive pair loop: every morphism between every pair of regular
+    elements, in that order, stopping at the first one that is not injective.
+    Each hom-set into b is read off one pass over the maps into b's dimension
+    instead of one per pair, which keeps u-dim 3 in seconds."""
+    regs = [s for d in range(R.cap + 1) for s in sf.regular_set(S, d)]
+    homs = {}
+    for b in regs:
+        for d in sorted({a.dim for a in regs}):
+            for gamma in enumerate_maps(S.p, d, b.dim, budget):
+                homs.setdefault((S.act(gamma, b), b), []).append(gamma)
+    for a in regs:
+        for b in regs:
+            for gamma in homs.get((a, b), []):
+                if not gamma.is_injective():
+                    return False, ec.ElMorphism(a, b, gamma)
+    return True, None
+
+
+class LawfulTable(sf.TableFunctor):
+    """A table declared lawful, so that check_injectivity takes its class route."""
+
+    lawful = True
+
+
+def broken_table(cls=sf.TableFunctor):
+    """Not a functor: S(0) = {*}, S(1) = {x, y} with y the pullback of * along
+    F^1 -> 0, and the zero endomorphism of F^1 fixing x.  Both * and x are
+    regular, and the zero map is a morphism x -> x that is not injective.  In
+    a functor no such morphism exists: it factors through a projection, which
+    puts its kernel into the kernel of its source."""
+    zero, one = LinearMap.zero(1, 1, 2), LinearMap.identity(1, 2)
+    action = {
+        (0, 0, b""): (0,),
+        (1, 0, b""): (1,),
+        (0, 1, b""): (0, 0),
+        (1, 1, zero.data): (0, 1),
+        (1, 1, one.data): (0, 1),
+    }
+    return cls(2, 1, [1, 2], action, name="broken")
+
+
+INJECTIVITY_CASES = {
+    **{f"representable-u{u}-cap3": (lambda u=u: sf.RepresentableFunctor(2, u, 3)) for u in range(4)},
+    "orbit": lambda: sf.OrbitFunctor(2, 2, [LinearMap.from_array([[0, 1], [1, 0]], 2)], 3),
+    "subspaces-cap3": lambda: sf.SubspaceFunctor(2, 3),
+    "table-roundtrip": lambda: sf.from_json_dict(sf.to_json_dict(sf.RepresentableFunctor(2, 2, 3))),
+    "broken": broken_table,
+    "broken-lawful": lambda: broken_table(LawfulTable),
+}
+
+
+@pytest.mark.parametrize("case", INJECTIVITY_CASES)
+def test_injectivity_matches_pair_loop(case):
+    S, T = INJECTIVITY_CASES[case](), INJECTIVITY_CASES[case]()
+    got = ec.check_injectivity(S, ec.build_rector_skeleton(S))
+    want = oracle_check_injectivity(T, ec.build_rector_skeleton(T))
+    assert got == want
+    assert got[0] == ("broken" not in case)
 
 
 def test_rep_of_routes_everything(sk, SU2):

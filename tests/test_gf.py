@@ -13,11 +13,13 @@ from functorlab.gf import (
     check_prime,
     closure,
     decode_entries,
+    elementary_invertibles,
     encode_entries,
     enumerate_invertibles,
     enumerate_maps,
     enumerate_subspaces,
     gaussian_binomial,
+    general_linear,
     kernel_space,
     nullspace,
     pivot_complement,
@@ -210,6 +212,20 @@ def test_enumerate_injections():
     assert len(list(enumerate_injections(2, 1, 2))) == 3
     # |injections F_2^2 -> F_2^3| = (2^3 - 1)(2^3 - 2)
     assert len(list(enumerate_injections(2, 2, 3))) == 42
+
+
+@pytest.mark.parametrize("p,n", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2)])
+def test_elementary_invertibles_generate_general_linear(p, n):
+    # the orbit union-find of check_weak_noetherian and the skeleton's
+    # generating morphisms both rely on these generating GL(n, p) as a monoid
+    gens = elementary_invertibles(p, n)
+    assert all(g.is_invertible() for g in gens)
+    reached = {LinearMap.identity(n, p)}
+    frontier = reached
+    while frontier:
+        frontier = {g @ m for g in gens for m in frontier} - reached
+        reached = reached | frontier
+    assert reached == set(general_linear(p, n))
 
 
 def test_map_key_codec_reads_both_layouts():
