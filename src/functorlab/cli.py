@@ -1,7 +1,8 @@
 """Command-line front end: batch verification runs with JSON/markdown reports.
 
 Exit codes: 0 for a certificate or successful run, 1 when a counterexample
-was found (the witness is in the report), 2 for budget or input errors.
+was found (the witness is in the report), 2 for budget or input errors and
+when the splitting search gives up.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ def _add_common(ap: argparse.ArgumentParser, suppress: bool):
     ap.add_argument("--cap", type=_non_negative, default=d(3), help="dimension cap / window")
     ap.add_argument("--n-max", type=_non_negative, default=d(2), help="largest polynomial degree")
     ap.add_argument("--seed", type=int, default=d(0), help="seed for all derived streams")
-    ap.add_argument("--jobs", type=_positive, default=d(1), help="worker pool bound")
     ap.add_argument("--budget-maps", type=_positive, default=d(1 << 20), help="map enumeration budget")
     ap.add_argument("--budget-group", type=_positive, default=d(1000), help="group order budget")
     ap.add_argument("--input", type=str, default=d(None), help="sfunctor.json or builtin spec file")
@@ -183,7 +183,6 @@ def config_dict(args) -> dict:
         "cap": args.cap,
         "n_max": args.n_max,
         "seed": args.seed,
-        "jobs": args.jobs,
         "budget_maps": args.budget_maps,
         "budget_group": args.budget_group,
         "builtin": args.builtin or ("input" if args.input else "representable"),
@@ -341,9 +340,7 @@ def run_simples_of_group(args) -> tuple[dict, int]:
 def run_enumerate_simples(args) -> tuple[dict, int]:
     S = resolve_set_functor(args)
     sk = elcat.Skeleton(S, budget=args.budget_maps)
-    descs = simples.enumerate_simples(
-        sk, args.n_max, seed=args.seed, group_budget=args.budget_group, jobs=args.jobs
-    )
+    descs = simples.enumerate_simples(sk, args.n_max, seed=args.seed, group_budget=args.budget_group)
     body = simples.simples_report(descs, sk, args.n_max)
     return body, EXIT_OK
 
@@ -425,9 +422,7 @@ def run_verify_theorems(args) -> tuple[dict, int]:
     suites["quotient_equivalence_instances"] = ok_main
 
     # the classification run itself
-    descs = simples.enumerate_simples(
-        sk, args.n_max, seed=args.seed, group_budget=args.budget_group, jobs=args.jobs
-    )
+    descs = simples.enumerate_simples(sk, args.n_max, seed=args.seed, group_budget=args.budget_group)
     expected = 0
     for rclass, rep_obj in enumerate(sk.rector.classes):
         for n in range(min(args.n_max, sk.window - rep_obj.dim) + 1):
@@ -480,7 +475,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         body, code = HANDLERS[args.command](args)
-    except (BudgetExceeded, WindowExceeded, sfunctor.InvalidFunctorData, ValueError, OSError) as exc:
+    except (BudgetExceeded, WindowExceeded, modrep.SplittingFailure, sfunctor.InvalidFunctorData,
+            ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
     doc = report.make_report(args.command, config_dict(args), body, ok=(code == EXIT_OK))

@@ -163,12 +163,10 @@ def rref_dense(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def rref(mat: np.ndarray, p: int, force: str | None = None) -> tuple[np.ndarray, list[int]]:
+def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """RREF with pivot columns; dispatches to the packed path for wide GF(2) input."""
     a = _as_mat(mat)
-    if force == "bits" or (force is None and p == 2 and a.shape[1] >= _PACK_THRESHOLD):
-        if p != 2:
-            raise ValueError("packed path requires p = 2")
+    if p == 2 and a.shape[1] >= _PACK_THRESHOLD:
         return rref_bits(a)
     return rref_dense(a, p)
 
@@ -421,12 +419,6 @@ class LinearMap:
             raise ValueError("shape mismatch")
         return LinearMap.from_array(self.arr + other.arr, self.p)
 
-    def apply(self, vec) -> np.ndarray:
-        v = np.asarray(vec, dtype=np.int64).reshape(-1)
-        if v.shape[0] != self.cols:
-            raise ValueError("vector dimension mismatch")
-        return (self.arr @ v) % self.p
-
     def transpose(self) -> "LinearMap":
         return LinearMap.from_array(self.arr.T, self.p)
 
@@ -522,10 +514,6 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(row) for row in other.basis_arr)
 
-    def sum_(self, other: "Subspace") -> "Subspace":
-        stacked = np.concatenate([self.basis_arr, other.basis_arr], axis=0)
-        return Subspace.from_vectors(stacked, self.p, self.ambient)
-
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient, self.p)
@@ -555,10 +543,6 @@ def kernel_space(m: LinearMap) -> Subspace:
     """{v : m v = 0} in canonical form."""
     basis = nullspace(m.arr, m.p)
     return Subspace.from_vectors(basis, m.p, m.cols)
-
-
-def image_space(m: LinearMap) -> Subspace:
-    return Subspace.from_vectors(m.arr.T, m.p, m.rows)
 
 
 def preimage(m: LinearMap, t: Subspace) -> Subspace:

@@ -9,9 +9,11 @@ simplicity certificate of functors passes the generators of End(o) at one
 object with their pairwise products.  It searches with seeded random
 algebra elements for a singular element with a small kernel, spins the
 kernel vectors (and the dual kernel under the transposed action), and
-certifies irreducibility when every spin fills the space.  A spin is
-``gf.closure`` on one piece: each round multiplies only the vectors new
-since the last round, and it stops as soon as the space is full.  Simple
+certifies irreducibility when every spin fills the space.  The local
+minimal polynomials of the algebra elements are factored in this module
+(squarefree parts, then Berlekamp), so numpy is the only dependency.  A
+spin is ``gf.closure`` on one piece: each round multiplies only the vectors
+new since the last round, and it stops as soon as the space is full.  Simple
 modules are collected by chopping the regular module to composition
 factors.  Isomorphism is decided exactly from the intertwiner space: an
 invertible element is found, or its absence is proved by a full scan, or
@@ -41,6 +43,7 @@ from .gf import (
 )
 
 DEFAULT_GROUP_BUDGET = 1000
+MAX_TRIES = 60  # draws of theta before find_invariant_subspace gives up
 
 
 class SplittingFailure(RuntimeError):
@@ -147,10 +150,6 @@ class FiniteGroup:
     def symmetric(n: int) -> "FiniteGroup":
         perms = sorted(itertools.permutations(range(n)))
         return FiniteGroup.from_mul(perms, compose_perm, name=f"Sym({n})")
-
-    @staticmethod
-    def from_matrices(mats: list[LinearMap], name: str = "matgroup") -> "FiniteGroup":
-        return FiniteGroup.from_mul(sorted(mats, key=lambda m: m.data), lambda a, b: a @ b, name)
 
     @staticmethod
     def product(A: "FiniteGroup", B: "FiniteGroup") -> "FiniteGroup":
@@ -362,22 +361,80 @@ def _poly_eval_matrix(coeffs: np.ndarray, A: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _pdivmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by g != 0.  Polynomials over GF(p) are int
+    lists here, low degree first, without trailing zeros."""
+    r, inv = list(f), pow(g[-1], -1, p)
+    q = [0] * max(len(f) - len(g) + 1, 0)
+    for i in reversed(range(len(q))):
+        q[i] = c = r[i + len(g) - 1] * inv % p
+        for j, b in enumerate(g):
+            r[i + j] = (r[i + j] - c * b) % p
+    r = r[: len(g) - 1]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _pgcd(f: list[int], g: list[int], p: int) -> list[int]:
+    """The monic gcd of f != 0 and g."""
+    while g:
+        f, g = g, _pdivmod(f, g, p)[1]
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _squarefree(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Pairs (g, m) of coprime squarefree g with f = prod g^m, for monic f."""
+    df = np.trim_zeros([i * c % p for i, c in enumerate(f)][1:], "b")
+    if not df:  # f(x) = g(x^p) = g(x)^p, or f is constant
+        return [(g, m * p) for g, m in _squarefree(f[::p], p)] if len(f) > 1 else []
+    c = _pgcd(f, df, p)
+    w, out, m = _pdivmod(f, c, p)[0], [], 1
+    while len(w) > 1:
+        y = _pgcd(w, c, p)
+        if len(y) < len(w):
+            out.append((_pdivmod(w, y, p)[0], m))
+        w, c, m = y, _pdivmod(c, y, p)[0], m + 1
+    return out + [(g, k * p) for g, k in _squarefree(c[::p], p)]
+
+
+def _berlekamp(g: list[int], p: int) -> list[list[int]]:
+    """The irreducible factors of a monic squarefree g (Berlekamp 1967): the
+    polynomials v with v^p = v mod g form a space with one dimension per
+    factor, and gcd(h, v - s) over s in F_p splits every factor h on which
+    v is not constant."""
+    n = len(g) - 1
+    mulx = np.eye(n, k=-1, dtype=np.int64)  # multiplication by x on F_p[x]/g
+    mulx[:, -1] = -np.asarray(g[:-1])
+    frob, cols = _poly_eval_matrix([0] * p + [1], mulx, p), [np.eye(n, dtype=np.int64)[0]]
+    while len(cols) < n:  # x^(ip) mod g, the image of x^i under v -> v^p
+        cols.append(frob @ cols[-1] % p)
+    fixed = nullspace(np.stack(cols, axis=1) - np.eye(n, dtype=np.int64), p).tolist()
+    factors = [g]
+    for v, s in itertools.product([np.trim_zeros(v, "b") for v in fixed], range(p)):
+        if len(factors) == len(fixed):
+            break
+        split = []
+        for h in factors:
+            d = _pgcd(h, [(v[0] - s) % p] + v[1:], p) if len(v) > 1 else h
+            split += [d, _pdivmod(h, d, p)[0]] if 1 < len(d) < len(h) else [h]
+        factors = split
+    return factors
+
+
 def _factor_poly(coeffs: np.ndarray, p: int) -> list[np.ndarray]:
-    """Irreducible factors (each monic, low degree first), via sympy over GF(p)."""
-    import sympy  # here, its only use, so that importing functorlab does not load it
-    x = sympy.Symbol("x")
-    expr = sum(int(c) * x**i for i, c in enumerate(coeffs))
-    poly = sympy.Poly(expr, x, modulus=p)
-    out = []
-    for fac, _mult in poly.factor_list()[1]:
-        cs = [int(c) % p for c in reversed(fac.all_coeffs())]
-        out.append(np.asarray(cs, dtype=np.int64))
-    return out
+    """The distinct monic irreducible factors over GF(p) of a monic
+    polynomial, each as coefficients low degree first, sorted by degree,
+    then multiplicity, then coefficients read from the top.  The order
+    decides which kernel ``find_invariant_subspace`` spins first, and so the
+    reports; the tests hold it to an independent factorizer."""
+    facs = [(h, m) for g, m in _squarefree([int(c) % p for c in coeffs], p) for h in _berlekamp(g, p)]
+    facs.sort(key=lambda hm: (len(hm[0]), hm[1], hm[0][::-1]))
+    return [np.asarray(h, dtype=np.int64) for h, _ in facs]
 
 
-def find_invariant_subspace(
-    ops: list[np.ndarray], p: int, pool: list[np.ndarray], seed: int = 0, max_tries: int = 60
-):
+def find_invariant_subspace(ops: list[np.ndarray], p: int, pool: list[np.ndarray], seed: int = 0):
     """Proper nonzero subspace invariant under ops (RREF rows), or None with
     certificate.
 
@@ -395,7 +452,7 @@ def find_invariant_subspace(
     if d <= 1:
         return None
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         theta = np.zeros((d, d), dtype=np.int64)
         for _ in range(int(rng.integers(1, 4))):
             c = int(rng.integers(1, p))
@@ -421,7 +478,7 @@ def find_invariant_subspace(
                 if sp.shape[0] < d:
                     return nullspace(sp, p)
             return None
-    raise SplittingFailure(f"no splitting decision after {max_tries} tries (seed {seed})")
+    raise SplittingFailure(f"no splitting decision after {MAX_TRIES} tries (seed {seed})")
 
 
 def _split(M: GroupModule, seed: int):
@@ -429,10 +486,10 @@ def _split(M: GroupModule, seed: int):
     return find_invariant_subspace(M.generator_matrices(), M.p, pool, seed=seed)
 
 
-def is_irreducible(M: GroupModule, seed: int = 0) -> bool:
+def is_irreducible(M: GroupModule) -> bool:
     if M.dim == 0:
         return False
-    return _split(M, seed) is None
+    return _split(M, 0) is None
 
 
 def chop(M: GroupModule, seed: int = 0) -> list[GroupModule]:
@@ -643,9 +700,9 @@ def right_ideal_module(elt: dict, n: int, p: int, name: str = "ideal") -> GroupM
     return GroupModule(G, p, basis.shape[0], gens, name=name)
 
 
-def epsilon_lambda_module(lam: Partition, n: int, p: int, variant: str = "crc") -> GroupModule:
+def epsilon_lambda_module(lam: Partition, n: int, p: int) -> GroupModule:
     """The simple module attached to lam, verified nonzero and irreducible."""
-    elt = epsilon_lambda(lam, n, p, variant)
+    elt = epsilon_lambda(lam, n, p)
     M = right_ideal_module(elt, n, p, name=f"D{lam.parts}")
     if not is_irreducible(M):
         raise ValueError(f"ideal for {lam} is reducible: construction mismatch")
@@ -679,37 +736,29 @@ def right_algebra_matrix(elt: dict, d: int, n: int, p: int) -> np.ndarray:
     return out
 
 
-def epsilon_lambda_tensor(lam: Partition, n: int, p: int, window: int | None = None, verify: bool = True):
+def epsilon_lambda_tensor(lam: Partition, n: int, p: int):
     """The image of tensor powers under the right action of the symmetrizer
     product of lam: a functor on plain vector spaces.
 
-    With ``verify`` the two defining properties are checked on the window:
-    no nonzero subfunctor of degree below n, and the n-fold difference is
-    the simple ideal of lam.
+    The two defining properties are checked on the window n + 1: no nonzero
+    subfunctor of degree below n, and the n-fold difference is the simple
+    ideal of lam.
     """
-    img = TensorSymmetrizerImage(epsilon_lambda(lam, n, p), n, p, name=f"e{lam.parts}T^{n}")
-    if verify:
-        from .elcat import Skeleton
-        from .sfunctor import RepresentableFunctor
-        from .vfunctor import delta_n_sigma, forgetful_lift, p_n
+    from .elcat import Skeleton
+    from .sfunctor import RepresentableFunctor
+    from .vfunctor import delta_n_sigma, forgetful_lift, p_n
 
-        window = n + 1 if window is None else window
-        sk = Skeleton(RepresentableFunctor(p, 0, window))
-        F = forgetful_lift(sk, img)
-        if n >= 1:
-            lower = p_n(F, n - 1, known_degree_bound=n)
-            if lower.total_dim():
-                raise ValueError(f"image functor of {lam} has a lower-degree subfunctor")
-        D = delta_n_sigma(F, n)
-        sym = FiniteGroup.symmetric(n)
-        gens = {}
-        for g in sym.generators:
-            perm = sym.labels[g]
-            gens[g] = D.perm_action(0, perm)
-        recovered = GroupModule(sym, p, D.dim(0), gens, name=f"D^{n}(e{lam.parts}T^{n})")
-        ideal = epsilon_lambda_module(lam, n, p)
-        if not iso_modules(recovered, ideal):
-            raise ValueError(f"difference of the image functor of {lam} is not the simple ideal")
+    img = TensorSymmetrizerImage(epsilon_lambda(lam, n, p), n, p, name=f"e{lam.parts}T^{n}")
+    sk = Skeleton(RepresentableFunctor(p, 0, n + 1))
+    F = forgetful_lift(sk, img)
+    if n >= 1 and p_n(F, n - 1, known_degree_bound=n).total_dim():
+        raise ValueError(f"image functor of {lam} has a lower-degree subfunctor")
+    D = delta_n_sigma(F, n)
+    sym = FiniteGroup.symmetric(n)
+    gens = {g: D.perm_action(0, sym.labels[g]) for g in sym.generators}
+    recovered = GroupModule(sym, p, D.dim(0), gens, name=f"D^{n}(e{lam.parts}T^{n})")
+    if not iso_modules(recovered, epsilon_lambda_module(lam, n, p)):
+        raise ValueError(f"difference of the image functor of {lam} is not the simple ideal")
     return img
 
 

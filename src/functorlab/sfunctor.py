@@ -138,6 +138,13 @@ class TableFunctor(SetFunctor):
         self.sizes = list(sizes)
         if len(self.sizes) != cap + 1:
             raise InvalidFunctorData("need one set size per dimension 0..cap")
+        for (cols, rows, data), tab in action.items():
+            key = f"{rows}x{cols}:{encode_entries(LinearMap(p, rows, cols, data))}"
+            if max(rows, cols) > cap or len(tab) != self.sizes[rows]:
+                raise InvalidFunctorData(f"pullback table {key} has {len(tab)} entries, not one per element of S({rows})")
+            bad = [i for i in tab if i not in range(self.sizes[cols])]
+            if bad:
+                raise InvalidFunctorData(f"pullback table {key} has an entry that is out of range: {bad[0]}")
         self.action = action  # (cols, rows, data) -> tuple of indices
 
     def size(self, d: int) -> int:
@@ -557,10 +564,6 @@ class NoetherianReport:
     last_regular_dim: int
     vanishes_before_cap: bool
     window: int
-
-    @property
-    def certified_within_cap(self) -> bool:
-        return self.vanishes_before_cap
 
 
 def check_noetherian(S: SetFunctor) -> NoetherianReport:

@@ -259,7 +259,7 @@ def _simples_for_class_degree(sk: Skeleton, rclass: int, n: int, seed: int, grou
     group = aut_sigma_group(sk, rclass, n)
     if len(group) > group_budget:
         raise ValueError(f"group order {len(group)} exceeds budget {group_budget}")
-    # seed streams are derived per job so parallel runs stay reproducible
+    # one seed stream per (class, degree); the reports depend on this formula
     job_seed = seed * 1000003 + rclass * 101 + n
     report = simple_modules(group, p, seed=job_seed)
     out = []
@@ -287,20 +287,13 @@ def _simples_for_class_degree(sk: Skeleton, rclass: int, n: int, seed: int, grou
     return out
 
 
-def enumerate_simples(
-    sk: Skeleton,
-    n_max: int,
-    seed: int = 0,
-    group_budget: int = 1000,
-    check_pairwise: bool = True,
-    jobs: int = 1,
-) -> list[SimpleDescriptor]:
+def enumerate_simples(sk: Skeleton, n_max: int, seed: int = 0, group_budget: int = 1000) -> list[SimpleDescriptor]:
     """One simple functor per (regular class, degree <= n_max, simple module).
 
     Each output is the balanced tensor of its module with the greatest
     lower-degree subfunctor quotiented away, certified simple on the window,
-    supported on its class, and differencing back to the source module.
-    Results are merged in (class, degree) order whatever the worker count.
+    supported on its class, and differencing back to the source module,
+    in (class, degree) order; no two outputs are isomorphic.
     """
     tasks = [
         (rclass, n)
@@ -308,21 +301,11 @@ def enumerate_simples(
         for n in range(n_max + 1)
         if rep.dim + n + 1 <= sk.window
     ]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(
-                pool.map(lambda t: _simples_for_class_degree(sk, t[0], t[1], seed, group_budget), tasks)
-            )
-    else:
-        chunks = [_simples_for_class_degree(sk, r, n, seed, group_budget) for r, n in tasks]
-    out = [d for chunk in chunks for d in chunk]
-    if check_pairwise:
-        for a in range(len(out)):
-            for b in range(a + 1, len(out)):
-                if functor_iso(out[a].realization, out[b].realization):
-                    raise RuntimeError(f"outputs {a} and {b} are isomorphic")
+    out = [d for r, n in tasks for d in _simples_for_class_degree(sk, r, n, seed, group_budget)]
+    for a in range(len(out)):
+        for b in range(a + 1, len(out)):
+            if functor_iso(out[a].realization, out[b].realization):
+                raise RuntimeError(f"outputs {a} and {b} are isomorphic")
     return out
 
 

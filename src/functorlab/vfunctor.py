@@ -1016,13 +1016,12 @@ class NatTransform:
         return sub
 
 
-def nat_space(A: VecFunctor, B: VecFunctor, verify: bool = True) -> list[NatTransform]:
+def nat_space(A: VecFunctor, B: VecFunctor) -> list[NatTransform]:
     """Basis of the space of natural transformations A -> B on the window.
 
     The constraint system runs over a generating family of morphisms (which
     pins down naturality for all composites); each solution is then verified
-    against the generators again, and optionally against full hom-sets when
-    small.
+    against the generators again.
     """
     sk = A.sk
     w = min(A.window, B.window)
@@ -1035,7 +1034,7 @@ def nat_space(A: VecFunctor, B: VecFunctor, verify: bool = True) -> list[NatTran
     out = []
     for mats in intertwiner_space(shapes, blocks, A.p):
         t = NatTransform(A, B, mats)
-        if verify and not t.is_natural(generators_only=True):
+        if not t.is_natural(generators_only=True):
             raise ValueError("solver produced a non-natural transformation")
         out.append(t)
     return out

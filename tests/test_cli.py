@@ -195,33 +195,43 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["ok"]
 
 
-def test_import_leaves_sympy_unloaded():
-    # sympy is loaded only when the splitting engine factors a polynomial
+def test_import_leaves_sympy_unloaded(tmp_path):
+    # numpy is the only dependency: neither the import nor a run that factors
+    # polynomials loads sympy
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import sys, functorlab.cli\n"
+        "print('sympy' in sys.modules)\n"
+        "code = functorlab.cli.main(['--p', '3', '--output', sys.argv[1], 'simples-of-group', '--group', 'sym:4'])\n"
+        "print(code, 'sympy' in sys.modules)\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, functorlab.cli; print('sympy' in sys.modules)"],
+        [sys.executable, "-c", script, str(tmp_path / "report.json")],
         capture_output=True,
         text=True,
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "0", "False"]
 
 
-def test_jobs_flag_deterministic(capsys):
-    outs = []
-    for jobs in ("1", "2"):
-        code, out = run_cli(
-            ["--builtin", "representable", "--u-dim", "1", "--cap", "3", "--jobs", jobs,
-             "enumerate-simples"],
-            capsys,
-        )
-        assert code == 0
-        doc = json.loads(out)
-        doc["config"]["jobs"] = None
-        outs.append(json.dumps(doc, sort_keys=True))
-    assert outs[0] == outs[1]
+def test_jobs_flag_rejected_at_parse_time(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--builtin", "representable", "--u-dim", "1", "--cap", "1", "rector", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+def test_splitting_failure_exit_2(monkeypatch, capsys):
+    from functorlab import modrep
+
+    def fail(M, seed):
+        raise modrep.SplittingFailure(f"no splitting decision after 60 tries (seed {seed})")
+
+    monkeypatch.setattr(modrep, "_split", fail)
+    assert cli.main(["--p", "3", "simples-of-group", "--group", "sym:3"]) == 2
+    assert "error: no splitting decision after 60 tries (seed 0)" in capsys.readouterr().err
 
 
 def test_orbit_builtin_via_input_and_autsym_group(tmp_path, capsys):
@@ -277,9 +287,8 @@ def test_p_too_large_for_storage_rejected_at_parse_time(capsys):
         ("--cap", "-1", "-1 is negative"),
         ("--u-dim", "-1", "-1 is negative"),
         ("--n-max", "-1", "-1 is negative"),
-        ("--jobs", "0", "0 is not positive"),
     ],
-    ids=["cap", "u-dim", "n-max", "jobs"],
+    ids=["cap", "u-dim", "n-max"],
 )
 def test_out_of_range_int_flag_rejected_at_parse_time(capsys, flag, value, reason):
     with pytest.raises(SystemExit) as exc:
@@ -355,6 +364,23 @@ def test_out_of_range_pullback_table_exit_2(tmp_path, capsys, command):
     code = cli.main(["--input", path, command])
     assert code == 2
     assert "is out of range: -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "table, reason",
+    [
+        ([0, -1, 0, 1], "pullback table 2x1:1.0 has an entry that is out of range: -1"),
+        ([0, 1], "pullback table 2x1:1.0 has 2 entries, not one per element of S(2)"),
+    ],
+    ids=["negative-entry", "short-list"],
+)
+def test_malformed_pullback_table_exit_2_at_load(tmp_path, capsys, table, reason):
+    # the edited map is no canonical projection, so only the load-time check sees it
+    from functorlab import sfunctor as sf
+
+    path = _write_table(tmp_path, sf.RepresentableFunctor(2, 1, 2), lambda action: action.update({"2x1:1.0": table}))
+    assert cli.main(["--input", path, "check-noetherian"]) == 2
+    assert reason in capsys.readouterr().err
 
 
 def test_missing_map_table_exit_2(tmp_path, capsys):

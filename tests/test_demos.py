@@ -1,7 +1,8 @@
 """The demos name only what functorlab has: every `alias.name` on an imported
 functorlab module, and every name imported from one, resolves.  Parsed with
 ast, so most demos do not run; the two that call the set-functor
-certificates run to the end."""
+certificates, and the one that factors polynomials to split group modules,
+run to the end."""
 
 import ast
 import importlib
@@ -70,6 +71,15 @@ def test_unresolved_names_are_reported():
             ["S_U satisfies the kernel-preimage condition: True", "condition holds: True"],
         ),
         ("03_element_categories.py", ["checked across the whole cap: True"]),
+        (
+            "05_group_modules.py",
+            [
+                f"partition {parts} over F_{p}: ideal of dim {dim}, irreducible: True"
+                for parts, p, dim in [
+                    ((3,), 2, 1), ((2, 1), 2, 2), ((4,), 3, 1), ((3, 1), 3, 3), ((2, 2), 3, 1), ((2, 1, 1), 3, 3)
+                ]
+            ],
+        ),
     ],
 )
 def test_certificate_demos_run(name, lines):

@@ -308,3 +308,48 @@ def test_find_invariant_subspace_against_brute_force():
                     if sub is not None:
                         assert 0 < sub.shape[0] < M.dim
                         assert mr.submodule(M, sub).validate()
+
+
+def test_factor_poly_order_by_hand():
+    # x^3 (x+1)^2 = x^5 + x^3 over GF(2): both factors have degree 1, and the
+    # one of lower multiplicity comes first
+    assert [h.tolist() for h in mr._factor_poly(np.array([0, 0, 0, 1, 0, 1]), 2)] == [[1, 1], [0, 1]]
+
+
+def _random_factor_cases(rng, p, count, max_deg):
+    """Monic polynomials up to max_deg: x^(p^k) - x, random ones, products
+    with repeated factors, and g(x^p) times a linear factor."""
+    for k in range(1, 5):
+        if p**k <= max_deg:
+            yield [0, p - 1] + [0] * (p**k - 2) + [1]
+    for k in range(count):
+        if k % 3 == 0:
+            yield list(rng.integers(0, p, size=int(rng.integers(1, max_deg + 1)))) + [1]
+            continue
+        f = [1]
+        if k % 3 == 1:
+            for _ in range(int(rng.integers(1, 4))):
+                g = list(rng.integers(0, p, size=int(rng.integers(1, 4)))) + [1]
+                for _ in range(int(rng.integers(1, 4))):
+                    f = np.convolve(f, g) % p
+        else:
+            g = list(rng.integers(0, p, size=int(rng.integers(1, 3)))) + [1]
+            gp = np.zeros((len(g) - 1) * p + 1, dtype=np.int64)
+            gp[::p] = g
+            f = np.convolve(gp, [int(rng.integers(0, p)), 1]) % p
+        if len(f) <= max_deg + 1:
+            yield list(f)
+
+
+def test_factor_poly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = np.random.default_rng(7)
+    checked = 0
+    for p, count in ((2, 120), (3, 100), (5, 80), (251, 12)):
+        for f in _random_factor_cases(rng, p, count, 22 if p < 251 else 12):
+            poly = sympy.Poly(sum(int(c) * x**i for i, c in enumerate(f)), x, modulus=p)
+            want = [[int(c) % p for c in reversed(g.all_coeffs())] for g, _ in poly.factor_list()[1]]
+            assert [h.tolist() for h in mr._factor_poly(np.asarray(f), p)] == want, (p, f)
+            checked += 1
+    assert checked > 250
