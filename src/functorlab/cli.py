@@ -130,6 +130,8 @@ def resolve_set_functor(args) -> sfunctor.SetFunctor:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{args.input}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        if not isinstance(doc, dict):
+            raise sfunctor.InvalidFunctorData(f"{args.input}: expected a JSON object, found a {type(doc).__name__}")
         if "action" in doc:
             return sfunctor.from_json_dict(doc)
         return sfunctor.from_builtin_spec(doc, cap=doc.get("cap", args.cap))

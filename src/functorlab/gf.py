@@ -339,10 +339,23 @@ def spans_invertible(basis: list[list[np.ndarray]], p: int) -> bool:
     raise BudgetExceeded("isomorphism search", p**k, SCAN_BUDGET)
 
 
-def restrict(big: np.ndarray, src_basis: np.ndarray, dst_basis: np.ndarray, p: int) -> np.ndarray:
-    """Matrix of big from span(src_basis) to span(dst_basis), both RREF row
-    bases; raises when big does not send the one into the other."""
-    img = (big @ src_basis.T) % p
+def tensor_apply(factors, x: np.ndarray, p: int) -> np.ndarray:
+    """(A_1 (x) ... (x) A_m) @ x mod p in numpy.kron's row-major order, never
+    forming the product: each factor acts along its own axis of x, which then
+    moves to the back, reduced mod p every time (Van Loan, J. Comput. Appl.
+    Math. 123, 2000).  With no factors, x comes back as it is."""
+    k = x.shape[1]
+    if not x.size or not all(a.size for a in factors):
+        return np.zeros((int(np.prod([a.shape[0] for a in factors])), k), dtype=np.int64)
+    for a in factors:
+        x = ((a @ x.reshape(a.shape[1], -1)) % p).T
+    return np.ascontiguousarray(x.reshape(k, -1).T)
+
+
+def restrict(big, src_basis: np.ndarray, dst_basis: np.ndarray, p: int) -> np.ndarray:
+    """Matrix of big (a matrix, or a list of tensor_apply factors) from span(src_basis)
+    to span(dst_basis), both RREF row bases; raises when big does not send the one into the other."""
+    img = tensor_apply(big, src_basis.T, p) if isinstance(big, list) else (big @ src_basis.T) % p
     x = img[_pivots(dst_basis), :]
     if not np.array_equal((dst_basis.T @ x) % p, img):
         raise ValueError("subspace is not respected")
@@ -421,11 +434,6 @@ class LinearMap:
 
     def transpose(self) -> "LinearMap":
         return LinearMap.from_array(self.arr.T, self.p)
-
-    def tensor(self, other: "LinearMap") -> "LinearMap":
-        if self.p != other.p:
-            raise ValueError("field mismatch")
-        return LinearMap.from_array(np.kron(self.arr, other.arr), self.p)
 
     def direct_sum(self, other: "LinearMap") -> "LinearMap":
         if self.p != other.p:

@@ -788,10 +788,4 @@ class TensorSymmetrizerImage:
         return self.basis(d).shape[0]
 
     def mat(self, gamma: LinearMap) -> np.ndarray:
-        src = self.basis(gamma.cols)
-        dst = self.basis(gamma.rows)
-        big = gamma.arr
-        kron = np.eye(1, dtype=np.int64)
-        for _ in range(self.n):
-            kron = np.kron(kron, big)
-        return restrict(kron, src, dst, self.p)
+        return restrict([gamma.arr] * self.n, self.basis(gamma.cols), self.basis(gamma.rows), self.p)

@@ -679,9 +679,14 @@ def to_json_dict(S: SetFunctor, map_budget: int = DEFAULT_MAP_BUDGET) -> dict:
 
 
 def from_json_dict(doc: dict, name: str = "table") -> TableFunctor:
+    for key, kind in (("p", int), ("cap", int), ("sets", list), ("action", dict)):
+        if not isinstance(doc.get(key), kind):
+            raise InvalidFunctorData(f"functor table needs the key {key!r} holding a {kind.__name__}")
     p, cap, sizes = doc["p"], doc["cap"], doc["sets"]
     action = {}
     for key, tab in doc["action"].items():
+        if not isinstance(tab, list):
+            raise InvalidFunctorData(f"pullback table {key} is not a list")
         shape, digits = key.split(":")
         rows, cols = (int(x) for x in shape.split("x"))
         lm = decode_entries(digits, rows, cols, p)
@@ -693,7 +698,7 @@ def from_builtin_spec(doc: dict, cap: int) -> SetFunctor:
     """Builtins are specified as {"type": "representable"|"orbit", "p": ..., "U_dim": ...,
     "gamma_generators": [...]}, with the raw-table layout handled by from_json_dict."""
     p = doc.get("p", 2)
-    kind = doc["type"]
+    kind = doc.get("type")
     if kind == "representable":
         return RepresentableFunctor(p, doc["U_dim"], cap)
     if kind == "orbit":

@@ -38,6 +38,7 @@ from .gf import (
     rank,
     restrict,
     rref,
+    tensor_apply,
 )
 from .elcat import Skeleton, SkObject
 from .modrep import GroupModule, FiniteGroup
@@ -62,10 +63,7 @@ class TensorPower:
         return d**self.n
 
     def mat(self, gamma: LinearMap) -> np.ndarray:
-        out = np.eye(1, dtype=np.int64)
-        for _ in range(self.n):
-            out = np.kron(out, gamma.arr)
-        return out % self.p
+        return tensor_apply([gamma.arr] * self.n, np.eye(gamma.cols**self.n, dtype=np.int64), self.p)
 
 
 class ConstantSpace:
@@ -794,9 +792,9 @@ class TensorSigma(VecFunctor):
     """(trivial block)^{tensor n} balanced over Sym(n) with a module functor.
 
     Value at (r, v): the coinvariant quotient of (F^v)^{x n} (x) M(r) by the
-    span of (x.sigma)(x)m - x(x)(sigma m); morphisms act through their
-    diagonal blocks.
-    """
+    span of (x.sigma)(x)m - x(x)(sigma m).  A morphism with diagonal blocks (f, h)
+    acts as proj (h^{x n} (x) M(f)) sect, one factor at a time by gf.tensor_apply
+    in numpy.kron's order, so h^{x n} is never formed."""
 
     def __init__(self, sk: Skeleton, M: SigmaNFunctor, n: int, window: int | None = None):
         self.M = M
@@ -847,12 +845,10 @@ class TensorSigma(VecFunctor):
         f, g, h, zero = sk.blocks(i, j, gamma)
         if not zero:
             raise ValueError("not a skeletal morphism")
-        kron = np.eye(1, dtype=np.int64)
-        for _ in range(self.n):
-            kron = np.kron(kron, h.arr)
+        if not (self.dim(i) and self.dim(j)):
+            return np.zeros((self.dim(j), self.dim(i)), dtype=np.int64)
         rm = self.M.rmap(sk.objects[i].rclass, sk.objects[j].rclass, f)
-        plain = np.kron(kron, rm) % self.p
-        return (self._proj[j] @ plain @ self._sect[i]) % self.p
+        return (self._proj[j] @ tensor_apply([h.arr] * self.n + [rm], self._sect[i], self.p)) % self.p
 
     def plain_to_quotient(self, i: int) -> np.ndarray:
         return self._proj[i]
@@ -1087,16 +1083,21 @@ def functor_to_json(F: VecFunctor, map_budget: int = 1 << 20) -> dict:
 
 
 def functor_from_json(sk: Skeleton, doc: dict, name: str = "loaded") -> VecFunctor:
-    dims = {}
-    for row in doc["dims"]:
-        dims[sk.index[(row["class"], row["trivial_dim"])]] = row["dim"]
+    if missing := sorted({"window", "dims", "maps"} - doc.keys()):
+        raise ValueError(f"functor document lacks the key(s) {missing}")
+
+    def index(obj, where):
+        if obj not in sk.index:
+            raise ValueError(f"{where} names the object {obj}, which the skeleton lacks")
+        return sk.index[obj]
+
+    dims = {index((row["class"], row["trivial_dim"]), f"dims row {row}"): row["dim"] for row in doc["dims"]}
     table = {}
     for key, mat in doc["maps"].items():
         src, _, rest = key.partition("->")
         dst, _, digits = rest.partition(":")
-        r1, v1 = (int(x) for x in src.split(","))
-        r2, v2 = (int(x) for x in dst.split(","))
-        i, j = sk.index[(r1, v1)], sk.index[(r2, v2)]
+        i = index(tuple(int(x) for x in src.split(",")), f"map {key}")
+        j = index(tuple(int(x) for x in dst.split(",")), f"map {key}")
         gamma = decode_entries(digits, sk.objects[j].dim, sk.objects[i].dim, sk.p)
         table[(i, j, gamma.data)] = np.asarray(mat, dtype=np.int64).reshape(dims[j], dims[i])
 
@@ -1159,9 +1160,9 @@ def tensor_of_unit(M: SigmaNFunctor, TM: TensorSigma, T_DTM: TensorSigma, units:
     for o in sk.objects:
         if o.dim > TM.window:
             continue
-        r, v = o.rclass, o.vdim
-        plain = np.kron(np.eye(v**n, dtype=np.int64), units[r]) % sk.p
-        mats[o.index] = (T_DTM.plain_to_quotient(o.index) @ plain @ TM.quotient_to_plain(o.index)) % sk.p
+        proj, sect, unit = T_DTM.plain_to_quotient(o.index), TM.quotient_to_plain(o.index), units[o.rclass]
+        plain = unit @ sect.reshape(o.vdim**n, unit.shape[1], sect.shape[1])
+        mats[o.index] = (proj @ (plain.reshape(proj.shape[1], sect.shape[1]) % sk.p)) % sk.p
     return NatTransform(TM, T_DTM, mats)
 
 

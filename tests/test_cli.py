@@ -392,6 +392,50 @@ def test_missing_map_table_exit_2(tmp_path, capsys):
     assert "no pullback along the map 2x2:0.1.1.0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda doc: doc["action"].update({"2x1:1.0": 5}), "pullback table 2x1:1.0 is not a list"),
+        (lambda doc: {"p": 2, "cap": 1, "action": {}}, "functor table needs the key 'sets' holding a list"),
+        (lambda doc: [doc], "expected a JSON object, found a list"),
+        (lambda doc: {"p": 2}, "unknown builtin type None"),
+    ],
+    ids=["entry-not-a-list", "no-sets", "top-level-list", "spec-without-type"],
+)
+def test_malformed_set_functor_json_exit_2(tmp_path, capsys, edit, reason):
+    # a layout other than sfunctor.json's is an input error, exit 2, not a
+    # traceback with exit 1, the counterexample code
+    from functorlab import sfunctor as sf
+
+    doc = sf.to_json_dict(sf.RepresentableFunctor(2, 1, 2))
+    doc = edit(doc) or doc
+    path = tmp_path / "S.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--input", str(path), "check-noetherian"]) == 2
+    assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda doc: doc["dims"].append({"class": 9, "trivial_dim": 0, "dim": 1}), "names the object (9, 0)"),
+        (lambda doc: doc.pop("dims"), "functor document lacks the key(s) ['dims']"),
+    ],
+    ids=["dims-row-outside-skeleton", "no-dims"],
+)
+def test_malformed_vfunctor_json_exit_2(tmp_path, capsys, edit, reason):
+    from functorlab import elcat, sfunctor, vfunctor
+
+    sk = elcat.Skeleton(sfunctor.RepresentableFunctor(2, 1, 2))
+    doc = vfunctor.functor_to_json(vfunctor.forgetful_lift(sk, vfunctor.TensorPower(1, 2)))
+    edit(doc)
+    path = tmp_path / "F.json"
+    path.write_text(json.dumps(doc))
+    argv = ["--builtin", "representable", "--u-dim", "1", "--cap", "2", "degree", "--functor", f"file:{path}"]
+    assert cli.main(argv) == 2
+    assert reason in capsys.readouterr().err
+
+
 def _simples_payload(tmp_path, argv, seed):
     out = tmp_path / f"simples-{seed}.json"
     assert cli.main([*argv, "--seed", str(seed), "--output", str(out), "enumerate-simples"]) == 0
@@ -403,12 +447,15 @@ def _simples_payload(tmp_path, argv, seed):
     [
         (["--builtin", "representable", "--u-dim", "1", "--cap", "5", "--n-max", "3"], 10),
         (["--builtin", "representable", "--u-dim", "0", "--cap", "4", "--n-max", "3"], 5),
+        (["--builtin", "representable", "--u-dim", "0", "--cap", "5", "--n-max", "4"], 7),
     ],
-    ids=["rank-one-cap5-n3", "plain-cap4-n3"],
+    ids=["rank-one-cap5-n3", "plain-cap4-n3", "plain-cap5-n4"],
 )
 def test_enumerate_simples_seed_independent(tmp_path, capsys, argv, count):
     # the simplicity certificate spins no random kernel on these outputs, so
-    # every seed finds the same simples, each run in about a second
+    # every seed finds the same simples, each run in one or two seconds; the
+    # plain base at cap 5, n <= 4 guards the balanced tensor at scale (about
+    # 9 s per run while h^{(x)4} was formed as a 625 x 625 matrix)
     a, b = (_simples_payload(tmp_path, argv, seed) for seed in (1, 11))
     assert a["count"] == count and a["complete_for_n_max"]
     assert a["simples"] == b["simples"]

@@ -29,7 +29,9 @@ from functorlab.gf import (
     rref,
     rref_bits,
     rref_dense,
+    restrict,
     solve,
+    tensor_apply,
 )
 
 
@@ -193,10 +195,66 @@ def test_empty_shapes():
 def test_tensor_and_direct_sum():
     a = LinearMap.from_array([[1, 1], [0, 1]], 2)
     b = LinearMap.from_array([[1]], 2)
-    t = a.tensor(a)
+    t = LinearMap.from_array(tensor_apply([a.arr, a.arr], np.eye(4, dtype=np.int64), 2), 2)
     assert t.rows == 4 and t.is_invertible()
     d = a.direct_sum(b)
     assert d.rows == 3 and d.arr[2, 2] == 1 and d.arr[0, 2] == 0
+
+
+def _kron_chain(factors, x, p):
+    """The Kronecker product formed explicitly, then applied: the oracle."""
+    big = np.eye(1, dtype=np.int64)
+    for a in factors:
+        big = np.kron(big, a)
+    return (big @ x) % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 251])
+def test_tensor_apply_matches_kron_chain(p):
+    rng = np.random.default_rng(p)
+    for m in range(5):
+        for _ in range(40):
+            factors = [rng.integers(0, p, size=tuple(rng.integers(0, 4, size=2))) for _ in range(m)]
+            cols = int(np.prod([a.shape[1] for a in factors]))
+            x = rng.integers(0, p, size=(cols, int(rng.integers(0, 4))))
+            got = tensor_apply(factors, x, p)
+            want = _kron_chain(factors, x, p)
+            assert got.shape == want.shape and got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+
+def test_tensor_apply_empty_shapes():
+    a, z_rows, z_cols = np.ones((2, 3), dtype=np.int64), np.ones((0, 2), dtype=np.int64), np.ones((2, 0), dtype=np.int64)
+    assert tensor_apply([a, z_rows], np.ones((6, 4), dtype=np.int64), 3).shape == (0, 4)
+    assert not tensor_apply([z_cols, a], np.ones((0, 2), dtype=np.int64), 3).any()
+    assert tensor_apply([z_cols, a], np.ones((0, 2), dtype=np.int64), 3).shape == (4, 2)
+    assert tensor_apply([a, a], np.ones((9, 0), dtype=np.int64), 3).shape == (4, 0)
+    x = np.array([[1, 2]], dtype=np.int64)
+    assert np.array_equal(tensor_apply([], x, 3), x)
+
+
+@pytest.mark.parametrize("shape,m", [((5, 5), 3), ((2, 2), 7)], ids=["three-5x5", "seven-2x2"])
+def test_tensor_apply_does_not_overflow_at_251(shape, m):
+    # factors and x full of 250s, with a Python-int oracle: reduced after
+    # every factor, no entry passes 5 * 250^2; reduced only at the end, seven
+    # 2 x 2 factors would reach 2^7 * 250^8 ~ 2e21 and wrap in int64
+    p = 251
+    factors = [np.full(shape, p - 1, dtype=np.int64)] * m
+    x = np.full((shape[1] ** m, 3), p - 1, dtype=np.int64)
+    want = _kron_chain([a.astype(object) for a in factors], x.astype(object), p)
+    assert np.array_equal(tensor_apply(factors, x, p), want.astype(np.int64))
+
+
+def test_restrict_takes_tensor_factors():
+    # the swap-stable line of F_2^2 (x) F_2^2 spanned by e_0 (x) e_0: the
+    # unipotent a sends it outside itself, the identity keeps it
+    a = np.array([[1, 0], [1, 1]], dtype=np.int64)
+    line = np.array([[1, 0, 0, 0]], dtype=np.int64)
+    with pytest.raises(ValueError, match="subspace is not respected"):
+        restrict([a, a], line, line, 2)
+    full = np.eye(4, dtype=np.int64)
+    assert np.array_equal(restrict([a, a], full, full, 2), _kron_chain([a, a], full, 2))
+    assert np.array_equal(restrict([np.eye(2, dtype=np.int64)] * 2, line, line, 2), [[1]])
 
 
 def test_map_enumeration_budget_and_determinism():

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from functorlab.gf import LinearMap, rref
+from functorlab.gf import LinearMap, enumerate_maps, restrict, rref
 from functorlab import elcat as ec
 from functorlab import modrep as mr
 from functorlab import sfunctor as sf
@@ -764,6 +764,101 @@ def test_tensor_power_lift_matches_direct_tensor(plain):
     T1 = tensor_lift(plain, 1)
     for o in plain.objects:
         assert T1.dim(o.index) == o.dim
+
+
+def _kron_power(a, n):
+    """a^{(x)n} formed by a chain of np.kron: the oracle for the paths that
+    apply tensor powers one factor at a time."""
+    out = np.eye(1, dtype=np.int64)
+    for _ in range(n):
+        out = np.kron(out, a)
+    return out
+
+
+def _kron_tensor_rule(TM, i, j, gamma):
+    """The balanced tensor's morphism matrix with h^{(x)n} (x) M(f) formed."""
+    f, _, h, zero = TM.sk.blocks(i, j, gamma)
+    assert zero
+    rm = TM.M.rmap(TM.sk.objects[i].rclass, TM.sk.objects[j].rclass, f)
+    plain = np.kron(_kron_power(h.arr, TM.n), rm) % TM.p
+    return (TM.plain_to_quotient(j) @ plain @ TM.quotient_to_plain(i)) % TM.p
+
+
+def _balanced_tensors(sk, n):
+    """Balanced tensors of degree n as the classification and the adjunction
+    build them: every class's trivial, regular and simple modules, and the
+    counit's tensor of the n-fold difference of T^n."""
+    out = []
+    for rclass in range(len(sk.rector.classes)):
+        G = vf.aut_sigma_group(sk, rclass, n)
+        for mod in [mr.trivial_module(G, 2), mr.regular_module(G, 2)] + mr.simple_modules(G, 2).simples:
+            out.append(vf.tensor_sigma_n(sk, vf.sigma_functor_from_module(sk, rclass, n, mod), n))
+    out.append(vf.counit(tensor_lift(sk, n), n)[1])
+    return out
+
+
+@pytest.mark.parametrize("u_dim,n", [(0, 2), (0, 3), (1, 2)], ids=["plain-n2", "plain-n3", "rank-one-n2"])
+def test_tensor_sigma_matches_kron_oracle(u_dim, n):
+    sk = ec.Skeleton(sf.RepresentableFunctor(2, u_dim, 3))
+    zero = nonzero = 0
+    for TM in _balanced_tensors(sk, n):
+        for i in TM.object_indices():
+            for j in TM.object_indices():
+                for g in sk.hom(i, j):
+                    got = TM.mat(i, j, g)
+                    assert np.array_equal(got, _kron_tensor_rule(TM, i, j, g))
+                    zero += got.size == 0
+                    nonzero += bool(got.any())
+    assert zero and nonzero  # both the empty shortcut and real products ran
+
+
+def test_tensor_of_unit_matches_kron_oracle(skhom):
+    # the unit tensored with the identity on the n tensor factors, as
+    # adjunction_check builds it, against kron(I_{v^n}, unit)
+    n, checked = 2, 0
+    for rclass in (0, 1):
+        G = vf.aut_sigma_group(skhom, rclass, n)
+        for mod in [mr.trivial_module(G, 2), mr.regular_module(G, 2)]:
+            M = vf.sigma_functor_from_module(skhom, rclass, n, mod)
+            TM = vf.tensor_sigma_n(skhom, M, n, window=3)
+            _, T_DTM, DTM = vf.counit(TM, n)
+            units = {
+                r: vf.unit_map(M, TM, DTM, r) if M.dim(r) else np.zeros((DTM.dim(r), 0), dtype=np.int64)
+                for r in range(len(skhom.rector.classes))
+            }
+            tu = vf.tensor_of_unit(M, TM, T_DTM, units)
+            for o in skhom.objects:
+                if o.dim > TM.window:
+                    continue
+                plain = np.kron(np.eye(o.vdim**n, dtype=np.int64), units[o.rclass]) % 2
+                want = (T_DTM.plain_to_quotient(o.index) @ plain @ TM.quotient_to_plain(o.index)) % 2
+                assert np.array_equal(tu.mats[o.index], want)
+                checked += bool(want.any())
+    assert checked
+
+
+def _all_maps(p, top):
+    return [g for r in range(top + 1) for c in range(top + 1) for g in enumerate_maps(p, r, c)]
+
+
+@pytest.mark.parametrize("p,top", [(2, 3), (3, 2)])
+def test_tensor_power_matches_kron_oracle(p, top):
+    for n in range(4):
+        T = vf.TensorPower(n, p)
+        for g in _all_maps(p, top):
+            assert np.array_equal(T.mat(g), _kron_power(g.arr, n) % p)
+
+
+@pytest.mark.parametrize("p,top", [(2, 3), (3, 2)])
+def test_symmetrizer_image_matches_kron_oracle(p, top):
+    for parts in [(1,), (2,), (1, 1), (3,), (2, 1)]:
+        if not mr.Partition(parts).is_p_regular(p):
+            continue
+        n = sum(parts)
+        img = mr.TensorSymmetrizerImage(mr.epsilon_lambda(mr.Partition(parts), n, p), n, p)
+        for g in _all_maps(p, top):
+            want = restrict(_kron_power(g.arr, n), img.basis(g.cols), img.basis(g.rows), p)
+            assert np.array_equal(img.mat(g), want)
 
 
 def test_p3_pipeline_spot_check():
