@@ -63,8 +63,8 @@ def is_prime(p: int) -> bool:
 
 def check_prime(p: int) -> int:
     """p when it is a prime that fits the uint8 storage."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    if not isinstance(p, int) or not is_prime(p):
+        raise ValueError(f"p = {p!r} is not prime")
     if p > MAX_PRIME:
         raise ValueError(f"p = {p} exceeds {MAX_PRIME}, the largest prime entries can be stored for")
     return p

@@ -123,13 +123,13 @@ class FiniteGroup:
         return els
 
     def validate(self) -> bool:
-        n = len(self.labels)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.mul(self.mul(i, j), k) != self.mul(i, self.mul(j, k)):
-                        return False
-        return True
+        """Light's associativity test: (x g) y = x (g y) for all x, y and each
+        generator g.  The elements passing it form a submonoid, so it covers
+        the table once the generators, which callers may set, generate it."""
+        if len(self._close(self.generators)) != len(self.labels):
+            return False
+        T = self.table
+        return all(np.array_equal(T[T[:, g], :], T[:, T[g, :]]) for g in self.generators)
 
     @staticmethod
     def from_mul(elements, mul, name: str = "G") -> "FiniteGroup":

@@ -186,7 +186,6 @@ class VecFunctor:
             ident = self.sk.identity(i)
             if not np.array_equal(self.mat(i, i, ident), np.eye(self.dim(i), dtype=np.int64)):
                 return False
-        pairs = []
         total = 0
         for i in idxs:
             for j in idxs:
@@ -961,31 +960,15 @@ class NatTransform:
     def window(self) -> int:
         return min(self.src.window, self.dst.window)
 
-    def is_natural(self, generators_only: bool = True, budget: int = 100_000) -> bool:
+    def is_natural(self) -> bool:
+        """The naturality squares of the skeleton's generating morphisms
+        between objects inside the window."""
         A, B = self.src, self.dst
         sk = A.sk
         w = self.window()
-        if generators_only:
-            pairs = [
-                (i, j, g)
-                for (i, j, g) in sk.generating_morphisms()
-                if sk.objects[i].dim <= w and sk.objects[j].dim <= w
-            ]
-        else:
-            pairs = []
-            count = 0
-            for oi in sk.objects:
-                if oi.dim > w:
-                    continue
-                for oj in sk.objects:
-                    if oj.dim > w:
-                        continue
-                    homs = sk.hom(oi.index, oj.index)
-                    count += len(homs)
-                    if count > budget:
-                        raise WindowExceeded("naturality budget exceeded")
-                    pairs.extend((oi.index, oj.index, g) for g in homs)
-        for i, j, g in pairs:
+        for i, j, g in sk.generating_morphisms():
+            if sk.objects[i].dim > w or sk.objects[j].dim > w:
+                continue
             lhs = (self.mats[j] @ A.mat(i, j, g)) % A.p
             rhs = (B.mat(i, j, g) @ self.mats[i]) % A.p
             if not np.array_equal(lhs, rhs):
@@ -1030,7 +1013,7 @@ def nat_space(A: VecFunctor, B: VecFunctor) -> list[NatTransform]:
     out = []
     for mats in intertwiner_space(shapes, blocks, A.p):
         t = NatTransform(A, B, mats)
-        if not t.is_natural(generators_only=True):
+        if not t.is_natural():
             raise ValueError("solver produced a non-natural transformation")
         out.append(t)
     return out
@@ -1083,25 +1066,41 @@ def functor_to_json(F: VecFunctor, map_budget: int = 1 << 20) -> dict:
 
 
 def functor_from_json(sk: Skeleton, doc: dict, name: str = "loaded") -> VecFunctor:
+    if not isinstance(doc, dict):
+        raise ValueError(f"functor document: expected a JSON object, found a {type(doc).__name__}")
     if missing := sorted({"window", "dims", "maps"} - doc.keys()):
         raise ValueError(f"functor document lacks the key(s) {missing}")
+    for key, kind, what in (("window", int, "an int"), ("dims", list, "a list"), ("maps", dict, "an object")):
+        if not isinstance(doc[key], kind):
+            raise ValueError(f"functor document: {key!r} must hold {what}")
 
     def index(obj, where):
         if obj not in sk.index:
             raise ValueError(f"{where} names the object {obj}, which the skeleton lacks")
         return sk.index[obj]
 
-    dims = {index((row["class"], row["trivial_dim"]), f"dims row {row}"): row["dim"] for row in doc["dims"]}
+    dims = {}
+    for row in doc["dims"]:
+        if not isinstance(row, dict) or not all(
+            isinstance(row.get(k), int) and row[k] >= 0 for k in ("class", "trivial_dim", "dim")
+        ):
+            raise ValueError(f"dims row {row} needs non-negative ints under 'class', 'trivial_dim' and 'dim'")
+        dims[index((row["class"], row["trivial_dim"]), f"dims row {row}")] = row["dim"]
     table = {}
     for key, mat in doc["maps"].items():
         src, _, rest = key.partition("->")
         dst, _, digits = rest.partition(":")
         i = index(tuple(int(x) for x in src.split(",")), f"map {key}")
         j = index(tuple(int(x) for x in dst.split(",")), f"map {key}")
+        if not {i, j} <= dims.keys():
+            raise ValueError(f"map {key} names an object that has no dims row")
         gamma = decode_entries(digits, sk.objects[j].dim, sk.objects[i].dim, sk.p)
         table[(i, j, gamma.data)] = np.asarray(mat, dtype=np.int64).reshape(dims[j], dims[i])
 
     def rule(i, j, gamma):
+        if (i, j, gamma.data) not in table:
+            oi, oj = sk.objects[i], sk.objects[j]
+            raise ValueError(f"{name} has no map {oi.rclass},{oi.vdim}->{oj.rclass},{oj.vdim}:{encode_entries(gamma)}")
         return table[(i, j, gamma.data)]
 
     return VecFunctor(sk, doc["window"], dims, rule, name=name)
@@ -1234,6 +1233,6 @@ def extendable(G: ProductFunctor, F: VecFunctor, lam: dict[int, np.ndarray]):
             if not np.array_equal(lhs, lam[o.index] % sk.p):
                 return False, (o.index, shear), None
     ext = NatTransform(E_transform(G), F, {i: lam[i] % sk.p for i in G.object_indices() if sk.objects[i].dim <= w})
-    if not ext.is_natural(generators_only=True):
+    if not ext.is_natural():
         return False, ("naturality",), None
     return True, None, ext

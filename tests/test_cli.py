@@ -34,6 +34,14 @@ def test_validate_builtin(capsys):
     assert code == 0 and doc["ok"] and doc["witness"] is None
 
 
+def test_validate_beyond_map_budget_exit_2(capsys):
+    # validate needs every map F^cap -> F^cap; at cap 5 those are 2^25, over
+    # the map budget, so it stops with an input error instead of sampling
+    code = cli.main(["--builtin", "representable", "--u-dim", "1", "--cap", "5", "validate"])
+    assert code == 2
+    assert "budget 'maps' exceeded: needs 33554432, allows 1048576" in capsys.readouterr().err
+
+
 def test_check_noetherian_counterexample_exit_code(capsys):
     code, out = run_cli(["--builtin", "kernel-mismatch", "--cap", "2", "check-noetherian"], capsys)
     doc = json.loads(out)
@@ -399,8 +407,13 @@ def test_missing_map_table_exit_2(tmp_path, capsys):
         (lambda doc: {"p": 2, "cap": 1, "action": {}}, "functor table needs the key 'sets' holding a list"),
         (lambda doc: [doc], "expected a JSON object, found a list"),
         (lambda doc: {"p": 2}, "unknown builtin type None"),
+        (lambda doc: {"type": "representable"}, "a representable spec needs the key 'U_dim'"),
+        (lambda doc: {**doc, "sets": [1, "2", 4]}, "'sets' must hold non-negative ints"),
+        (lambda doc: {"type": "representable", "U_dim": 1, "p": "2"}, "p = '2' is not prime"),
+        (lambda doc: {"type": "representable", "U_dim": 1, "cap": "2"}, "needs a non-negative int cap, not '2'"),
     ],
-    ids=["entry-not-a-list", "no-sets", "top-level-list", "spec-without-type"],
+    ids=["entry-not-a-list", "no-sets", "top-level-list", "spec-without-type", "spec-without-u-dim",
+         "sets-entry-not-an-int", "spec-p-not-an-int", "spec-cap-not-an-int"],
 )
 def test_malformed_set_functor_json_exit_2(tmp_path, capsys, edit, reason):
     # a layout other than sfunctor.json's is an input error, exit 2, not a
@@ -418,17 +431,29 @@ def test_malformed_set_functor_json_exit_2(tmp_path, capsys, edit, reason):
 @pytest.mark.parametrize(
     "edit, reason",
     [
-        (lambda doc: doc["dims"].append({"class": 9, "trivial_dim": 0, "dim": 1}), "names the object (9, 0)"),
-        (lambda doc: doc.pop("dims"), "functor document lacks the key(s) ['dims']"),
+        (lambda doc: {**doc, "dims": doc["dims"] + [{"class": 9, "trivial_dim": 0, "dim": 1}]},
+         "names the object (9, 0)"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "dims"}, "functor document lacks the key(s) ['dims']"),
+        (lambda doc: {**doc, "dims": doc["dims"][1:]}, "names an object that has no dims row"),
+        (lambda doc: {**doc, "dims": [{"trivial_dim": 0, "dim": 1}] + doc["dims"][1:]},
+         "needs non-negative ints under 'class', 'trivial_dim' and 'dim'"),
+        (lambda doc: {**doc, "dims": [{**doc["dims"][0], "dim": "1"}] + doc["dims"][1:]},
+         "needs non-negative ints under 'class', 'trivial_dim' and 'dim'"),
+        (lambda doc: [doc], "expected a JSON object, found a list"),
+        (lambda doc: {**doc, "maps": {k: v for k, v in doc["maps"].items() if k != "0,0->0,0:"}},
+         "has no map 0,0->0,0:"),
+        (lambda doc: {**doc, "window": "2"}, "'window' must hold an int"),
+        (lambda doc: {**doc, "maps": []}, "'maps' must hold an object"),
     ],
-    ids=["dims-row-outside-skeleton", "no-dims"],
+    ids=["dims-row-outside-skeleton", "no-dims", "map-object-without-dims-row", "dims-row-without-class",
+         "dim-not-an-int", "top-level-list", "missing-map", "window-not-an-int", "maps-not-an-object"],
 )
 def test_malformed_vfunctor_json_exit_2(tmp_path, capsys, edit, reason):
+    # each layout error exits 2 with its reason, not a traceback with exit 1
     from functorlab import elcat, sfunctor, vfunctor
 
     sk = elcat.Skeleton(sfunctor.RepresentableFunctor(2, 1, 2))
-    doc = vfunctor.functor_to_json(vfunctor.forgetful_lift(sk, vfunctor.TensorPower(1, 2)))
-    edit(doc)
+    doc = edit(vfunctor.functor_to_json(vfunctor.forgetful_lift(sk, vfunctor.TensorPower(1, 2))))
     path = tmp_path / "F.json"
     path.write_text(json.dumps(doc))
     argv = ["--builtin", "representable", "--u-dim", "1", "--cap", "2", "degree", "--functor", f"file:{path}"]

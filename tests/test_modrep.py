@@ -50,6 +50,67 @@ def test_product_group(S3):
     assert len(P) == 12 and P.validate()
 
 
+def oracle_associative(G):
+    """Every triple: the n^3 loop that Light's test replaced."""
+    n = len(G)
+    return all(
+        G.mul(G.mul(i, j), k) == G.mul(i, G.mul(j, k))
+        for i in range(n) for j in range(n) for k in range(n)
+    )
+
+
+def _gl2_f2():
+    gens = [LinearMap.from_array([[0, 1], [1, 0]], 2), LinearMap.from_array([[1, 1], [0, 1]], 2)]
+    return mr.FiniteGroup.from_mul(sorted(set(_mulclose(gens)), key=lambda m: m.data), lambda a, b: a @ b)
+
+
+def _loop5():
+    """The smallest loop that is not a group: identity 0, every element its
+    own inverse, and (1*2)*4 = 1 but 1*(2*4) = 4."""
+    table = [[0, 1, 2, 3, 4],
+             [1, 0, 3, 4, 2],
+             [2, 4, 0, 1, 3],
+             [3, 2, 4, 0, 1],
+             [4, 3, 1, 2, 0]]
+    return mr.FiniteGroup(range(5), np.array(table), name="loop5")
+
+
+GROUPS = {
+    "trivial": mr.FiniteGroup.trivial,
+    "sym2": lambda: mr.FiniteGroup.symmetric(2),
+    "sym3": lambda: mr.FiniteGroup.symmetric(3),
+    "sym4": lambda: mr.FiniteGroup.symmetric(4),
+    "gl2-f2": _gl2_f2,
+    "sym3xsym2": lambda: mr.FiniteGroup.product(mr.FiniteGroup.symmetric(3), mr.FiniteGroup.symmetric(2)),
+    "gl2-f2xsym2": lambda: mr.FiniteGroup.product(_gl2_f2(), mr.FiniteGroup.symmetric(2)),
+    "from-json": lambda: mr.module_from_json(
+        mr.module_to_json(mr.regular_module(mr.FiniteGroup.symmetric(3), 2))
+    ).group,
+    "loop5": _loop5,
+}
+
+
+@pytest.mark.parametrize("case", GROUPS)
+def test_light_associativity_matches_triple_loop(case):
+    G = GROUPS[case]()
+    assert G.validate() == oracle_associative(G) == (case != "loop5")
+
+
+def test_validate_needs_generating_generators():
+    # with only the identity listed, Light's test itself passes on the loop,
+    # which is not associative; the generation check rejects the table
+    L = _loop5()
+    L.generators = [L.identity]
+    T = L.table
+    assert np.array_equal(T[T[:, L.identity], :], T[:, T[L.identity, :]])
+    assert not oracle_associative(L) and not L.validate()
+    # an associative table whose listed generators miss elements fails too
+    G = mr.FiniteGroup.symmetric(3)
+    G.generators = [G.generators[0]]
+    assert len(G._close(G.generators)) < len(G)
+    assert oracle_associative(G) and not G.validate()
+
+
 def test_regular_module_validates(S3):
     M = mr.regular_module(S3, 2)
     assert M.validate()

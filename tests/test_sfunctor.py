@@ -2,6 +2,7 @@
 
 import functools
 
+import numpy as np
 import pytest
 
 from functorlab.gf import (
@@ -392,7 +393,7 @@ def test_out_of_range_pullback_fails_loudly():
 
 class LawfulTable(sf.TableFunctor):
     """A table declared lawful, so that check_weak_noetherian takes its orbit
-    route on it; only honest for tables that validate exhaustively."""
+    route on it; only honest for tables that pass validate."""
 
     lawful = True
 
@@ -451,3 +452,111 @@ def test_weak_noetherian_frontier_cap4(u_dim, checked):
     rep = sf.check_weak_noetherian(sf.RepresentableFunctor(2, u_dim, 4))
     assert rep.ok and not rep.partial and rep.window == 4
     assert rep.checked == checked
+
+
+# ---------------------------------------------------------------------------
+# validate on generators against the loop over every composable triple
+
+
+@functools.cache
+def composable_triples(p, cap):
+    """For every hom-set of maps beta within the cap: the list of betas and,
+    for every alpha composable with them, (alpha, [alpha @ beta for beta in
+    betas]).  Computed once per (p, cap) and shared by every functor there;
+    equal products share one LinearMap."""
+    canon = {}
+    out = []
+    dims = range(cap + 1)
+    for n in dims:
+        for m in dims:
+            betas = list(enumerate_maps(p, n, m))
+            alphas = [
+                (alpha, [canon.setdefault((ab := alpha @ beta).key(), ab) for beta in betas])
+                for x in dims
+                for alpha in enumerate_maps(p, m, x)
+            ]
+            out.append((betas, alphas))
+    return out
+
+
+def oracle_validate(S):
+    """The identity law, then (alpha beta)^* = beta^* alpha^* for every
+    composable triple (alpha, beta, s) within the cap."""
+    for d in range(S.cap + 1):
+        ident = LinearMap.identity(d, S.p)
+        for s in S.elements(d):
+            if S.act(ident, s) != s:
+                return False
+    for betas, alphas in composable_triples(S.p, S.cap):
+        beta_tables = np.stack([S.act_table(beta) for beta in betas])
+        for alpha, prods in alphas:
+            lhs = beta_tables[:, S.act_table(alpha)]  # row k: beta_k^* alpha^*
+            rhs = np.stack([S.act_table(alpha_beta) for alpha_beta in prods])
+            if not np.array_equal(lhs, rhs):
+                return False
+    return True
+
+
+def assert_real_violation(S, witness):
+    if witness[0] == "identity":
+        _, d, i = witness
+        assert S.act(LinearMap.identity(d, S.p), sf.SElement(d, i)) != sf.SElement(d, i)
+    else:
+        g, beta, s = witness
+        assert S.act(beta, S.act(g, s)) != S.act(g @ beta, s)
+
+
+def injective_identity_table(p=2, cap=2):
+    """Not a functor: S(d) = {a, b} for every d, injective maps pull back by
+    the identity and all other maps to the constant a.  With g injective, g
+    beta is injective exactly when beta is, so every check with an
+    invertible or an inclusion on the left passes; only a projection on the
+    left shows the failure, as pi iota = id on F^0 for iota: F^0 -> F^1."""
+    action = {
+        (n, m, alpha.data): (0, 1) if alpha.is_injective() else (0, 0)
+        for n in range(cap + 1)
+        for m in range(cap + 1)
+        for alpha in enumerate_maps(p, n, m)
+    }
+    return sf.TableFunctor(p, cap, [2] * (cap + 1), action, name="injective-identity")
+
+
+VALIDATE_CASES = {case: make for case, (make, _) in WEAK_CASES.items()}
+VALIDATE_CASES["injective-identity"] = injective_identity_table
+
+
+@pytest.mark.parametrize("case", VALIDATE_CASES)
+def test_validate_matches_triple_loop(case):
+    S = VALIDATE_CASES[case]()
+    assert S.cap <= 3
+    rep = sf.validate(S)
+    assert rep.ok == oracle_validate(S) == (case != "injective-identity")
+    if not rep.ok:
+        assert_real_violation(S, rep.witness)
+
+
+def single_entry_changes(T):
+    """Every table that differs from T in one entry of one pullback list."""
+    for key, tab in T.action.items():
+        cols = key[0]
+        for pos, old in enumerate(tab):
+            for new in range(T.sizes[cols]):
+                if new != old:
+                    changed = tab[:pos] + (new,) + tab[pos + 1:]
+                    yield sf.TableFunctor(T.p, T.cap, T.sizes, {**T.action, key: changed})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: sf.from_json_dict(sf.to_json_dict(sf.RepresentableFunctor(2, 1, 2))), sf.kernel_mismatch_example],
+    ids=["representable-u1-cap2", "kernel-mismatch"],
+)
+def test_validate_matches_triple_loop_on_single_entry_changes(make):
+    oks = []
+    for T in single_entry_changes(make()):
+        rep = sf.validate(T)
+        assert rep.ok == oracle_validate(T)
+        if not rep.ok:
+            assert_real_violation(T, rep.witness)
+        oks.append(rep.ok)
+    assert oks and not any(oks)
