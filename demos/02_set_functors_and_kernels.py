@@ -14,7 +14,7 @@ print(f"functor laws validate: {bool(sf.validate(S))}")
 print()
 print("== the kernel of an element: the largest trivial-direction subspace ==")
 m = LinearMap.from_array([[1, 0], [0, 0]], 2)
-s = sf.SElement(2, S._index[2][m.data])
+s = next(e for e in S.elements(2) if S.element_map(e) == m)
 ker = sf.kernel_of(S, s)
 print(f"the element {m.arr.tolist()} of S(F_2^2) has kernel {ker.basis_arr.tolist()}")
 t = sf.tilde(S, s)
@@ -43,7 +43,7 @@ print(f"regular counts: {sf.check_noetherian(Sub).regular_counts} (the zero subs
 print()
 print("== connectedness and the box-sum ==")
 print(f"S_U is connected: {sf.is_connected(S)}")
-psi = sf.SElement(2, S._index[2][LinearMap.identity(2, 2).data])
+psi = next(e for e in S.elements(2) if S.element_map(e) == LinearMap.identity(2, 2))
 res = sf.boxplus(S, psi, 1, check_unique=True)
 print(f"the identity element padded by one trivial direction: {S.element_map(res).arr.tolist()}")
 both = sf.disjoint_union(S, S)

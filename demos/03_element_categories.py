@@ -18,7 +18,7 @@ print(f"skeletal objects (class, trivial dim): {[(o.rclass, o.vdim) for o in sk.
 print()
 print("== decomposition into a regular part and a trivial block ==")
 m = LinearMap.from_array([[1, 0], [0, 0]], 2)
-o = ec.ElObject(2, S._index[2][m.data])
+o = next(e for e in S.elements(2) if S.element_map(e) == m)
 t, u, iso = ec.decompose(S, o)
 print(f"target of the iso has regular part of dim {t.dim} and kernel {u.basis_arr.tolist()}")
 print(f"the witness {iso.map.arr.tolist()} is a morphism both ways: {iso.verify(S)}")

@@ -13,14 +13,22 @@ its regular reduction, regularity, the two noetherianity conditions, the
 connected-component splitting and the box-sum of an element with a trivial
 block.
 
-The kernel calculus reads a per-dimension factorization table, built once per
-functor and dimension: for every subspace u of F_p^d and every t in
+Pullback tables (act_table) are kept per map; the representable and orbit
+functors build each one as a single batched product of all element matrices
+with the map, read back through enumerate_maps order.
+
+The kernel calculus of a lawful functor (one whose identity and composition
+laws hold by construction) reads one boolean matrix per dimension d: which
+elements of S(F_p^d) each line idempotent e_l = sect proj_l fixes.  The kernel
+of s is the span of the lines fixing s (kernel_of's docstring has the proof),
+its regular reduction is sect_u^* s for u = ker s, and the regular elements are
+those no line fixes.  Tables take the table route instead, a factorization
+table built once per dimension: for every subspace u of F_p^d and every t in
 S(F_p^{d - dim u}) it records (u, t) under the element proj_u^* t.  The kernel
 of s is then the largest u recorded under s (with the check that it contains
 every other one), and its regular reduction is the t recorded with that u.
 
-check_weak_noetherian decides a lawful functor (one whose identity and
-composition laws hold by construction) on GL-orbit representatives: one
+check_weak_noetherian decides a lawful functor on GL-orbit representatives: one
 element per GL_m-orbit of S(m) and one map per image subspace, reporting the
 pair count those cover.  The exhaustive pair loop stays as the table route,
 for functors that are not lawful, and as the witness route, when the reduced
@@ -46,6 +54,8 @@ from .gf import (
     encode_entries,
     enumerate_maps,
     enumerate_subspaces,
+    map_indices,
+    map_stack,
     preimage,
     proj_with_kernel,
 )
@@ -87,6 +97,7 @@ class SetFunctor:
         self._table_cache: dict = {}
         self._kernel_cache: dict[SElement, Subspace] = {}
         self._factor_table: dict[int, list[list[tuple[Subspace, SElement]]]] = {}
+        self._fixed_lines: dict[int, tuple[list[Subspace], np.ndarray]] = {}
 
     def size(self, d: int) -> int:
         raise NotImplementedError
@@ -109,16 +120,19 @@ class SetFunctor:
         return SElement(alpha.cols, hit)
 
     def act_table(self, alpha: LinearMap) -> np.ndarray:
-        """Pullback along alpha as an index array S(rows) -> S(cols)."""
+        """Pullback along alpha as an index array S(rows) -> S(cols), kept per map."""
         key = (alpha.cols, alpha.rows, alpha.data)
         hit = self._table_cache.get(key)
         if hit is None:
-            hit = np.asarray(
-                [self.act(alpha, i).index for i in range(self.size(alpha.rows))],
-                dtype=np.int64,
-            )
-            self._table_cache[key] = hit
+            if alpha.rows > self.cap or alpha.cols > self.cap:
+                raise ValueError("map exceeds the cap")
+            hit = self._table_cache[key] = self._act_table(alpha)
         return hit
+
+    def _act_table(self, alpha: LinearMap) -> np.ndarray:
+        """The table of act_table, not kept; one _act per element unless a
+        subclass batches it."""
+        return np.asarray([self._act(alpha, i) for i in range(self.size(alpha.rows))], dtype=np.int64)
 
     def elements(self, d: int):
         return [SElement(d, i) for i in range(self.size(d))]
@@ -172,6 +186,7 @@ class RepresentableFunctor(SetFunctor):
         self.u_dim = u_dim
         self._elts: dict[int, list[LinearMap]] = {}
         self._index: dict[int, dict[bytes, int]] = {}
+        self._stacks: dict[int, np.ndarray] = {}
 
     def _table(self, d: int):
         if d not in self._elts:
@@ -192,6 +207,14 @@ class RepresentableFunctor(SetFunctor):
         self._table(alpha.cols)
         return self._index[alpha.cols][res.data]
 
+    def _act_table(self, alpha: LinearMap) -> np.ndarray:
+        """Every element matrix times alpha in one product, each result read
+        back as its position in enumerate_maps order."""
+        stack = self._stacks.get(alpha.rows)
+        if stack is None:
+            stack = self._stacks[alpha.rows] = map_stack(self.p, alpha.rows, self.u_dim)
+        return map_indices(stack @ alpha.arr % self.p, self.p)
+
 
 class OrbitFunctor(SetFunctor):
     """Hom(W, U) modulo a subgroup of GL(U) acting by postcomposition."""
@@ -205,6 +228,8 @@ class OrbitFunctor(SetFunctor):
         self._orbits: dict[int, list[tuple[bytes, ...]]] = {}
         self._orbit_of: dict[int, dict[bytes, int]] = {}
         self._rep: dict[int, list[LinearMap]] = {}
+        self._rep_stack: dict[int, np.ndarray] = {}
+        self._orbit_lookup: dict[int, np.ndarray] = {}  # orbit id by enumerate_maps position
 
     def _table(self, d: int):
         if d not in self._orbits:
@@ -224,6 +249,8 @@ class OrbitFunctor(SetFunctor):
             self._orbits[d] = orbits
             self._orbit_of[d] = seen
             self._rep[d] = reps
+            self._rep_stack[d] = np.array([r.arr for r in reps]).reshape(len(reps), self.u_dim, d)
+            self._orbit_lookup[d] = np.fromiter((seen[m.data] for m in maps), dtype=np.int64, count=len(maps))
         return self._orbits[d]
 
     def size(self, d: int) -> int:
@@ -236,6 +263,14 @@ class OrbitFunctor(SetFunctor):
         res = rep @ alpha
         self._table(alpha.cols)
         return self._orbit_of[alpha.cols][res.data]
+
+    def _act_table(self, alpha: LinearMap) -> np.ndarray:
+        """The representatives times alpha in one product, each result mapped
+        to its orbit through the lookup array."""
+        self._table(alpha.rows)
+        self._table(alpha.cols)
+        res = map_indices(self._rep_stack[alpha.rows] @ alpha.arr % self.p, self.p)
+        return self._orbit_lookup[alpha.cols][res]
 
 
 class SubspaceFunctor(SetFunctor):
@@ -360,10 +395,9 @@ def validate(S: SetFunctor) -> ValidationReport:
     has more maps than the default map budget.
     """
     for d in range(S.cap + 1):
-        ident = LinearMap.identity(d, S.p)
-        for s in S.elements(d):
-            if S.act(ident, s) != s:
-                return ValidationReport(False, 0, ("identity", d, s.index))
+        moved = np.flatnonzero(S.act_table(LinearMap.identity(d, S.p)) != np.arange(S.size(d)))
+        if moved.size:
+            return ValidationReport(False, 0, ("identity", d, int(moved[0])))
     largest = count_maps(S.p, S.cap, S.cap)
     if largest > DEFAULT_MAP_BUDGET:
         raise BudgetExceeded("maps", largest, DEFAULT_MAP_BUDGET)
@@ -408,33 +442,78 @@ def _factorizations(S: SetFunctor, d: int) -> list[list[tuple[Subspace, SElement
     return table
 
 
+def _fixed_lines(S: SetFunctor, d: int) -> tuple[list[Subspace], np.ndarray]:
+    """The lines l of F^d, in enumerate_subspaces order, and the boolean
+    matrix whose row for l marks the s in S(d) with e_l^* s = s, where e_l =
+    sect proj is the idempotent with kernel l from proj_with_kernel.  Built
+    once per dimension and kept on S; the tables of the e_l are not kept."""
+    hit = S._fixed_lines.get(d)
+    if hit is None:
+        lines = [u for u in enumerate_subspaces(S.p, d) if u.dim == 1]
+        ids = np.arange(S.size(d))
+        fixed = np.zeros((len(lines), ids.size), dtype=bool)
+        for row, line in zip(fixed, lines):
+            projm, sect = proj_with_kernel(line)
+            row[:] = S._act_table(sect @ projm) == ids
+        hit = S._fixed_lines[d] = (lines, fixed)
+    return hit
+
+
 def kernel_of(S: SetFunctor, s: SElement) -> Subspace:
     """The unique maximal subspace U with s in the image of the pullback of
-    the canonical projection along U.  Verifies maximality; a pair of
-    incomparable maximal candidates means the tables are not a functor.
+    the canonical projection along U.
+
+    On a lawful functor, ker s is the span of the lines l with e_l^* s = s.
+    Proof, by the identity and composition laws.  (1) For any idempotent e =
+    sigma pi with kernel u, where pi: F^d -> F^{d - dim u} is onto and pi
+    sigma = id: if s = pi^* t then e^* s = pi^* (pi sigma)^* t = s, and
+    conversely e^* s = s gives s = pi^* (sigma^* s); and pi^* t = s forces t =
+    (pi sigma)^* t = sigma^* s, the only t.  So whether s factors through a
+    projection with kernel u depends on u alone, as two such projections
+    differ by an invertible.  (2) Factoring subspaces are closed under
+    subspaces: pi_u = q pi_v for v inside u.  (3) They are closed under sums:
+    write F^d = (u & v) + u' + v' + C with u = (u & v) + u' and v = (u & v) +
+    v', and let e_u project onto v' + C and e_v onto u' + C along u and v;
+    then e_u e_v projects onto C along u + v, and (e_u e_v)^* s = e_v^* e_u^*
+    s = s.  (4) So the factoring subspaces are the subspaces of one maximal
+    u, the span of the factoring lines, and no two maximal candidates are
+    incomparable.
+
+    Functors that are not lawful, such as tables, read the factorization
+    table instead and verify maximality; a pair of incomparable maximal
+    candidates means the tables are not a functor.
     """
     hit = S._kernel_cache.get(s)
     if hit is not None:
         return hit
-    candidates = [u for u, _ in _factorizations(S, s.dim)[s.index]]
-    best = max(candidates, key=lambda u: u.dim)
-    for u in candidates:
-        if not best.contains(u):
-            raise InvalidFunctorData(
-                f"kernel ambiguity at {s}: incomparable maximal factorizations {best} and {u}"
-            )
+    if S.lawful:
+        lines, fixed = _fixed_lines(S, s.dim)
+        vecs = [line.basis_arr[0] for line, f in zip(lines, fixed[:, s.index]) if f]
+        best = Subspace.from_vectors(vecs, S.p, s.dim) if vecs else Subspace.zero(s.dim, S.p)
+    else:
+        candidates = [u for u, _ in _factorizations(S, s.dim)[s.index]]
+        best = max(candidates, key=lambda u: u.dim)
+        for u in candidates:
+            if not best.contains(u):
+                raise InvalidFunctorData(
+                    f"kernel ambiguity at {s}: incomparable maximal factorizations {best} and {u}"
+                )
     S._kernel_cache[s] = best
     return best
 
 
 def tilde(S: SetFunctor, s: SElement) -> SElement:
     """The regular reduction: the unique t with proj^* t = s for the canonical
-    projection along ker(s)."""
+    projection along ker(s).  On a lawful functor that is sect^* s, by (1) of
+    kernel_of; tables read it from the factorization table."""
     u = kernel_of(S, s)
-    matches = [t for v, t in _factorizations(S, s.dim)[s.index] if v == u]
-    if len(matches) != 1:
-        raise InvalidFunctorData(f"expected exactly one reduction of {s}, found {len(matches)}")
-    t = matches[0]
+    if S.lawful:
+        t = S.act(proj_with_kernel(u)[1], s)
+    else:
+        matches = [t for v, t in _factorizations(S, s.dim)[s.index] if v == u]
+        if len(matches) != 1:
+            raise InvalidFunctorData(f"expected exactly one reduction of {s}, found {len(matches)}")
+        t = matches[0]
     if kernel_of(S, t).dim != 0:
         raise WeakNoetherianityViolation(f"reduction of {s} is not regular")
     return t
@@ -443,7 +522,12 @@ def tilde(S: SetFunctor, s: SElement) -> SElement:
 def is_regular(S: SetFunctor, s: SElement) -> bool:
     return kernel_of(S, s).dim == 0
 
+
 def regular_set(S: SetFunctor, d: int) -> list[SElement]:
+    """The elements of S(d) with kernel 0; on a lawful functor, those that no
+    line idempotent fixes."""
+    if S.lawful:
+        return [SElement(d, int(i)) for i in np.flatnonzero(~_fixed_lines(S, d)[1].any(axis=0))]
     return [s for s in S.elements(d) if is_regular(S, s)]
 
 
@@ -512,22 +596,21 @@ def _weak_noetherian_on_orbits(S: SetFunctor, window: int) -> bool:
 
 
 def _orbit_representatives(S: SetFunctor, m: int) -> list[SElement]:
-    """The first element of each GL_m-orbit of S(m), by union-find over the
-    pullbacks along the elementary invertibles, which generate GL_m."""
-    parent = list(range(S.size(m)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for g in elementary_invertibles(S.p, m):
-        for i in range(len(parent)):
-            a, b = find(i), find(S.act(g, i).index)
-            if a != b:  # every root is the smallest index of its orbit
-                parent[max(a, b)] = min(a, b)
-    return [SElement(m, i) for i in range(len(parent)) if parent[i] == i]
+    """The first element of each GL_m-orbit of S(m).  Every element starts
+    labelled by its index, and labels take the minimum across the pullback
+    tables of the elementary invertibles, which generate GL_m, in both
+    directions until they settle; the roots keep their own index."""
+    tables = [S.act_table(g) for g in elementary_invertibles(S.p, m)]
+    ids = np.arange(S.size(m))
+    label = ids.copy()
+    settled = False
+    while not settled:
+        before = label.copy()
+        for tab in tables:
+            np.minimum(label, label[tab], out=label)
+            np.minimum.at(label, tab, label.copy())
+        settled = np.array_equal(before, label)
+    return [SElement(m, int(i)) for i in np.flatnonzero(label == ids)]
 
 
 def _weak_noetherian_loop(S: SetFunctor, window: int, budget: int) -> WeakNoetherianReport:

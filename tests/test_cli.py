@@ -353,6 +353,15 @@ def test_rector_frontier_u3_cap4(capsys):
     assert len(doc["classes"]) == 16
 
 
+def test_rector_frontier_u3_cap5(capsys):
+    # 16 classes, one per subspace of F_2^3, over 37,449 elements; reading
+    # their kernels from factorization tables took about 13 s
+    code, out = run_cli(["--builtin", "representable", "--u-dim", "3", "--cap", "5", "rector"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["all_regular_morphisms_injective"] is True
+    assert len(doc["classes"]) == 16
+
+
 def _write_table(tmp_path, S, edit):
     from functorlab import sfunctor as sf
 

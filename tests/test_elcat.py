@@ -147,7 +147,7 @@ class LawfulTable(sf.TableFunctor):
     lawful = True
 
 
-def broken_table(cls=sf.TableFunctor):
+def broken_table():
     """Not a functor: S(0) = {*}, S(1) = {x, y} with y the pullback of * along
     F^1 -> 0, and the zero endomorphism of F^1 fixing x.  Both * and x are
     regular, and the zero map is a morphism x -> x that is not injective.  In
@@ -161,7 +161,24 @@ def broken_table(cls=sf.TableFunctor):
         (1, 1, zero.data): (0, 1),
         (1, 1, one.data): (0, 1),
     }
-    return cls(2, 1, [1, 2], action, name="broken")
+    return sf.TableFunctor(2, 1, [1, 2], action, name="broken")
+
+
+def broken_lawful_table():
+    """Not a functor, declared lawful: S(0) = {*}, S(1) = {x, y} with x the
+    pullback of * along F^1 -> 0, and the zero endomorphism of F^1 sending x
+    to y.  In a functor it would fix x, as it factors through F^1 -> 0.  No
+    line idempotent fixes x, so x is regular on the lawful route, and F^1 ->
+    0 is a morphism x -> * that is not injective."""
+    zero, one = LinearMap.zero(1, 1, 2), LinearMap.identity(1, 2)
+    action = {
+        (0, 0, b""): (0,),
+        (1, 0, b""): (0,),
+        (0, 1, b""): (0, 0),
+        (1, 1, zero.data): (1, 1),
+        (1, 1, one.data): (0, 1),
+    }
+    return LawfulTable(2, 1, [1, 2], action, name="broken-lawful")
 
 
 INJECTIVITY_CASES = {
@@ -170,7 +187,7 @@ INJECTIVITY_CASES = {
     "subspaces-cap3": lambda: sf.SubspaceFunctor(2, 3),
     "table-roundtrip": lambda: sf.from_json_dict(sf.to_json_dict(sf.RepresentableFunctor(2, 2, 3))),
     "broken": broken_table,
-    "broken-lawful": lambda: broken_table(LawfulTable),
+    "broken-lawful": broken_lawful_table,
 }
 
 

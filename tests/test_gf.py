@@ -21,6 +21,8 @@ from functorlab.gf import (
     gaussian_binomial,
     general_linear,
     kernel_space,
+    map_indices,
+    map_stack,
     nullspace,
     pivot_complement,
     preimage,
@@ -110,6 +112,20 @@ def test_enumerate_maps_basics():
 def test_enumeration_budget():
     with pytest.raises(BudgetExceeded):
         list(enumerate_maps(2, 5, 5, budget=100))
+    with pytest.raises(BudgetExceeded):
+        map_stack(2, 5, 5, budget=100)
+    with pytest.raises(BudgetExceeded):
+        map_indices(np.zeros((1, 5, 5), dtype=np.int64), 2, budget=100)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("dom,cod", [(0, 0), (0, 2), (2, 0), (1, 1), (2, 1), (1, 2), (2, 2)])
+def test_map_stack_follows_enumerate_maps(p, dom, cod):
+    maps = list(enumerate_maps(p, dom, cod))
+    stack = map_stack(p, dom, cod)
+    assert stack.shape == (len(maps), cod, dom)
+    assert all(np.array_equal(arr, m.arr) for arr, m in zip(stack, maps))
+    assert np.array_equal(map_indices(stack, p), np.arange(len(maps)))
 
 
 def test_subspace_count_matches_gaussian_binomials():

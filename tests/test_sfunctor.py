@@ -352,6 +352,7 @@ KERNEL_CASES = {
     "representable-u1-cap4": lambda: sf.RepresentableFunctor(2, 1, 4),
     "representable-u2-cap3": lambda: sf.RepresentableFunctor(2, 2, 3),
     "representable-p3-u1-cap2": lambda: sf.RepresentableFunctor(3, 1, 2),
+    "representable-p3-u1-cap3": lambda: sf.RepresentableFunctor(3, 1, 3),
     "orbit": orbit_u2,
     "subspaces-cap3": lambda: sf.SubspaceFunctor(2, 3),
     "union": union,
@@ -362,12 +363,20 @@ KERNEL_CASES = {
 }
 
 
+def oracle_regular_set(S, d):
+    return [s for s in S.elements(d) if oracle_kernel_of(S, s).dim == 0]
+
+
 @pytest.mark.parametrize("case", KERNEL_CASES)
 def test_kernel_table_matches_element_search(case):
+    # lawful functors read line idempotents, the others the factorization table
     S, T = KERNEL_CASES[case](), KERNEL_CASES[case]()
+    for d in range(S.cap + 1):
+        assert outcome(sf.regular_set, S, d) == outcome(oracle_regular_set, T, d), d
     for s in S.all_elements():
         assert outcome(sf.kernel_of, S, s) == outcome(oracle_kernel_of, T, s), s
         assert outcome(sf.tilde, S, s) == outcome(oracle_tilde, T, s), s
+    assert (bool(S._fixed_lines), bool(S._factor_table)) == (S.lawful, not S.lawful)
 
 
 def test_ambiguous_factorization_raises_on_that_element_only():
@@ -433,6 +442,16 @@ def test_weak_noetherian_matches_element_loop(case):
     assert got == want
     assert got.partial == (case == "representable-small-budget")
     assert got.ok == ("kernel-mismatch" not in case)
+
+
+def test_line_idempotent_tables_are_not_kept():
+    # only the boolean fixed-line matrix stays, one per dimension
+    S = sf.RepresentableFunctor(2, 2, 3)
+    counts = [len(sf.regular_set(S, d)) for d in range(S.cap + 1)]
+    assert counts == [1, 3, 6, 0] and not S._table_cache and not S._act_cache
+    for d in range(S.cap + 1):
+        lines, fixed = S._fixed_lines[d]
+        assert fixed.dtype == bool and fixed.shape == (len(lines), S.size(d)) == (2**d - 1, 4**d)
 
 
 def test_lawful_follows_construction():
@@ -560,3 +579,57 @@ def test_validate_matches_triple_loop_on_single_entry_changes(make):
             assert_real_violation(T, rep.witness)
         oks.append(rep.ok)
     assert oks and not any(oks)
+
+
+# ---------------------------------------------------------------------------
+# batched action tables against the per-element loop
+
+
+def test_act_table_leaves_act_cache_empty():
+    S = sf.RepresentableFunctor(2, 1, 3)
+    for n in range(S.cap + 1):
+        for m in range(S.cap + 1):
+            for alpha in enumerate_maps(S.p, n, m):
+                assert S.act_table(alpha).shape == (S.size(m),)
+    assert S._table_cache and not S._act_cache
+
+
+def orbit_p3():
+    return sf.OrbitFunctor(3, 2, [LinearMap.from_array([[2, 0], [0, 1]], 3)], 2)
+
+
+def orbit_p5():
+    return sf.OrbitFunctor(5, 1, [LinearMap.from_array([[2]], 5)], 2)
+
+
+BATCHED_CASES = {
+    **{
+        f"representable-p{p}-u{u}": (lambda p=p, u=u: sf.RepresentableFunctor(p, u, 2))
+        for p in (2, 3, 5)
+        for u in (0, 1, 2)
+    },
+    "orbit-p2": orbit_u2,
+    "orbit-p3": orbit_p3,
+    "orbit-p5": orbit_p5,
+    **{f"orbit-p{p}-u0": (lambda p=p: sf.OrbitFunctor(p, 0, [], 2)) for p in (2, 3, 5)},
+}
+
+
+@pytest.mark.parametrize("case", BATCHED_CASES)
+def test_batched_act_table_matches_element_loop(case):
+    # every map of hom-sets up to 81 maps, rows or cols 0 among them; in
+    # larger ones the zero map, the identity and twelve random maps
+    S = BATCHED_CASES[case]()
+    rng = np.random.default_rng(7)
+    for rows in range(S.cap + 1):
+        for cols in range(S.cap + 1):
+            if count_maps(S.p, cols, rows) <= 81:
+                maps = list(enumerate_maps(S.p, cols, rows))
+            else:
+                maps = [LinearMap.zero(rows, cols, S.p), LinearMap.from_array(np.eye(rows, cols), S.p)] + [
+                    LinearMap.from_array(rng.integers(0, S.p, (rows, cols)), S.p) for _ in range(12)
+                ]
+            for alpha in maps:
+                want = sf.SetFunctor._act_table(S, alpha)
+                got = S._act_table(alpha)
+                assert got.dtype == want.dtype and np.array_equal(got, want), alpha
