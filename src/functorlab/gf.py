@@ -615,25 +615,25 @@ def enumerate_maps(p: int, dom_dim: int, cod_dim: int, budget: int = DEFAULT_MAP
         yield LinearMap.from_array(arr, p)
 
 
-def map_stack(p: int, dom_dim: int, cod_dim: int, budget: int = DEFAULT_MAP_BUDGET) -> np.ndarray:
+def map_stack(p: int, dom_dim: int, cod_dim: int) -> np.ndarray:
     """All linear maps F_p^dom -> F_p^cod as one (count, cod, dom) array in
     enumerate_maps order: the column-major entries of the i-th map are the
     base-p digits of i, most significant first."""
     total = count_maps(p, dom_dim, cod_dim)
-    if total > budget:
-        raise BudgetExceeded("maps", total, budget)
+    if total > DEFAULT_MAP_BUDGET:
+        raise BudgetExceeded("maps", total, DEFAULT_MAP_BUDGET)
     weights = p ** np.arange(dom_dim * cod_dim - 1, -1, -1, dtype=np.int64)
     digits = np.arange(total, dtype=np.int64)[:, None] // weights % p
     return digits.reshape(total, dom_dim, cod_dim).transpose(0, 2, 1)
 
 
-def map_indices(stack: np.ndarray, p: int, budget: int = DEFAULT_MAP_BUDGET) -> np.ndarray:
+def map_indices(stack: np.ndarray, p: int) -> np.ndarray:
     """The position in enumerate_maps order of every matrix of a (N, cod, dom)
     stack with entries in 0..p-1; the inverse of map_stack."""
     n, cod_dim, dom_dim = stack.shape
     total = count_maps(p, dom_dim, cod_dim)
-    if total > budget:
-        raise BudgetExceeded("maps", total, budget)
+    if total > DEFAULT_MAP_BUDGET:
+        raise BudgetExceeded("maps", total, DEFAULT_MAP_BUDGET)
     weights = p ** np.arange(dom_dim * cod_dim - 1, -1, -1, dtype=np.int64)
     return stack.transpose(0, 2, 1).reshape(n, dom_dim * cod_dim) @ weights
 

@@ -184,36 +184,29 @@ class RepresentableFunctor(SetFunctor):
     def __init__(self, p: int, u_dim: int, cap: int):
         super().__init__(p, cap, name=f"representable(U=F_{p}^{u_dim})")
         self.u_dim = u_dim
-        self._elts: dict[int, list[LinearMap]] = {}
-        self._index: dict[int, dict[bytes, int]] = {}
         self._stacks: dict[int, np.ndarray] = {}
 
-    def _table(self, d: int):
-        if d not in self._elts:
-            elts = list(enumerate_maps(self.p, d, self.u_dim))
-            self._elts[d] = elts
-            self._index[d] = {e.data: i for i, e in enumerate(elts)}
-        return self._elts[d]
+    def _table(self, d: int) -> np.ndarray:
+        """The element matrices of S(F^d) as one (N, u, d) stack in enumerate_maps order."""
+        stack = self._stacks.get(d)
+        if stack is None:
+            stack = self._stacks[d] = map_stack(self.p, d, self.u_dim)
+        return stack
 
     def size(self, d: int) -> int:
         return count_maps(self.p, d, self.u_dim)
 
     def element_map(self, s: SElement) -> LinearMap:
-        return self._table(s.dim)[s.index]
+        return LinearMap.from_array(self._table(s.dim)[s.index], self.p)
 
     def _act(self, alpha: LinearMap, s: int) -> int:
-        m = self._table(alpha.rows)[s]
-        res = m @ alpha
-        self._table(alpha.cols)
-        return self._index[alpha.cols][res.data]
+        res = self._table(alpha.rows)[s] @ alpha.arr % self.p
+        return int(map_indices(res[None], self.p)[0])
 
     def _act_table(self, alpha: LinearMap) -> np.ndarray:
         """Every element matrix times alpha in one product, each result read
         back as its position in enumerate_maps order."""
-        stack = self._stacks.get(alpha.rows)
-        if stack is None:
-            stack = self._stacks[alpha.rows] = map_stack(self.p, alpha.rows, self.u_dim)
-        return map_indices(stack @ alpha.arr % self.p, self.p)
+        return map_indices(self._table(alpha.rows) @ alpha.arr % self.p, self.p)
 
 
 class OrbitFunctor(SetFunctor):
@@ -224,52 +217,39 @@ class OrbitFunctor(SetFunctor):
     def __init__(self, p: int, u_dim: int, generators: list[LinearMap], cap: int):
         super().__init__(p, cap, name=f"orbit(U=F_{p}^{u_dim})")
         self.u_dim = u_dim
-        self.group = _mulclose([LinearMap.identity(u_dim, p)] + list(generators))
-        self._orbits: dict[int, list[tuple[bytes, ...]]] = {}
-        self._orbit_of: dict[int, dict[bytes, int]] = {}
-        self._rep: dict[int, list[LinearMap]] = {}
-        self._rep_stack: dict[int, np.ndarray] = {}
+        group = _mulclose([LinearMap.identity(u_dim, p)] + list(generators))
+        self._group_stack = np.array([g.arr for g in group]).reshape(len(group), u_dim, u_dim)
+        self._rep: dict[int, np.ndarray] = {}  # one representative matrix per orbit
         self._orbit_lookup: dict[int, np.ndarray] = {}  # orbit id by enumerate_maps position
 
-    def _table(self, d: int):
-        if d not in self._orbits:
-            maps = list(enumerate_maps(self.p, d, self.u_dim))
-            seen: dict[bytes, int] = {}
-            orbits: list[tuple[bytes, ...]] = []
-            reps: list[LinearMap] = []
-            for m in maps:
-                if m.data in seen:
-                    continue
-                orb = sorted({(g @ m).data for g in self.group})
-                oid = len(orbits)
-                for datum in orb:
-                    seen[datum] = oid
-                orbits.append(tuple(orb))
-                reps.append(m)
-            self._orbits[d] = orbits
-            self._orbit_of[d] = seen
-            self._rep[d] = reps
-            self._rep_stack[d] = np.array([r.arr for r in reps]).reshape(len(reps), self.u_dim, d)
-            self._orbit_lookup[d] = np.fromiter((seen[m.data] for m in maps), dtype=np.int64, count=len(maps))
-        return self._orbits[d]
+    def _table(self, d: int) -> np.ndarray:
+        """Orbit representatives of S(F^d); orbits are numbered by their first
+        map in enumerate_maps order."""
+        if d not in self._rep:
+            stack = map_stack(self.p, d, self.u_dim)
+            lookup = np.full(len(stack), -1, dtype=np.int64)
+            reps: list[int] = []
+            for i, m in enumerate(stack):
+                if lookup[i] < 0:
+                    lookup[map_indices(self._group_stack @ m % self.p, self.p)] = len(reps)
+                    reps.append(i)
+            self._rep[d] = stack[reps]
+            self._orbit_lookup[d] = lookup
+        return self._rep[d]
 
     def size(self, d: int) -> int:
-        self._table(d)
-        return len(self._orbits[d])
+        return len(self._table(d))
 
     def _act(self, alpha: LinearMap, s: int) -> int:
-        self._table(alpha.rows)
-        rep = self._rep[alpha.rows][s]
-        res = rep @ alpha
+        res = self._table(alpha.rows)[s] @ alpha.arr % self.p
         self._table(alpha.cols)
-        return self._orbit_of[alpha.cols][res.data]
+        return int(self._orbit_lookup[alpha.cols][map_indices(res[None], self.p)[0]])
 
     def _act_table(self, alpha: LinearMap) -> np.ndarray:
         """The representatives times alpha in one product, each result mapped
         to its orbit through the lookup array."""
-        self._table(alpha.rows)
+        res = map_indices(self._table(alpha.rows) @ alpha.arr % self.p, self.p)
         self._table(alpha.cols)
-        res = map_indices(self._rep_stack[alpha.rows] @ alpha.arr % self.p, self.p)
         return self._orbit_lookup[alpha.cols][res]
 
 

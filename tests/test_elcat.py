@@ -21,8 +21,8 @@ def sk(SU2):
 
 def obj_of(S, mat):
     lm = LinearMap.from_array(mat, S.p)
-    S._table(lm.cols)
-    return ec.ElObject(lm.cols, S._index[lm.cols][lm.data])
+    s = next(e for e in S.elements(lm.cols) if S.element_map(e) == lm)
+    return ec.ElObject(s.dim, s.index)
 
 
 def test_hom_terminal_identity(SU2):

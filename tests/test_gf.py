@@ -113,9 +113,9 @@ def test_enumeration_budget():
     with pytest.raises(BudgetExceeded):
         list(enumerate_maps(2, 5, 5, budget=100))
     with pytest.raises(BudgetExceeded):
-        map_stack(2, 5, 5, budget=100)
+        map_stack(2, 5, 5)
     with pytest.raises(BudgetExceeded):
-        map_indices(np.zeros((1, 5, 5), dtype=np.int64), 2, budget=100)
+        map_indices(np.zeros((1, 5, 5), dtype=np.int64), 2)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

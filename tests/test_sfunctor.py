@@ -32,8 +32,7 @@ def crafted():
 
 def elem_of(S, mat):
     lm = LinearMap.from_array(mat, S.p)
-    S._table(lm.cols)
-    return sf.SElement(lm.cols, S._index[lm.cols][lm.data])
+    return next(e for e in S.elements(lm.cols) if S.element_map(e) == lm)
 
 
 def test_validate_representable(SU2):
@@ -615,11 +614,33 @@ BATCHED_CASES = {
 }
 
 
+def composition_oracle(S):
+    """act_table by LinearMap products, each result found by its bytes among
+    enumerate_maps; shares no code with gf.map_stack or gf.map_indices."""
+    if isinstance(S, sf.OrbitFunctor):
+        group = [LinearMap.from_array(g, S.p) for g in S._group_stack]
+    else:
+        group = [LinearMap.identity(S.u_dim, S.p)]
+    classes = {}
+    for d in range(S.cap + 1):
+        label, firsts = {}, []
+        for m in enumerate_maps(S.p, d, S.u_dim):
+            if m.data not in label:
+                for g in group:
+                    label[(g @ m).data] = len(firsts)
+                firsts.append(m)
+        classes[d] = label, firsts
+    return lambda alpha: np.array(
+        [classes[alpha.cols][0][(m @ alpha).data] for m in classes[alpha.rows][1]], dtype=np.int64
+    )
+
+
 @pytest.mark.parametrize("case", BATCHED_CASES)
 def test_batched_act_table_matches_element_loop(case):
     # every map of hom-sets up to 81 maps, rows or cols 0 among them; in
     # larger ones the zero map, the identity and twelve random maps
     S = BATCHED_CASES[case]()
+    oracle = composition_oracle(S)
     rng = np.random.default_rng(7)
     for rows in range(S.cap + 1):
         for cols in range(S.cap + 1):
@@ -633,3 +654,4 @@ def test_batched_act_table_matches_element_loop(case):
                 want = sf.SetFunctor._act_table(S, alpha)
                 got = S._act_table(alpha)
                 assert got.dtype == want.dtype and np.array_equal(got, want), alpha
+                assert np.array_equal(want, oracle(alpha)), alpha

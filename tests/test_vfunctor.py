@@ -933,8 +933,9 @@ def test_query_routing_respects_composition(skhom):
     S = skhom.S
     F = tensor_lift(skhom, 2, window=3)
     # two composable non-skeletal morphisms: routed matrices must compose
-    a = ec2.ElObject(2, S._index[2][LinearMap.from_array([[1, 1]], 2).data])
-    b = ec2.ElObject(1, S._index[1][LinearMap.from_array([[1]], 2).data])
+    m_a, m_b = LinearMap.from_array([[1, 1]], 2), LinearMap.from_array([[1]], 2)
+    a = ec2.ElObject(2, next(e.index for e in S.elements(2) if S.element_map(e) == m_a))
+    b = ec2.ElObject(1, next(e.index for e in S.elements(1) if S.element_map(e) == m_b))
     for m1 in ec2.hom_set(S, a, b):
         for m2 in ec2.hom_set(S, b, a):
             comp = m2.map @ m1.map
