@@ -167,7 +167,7 @@ def resolve_functor(sk: elcat.Skeleton, spec: str) -> vfunctor.VecFunctor:
         with open(rest) as fh:
             doc = json.load(fh)
         F = vfunctor.functor_from_json(sk, doc, name=rest)
-        if not F.validate(pair_budget=20_000):
+        if not F.validate():
             raise ValueError(f"{rest}: tables violate the functor laws")
         return F
     raise ValueError(f"unknown functor spec {spec!r}")

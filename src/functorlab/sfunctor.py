@@ -159,9 +159,10 @@ class TableFunctor(SetFunctor):
             key = f"{rows}x{cols}:{encode_entries(LinearMap(p, rows, cols, data))}"
             if max(rows, cols) > cap or len(tab) != self.sizes[rows]:
                 raise InvalidFunctorData(f"pullback table {key} has {len(tab)} entries, not one per element of S({rows})")
-            bad = [i for i in tab if i not in range(self.sizes[cols])]
+            bad = [i for i in tab if type(i) is not int or i not in range(self.sizes[cols])]
             if bad:
-                raise InvalidFunctorData(f"pullback table {key} has an entry that is out of range: {bad[0]}")
+                what = "out of range" if type(bad[0]) is int else "not an int"
+                raise InvalidFunctorData(f"pullback table {key} has an entry that is {what}: {bad[0]!r}")
         self.action = action  # (cols, rows, data) -> tuple of indices
 
     def size(self, d: int) -> int:
@@ -715,13 +716,13 @@ def boxplus(S: SetFunctor, psi: SElement, extra_dim: int, check_unique: bool = F
 # JSON interchange
 
 
-def to_json_dict(S: SetFunctor, map_budget: int = DEFAULT_MAP_BUDGET) -> dict:
+def to_json_dict(S: SetFunctor) -> dict:
     """Materialize the action tables into the sfunctor.json layout."""
     total = sum(
         count_maps(S.p, n, m) for n in range(S.cap + 1) for m in range(S.cap + 1)
     )
-    if total > map_budget:
-        raise BudgetExceeded("maps", total, map_budget)
+    if total > DEFAULT_MAP_BUDGET:
+        raise BudgetExceeded("maps", total, DEFAULT_MAP_BUDGET)
     action = {}
     for n in range(S.cap + 1):
         for m in range(S.cap + 1):
@@ -741,7 +742,7 @@ def from_json_dict(doc: dict, name: str = "table") -> TableFunctor:
         if not isinstance(doc.get(key), kind):
             raise InvalidFunctorData(f"functor table needs the key {key!r} holding a {kind.__name__}")
     p, cap, sizes = doc["p"], doc["cap"], doc["sets"]
-    if not all(isinstance(n, int) and n >= 0 for n in sizes):
+    if not all(type(n) is int and n >= 0 for n in sizes):
         raise InvalidFunctorData(f"functor table: 'sets' must hold non-negative ints, not {sizes}")
     action = {}
     for key, tab in doc["action"].items():

@@ -15,6 +15,14 @@ natural-transformation spaces as kernels of assembled linear systems.
 Generated subfunctors come from ``gf.closure``, the one closure engine, run
 over the skeleton's generating morphisms; ``p_n`` runs the same engine on
 annihilators, pushing functionals backwards along the transposed generators.
+
+``VecFunctor.validate`` decides the functor laws exactly on the generators:
+identities, and F(g beta) = F(g) F(beta) for each generating morphism g inside
+the window and each beta into its source (proof in its docstring).  The pairs
+(g, beta) grow fast with the window: on the plain base 101, 5,724 and
+1,167,062 at windows 2, 3 and 4, on the rank-one base 142, 6,936 and
+1,289,411.  For a forgetful lift of V, window 3 takes about 0.1 s and window 4
+about 20 s on a 2-core Intel Xeon.
 """
 
 from __future__ import annotations
@@ -180,37 +188,44 @@ class VecFunctor:
 
     # -- validation ------------------------------------------------------------
 
-    def validate(self, pair_budget: int = 200_000, seed: int = 0) -> bool:
-        idxs = self.object_indices()
+    def validate(self) -> bool:
+        """Decide the identity and composition laws on the window, exactly.
+
+        F(id_i) must be the identity at every object i, and F(g beta) =
+        F(g) F(beta) must hold for every generating morphism g: j -> k with
+        both ends inside the window and every beta in hom(i, j), i inside the
+        window.
+
+        Proof that this covers every composite alpha beta inside the window:
+        alpha: (r, v) -> (r', v') is [[f, 0], [c, h]] with f injective (as
+        ``elcat.check_injectivity`` certifies), so alpha = s diag(1, P iota)
+        diag(f, 1) diag(1, pi Q).  Here s is a shear of (r', v') (f has a
+        left inverse), and h = P iota pi Q has rank t, with P, Q invertible,
+        pi: F^v -> F^t dropping coordinates and iota: F^t -> F^v' including.
+        The factors pass through (r, t) and (r', t), inside the window as t
+        <= min(v, v'), and each is a word in the generators there: s in the
+        elementary shears, P and Q in the elementary invertibles (they
+        generate the finite group GL, hence also as a monoid), pi and iota in
+        the one-step projections and inclusions, and diag(f, 1) is a class
+        morphism or an automorphism.  By induction
+        on the word length: the empty word is an identity, covered by the
+        identity law, and for alpha = g alpha' the generator check at alpha'
+        beta, the induction hypothesis and the generator check at alpha' give
+        F(alpha beta) = F(g) F(alpha' beta) = F(g) F(alpha') F(beta) =
+        F(alpha) F(beta).
+        """
+        sk, idxs = self.sk, self.object_indices()
         for i in idxs:
-            ident = self.sk.identity(i)
-            if not np.array_equal(self.mat(i, i, ident), np.eye(self.dim(i), dtype=np.int64)):
+            if not np.array_equal(self.mat(i, i, sk.identity(i)), np.eye(self.dim(i), dtype=np.int64)):
                 return False
-        total = 0
-        for i in idxs:
-            for j in idxs:
-                nij = len(self.sk.hom(i, j))
-                for k in idxs:
-                    total += nij * len(self.sk.hom(j, k))
-        exhaustive = total <= pair_budget
-        rng = np.random.default_rng(seed)
-        for i in idxs:
-            for j in idxs:
-                homs1 = self.sk.hom(i, j)
-                for k in idxs:
-                    homs2 = self.sk.hom(j, k)
-                    if exhaustive:
-                        it = itertools.product(homs1, homs2)
-                    else:
-                        count = max(1, pair_budget // max(1, len(idxs) ** 3))
-                        it = (
-                            (homs1[int(rng.integers(0, len(homs1)))], homs2[int(rng.integers(0, len(homs2)))])
-                            for _ in range(min(count, len(homs1) * len(homs2)))
-                        )
-                    for a, b in it:
-                        lhs = (self.mat(j, k, b) @ self.mat(i, j, a)) % self.p
-                        if not np.array_equal(lhs, self.mat(i, k, b @ a)):
-                            return False
+        for j, k, g in sk.generating_morphisms():
+            if sk.objects[j].dim > self.window or sk.objects[k].dim > self.window:
+                continue
+            Fg = self.mat(j, k, g)
+            for i in idxs:
+                for beta in sk.hom(i, j):
+                    if not np.array_equal(Fg @ self.mat(i, j, beta) % self.p, self.mat(i, k, g @ beta)):
+                        return False
         return True
 
 
@@ -1068,11 +1083,14 @@ def functor_to_json(F: VecFunctor, map_budget: int = 1 << 20) -> dict:
 def functor_from_json(sk: Skeleton, doc: dict, name: str = "loaded") -> VecFunctor:
     if not isinstance(doc, dict):
         raise ValueError(f"functor document: expected a JSON object, found a {type(doc).__name__}")
-    if missing := sorted({"window", "dims", "maps"} - doc.keys()):
+    if missing := sorted({"p", "window", "dims", "maps"} - doc.keys()):
         raise ValueError(f"functor document lacks the key(s) {missing}")
     for key, kind, what in (("window", int, "an int"), ("dims", list, "a list"), ("maps", dict, "an object")):
         if not isinstance(doc[key], kind):
             raise ValueError(f"functor document: {key!r} must hold {what}")
+    p = sk.p
+    if type(doc["p"]) is not int or doc["p"] != p:
+        raise ValueError(f"functor document: 'p' is {doc['p']!r}, but the skeleton is over p = {p}")
 
     def index(obj, where):
         if obj not in sk.index:
@@ -1094,8 +1112,14 @@ def functor_from_json(sk: Skeleton, doc: dict, name: str = "loaded") -> VecFunct
         j = index(tuple(int(x) for x in dst.split(",")), f"map {key}")
         if not {i, j} <= dims.keys():
             raise ValueError(f"map {key} names an object that has no dims row")
-        gamma = decode_entries(digits, sk.objects[j].dim, sk.objects[i].dim, sk.p)
-        table[(i, j, gamma.data)] = np.asarray(mat, dtype=np.int64).reshape(dims[j], dims[i])
+        gamma = decode_entries(digits, sk.objects[j].dim, sk.objects[i].dim, p)
+        rows, cols = dims[j], dims[i]
+        if not (isinstance(mat, list) and len(mat) == rows and all(
+            isinstance(row, list) and len(row) == cols and all(type(x) is int and 0 <= x < p for x in row)
+            for row in mat
+        )):
+            raise ValueError(f"map {key} must hold a {rows}x{cols} matrix of ints in 0..{p - 1}")
+        table[(i, j, gamma.data)] = np.array(mat, dtype=np.int64).reshape(rows, cols)
 
     def rule(i, j, gamma):
         if (i, j, gamma.data) not in table:

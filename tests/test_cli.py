@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -420,9 +421,11 @@ def test_missing_map_table_exit_2(tmp_path, capsys):
         (lambda doc: {**doc, "sets": [1, "2", 4]}, "'sets' must hold non-negative ints"),
         (lambda doc: {"type": "representable", "U_dim": 1, "p": "2"}, "p = '2' is not prime"),
         (lambda doc: {"type": "representable", "U_dim": 1, "cap": "2"}, "needs a non-negative int cap, not '2'"),
+        (lambda doc: doc["action"]["1x1:1"].__setitem__(1, 1.0), "pullback table 1x1:1 has an entry that is not an int: 1.0"),
+        (lambda doc: {**doc, "sets": [True, 2, 4]}, "'sets' must hold non-negative ints"),
     ],
     ids=["entry-not-a-list", "no-sets", "top-level-list", "spec-without-type", "spec-without-u-dim",
-         "sets-entry-not-an-int", "spec-p-not-an-int", "spec-cap-not-an-int"],
+         "sets-entry-not-an-int", "spec-p-not-an-int", "spec-cap-not-an-int", "entry-a-float", "sets-entry-a-bool"],
 )
 def test_malformed_set_functor_json_exit_2(tmp_path, capsys, edit, reason):
     # a layout other than sfunctor.json's is an input error, exit 2, not a
@@ -453,9 +456,15 @@ def test_malformed_set_functor_json_exit_2(tmp_path, capsys, edit, reason):
          "has no map 0,0->0,0:"),
         (lambda doc: {**doc, "window": "2"}, "'window' must hold an int"),
         (lambda doc: {**doc, "maps": []}, "'maps' must hold an object"),
+        *[(lambda doc, x=x: {**doc, "maps": {**doc["maps"], "0,1->0,1:1": [[x]]}},
+           "map 0,1->0,1:1 must hold a 1x1 matrix of ints in 0..1") for x in (1.0, 1.9, True, 3, -1)],
+        (lambda doc: {k: v for k, v in doc.items() if k != "p"}, "functor document lacks the key(s) ['p']"),
+        (lambda doc: {**doc, "p": 3}, "'p' is 3, but the skeleton is over p = 2"),
     ],
     ids=["dims-row-outside-skeleton", "no-dims", "map-object-without-dims-row", "dims-row-without-class",
-         "dim-not-an-int", "top-level-list", "missing-map", "window-not-an-int", "maps-not-an-object"],
+         "dim-not-an-int", "top-level-list", "missing-map", "window-not-an-int", "maps-not-an-object",
+         "entry-a-float", "entry-a-fraction", "entry-a-bool", "entry-above-p", "entry-negative", "no-p",
+         "p-of-another-skeleton"],
 )
 def test_malformed_vfunctor_json_exit_2(tmp_path, capsys, edit, reason):
     # each layout error exits 2 with its reason, not a traceback with exit 1
@@ -468,6 +477,25 @@ def test_malformed_vfunctor_json_exit_2(tmp_path, capsys, edit, reason):
     argv = ["--builtin", "representable", "--u-dim", "1", "--cap", "2", "degree", "--functor", f"file:{path}"]
     assert cli.main(argv) == 2
     assert reason in capsys.readouterr().err
+
+
+def test_vfunctor_json_violating_the_laws_exit_2(tmp_path, capsys):
+    # single-entry flips of a valid file; the sampled check that validate made
+    # before it decided on generators accepted the first flip, among others
+    from functorlab import elcat, sfunctor, vfunctor
+
+    sk = elcat.Skeleton(sfunctor.RepresentableFunctor(2, 1, 3))
+    doc = vfunctor.functor_to_json(vfunctor.forgetful_lift(sk, vfunctor.TensorPower(1, 2)))
+    entries = [(key, r, c) for key, mat in doc["maps"].items() for r in range(len(mat)) for c in range(len(mat[r]))]
+    flips = [("0,3->0,3:0.0.1.0.1.1.0.0.1", 0, 0), *random.Random(0).sample(entries, 8)]
+    path = tmp_path / "F.json"
+    argv = ["--builtin", "representable", "--u-dim", "1", "--cap", "3", "degree", "--functor", f"file:{path}"]
+    for key, r, c in flips:
+        flipped = json.loads(json.dumps(doc))
+        flipped["maps"][key][r][c] ^= 1
+        path.write_text(json.dumps(flipped))
+        assert cli.main(argv) == 2, (key, r, c)
+        assert "tables violate the functor laws" in capsys.readouterr().err
 
 
 def _simples_payload(tmp_path, argv, seed):

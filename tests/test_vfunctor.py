@@ -34,7 +34,7 @@ def tensor_lift(sk, n, window=None):
 def test_forgetful_lift_dims(plain):
     T1 = tensor_lift(plain, 1)
     assert [d for (_, _, d) in T1.dims_list()] == [0, 1, 2, 3, 4]
-    assert T1.validate(pair_budget=5000)
+    assert T1.validate()
 
 
 def test_injective_cogen_dims_match_hom_counts(skhom):
@@ -69,7 +69,51 @@ def test_injective_cogen_factorization(skhom):
 
 def test_projective_gen_covariant(skhom):
     P = vf.projective_gen(skhom, skhom.index[(1, 0)], window=2)
-    assert P.validate(pair_budget=5000)
+    assert P.validate()
+
+
+def oracle_validate(F):
+    """The functor laws on every composable pair of morphisms inside the
+    window, the triple loop that validate ran before it checked generators."""
+    sk, idxs = F.sk, F.object_indices()
+    if not all(np.array_equal(F.mat(i, i, sk.identity(i)), np.eye(F.dim(i), dtype=np.int64)) for i in idxs):
+        return False
+    return all(
+        np.array_equal(F.mat(j, k, b) @ F.mat(i, j, a) % F.p, F.mat(i, k, b @ a))
+        for i, j, k in itertools.product(idxs, repeat=3)
+        for a in sk.hom(i, j)
+        for b in sk.hom(j, k)
+    )
+
+
+def test_validate_matches_triple_loop(plain, skhom):
+    # functors at windows below their skeleton's, so the generators are cut
+    G = vf.aut_sigma_group(skhom, 1, 2)
+    M = vf.sigma_functor_from_module(skhom, 1, 2, mr.regular_module(G, 2))
+    functors = [
+        tensor_lift(plain, 1, window=2),
+        tensor_lift(skhom, 2, window=2),
+        vf.injective_cogen(skhom, skhom.index[(1, 1)], window=2),
+        vf.projective_gen(skhom, skhom.index[(1, 0)], window=2),
+        vf.tensor_sigma_n(skhom, M, 2, window=2),
+    ]
+    for F in functors:
+        assert F.validate() and oracle_validate(F), F.name
+
+
+def test_validate_matches_triple_loop_on_single_entry_flips():
+    sk = ec.Skeleton(sf.RepresentableFunctor(2, 1, 2))
+    doc = vf.functor_to_json(tensor_lift(sk, 1))
+    rejected = 0
+    for key, mat in doc["maps"].items():
+        for r, c in itertools.product(range(len(mat)), range(len(mat[0]) if mat else 0)):
+            flipped = {**doc, "maps": {**doc["maps"], key: [row[:] for row in mat]}}
+            flipped["maps"][key][r][c] ^= 1
+            F = vf.functor_from_json(sk, flipped)
+            ok = F.validate()
+            assert ok == oracle_validate(F), (key, r, c)
+            rejected += not ok
+    assert rejected == sum(len(row) for mat in doc["maps"].values() for row in mat)
 
 
 # -- difference functor --------------------------------------------------------
@@ -948,7 +992,7 @@ def test_function_space_lift(plain):
     # finite window, and the difference dims follow rank-nullity
     I1 = vf.forgetful_lift(plain, vf.FunctionSpace(1, 2), window=3)
     assert [I1.dim(plain.index[(0, v)]) for v in range(4)] == [1, 2, 4, 8]
-    assert I1.validate(pair_budget=3000)
+    assert I1.validate()
     deg, _ = vf.polynomial_degree(I1)
     assert deg is None
     # restriction of functions along an injection of hom-sets is onto
