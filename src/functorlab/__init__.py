@@ -1,53 +1,3 @@
 """functorlab: exact functor-category computations over prime fields."""
 
-from .gf import (
-    BudgetExceeded,
-    LinearMap,
-    Subspace,
-    enumerate_invertibles,
-    enumerate_maps,
-    enumerate_subspaces,
-    gaussian_binomial,
-    kernel_space,
-    pivot_complement,
-    preimage,
-)
-from .sfunctor import (
-    OrbitFunctor,
-    RepresentableFunctor,
-    SElement,
-    SetFunctor,
-    SubspaceFunctor,
-    boxplus,
-    check_noetherian,
-    check_weak_noetherian,
-    kernel_of,
-    regular_set,
-    tilde,
-    validate,
-)
-from .elcat import ElMorphism, ElObject, Skeleton, build_rector_skeleton, decompose, hom_set
-from .vfunctor import (
-    VecFunctor,
-    cross_effect,
-    delta_bar,
-    forgetful_lift,
-    injective_cogen,
-    p_n,
-    polynomial_degree,
-    projective_gen,
-    tensor_sigma_n,
-)
-from .modrep import (
-    FiniteGroup,
-    GroupModule,
-    Partition,
-    epsilon_lambda,
-    epsilon_lambda_tensor,
-    iso_modules,
-    p_regular_partitions,
-    simple_modules,
-)
-from .simples import certify_simple, enumerate_simples, support_check, verify_quotient_equivalence
-
 __version__ = "0.1.0"

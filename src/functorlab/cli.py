@@ -2,7 +2,11 @@
 
 Exit codes: 0 for a certificate or successful run, 1 when a counterexample
 was found (the witness is in the report), 2 for budget or input errors and
-when the splitting search gives up.
+when the splitting search gives up.  The exceptions behind exit 2 live in
+``gf`` (``BudgetExceeded``, ``WindowExceeded``, ``SplittingFailure``) and
+``sfunctor`` (``InvalidFunctorData``), beside ``ValueError`` and ``OSError``.
+Importing this module loads ``gf``, ``sfunctor``, ``elcat`` and ``report``;
+handlers import ``vfunctor``, ``modrep`` and ``simples`` when they run.
 """
 
 from __future__ import annotations
@@ -13,9 +17,8 @@ import sys
 
 import numpy as np
 
-from . import elcat, modrep, report, sfunctor, simples, vfunctor
-from .gf import BudgetExceeded, LinearMap, check_prime, restrict, rref
-from .vfunctor import WindowExceeded
+from . import elcat, report, sfunctor
+from .gf import BudgetExceeded, LinearMap, SplittingFailure, WindowExceeded, check_prime, restrict, rref
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -58,6 +61,24 @@ def _non_negative_list(length: int | None = None):
         return values
 
     return parse
+
+
+def _spec_ints(spec: str, what: str, parse):
+    """The ints after the colon of a --group or --functor spec, read by an argparse type."""
+    try:
+        return parse(spec.partition(":")[2])
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{what} {exc}") from None
+
+
+def _check_group_order(aut_order: int, n: int, budget: int) -> None:
+    """Reject Aut x Sym(n) over the budget before its multiplication table is built."""
+    order = aut_order
+    for k in range(2, n + 1):  # stops early, so a huge n costs nothing
+        order *= k
+        if order > budget:
+            shown = order if k == n else f"at least {order}"
+            raise ValueError(f"group order {shown} exceeds budget {budget}")
 
 
 def _add_common(ap: argparse.ArgumentParser, suppress: bool):
@@ -144,16 +165,16 @@ def resolve_set_functor(args) -> sfunctor.SetFunctor:
 
 
 def resolve_functor(sk: elcat.Skeleton, spec: str) -> vfunctor.VecFunctor:
+    from . import modrep, vfunctor
+
     kind, _, rest = spec.partition(":")
     if kind == "tensor":
-        n = int(rest or 1)
-        if n < 0:
-            raise ValueError(f"tensor power {n} is negative")
+        n = _spec_ints(spec, "tensor power", _non_negative) if rest else 1
         return vfunctor.forgetful_lift(sk, vfunctor.TensorPower(n, sk.p))
     if kind == "constant":
         return vfunctor.constant_functor(sk, int(rest or 1))
     if kind == "cogen":
-        r, v = (int(x) for x in rest.split(","))
+        r, v = _spec_ints(spec, "cogen object", _non_negative_list(2))
         return vfunctor.injective_cogen(sk, _object_index(sk, r, v))
     if kind == "symmetrizer":
         parts = tuple(int(x) for x in rest.split(","))
@@ -253,6 +274,8 @@ def run_rector(args) -> tuple[dict, int]:
 
 
 def run_degree(args) -> tuple[dict, int]:
+    from . import vfunctor
+
     S = resolve_set_functor(args)
     sk = elcat.Skeleton(S, budget=args.budget_maps)
     F = resolve_functor(sk, args.functor)
@@ -277,6 +300,8 @@ def _dims_rows(F) -> list[dict]:
 
 
 def run_delta(args) -> tuple[dict, int]:
+    from . import vfunctor
+
     S = resolve_set_functor(args)
     sk = elcat.Skeleton(S, budget=args.budget_maps)
     F = resolve_functor(sk, args.functor)
@@ -295,6 +320,8 @@ def run_delta(args) -> tuple[dict, int]:
 
 
 def run_cross_effect(args) -> tuple[dict, int]:
+    from . import vfunctor
+
     S = resolve_set_functor(args)
     sk = elcat.Skeleton(S, budget=args.budget_maps)
     F = resolve_functor(sk, args.functor)
@@ -315,13 +342,22 @@ def run_cross_effect(args) -> tuple[dict, int]:
 
 
 def run_simples_of_group(args) -> tuple[dict, int]:
-    kind, _, rest = args.group.partition(":")
+    from . import modrep
+
+    kind = args.group.partition(":")[0]
     if kind == "sym":
-        G = modrep.FiniteGroup.symmetric(int(rest))
+        n = _spec_ints(args.group, "symmetric degree", _non_negative)
+        _check_group_order(1, n, args.budget_group)
+        G = modrep.FiniteGroup.symmetric(n)
     elif kind == "autsym":
-        rclass, n = (int(x) for x in rest.split(","))
+        from . import vfunctor
+
+        rclass, n = _spec_ints(args.group, "autsym class and degree", _non_negative_list(2))
         S = resolve_set_functor(args)
         sk = elcat.Skeleton(S, budget=args.budget_maps)
+        if rclass >= len(sk.rector.classes):
+            raise ValueError(f"the skeleton has no regular class {rclass} (it has {len(sk.rector.classes)})")
+        _check_group_order(len(sk.rector.aut_groups[rclass]), n, args.budget_group)
         G = vfunctor.aut_sigma_group(sk, rclass, n)
     else:
         raise ValueError(f"unknown group spec {args.group!r}")
@@ -339,6 +375,8 @@ def run_simples_of_group(args) -> tuple[dict, int]:
 
 
 def run_enumerate_simples(args) -> tuple[dict, int]:
+    from . import simples
+
     S = resolve_set_functor(args)
     sk = elcat.Skeleton(S, budget=args.budget_maps)
     descs = simples.enumerate_simples(sk, args.n_max, seed=args.seed, group_budget=args.budget_group)
@@ -347,6 +385,8 @@ def run_enumerate_simples(args) -> tuple[dict, int]:
 
 
 def run_verify_theorems(args) -> tuple[dict, int]:
+    from . import modrep, simples, vfunctor
+
     S = resolve_set_functor(args)
     sk = elcat.Skeleton(S, budget=args.budget_maps)
     suites: dict[str, bool] = {}
@@ -476,7 +516,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         body, code = HANDLERS[args.command](args)
-    except (BudgetExceeded, WindowExceeded, modrep.SplittingFailure, sfunctor.InvalidFunctorData,
+    except (BudgetExceeded, WindowExceeded, SplittingFailure, sfunctor.InvalidFunctorData,
             ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR

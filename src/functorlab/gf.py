@@ -13,6 +13,10 @@ suite checks them against each other.
 ``closure`` is the one closure engine: the smallest family of subspaces that
 contains given vectors and is closed under a set of linear maps between them.
 Generated subfunctors and module spins both run on it.
+
+``BudgetExceeded``, ``WindowExceeded`` and ``SplittingFailure``, the errors
+that end a CLI run with exit 2, live here, so callers catch them without
+loading the layers that raise them.
 """
 
 from __future__ import annotations
@@ -48,6 +52,14 @@ class BudgetExceeded(RuntimeError):
         self.budget_name = budget_name
         self.needed = needed
         self.allowed = allowed
+
+
+class WindowExceeded(RuntimeError):
+    """A query needs functor values outside the stored window."""
+
+
+class SplittingFailure(RuntimeError):
+    """The seeded search for a splitting element did not converge."""
 
 
 def is_prime(p: int) -> bool:

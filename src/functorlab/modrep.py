@@ -32,6 +32,7 @@ import numpy as np
 from .gf import (
     SCAN_BUDGET,
     LinearMap,
+    SplittingFailure,
     closure,
     intertwiner_space,
     nonzero_combinations,
@@ -44,10 +45,6 @@ from .gf import (
 
 DEFAULT_GROUP_BUDGET = 1000
 MAX_TRIES = 60  # draws of theta before find_invariant_subspace gives up
-
-
-class SplittingFailure(RuntimeError):
-    """The seeded search for a splitting element did not converge."""
 
 
 # ---------------------------------------------------------------------------

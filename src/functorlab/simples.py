@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import SCAN_BUDGET, nonzero_combinations, nullspace, rref, spans_invertible
+from .gf import SCAN_BUDGET, WindowExceeded, nonzero_combinations, nullspace, rref, spans_invertible
 from .elcat import Skeleton
 from .modrep import (
     FiniteGroup,
@@ -38,7 +38,6 @@ from .modrep import (
 from .vfunctor import (
     SubFunctor,
     VecFunctor,
-    WindowExceeded,
     _closure,
     counit,
     delta_bar_power,

@@ -37,6 +37,7 @@ from .gf import (
     BudgetExceeded,
     LinearMap,
     Subspace,
+    WindowExceeded,
     closure,
     decode_entries,
     encode_entries,
@@ -50,10 +51,6 @@ from .gf import (
 )
 from .elcat import Skeleton, SkObject
 from .modrep import GroupModule, FiniteGroup
-
-
-class WindowExceeded(RuntimeError):
-    """A query needs functor values outside the stored window."""
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +127,8 @@ class VecFunctor:
             raise WindowExceeded(f"window {window} exceeds the skeleton window {sk.window}")
         self.name = name
         self._dims = dims
-        self._rule = rule
+        if rule is not None:  # a subclass passes None and defines _rule as a method
+            self._rule = rule
         self._cache: dict = {}
 
     # -- structure -----------------------------------------------------------
@@ -823,7 +821,7 @@ class TensorSigma(VecFunctor):
             pr, se = self._build_quotient(sk, o)
             self._proj[o.index], self._sect[o.index] = pr, se
             dims[o.index] = pr.shape[0]
-        super().__init__(sk, window, dims, self._tensor_rule, name=f"T^{n}(x){M.name}")
+        super().__init__(sk, window, dims, None, name=f"T^{n}(x){M.name}")
 
     def _build_quotient(self, sk: Skeleton, o: SkObject):
         p = sk.p
@@ -854,7 +852,7 @@ class TensorSigma(VecFunctor):
         pr, se = proj_with_kernel(space)
         return pr.arr, se.arr
 
-    def _tensor_rule(self, i, j, gamma):
+    def _rule(self, i, j, gamma):
         sk = self.sk
         f, g, h, zero = sk.blocks(i, j, gamma)
         if not zero:

@@ -206,14 +206,21 @@ def test_console_entry_point():
 
 def test_import_leaves_sympy_unloaded(tmp_path):
     # numpy is the only dependency: neither the import nor a run that factors
-    # polynomials loads sympy
+    # polynomials loads sympy; the set-functor commands load only the layers
+    # they run, and the exit-2 exceptions are one class wherever imported from
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = (
         "import sys, functorlab.cli\n"
-        "print('sympy' in sys.modules)\n"
+        "vector_layers = ['functorlab.vfunctor', 'functorlab.modrep', 'functorlab.simples']\n"
+        "print('sympy' in sys.modules, any(m in sys.modules for m in vector_layers))\n"
+        "for command in ('rector', 'check-noetherian'):\n"
+        "    code = functorlab.cli.main(['--cap', '3', '--output', sys.argv[1], command])\n"
+        "    print(code, any(m in sys.modules for m in vector_layers))\n"
         "code = functorlab.cli.main(['--p', '3', '--output', sys.argv[1], 'simples-of-group', '--group', 'sym:4'])\n"
         "print(code, 'sympy' in sys.modules)\n"
+        "from functorlab import gf, modrep, vfunctor\n"
+        "print(vfunctor.WindowExceeded is gf.WindowExceeded, modrep.SplittingFailure is gf.SplittingFailure)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "report.json")],
@@ -222,7 +229,7 @@ def test_import_leaves_sympy_unloaded(tmp_path):
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "0", "False"]
+    assert proc.stdout.split() == ["False", "False", "0", "False", "0", "False", "0", "False", "True", "True"]
 
 
 def test_jobs_flag_rejected_at_parse_time(capsys):
@@ -338,6 +345,35 @@ def test_cogen_outside_skeleton_exit_2(capsys):
     code = cli.main(["--cap", "2", "cross-effect", "--functor", "cogen:9,9"])
     assert code == 2
     assert "no object of class 9 with trivial dim 9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (["simples-of-group", "--group", "autsym:9,1"], "the skeleton has no regular class 9 (it has 5)"),
+        (["simples-of-group", "--group", "sym:-2"], "symmetric degree -2 is negative"),
+        (["simples-of-group", "--group", "autsym:0,-1"], "autsym class and degree -1 is negative"),
+        (["degree", "--functor", "cogen:0"], "cogen object '0' is not 2 comma-separated ints"),
+    ],
+    ids=["autsym-class", "sym-negative", "autsym-negative", "cogen-arity"],
+)
+def test_malformed_spec_exit_2(capsys, args, reason):
+    # the ints of --group and --functor specs are read like int flags, and a
+    # class the skeleton lacks is an input error
+    assert cli.main(["--cap", "2", *args]) == 2
+    assert f"error: {reason}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group", ["sym:5", "autsym:0,5"])
+def test_group_over_budget_rejected_before_it_is_built(monkeypatch, capsys, group):
+    from functorlab import modrep
+
+    def built(n):
+        pytest.fail(f"Sym({n}) was built")
+
+    monkeypatch.setattr(modrep.FiniteGroup, "symmetric", staticmethod(built))
+    assert cli.main(["--cap", "2", "--budget-group", "100", "simples-of-group", "--group", group]) == 2
+    assert "error: group order 120 exceeds budget 100\n" in capsys.readouterr().err
 
 
 def test_negative_tensor_power_exit_2(capsys):

@@ -1,6 +1,8 @@
 """Difference calculus, cross effects, polynomial filtration, adjunction."""
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -873,6 +875,22 @@ def test_tensor_sigma_matches_kron_oracle(u_dim, n):
                     zero += got.size == 0
                     nonzero += bool(got.any())
     assert zero and nonzero  # both the empty shortcut and real products ran
+
+
+def test_tensor_sigma_freed_without_the_cycle_collector(skhom):
+    # a balanced tensor holds no reference to itself, so dropping the last
+    # reference frees it and its matrix caches without waiting for gc
+    G = vf.aut_sigma_group(skhom, 1, 2)
+    TM = vf.tensor_sigma_n(skhom, vf.sigma_functor_from_module(skhom, 1, 2, mr.regular_module(G, 2)), 2)
+    i = skhom.index[(1, 2)]
+    assert TM.mat(i, i, skhom.hom(i, i)[0]).size
+    ref = weakref.ref(TM)
+    gc.disable()
+    try:
+        del TM
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_tensor_of_unit_matches_kron_oracle(skhom):
