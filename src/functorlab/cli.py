@@ -172,12 +172,13 @@ def resolve_functor(sk: elcat.Skeleton, spec: str) -> vfunctor.VecFunctor:
         n = _spec_ints(spec, "tensor power", _non_negative) if rest else 1
         return vfunctor.forgetful_lift(sk, vfunctor.TensorPower(n, sk.p))
     if kind == "constant":
-        return vfunctor.constant_functor(sk, int(rest or 1))
+        d = _spec_ints(spec, "constant dimension", _non_negative) if rest else 1
+        return vfunctor.constant_functor(sk, d)
     if kind == "cogen":
         r, v = _spec_ints(spec, "cogen object", _non_negative_list(2))
         return vfunctor.injective_cogen(sk, _object_index(sk, r, v))
     if kind == "symmetrizer":
-        parts = tuple(int(x) for x in rest.split(","))
+        parts = _spec_ints(spec, "symmetrizer partition", _non_negative_list())
         lam = modrep.Partition(parts)
         n = lam.n
         img = modrep.TensorSymmetrizerImage(

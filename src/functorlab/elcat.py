@@ -161,23 +161,21 @@ def check_injectivity(S: SetFunctor, R: RectorSkeleton, budget: int = DEFAULT_MA
     """Every morphism between regular pairs must be injective; returns
     (True, None) or (False, witness).
 
-    Injectivity is invariant under isomorphism, so a lawful functor is decided
-    on the hom-sets between class representatives.  Functors that are not
-    lawful, such as tables, and a reduced check that fails or meets the budget
-    take the loop over all pairs of regular elements, which reports its first
-    witness.
+    Injectivity is invariant under isomorphism, so it is decided on the
+    hom-sets between class representatives.  When that check finds a map that
+    is not injective or meets the budget, the loop over all pairs of regular
+    elements runs and reports its first witness.
     """
-    if S.lawful:
-        try:
-            if all(
-                mor.map.is_injective()
-                for a in R.classes
-                for b in R.classes
-                for mor in hom_set(S, a, b, budget)
-            ):
-                return True, None
-        except BudgetExceeded:
-            pass
+    try:
+        if all(
+            mor.map.is_injective()
+            for a in R.classes
+            for b in R.classes
+            for mor in hom_set(S, a, b, budget)
+        ):
+            return True, None
+    except BudgetExceeded:
+        pass
     regs = [s for d in range(R.cap + 1) for s in regular_set(S, d)]
     for a in regs:
         for b in regs:

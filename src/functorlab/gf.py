@@ -380,7 +380,7 @@ def _pivots(rref_rows: np.ndarray) -> list[int]:
 
 def encode_entries(m: LinearMap) -> str:
     """The entries of m, row-major, as a JSON map-key fragment."""
-    return MAP_KEY_SEP.join(str(x) for x in m.arr.flatten())
+    return MAP_KEY_SEP.join(map(str, m.data))
 
 
 def decode_entries(text: str, rows: int, cols: int, p: int) -> LinearMap:
@@ -390,7 +390,10 @@ def decode_entries(text: str, rows: int, cols: int, p: int) -> LinearMap:
         parts = list(text)
     if len(parts) != rows * cols:
         raise ValueError(f"map key {text!r} does not hold {rows}x{cols} entries")
-    return LinearMap.from_array(np.asarray([int(c) for c in parts], dtype=np.int64).reshape(rows, cols), p)
+    entries = [int(c) for c in parts]
+    if not all(0 <= x < p for x in entries):
+        raise ValueError(f"map key {text!r} has an entry outside 0..{p - 1}")
+    return LinearMap(p, rows, cols, bytes(entries))
 
 
 def row_space_contains(rref_rows: np.ndarray, pivots: list[int], vec: np.ndarray, p: int) -> bool:

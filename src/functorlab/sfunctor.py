@@ -3,40 +3,30 @@
 A ``SetFunctor`` assigns a finite set S(F_p^d) to every dimension d <= cap and
 a pullback map alpha^*: S(F_p^m) -> S(F_p^n) to every linear map
 alpha: F_p^n -> F_p^m.  Elements are addressed as (dim, index) pairs.
+Pullback tables (act_table) are kept per map; the representable and orbit
+functors build each one as a single batched product of all element matrices
+with the map, read back through enumerate_maps order.
 
 validate decides the functor laws exactly, on generators of the category
 (its docstring has the proof); its report holds ``ok``, ``checked_pairs`` and
 the ``witness`` of a failure, and a cap past the map budget raises.
 
-On top of the raw tables sits the kernel calculus: the kernel of an element,
+On top sits one kernel calculus for every functor: the kernel of an element,
 its regular reduction, regularity, the two noetherianity conditions, the
-connected-component splitting and the box-sum of an element with a trivial
-block.
-
-Pullback tables (act_table) are kept per map; the representable and orbit
-functors build each one as a single batched product of all element matrices
-with the map, read back through enumerate_maps order.
-
-The kernel calculus of a lawful functor (one whose identity and composition
-laws hold by construction) reads one boolean matrix per dimension d: which
-elements of S(F_p^d) each line idempotent e_l = sect proj_l fixes.  The kernel
-of s is the span of the lines fixing s (kernel_of's docstring has the proof),
-its regular reduction is sect_u^* s for u = ker s, and the regular elements are
-those no line fixes.  Tables take the table route instead, a factorization
-table built once per dimension: for every subspace u of F_p^d and every t in
-S(F_p^{d - dim u}) it records (u, t) under the element proj_u^* t.  The kernel
-of s is then the largest u recorded under s (with the check that it contains
-every other one), and its regular reduction is the t recorded with that u.
-
-check_weak_noetherian decides a lawful functor on GL-orbit representatives: one
-element per GL_m-orbit of S(m) and one map per image subspace, reporting the
-pair count those cover.  The exhaustive pair loop stays as the table route,
-for functors that are not lawful, and as the witness route, when the reduced
-check finds a violation.
+connected-component splitting and the box-sum with a trivial block.  A functor
+that is not lawful by construction, such as a JSON table, is validated once
+where the calculus starts; InvalidFunctorData names the witness when it fails.
+The calculus reads one boolean matrix per dimension d: which elements of
+S(F_p^d) each line idempotent e_l = sect proj_l fixes.  The kernel of s is the
+span of the lines fixing s (kernel_of's docstring has the proof), its regular
+reduction is sect_u^* s for u = ker s, and the regular elements are those no
+line fixes.  check_weak_noetherian decides on GL-orbit representatives and
+runs the exhaustive pair loop only for the witness of a violation.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -67,7 +57,7 @@ class SElement(NamedTuple):
 
 
 class InvalidFunctorData(RuntimeError):
-    """Raised when tables contradict the functor laws or kernel uniqueness."""
+    """Raised when input is malformed or its pullbacks break the functor laws."""
 
 
 class WeakNoetherianityViolation(RuntimeError):
@@ -81,10 +71,10 @@ class WeakNoetherianityViolation(RuntimeError):
 class SetFunctor:
     """Base class; concrete functors implement size() and _act().
 
-    ``lawful`` says whether the identity and composition laws hold by
-    construction.  The certificates decide on GL-orbit representatives only
-    then; tables and unknown subclasses are unvalidated data and keep the
-    exhaustive loops.
+    ``lawful`` says that the identity and composition laws hold by
+    construction, as for the built-ins and the unions and components built
+    from them, so no validation is needed.  The kernel calculus validates
+    any other functor once and sets ``lawful`` on it when validate passes.
     """
 
     lawful = False
@@ -96,7 +86,6 @@ class SetFunctor:
         self._act_cache: dict = {}
         self._table_cache: dict = {}
         self._kernel_cache: dict[SElement, Subspace] = {}
-        self._factor_table: dict[int, list[list[tuple[Subspace, SElement]]]] = {}
         self._fixed_lines: dict[int, tuple[list[Subspace], np.ndarray]] = {}
 
     def size(self, d: int) -> int:
@@ -156,7 +145,7 @@ class TableFunctor(SetFunctor):
         if len(self.sizes) != cap + 1:
             raise InvalidFunctorData("need one set size per dimension 0..cap")
         for (cols, rows, data), tab in action.items():
-            key = f"{rows}x{cols}:{encode_entries(LinearMap(p, rows, cols, data))}"
+            key = _map_key(LinearMap(p, rows, cols, data))
             if max(rows, cols) > cap or len(tab) != self.sizes[rows]:
                 raise InvalidFunctorData(f"pullback table {key} has {len(tab)} entries, not one per element of S({rows})")
             bad = [i for i in tab if type(i) is not int or i not in range(self.sizes[cols])]
@@ -171,9 +160,7 @@ class TableFunctor(SetFunctor):
     def _act(self, alpha: LinearMap, s: int) -> int:
         tab = self.action.get((alpha.cols, alpha.rows, alpha.data))
         if tab is None:
-            raise InvalidFunctorData(
-                f"the table has no pullback along the map {alpha.rows}x{alpha.cols}:{encode_entries(alpha)}"
-            )
+            raise InvalidFunctorData(f"the table has no pullback along the map {_map_key(alpha)}")
         return tab[s]
 
 
@@ -372,64 +359,82 @@ def validate(S: SetFunctor) -> ValidationReport:
     hypothesis and the generator check at alpha' give (alpha beta)^* =
     (alpha' beta)^* g^* = beta^* alpha'^* g^* = beta^* alpha^*.
 
+    The betas of one g and n are checked at once: row k of blocks[n, m] is
+    the table along the k-th map F^n -> F^m in enumerate_maps order, stored
+    in the narrowest signed type that holds the indices of S(n).
+
     BudgetExceeded is raised before any pair is checked when F^cap -> F^cap
     has more maps than the default map budget.
     """
-    for d in range(S.cap + 1):
+    dims = range(S.cap + 1)
+    for d in dims:
         moved = np.flatnonzero(S.act_table(LinearMap.identity(d, S.p)) != np.arange(S.size(d)))
         if moved.size:
             return ValidationReport(False, 0, ("identity", d, int(moved[0])))
     largest = count_maps(S.p, S.cap, S.cap)
     if largest > DEFAULT_MAP_BUDGET:
         raise BudgetExceeded("maps", largest, DEFAULT_MAP_BUDGET)
+    blocks = {}
+    for n in dims:
+        for m in dims:
+            block = blocks[n, m] = np.empty((count_maps(S.p, n, m), S.size(m)), np.min_scalar_type(-S.size(n)))
+            for k, beta in enumerate(enumerate_maps(S.p, n, m)):
+                block[k] = S._act_table(beta)
     checked = 0
-    for d in range(S.cap + 1):
+    for d in dims:
         gens = elementary_invertibles(S.p, d)
         if d < S.cap:
             eye = np.eye(d + 1, dtype=np.int64)
             gens += [LinearMap.from_array(eye[:d], S.p), LinearMap.from_array(eye[:, :d], S.p)]
         for g in gens:
             t_g = S.act_table(g)
-            for n in range(S.cap + 1):
-                for beta in enumerate_maps(S.p, n, g.cols):
-                    checked += 1
-                    lhs = S.act_table(beta)[t_g]
-                    rhs = S.act_table(g @ beta)
-                    if not np.array_equal(lhs, rhs):
-                        bad = int(np.nonzero(lhs != rhs)[0][0])
-                        return ValidationReport(False, checked, (g, beta, SElement(g.rows, bad)))
+            for n in dims:
+                betas = map_stack(S.p, n, g.cols)
+                lhs = blocks[n, g.cols][:, t_g]
+                rhs = blocks[n, g.rows][map_indices(g.arr @ betas % S.p, S.p)]
+                bad = np.flatnonzero((lhs != rhs).any(axis=1))
+                if bad.size:
+                    k = int(bad[0])
+                    s = SElement(g.rows, int(np.flatnonzero(lhs[k] != rhs[k])[0]))
+                    return ValidationReport(False, checked + k + 1, (g, LinearMap.from_array(betas[k], S.p), s))
+                checked += len(betas)
     return ValidationReport(True, checked)
+
+
+def _require_laws(S: SetFunctor) -> None:
+    """The gate of the kernel calculus: a functor that is not lawful by
+    construction is validated, once, and marked lawful when it passes;
+    InvalidFunctorData names the witness when it does not."""
+    if S.lawful:
+        return
+    rep = validate(S)
+    if not rep.ok:
+        if rep.witness[0] == "identity":
+            _, d, i = rep.witness
+            broken = f"the identity of F^{d} moves element {i} of S({d})"
+        else:
+            g, beta, s = rep.witness
+            broken = (
+                f"pulling element {s.index} of S({s.dim}) back along g = {_map_key(g)} and then along "
+                f"beta = {_map_key(beta)} differs from pulling it back along g beta = {_map_key(g @ beta)}"
+            )
+        raise InvalidFunctorData(f"{S.name} is not a functor: {broken}")
+    S.lawful = True
 
 
 # ---------------------------------------------------------------------------
 # kernel calculus
 
 
-def _factorizations(S: SetFunctor, d: int) -> list[list[tuple[Subspace, SElement]]]:
-    """For each s in S(d), every (u, t) with proj_u^* t = s, where proj_u is
-    the canonical projection along u; u in enumerate_subspaces order, then t
-    in element order.  Built in one pass per dimension and kept on S."""
-    table = S._factor_table.get(d)
-    if table is None:
-        table = [[] for _ in range(S.size(d))]
-        for u in enumerate_subspaces(S.p, d):
-            projm, _ = proj_with_kernel(u)
-            for t in S.elements(d - u.dim):
-                idx = S.act(projm, t).index
-                if not 0 <= idx < len(table):
-                    raise InvalidFunctorData(f"pullback of {t} along {projm} is out of range: {idx}")
-                table[idx].append((u, t))
-        S._factor_table[d] = table
-    return table
-
-
 def _fixed_lines(S: SetFunctor, d: int) -> tuple[list[Subspace], np.ndarray]:
     """The lines l of F^d, in enumerate_subspaces order, and the boolean
     matrix whose row for l marks the s in S(d) with e_l^* s = s, where e_l =
     sect proj is the idempotent with kernel l from proj_with_kernel.  Built
-    once per dimension and kept on S; the tables of the e_l are not kept."""
+    once per dimension, after the gate, and kept on S; the tables of the e_l
+    are not kept."""
     hit = S._fixed_lines.get(d)
     if hit is None:
+        _require_laws(S)
         lines = [u for u in enumerate_subspaces(S.p, d) if u.dim == 1]
         ids = np.arange(S.size(d))
         fixed = np.zeros((len(lines), ids.size), dtype=bool)
@@ -444,12 +449,12 @@ def kernel_of(S: SetFunctor, s: SElement) -> Subspace:
     """The unique maximal subspace U with s in the image of the pullback of
     the canonical projection along U.
 
-    On a lawful functor, ker s is the span of the lines l with e_l^* s = s.
-    Proof, by the identity and composition laws.  (1) For any idempotent e =
-    sigma pi with kernel u, where pi: F^d -> F^{d - dim u} is onto and pi
-    sigma = id: if s = pi^* t then e^* s = pi^* (pi sigma)^* t = s, and
-    conversely e^* s = s gives s = pi^* (sigma^* s); and pi^* t = s forces t =
-    (pi sigma)^* t = sigma^* s, the only t.  So whether s factors through a
+    It is the span of the lines l with e_l^* s = s.  Proof, by the identity
+    and composition laws, which hold past the gate in _fixed_lines.  (1) For
+    any idempotent e = sigma pi with kernel u, where pi: F^d -> F^{d - dim u}
+    is onto and pi sigma = id: if s = pi^* t then e^* s = pi^* (pi sigma)^* t
+    = s, and conversely e^* s = s gives s = pi^* (sigma^* s); and pi^* t = s
+    forces t = (pi sigma)^* t = sigma^* s, the only t.  So whether s factors through a
     projection with kernel u depends on u alone, as two such projections
     differ by an invertible.  (2) Factoring subspaces are closed under
     subspaces: pi_u = q pi_v for v inside u.  (3) They are closed under sums:
@@ -459,57 +464,28 @@ def kernel_of(S: SetFunctor, s: SElement) -> Subspace:
     s = s.  (4) So the factoring subspaces are the subspaces of one maximal
     u, the span of the factoring lines, and no two maximal candidates are
     incomparable.
-
-    Functors that are not lawful, such as tables, read the factorization
-    table instead and verify maximality; a pair of incomparable maximal
-    candidates means the tables are not a functor.
     """
     hit = S._kernel_cache.get(s)
-    if hit is not None:
-        return hit
-    if S.lawful:
+    if hit is None:
         lines, fixed = _fixed_lines(S, s.dim)
         vecs = [line.basis_arr[0] for line, f in zip(lines, fixed[:, s.index]) if f]
-        best = Subspace.from_vectors(vecs, S.p, s.dim) if vecs else Subspace.zero(s.dim, S.p)
-    else:
-        candidates = [u for u, _ in _factorizations(S, s.dim)[s.index]]
-        best = max(candidates, key=lambda u: u.dim)
-        for u in candidates:
-            if not best.contains(u):
-                raise InvalidFunctorData(
-                    f"kernel ambiguity at {s}: incomparable maximal factorizations {best} and {u}"
-                )
-    S._kernel_cache[s] = best
-    return best
+        hit = Subspace.from_vectors(vecs, S.p, s.dim) if vecs else Subspace.zero(s.dim, S.p)
+        S._kernel_cache[s] = hit
+    return hit
 
 
 def tilde(S: SetFunctor, s: SElement) -> SElement:
     """The regular reduction: the unique t with proj^* t = s for the canonical
-    projection along ker(s).  On a lawful functor that is sect^* s, by (1) of
-    kernel_of; tables read it from the factorization table."""
-    u = kernel_of(S, s)
-    if S.lawful:
-        t = S.act(proj_with_kernel(u)[1], s)
-    else:
-        matches = [t for v, t in _factorizations(S, s.dim)[s.index] if v == u]
-        if len(matches) != 1:
-            raise InvalidFunctorData(f"expected exactly one reduction of {s}, found {len(matches)}")
-        t = matches[0]
+    projection along ker(s): sect^* s, by (1) of kernel_of."""
+    t = S.act(proj_with_kernel(kernel_of(S, s))[1], s)
     if kernel_of(S, t).dim != 0:
         raise WeakNoetherianityViolation(f"reduction of {s} is not regular")
     return t
 
 
-def is_regular(S: SetFunctor, s: SElement) -> bool:
-    return kernel_of(S, s).dim == 0
-
-
 def regular_set(S: SetFunctor, d: int) -> list[SElement]:
-    """The elements of S(d) with kernel 0; on a lawful functor, those that no
-    line idempotent fixes."""
-    if S.lawful:
-        return [SElement(d, int(i)) for i in np.flatnonzero(~_fixed_lines(S, d)[1].any(axis=0))]
-    return [s for s in S.elements(d) if is_regular(S, s)]
+    """The elements of S(d) with kernel 0: those that no line idempotent fixes."""
+    return [SElement(d, int(i)) for i in np.flatnonzero(~_fixed_lines(S, d)[1].any(axis=0))]
 
 
 @dataclass
@@ -532,19 +508,21 @@ def check_weak_noetherian(S: SetFunctor, budget: int = DEFAULT_MAP_BUDGET) -> We
     runs on the largest affordable window instead and the certificate is
     marked partial, carrying that window.
 
-    The test at (alpha, s) is the test at (g alpha h, (g^{-1})^* s) for g in
-    GL_m and h in GL_n.  So a lawful functor is decided on one s per GL_m-orbit
-    of S(m) and one alpha per image subspace; when that finds a violation, the
-    exhaustive loop runs and reports its first witness.  Functors that are not
-    lawful, such as tables, always take the loop.
+    A functor that is not lawful by construction is validated first, and
+    InvalidFunctorData names the witness when that fails.  The test at (alpha,
+    s) is the test at (g alpha h, (g^{-1})^* s) for g in GL_m and h in GL_n,
+    so it is decided on one s per GL_m-orbit of S(m) and one alpha per image
+    subspace; when that finds a violation, the exhaustive loop runs and
+    reports its first witness.
     """
+    _require_laws(S)
     window = S.cap
     while window > 0 and any(
         count_maps(S.p, n, m) > budget for n in range(window + 1) for m in range(window + 1)
     ):
         window -= 1
     dims = range(window + 1)
-    if S.lawful and _weak_noetherian_on_orbits(S, window):
+    if _weak_noetherian_on_orbits(S, window):
         checked = sum(S.size(m) * count_maps(S.p, n, m) for m in dims for n in dims)
         return WeakNoetherianReport(True, checked, window, None, window < S.cap)
     return _weak_noetherian_loop(S, window, budget)
@@ -716,6 +694,23 @@ def boxplus(S: SetFunctor, psi: SElement, extra_dim: int, check_unique: bool = F
 # JSON interchange
 
 
+def _map_key(m: LinearMap) -> str:
+    """The JSON key of the pullback table along m: RxC:entries."""
+    return f"{m.rows}x{m.cols}:{encode_entries(m)}"
+
+
+def _parse_map_key(key: str, p: int) -> LinearMap:
+    """The map of a key written by _map_key, or with one character per entry;
+    InvalidFunctorData names a malformed key."""
+    match = re.fullmatch(r"([0-9]+)x([0-9]+):([0-9.]*)", key)
+    if match is None:
+        raise InvalidFunctorData(f"map key {key!r} is not of the form RxC:entries")
+    try:
+        return decode_entries(match[3], int(match[1]), int(match[2]), p)
+    except ValueError as exc:
+        raise InvalidFunctorData(f"map key {key!r}: {exc}") from None
+
+
 def to_json_dict(S: SetFunctor) -> dict:
     """Materialize the action tables into the sfunctor.json layout."""
     total = sum(
@@ -727,8 +722,7 @@ def to_json_dict(S: SetFunctor) -> dict:
     for n in range(S.cap + 1):
         for m in range(S.cap + 1):
             for alpha in enumerate_maps(S.p, n, m):
-                key = f"{alpha.rows}x{alpha.cols}:{encode_entries(alpha)}"
-                action[key] = [S.act(alpha, s).index for s in S.elements(m)]
+                action[_map_key(alpha)] = S._act_table(alpha).tolist()
     return {
         "p": S.p,
         "cap": S.cap,
@@ -741,16 +735,16 @@ def from_json_dict(doc: dict, name: str = "table") -> TableFunctor:
     for key, kind in (("p", int), ("cap", int), ("sets", list), ("action", dict)):
         if not isinstance(doc.get(key), kind):
             raise InvalidFunctorData(f"functor table needs the key {key!r} holding a {kind.__name__}")
-    p, cap, sizes = doc["p"], doc["cap"], doc["sets"]
+    p, cap, sizes = check_prime(doc["p"]), doc["cap"], doc["sets"]
     if not all(type(n) is int and n >= 0 for n in sizes):
         raise InvalidFunctorData(f"functor table: 'sets' must hold non-negative ints, not {sizes}")
     action = {}
     for key, tab in doc["action"].items():
         if not isinstance(tab, list):
             raise InvalidFunctorData(f"pullback table {key} is not a list")
-        shape, digits = key.split(":")
-        rows, cols = (int(x) for x in shape.split("x"))
-        lm = decode_entries(digits, rows, cols, p)
+        lm = _parse_map_key(key, p)
+        if (lm.cols, lm.rows, lm.data) in action:
+            raise InvalidFunctorData(f"map key {key!r} names the map {_map_key(lm)} a second time")
         action[(lm.cols, lm.rows, lm.data)] = tuple(tab)
     return TableFunctor(p, cap, sizes, action, name=name)
 

@@ -354,8 +354,15 @@ def test_cogen_outside_skeleton_exit_2(capsys):
         (["simples-of-group", "--group", "sym:-2"], "symmetric degree -2 is negative"),
         (["simples-of-group", "--group", "autsym:0,-1"], "autsym class and degree -1 is negative"),
         (["degree", "--functor", "cogen:0"], "cogen object '0' is not 2 comma-separated ints"),
+        (["degree", "--functor", "constant:-1"], "constant dimension -1 is negative"),
+        (["degree", "--functor", "constant:x"], "constant dimension invalid literal for int() with base 10: 'x'"),
+        (["degree", "--functor", "symmetrizer:x"], "symmetrizer partition invalid literal for int() with base 10: 'x'"),
+        (["degree", "--functor", "symmetrizer:"], "symmetrizer partition invalid literal for int() with base 10: ''"),
     ],
-    ids=["autsym-class", "sym-negative", "autsym-negative", "cogen-arity"],
+    ids=[
+        "autsym-class", "sym-negative", "autsym-negative", "cogen-arity",
+        "constant-negative", "constant-word", "symmetrizer-word", "symmetrizer-empty",
+    ],
 )
 def test_malformed_spec_exit_2(capsys, args, reason):
     # the ints of --group and --functor specs are read like int flags, and a
@@ -435,6 +442,42 @@ def test_malformed_pullback_table_exit_2_at_load(tmp_path, capsys, table, reason
     path = _write_table(tmp_path, sf.RepresentableFunctor(2, 1, 2), lambda action: action.update({"2x1:1.0": table}))
     assert cli.main(["--input", path, "check-noetherian"]) == 2
     assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, reason",
+    [
+        ("1x1", "map key '1x1' is not of the form RxC:entries"),
+        ("ax1:0", "map key 'ax1:0' is not of the form RxC:entries"),
+        ("1x1:0:0", "map key '1x1:0:0' is not of the form RxC:entries"),
+        ("1x1x1:0", "map key '1x1x1:0' is not of the form RxC:entries"),
+        ("2x2:0.1.1", "map key '2x2:0.1.1': map key '0.1.1' does not hold 2x2 entries"),
+        ("1x1:3", "map key '1x1:3': map key '3' has an entry outside 0..1"),
+        ("1x1:01", "map key '1x1:01' names the map 1x1:1 a second time"),
+    ],
+)
+def test_malformed_map_key_exit_2(tmp_path, capsys, key, reason):
+    from functorlab import sfunctor as sf
+
+    path = _write_table(tmp_path, sf.RepresentableFunctor(2, 1, 1), lambda action: action.update({key: [0, 1]}))
+    assert cli.main(["--input", path, "check-noetherian"]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+
+
+@pytest.mark.parametrize("command, code", [("check-noetherian", 2), ("rector", 2), ("degree", 2), ("validate", 1)])
+def test_non_functor_table_refused_by_the_calculus(tmp_path, capsys, command, code):
+    # the identity of F^1 swaps the two elements: validate reports the
+    # witness, exit 1, and every command on the kernel calculus refuses the
+    # input, exit 2, instead of answering about data that is not a functor
+    from functorlab import sfunctor as sf
+
+    path = _write_table(tmp_path, sf.RepresentableFunctor(2, 1, 3), lambda action: action["1x1:1"].reverse())
+    assert cli.main(["--input", path, command]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.err == "error: table is not a functor: the identity of F^1 moves element 0 of S(1)\n"
+    else:
+        assert json.loads(captured.out)["witness"] == ["identity", "1", "0"]
 
 
 def test_missing_map_table_exit_2(tmp_path, capsys):

@@ -142,33 +142,17 @@ def oracle_check_injectivity(S, R, budget=DEFAULT_MAP_BUDGET):
 
 
 class LawfulTable(sf.TableFunctor):
-    """A table declared lawful, so that check_injectivity takes its class route."""
+    """A table declared lawful, so that the gate of the kernel calculus lets
+    it in unvalidated: the one way a non-functor reaches check_injectivity."""
 
     lawful = True
-
-
-def broken_table():
-    """Not a functor: S(0) = {*}, S(1) = {x, y} with y the pullback of * along
-    F^1 -> 0, and the zero endomorphism of F^1 fixing x.  Both * and x are
-    regular, and the zero map is a morphism x -> x that is not injective.  In
-    a functor no such morphism exists: it factors through a projection, which
-    puts its kernel into the kernel of its source."""
-    zero, one = LinearMap.zero(1, 1, 2), LinearMap.identity(1, 2)
-    action = {
-        (0, 0, b""): (0,),
-        (1, 0, b""): (1,),
-        (0, 1, b""): (0, 0),
-        (1, 1, zero.data): (0, 1),
-        (1, 1, one.data): (0, 1),
-    }
-    return sf.TableFunctor(2, 1, [1, 2], action, name="broken")
 
 
 def broken_lawful_table():
     """Not a functor, declared lawful: S(0) = {*}, S(1) = {x, y} with x the
     pullback of * along F^1 -> 0, and the zero endomorphism of F^1 sending x
     to y.  In a functor it would fix x, as it factors through F^1 -> 0.  No
-    line idempotent fixes x, so x is regular on the lawful route, and F^1 ->
+    line idempotent fixes x, so the kernel calculus finds x regular, and F^1 ->
     0 is a morphism x -> * that is not injective."""
     zero, one = LinearMap.zero(1, 1, 2), LinearMap.identity(1, 2)
     action = {
@@ -186,7 +170,6 @@ INJECTIVITY_CASES = {
     "orbit": lambda: sf.OrbitFunctor(2, 2, [LinearMap.from_array([[0, 1], [1, 0]], 2)], 3),
     "subspaces-cap3": lambda: sf.SubspaceFunctor(2, 3),
     "table-roundtrip": lambda: sf.from_json_dict(sf.to_json_dict(sf.RepresentableFunctor(2, 2, 3))),
-    "broken": broken_table,
     "broken-lawful": broken_lawful_table,
 }
 

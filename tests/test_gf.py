@@ -313,6 +313,8 @@ def test_map_key_codec_reads_both_layouts():
     assert decode_entries("", 0, 3, 2) == LinearMap.zero(0, 3, 2)
     with pytest.raises(ValueError):
         decode_entries("0.1.1", 2, 2, 2)
+    with pytest.raises(ValueError, match="has an entry outside 0..10"):
+        decode_entries("0.11.3.1", 2, 2, 11)  # would alias the key 0.0.3.1
 
 
 def test_check_prime_rejects_what_uint8_cannot_store():

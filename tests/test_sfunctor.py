@@ -10,13 +10,14 @@ from functorlab.gf import (
     LinearMap,
     Subspace,
     count_maps,
+    elementary_invertibles,
     enumerate_maps,
     enumerate_subspaces,
     kernel_space,
     preimage,
     proj_with_kernel,
 )
-from functorlab import sfunctor as sf
+from functorlab import elcat as ec, sfunctor as sf
 
 
 @pytest.fixture(scope="module")
@@ -208,7 +209,7 @@ def test_tilde_regular_property_weakly_noetherian(SU2):
     for d in range(SU2.cap + 1):
         for s in SU2.elements(d):
             t = sf.tilde(SU2, s)
-            assert sf.is_regular(SU2, t)
+            assert sf.kernel_of(SU2, t).dim == 0
 
 
 def test_json_roundtrip():
@@ -252,8 +253,8 @@ def test_json_roundtrip_p11():
 
 
 # ---------------------------------------------------------------------------
-# the factorization table and the preimage memo against the per-element
-# searches they replaced, kept here as oracles
+# line idempotents and the preimage memo against the per-element searches
+# they replaced, kept here as oracles
 
 
 def oracle_kernel_of(S, s):
@@ -319,7 +320,8 @@ def ambiguous_table():
     """Not a functor: S = {*}, {a}, {x, y} on dimensions <= 2, where x is the
     pullback of a along the projections by two different lines of F_2^2 but
     not of * along the zero map, so x has two incomparable maximal
-    factorizations.  Only the projections the kernel calculus uses are set."""
+    factorizations.  Only the projections a factorization search uses are
+    set."""
     p = 2
     action = {}
 
@@ -358,7 +360,6 @@ KERNEL_CASES = {
     "union-component-0": lambda: sf.split_components(union())[0],
     "union-component-1": lambda: sf.split_components(union())[1],
     "kernel-mismatch": sf.kernel_mismatch_example,
-    "ambiguous": ambiguous_table,
 }
 
 
@@ -366,42 +367,135 @@ def oracle_regular_set(S, d):
     return [s for s in S.elements(d) if oracle_kernel_of(S, s).dim == 0]
 
 
-@pytest.mark.parametrize("case", KERNEL_CASES)
-def test_kernel_table_matches_element_search(case):
-    # lawful functors read line idempotents, the others the factorization table
-    S, T = KERNEL_CASES[case](), KERNEL_CASES[case]()
+def as_table(S):
+    return sf.from_json_dict(sf.to_json_dict(S), name=f"table({S.name})")
+
+
+def assert_kernels_match_oracle(S, T):
+    """The kernel calculus on S against the element search on T, a second
+    copy of S; every S ends up on the line-idempotent route."""
     for d in range(S.cap + 1):
         assert outcome(sf.regular_set, S, d) == outcome(oracle_regular_set, T, d), d
     for s in S.all_elements():
         assert outcome(sf.kernel_of, S, s) == outcome(oracle_kernel_of, T, s), s
         assert outcome(sf.tilde, S, s) == outcome(oracle_tilde, T, s), s
-    assert (bool(S._fixed_lines), bool(S._factor_table)) == (S.lawful, not S.lawful)
+    assert S.lawful and sorted(S._fixed_lines) == list(range(S.cap + 1))
 
 
-def test_ambiguous_factorization_raises_on_that_element_only():
-    S = ambiguous_table()
-    x, y = sf.SElement(2, 0), sf.SElement(2, 1)
-    assert sf.kernel_of(S, y) == Subspace.full(2, 2)  # the table of S(2) is built without raising
-    assert sf.tilde(S, y) == sf.SElement(0, 0)
-    with pytest.raises(sf.InvalidFunctorData, match="kernel ambiguity"):
-        sf.kernel_of(S, x)
-    with pytest.raises(sf.InvalidFunctorData, match="kernel ambiguity"):
-        sf.tilde(S, x)
-    for s in S.all_elements():
-        if s != x:
-            sf.tilde(S, s)
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_kernel_table_matches_element_search(case):
+    assert_kernels_match_oracle(KERNEL_CASES[case](), KERNEL_CASES[case]())
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_table_kernels_match_element_search(case):
+    # the JSON table of each case passes the gate and reads line idempotents
+    T = as_table(KERNEL_CASES[case]())
+    assert not T.lawful
+    assert_kernels_match_oracle(T, KERNEL_CASES[case]())
 
 
 def test_out_of_range_pullback_fails_loudly():
     T = sf.from_json_dict(sf.to_json_dict(sf.RepresentableFunctor(2, 1, 1)))
     T.action[(1, 0, b"")] = (-1,)  # the zero map F^1 -> F^0 pulls back to index -1
-    with pytest.raises(sf.InvalidFunctorData, match="out of range"):
+    with pytest.raises(sf.InvalidFunctorData, match="table is not a functor: pulling element 0 of S"):
         sf.kernel_of(T, sf.SElement(1, 0))
 
 
+def broken_table():
+    """Not a functor: S(0) = {*}, S(1) = {x, y} with y the pullback of * along
+    F^1 -> 0, and the zero endomorphism of F^1 fixing x.  Both * and x would
+    be regular, and the zero map a morphism x -> x that is not injective.  In
+    a functor no such morphism exists: it factors through a projection, which
+    puts its kernel into the kernel of its source."""
+    zero, one = LinearMap.zero(1, 1, 2), LinearMap.identity(1, 2)
+    action = {
+        (0, 0, b""): (0,),
+        (1, 0, b""): (1,),
+        (0, 1, b""): (0, 0),
+        (1, 1, zero.data): (0, 1),
+        (1, 1, one.data): (0, 1),
+    }
+    return sf.TableFunctor(2, 1, [1, 2], action, name="broken")
+
+
+def swapped_identity_table():
+    """Not a functor: the u-dim 1, cap 3 representable table whose pullback
+    along the identity of F^1 swaps the two elements."""
+    doc = sf.to_json_dict(sf.RepresentableFunctor(2, 1, 3))
+    doc["action"]["1x1:1"].reverse()
+    return sf.from_json_dict(doc)
+
+
+def corrupted_table():
+    """Not a functor: one pullback table along a map F^2 -> F^1 reversed."""
+    doc = sf.to_json_dict(sf.RepresentableFunctor(2, 1, 2))
+    doc["action"]["1x2:0.1"].reverse()
+    return sf.from_json_dict(doc)
+
+
+NON_FUNCTOR_CASES = {
+    "ambiguous": (ambiguous_table, "the table has no pullback along the map 1x0:"),
+    "broken": (
+        broken_table,
+        "broken is not a functor: pulling element 0 of S(1) back along g = 1x0: and then along beta = 0x1:",
+    ),
+    "swapped-identity": (
+        swapped_identity_table,
+        "table is not a functor: the identity of F^1 moves element 0 of S(1)",
+    ),
+    "corrupted": (corrupted_table, "table is not a functor: pulling element 0 of S(0) back along g = 0x1:"),
+}
+
+CALCULUS = {
+    "kernel_of": lambda S: sf.kernel_of(S, sf.SElement(S.cap, 0)),
+    "tilde": lambda S: sf.tilde(S, sf.SElement(S.cap, 0)),
+    "regular_set": lambda S: sf.regular_set(S, 0),
+    "check_weak_noetherian": sf.check_weak_noetherian,
+    "build_rector_skeleton": ec.build_rector_skeleton,
+}
+
+
+@pytest.mark.parametrize("case", NON_FUNCTOR_CASES)
+def test_calculus_refuses_non_functor_tables(case):
+    # every entry to the kernel calculus validates first and refuses, on
+    # every call, instead of answering about data that is not a functor
+    make, reason = NON_FUNCTOR_CASES[case]
+    S = make()
+    for name, run in CALCULUS.items():
+        with pytest.raises(sf.InvalidFunctorData) as err:
+            run(S)
+        assert str(err.value).startswith(reason), name
+        assert not S.lawful and not S._fixed_lines and not S._kernel_cache, name
+    if case != "ambiguous":
+        assert not sf.validate(S).ok
+
+
+def test_table_validated_once_across_the_calculus(monkeypatch):
+    validated = []
+    real = sf.validate
+    monkeypatch.setattr(sf, "validate", lambda S: validated.append(S) or real(S))
+    T = as_table(sf.RepresentableFunctor(2, 1, 3))
+    s = sf.SElement(2, 1)
+    sf.kernel_of(T, s)
+    sf.tilde(T, s)
+    sf.regular_set(T, 3)
+    assert sf.check_weak_noetherian(T).ok
+    sf.check_noetherian(T)
+    R = ec.build_rector_skeleton(T)
+    assert ec.check_injectivity(T, R) == (True, None)
+    ec.Skeleton(T)
+    assert validated == [T] and T.lawful
+    # a lawful functor, and a union of lawful ones, is never validated
+    for S in (sf.RepresentableFunctor(2, 1, 3), sf.disjoint_union(T, T)):
+        sf.regular_set(S, 3)
+        sf.check_weak_noetherian(S)
+    assert validated == [T]
+
+
 class LawfulTable(sf.TableFunctor):
-    """A table declared lawful, so that check_weak_noetherian takes its orbit
-    route on it; only honest for tables that pass validate."""
+    """A table declared lawful, so that the gate lets it in unvalidated; only
+    honest for tables that pass validate."""
 
     lawful = True
 
@@ -430,17 +524,33 @@ WEAK_CASES = {
 }
 
 
+@functools.cache
+def weak_oracle(case):
+    make, budget = WEAK_CASES[case]
+    return oracle_check_weak_noetherian(make(), budget)
+
+
 @pytest.mark.parametrize("case", WEAK_CASES)
 def test_weak_noetherian_matches_element_loop(case):
     make, budget = WEAK_CASES[case]
     got = sf.check_weak_noetherian(make(), budget)
-    want = oracle_check_weak_noetherian(make(), budget)
+    want = weak_oracle(case)
     # dataclass equality: ok, checked, window, witness and partial; the
-    # lawful kernel-mismatch table finds its violation on the orbit route and
-    # must still report the loop's first witness
+    # kernel-mismatch table finds its violation on the orbit route and must
+    # still report the loop's first witness
     assert got == want
     assert got.partial == (case == "representable-small-budget")
     assert got.ok == ("kernel-mismatch" not in case)
+
+
+@pytest.mark.parametrize("case", WEAK_CASES)
+def test_table_weak_noetherian_matches_element_loop(case):
+    # the JSON table of each case passes the gate and takes the orbit route
+    make, budget = WEAK_CASES[case]
+    T = as_table(make())
+    assert not T.lawful
+    assert sf.check_weak_noetherian(T, budget) == weak_oracle(case)
+    assert T.lawful
 
 
 def test_line_idempotent_tables_are_not_kept():
@@ -455,7 +565,7 @@ def test_line_idempotent_tables_are_not_kept():
 
 def test_lawful_follows_construction():
     # builtins are lawful by construction, and so is what is built from them;
-    # a table, or anything built over one, is not
+    # a table, or anything built over one, is not until it passes the gate
     assert all(S.lawful for S in (sf.RepresentableFunctor(2, 1, 2), orbit_u2(), sf.SubspaceFunctor(2, 2)))
     assert union().lawful and all(C.lawful for C in sf.split_components(union()))
     table = table_roundtrip()
@@ -515,6 +625,31 @@ def oracle_validate(S):
     return True
 
 
+def oracle_validate_pairs(S):
+    """validate one pair (g, beta) at a time, on the cached table of each map."""
+    for d in range(S.cap + 1):
+        moved = np.flatnonzero(S.act_table(LinearMap.identity(d, S.p)) != np.arange(S.size(d)))
+        if moved.size:
+            return sf.ValidationReport(False, 0, ("identity", d, int(moved[0])))
+    checked = 0
+    for d in range(S.cap + 1):
+        gens = elementary_invertibles(S.p, d)
+        if d < S.cap:
+            eye = np.eye(d + 1, dtype=np.int64)
+            gens += [LinearMap.from_array(eye[:d], S.p), LinearMap.from_array(eye[:, :d], S.p)]
+        for g in gens:
+            t_g = S.act_table(g)
+            for n in range(S.cap + 1):
+                for beta in enumerate_maps(S.p, n, g.cols):
+                    checked += 1
+                    lhs = S.act_table(beta)[t_g]
+                    rhs = S.act_table(g @ beta)
+                    if not np.array_equal(lhs, rhs):
+                        bad = int(np.nonzero(lhs != rhs)[0][0])
+                        return sf.ValidationReport(False, checked, (g, beta, sf.SElement(g.rows, bad)))
+    return sf.ValidationReport(True, checked)
+
+
 def assert_real_violation(S, witness):
     if witness[0] == "identity":
         _, d, i = witness
@@ -549,6 +684,7 @@ def test_validate_matches_triple_loop(case):
     assert S.cap <= 3
     rep = sf.validate(S)
     assert rep.ok == oracle_validate(S) == (case != "injective-identity")
+    assert rep == oracle_validate_pairs(S)
     if not rep.ok:
         assert_real_violation(S, rep.witness)
 
@@ -574,6 +710,7 @@ def test_validate_matches_triple_loop_on_single_entry_changes(make):
     for T in single_entry_changes(make()):
         rep = sf.validate(T)
         assert rep.ok == oracle_validate(T)
+        assert rep == oracle_validate_pairs(T)  # ok, checked_pairs and witness
         if not rep.ok:
             assert_real_violation(T, rep.witness)
         oks.append(rep.ok)
