@@ -382,9 +382,42 @@ def assert_kernels_match_oracle(S, T):
     assert S.lawful and sorted(S._fixed_lines) == list(range(S.cap + 1))
 
 
-@pytest.mark.parametrize("case", KERNEL_CASES)
+def assert_calculus_refuses_every_element(make, reason):
+    """On a table that is not a functor the kernel calculus answers on no
+    element, also where the element search finds an answer."""
+    S, T = make(), make()
+    searched = [outcome(oracle_kernel_of, T, s) for s in T.all_elements()]
+    assert any(isinstance(u, Subspace) for u in searched)
+    calls = [(sf.regular_set, d) for d in range(S.cap + 1)]
+    calls += [(f, s) for s in S.all_elements() for f in (sf.kernel_of, sf.tilde)]
+    for f, arg in calls:
+        with pytest.raises(sf.InvalidFunctorData) as err:
+            f(S, arg)
+        assert str(err.value).startswith(reason), (f.__name__, arg)
+
+
+@pytest.mark.parametrize("case", [*KERNEL_CASES, "ambiguous"])
 def test_kernel_table_matches_element_search(case):
-    assert_kernels_match_oracle(KERNEL_CASES[case](), KERNEL_CASES[case]())
+    if case in NON_FUNCTOR_CASES:
+        assert_calculus_refuses_every_element(*NON_FUNCTOR_CASES[case])
+    else:
+        assert_kernels_match_oracle(KERNEL_CASES[case](), KERNEL_CASES[case]())
+
+
+def test_ambiguous_factorization_raises_on_that_element_only():
+    # the element search finds the two incomparable maximal factorizations of
+    # x and answers on every other element of the ambiguous table
+    S = ambiguous_table()
+    x, y = sf.SElement(2, 0), sf.SElement(2, 1)
+    assert oracle_kernel_of(S, y) == Subspace.full(2, 2)
+    assert oracle_tilde(S, y) == sf.SElement(0, 0)
+    with pytest.raises(sf.InvalidFunctorData, match="kernel ambiguity"):
+        oracle_kernel_of(S, x)
+    with pytest.raises(sf.InvalidFunctorData, match="kernel ambiguity"):
+        oracle_tilde(S, x)
+    for s in S.all_elements():
+        if s != x:
+            oracle_tilde(S, s)
 
 
 @pytest.mark.parametrize("case", KERNEL_CASES)
