@@ -144,13 +144,19 @@ def build_parser() -> argparse.ArgumentParser:
 # input resolution
 
 
+def _read_json(path: str):
+    """The JSON document in the file path; a syntax error is a ValueError
+    naming path:line:col."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+
+
 def resolve_set_functor(args) -> sfunctor.SetFunctor:
     if args.input:
-        with open(args.input) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{args.input}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        doc = _read_json(args.input)
         if not isinstance(doc, dict):
             raise sfunctor.InvalidFunctorData(f"{args.input}: expected a JSON object, found a {type(doc).__name__}")
         if "action" in doc:
@@ -186,9 +192,7 @@ def resolve_functor(sk: elcat.Skeleton, spec: str) -> vfunctor.VecFunctor:
         )
         return vfunctor.forgetful_lift(sk, img)
     if kind == "file":
-        with open(rest) as fh:
-            doc = json.load(fh)
-        F = vfunctor.functor_from_json(sk, doc, name=rest)
+        F = vfunctor.functor_from_json(sk, _read_json(rest), name=rest)
         if not F.validate():
             raise ValueError(f"{rest}: tables violate the functor laws")
         return F

@@ -29,6 +29,7 @@ from .gf import (
     elementary_invertibles,
     enumerate_maps,
     general_linear,
+    map_slices,
     proj_with_kernel,
 )
 from .sfunctor import (
@@ -55,14 +56,16 @@ class ElMorphism:
 
 
 def hom_set(S: SetFunctor, a: ElObject, b: ElObject, budget: int = DEFAULT_MAP_BUDGET) -> list[ElMorphism]:
-    """All morphisms a -> b, in map enumeration order."""
-    total = count_maps(S.p, a.dim, b.dim)
-    if total > budget:
-        raise BudgetExceeded("maps", total, budget)
+    """All morphisms a -> b, in map enumeration order.
+
+    b is pulled back along one map_slices stack of the maps F^a.dim ->
+    F^b.dim at a time, so memory stays bounded up to the budget; a LinearMap
+    is built only for the maps gamma with gamma^* b = a.
+    """
     out = []
-    for gamma in enumerate_maps(S.p, a.dim, b.dim):
-        if S.act(gamma, b) == a:
-            out.append(ElMorphism(a, b, gamma))
+    for gammas in map_slices(S.p, a.dim, b.dim, budget):
+        for arr in gammas[S._pull(gammas, b.index) == a.index].astype(np.uint8):
+            out.append(ElMorphism(a, b, LinearMap(S.p, b.dim, a.dim, arr.tobytes())))
     return out
 
 
@@ -76,21 +79,11 @@ def decompose(S: SetFunctor, o: ElObject) -> tuple[ElObject, Subspace, ElMorphis
     u = kernel_of(S, o)
     t = tilde(S, o)
     m, k = t.dim, u.dim
-    projm, _ = proj_with_kernel(u)
-    # coordinates of the kernel component relative to the basis of u
-    d = o.dim
-    piv = u.pivots
-    sect_c = np.zeros((d, m), dtype=np.int64)
-    nonpiv = [j for j in range(d) if j not in piv]
-    for jj, c in enumerate(nonpiv):
-        sect_c[c, jj] = 1
+    projm, sect = proj_with_kernel(u)
     # u-component of v is (I - sect proj) v; its coordinates in the RREF basis
     # of u can be read off at the pivot positions
-    q = np.zeros((k, d), dtype=np.int64)
-    resid = (np.eye(d, dtype=np.int64) - sect_c @ projm.arr) % S.p
-    for i, pc in enumerate(piv):
-        q[i] = resid[pc]
-    phi = LinearMap.from_array(np.concatenate([projm.arr, q], axis=0), S.p)
+    resid = (np.eye(o.dim, dtype=np.int64) - sect.arr @ projm.arr) % S.p
+    phi = LinearMap.from_array(np.concatenate([projm.arr, resid[u.pivots]], axis=0), S.p)
     assembled = boxplus(S, t, k)
     target = ElObject(m + k, assembled.index)
     iso = ElMorphism(o, target, phi)
@@ -132,27 +125,27 @@ def build_rector_skeleton(S: SetFunctor, cap: int | None = None, budget: int = D
         if count_maps(S.p, d, d) > budget:
             raise BudgetExceeded("maps", count_maps(S.p, d, d), budget)
         gl = general_linear(S.p, d)
+        gl_stack = np.array([g.arr for g in gl])
         seen: set[SElement] = set()
         for s in regs:
             if s in seen:
                 continue
             # orbit of s: all gamma^* s with gamma invertible
             orbit: dict[SElement, LinearMap] = {}
-            for gamma in gl:
-                orbit.setdefault(S.act(gamma, s), gamma)
+            for gamma, t in zip(gl, S._pull(gl_stack, s.index).tolist()):
+                orbit.setdefault(SElement(d, t), gamma)
             rep = min(orbit)
             cls = len(classes)
             classes.append(rep)
-            aut = [g for g in gl if S.act(g, rep) == rep]
-            auts.append(aut)
-            for member, gamma in orbit.items():
-                seen.add(member)
-                # gamma^* s = member; adjust to an iso member -> rep
-                g_from_rep = orbit[rep]
-                # (g_from_rep)^* s = rep; member -> rep needs w with w^* rep = member
-                w = g_from_rep.inverse() @ gamma
-                if S.act(w, rep) != member:
+            auts.append([g for g, t in zip(gl, S._pull(gl_stack, rep.index).tolist()) if t == rep.index])
+            # (g_from_rep)^* s = rep and gamma^* s = member, so w = g_from_rep^-1
+            # gamma is an iso member -> rep: w^* rep = member
+            g_from_rep_inv = orbit[rep].inverse()
+            ws = [g_from_rep_inv @ gamma for gamma in orbit.values()]
+            for member, w, t in zip(orbit, ws, S._pull(np.array([w.arr for w in ws]), rep.index).tolist()):
+                if t != member.index:
                     raise ValueError(f"the action is not functorial: {w} does not carry {rep} to {member}")
+                seen.add(member)
                 witnesses[member] = (cls, w)
     return RectorSkeleton(S, cap, classes, witnesses, auts)
 
@@ -299,29 +292,19 @@ class Skeleton:
     def proj_one(self, r: int, v: int) -> LinearMap:
         """The projection (r, v+1) -> (r, v) dropping the last trivial coordinate."""
         d = self.obj(r, v).dim
-        return LinearMap.from_array(
-            np.concatenate([np.eye(d, dtype=np.int64), np.zeros((d, 1), dtype=np.int64)], axis=1),
-            self.p,
-        )
+        return LinearMap.from_array(np.eye(d, d + 1, dtype=np.int64), self.p)
 
     def incl_one(self, r: int, v: int) -> LinearMap:
         """The inclusion (r, v) -> (r, v+1)."""
         d = self.obj(r, v).dim
-        return LinearMap.from_array(
-            np.concatenate([np.eye(d, dtype=np.int64), np.zeros((1, d), dtype=np.int64)], axis=0),
-            self.p,
-        )
+        return LinearMap.from_array(np.eye(d + 1, d, dtype=np.int64), self.p)
 
     def drop_coords(self, r: int, v: int, coords: tuple[int, ...]) -> LinearMap:
         """Projection (r, v) -> (r, v - len(coords)) killing the given trivial
         coordinates (indices into the trivial block)."""
         a = self.obj(r, v)
-        keep = [k for k in range(v) if k not in coords]
-        eye = np.eye(a.dim, dtype=np.int64)
-        rows = [eye[i] for i in range(a.wdim)] + [eye[a.wdim + k] for k in keep]
-        if not rows:
-            return LinearMap.zero(0, a.dim, self.p)
-        return LinearMap.from_array(np.stack(rows), self.p)
+        keep = list(range(a.wdim)) + [a.wdim + k for k in range(v) if k not in coords]
+        return LinearMap.from_array(np.eye(a.dim, dtype=np.int64)[keep], self.p)
 
     def perm_trivial(self, r: int, v: int, perm: tuple[int, ...]) -> LinearMap:
         """Automorphism of (r, v) permuting trivial coordinates: e_i -> e_perm(i)."""
@@ -396,9 +379,10 @@ class Skeleton:
         )
 
     def rector_hom(self, r1: int, r2: int) -> list[LinearMap]:
-        """Morphisms between regular class representatives."""
-        a, b = self.rector.classes[r1], self.rector.classes[r2]
-        return [m.map for m in hom_set(self.S, a, b, self.budget)]
+        """Morphisms between regular class representatives: the hom-set of
+        the skeletal objects (r1, 0) and (r2, 0), which are those
+        representatives."""
+        return self.hom(self.index[(r1, 0)], self.index[(r2, 0)])
 
 
 def verify_block_form(S: SetFunctor, sk: Skeleton, i: int, j: int) -> bool:

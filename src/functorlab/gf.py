@@ -29,6 +29,10 @@ import numpy as np
 
 DEFAULT_MAP_BUDGET = 1 << 20
 
+# Maps per slice when a hom-set is walked as a stack: bounds the memory of one
+# step of enumerate_maps, hom-set filters and table fills.
+MAP_SLICE = 1 << 8
+
 # Most vectors one exhaustive scan may visit: the kernel spins of the
 # splitting engine, the exhaustive simplicity route and the isomorphism
 # searches all stop here.
@@ -616,41 +620,56 @@ def count_maps(p: int, dom_dim: int, cod_dim: int) -> int:
     return p ** (dom_dim * cod_dim)
 
 
-def enumerate_maps(p: int, dom_dim: int, cod_dim: int, budget: int = DEFAULT_MAP_BUDGET):
-    """All linear maps F_p^dom -> F_p^cod, lexicographic on column-major entries."""
+def _digit_weights(p: int, dom_dim: int, cod_dim: int) -> np.ndarray:
+    """The (cod, dom) weights of the entries of a map in its enumerate_maps
+    position: entry (i, j) is base-p digit j * cod + i, most significant first."""
+    weights = p ** np.arange(dom_dim * cod_dim - 1, -1, -1, dtype=np.int64)
+    return np.ascontiguousarray(weights.reshape(dom_dim, cod_dim).T)
+
+
+def _map_range(p: int, dom_dim: int, cod_dim: int, start: int, stop: int) -> np.ndarray:
+    """Maps start..stop-1 of F_p^dom -> F_p^cod in enumerate_maps order as a
+    contiguous (k, cod, dom) stack, built in place."""
+    stack = np.arange(start, stop, dtype=np.int64)[:, None, None] // _digit_weights(p, dom_dim, cod_dim)
+    stack %= p
+    return stack
+
+
+def map_slices(p: int, dom_dim: int, cod_dim: int, budget: int = DEFAULT_MAP_BUDGET):
+    """All linear maps F_p^dom -> F_p^cod in enumerate_maps order, as
+    (k, cod, dom) stacks of at most MAP_SLICE maps."""
     total = count_maps(p, dom_dim, cod_dim)
     if total > budget:
         raise BudgetExceeded("maps", total, budget)
-    m, n = cod_dim, dom_dim
-    if m * n == 0:
-        yield LinearMap.zero(m, n, p)
-        return
-    for digits in itertools.product(range(p), repeat=m * n):
-        arr = np.asarray(digits, dtype=np.int64).reshape(n, m).T  # column-major fill
-        yield LinearMap.from_array(arr, p)
+    for start in range(0, total, MAP_SLICE):
+        yield _map_range(p, dom_dim, cod_dim, start, min(start + MAP_SLICE, total))
+
+
+def enumerate_maps(p: int, dom_dim: int, cod_dim: int, budget: int = DEFAULT_MAP_BUDGET):
+    """All linear maps F_p^dom -> F_p^cod, lexicographic on column-major
+    entries: the maps of the map_slices stacks, one at a time."""
+    for stack in map_slices(p, dom_dim, cod_dim, budget):
+        for arr in stack.astype(np.uint8):
+            yield LinearMap(p, cod_dim, dom_dim, arr.tobytes())
 
 
 def map_stack(p: int, dom_dim: int, cod_dim: int) -> np.ndarray:
     """All linear maps F_p^dom -> F_p^cod as one (count, cod, dom) array in
-    enumerate_maps order: the column-major entries of the i-th map are the
-    base-p digits of i, most significant first."""
+    enumerate_maps order."""
     total = count_maps(p, dom_dim, cod_dim)
     if total > DEFAULT_MAP_BUDGET:
         raise BudgetExceeded("maps", total, DEFAULT_MAP_BUDGET)
-    weights = p ** np.arange(dom_dim * cod_dim - 1, -1, -1, dtype=np.int64)
-    digits = np.arange(total, dtype=np.int64)[:, None] // weights % p
-    return digits.reshape(total, dom_dim, cod_dim).transpose(0, 2, 1)
+    return _map_range(p, dom_dim, cod_dim, 0, total)
 
 
 def map_indices(stack: np.ndarray, p: int) -> np.ndarray:
-    """The position in enumerate_maps order of every matrix of a (N, cod, dom)
-    stack with entries in 0..p-1; the inverse of map_stack."""
-    n, cod_dim, dom_dim = stack.shape
+    """The position in enumerate_maps order of every matrix of a (..., cod,
+    dom) stack with entries in 0..p-1; the inverse of map_stack."""
+    *lead, cod_dim, dom_dim = stack.shape
     total = count_maps(p, dom_dim, cod_dim)
     if total > DEFAULT_MAP_BUDGET:
         raise BudgetExceeded("maps", total, DEFAULT_MAP_BUDGET)
-    weights = p ** np.arange(dom_dim * cod_dim - 1, -1, -1, dtype=np.int64)
-    return stack.transpose(0, 2, 1).reshape(n, dom_dim * cod_dim) @ weights
+    return stack.reshape(*lead, cod_dim * dom_dim) @ _digit_weights(p, dom_dim, cod_dim).reshape(-1)
 
 
 def enumerate_injections(p: int, dom_dim: int, cod_dim: int, budget: int = DEFAULT_MAP_BUDGET):

@@ -3,9 +3,11 @@
 A ``SetFunctor`` assigns a finite set S(F_p^d) to every dimension d <= cap and
 a pullback map alpha^*: S(F_p^m) -> S(F_p^n) to every linear map
 alpha: F_p^n -> F_p^m.  Elements are addressed as (dim, index) pairs.
-Pullback tables (act_table) are kept per map; the representable and orbit
-functors build each one as a single batched product of all element matrices
-with the map, read back through enumerate_maps order.
+Every functor implements one pullback hook, _pull(alphas, s): the pullbacks
+of one element s of S(F_p^m), or of all of them, along a (K, m, n) stack of
+maps.  act_table pulls along one map and keeps the table, the only cache of
+pullbacks, and act reads it; hom-sets, GL-orbits and validate pull along
+whole stacks.
 
 validate decides the functor laws exactly, on generators of the category
 (its docstring has the proof); its report holds ``ok``, ``checked_pairs`` and
@@ -26,6 +28,7 @@ runs the exhaustive pair loop only for the witness of a violation.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -45,6 +48,7 @@ from .gf import (
     enumerate_maps,
     enumerate_subspaces,
     map_indices,
+    map_slices,
     map_stack,
     preimage,
     proj_with_kernel,
@@ -69,7 +73,8 @@ class WeakNoetherianityViolation(RuntimeError):
 
 
 class SetFunctor:
-    """Base class; concrete functors implement size() and _act().
+    """Base class; concrete functors implement size(d) and the pullback hook
+    _pull(alphas, s).
 
     ``lawful`` says that the identity and composition laws hold by
     construction, as for the built-ins and the unions and components built
@@ -83,7 +88,6 @@ class SetFunctor:
         self.p = check_prime(p)
         self.cap = cap
         self.name = name
-        self._act_cache: dict = {}
         self._table_cache: dict = {}
         self._kernel_cache: dict[SElement, Subspace] = {}
         self._fixed_lines: dict[int, tuple[list[Subspace], np.ndarray]] = {}
@@ -91,22 +95,21 @@ class SetFunctor:
     def size(self, d: int) -> int:
         raise NotImplementedError
 
-    def _act(self, alpha: LinearMap, s: int) -> int:
+    def _pull(self, alphas: np.ndarray, s: int | slice) -> np.ndarray:
+        """The pullback hook.  For a (K, m, n) stack of maps F^n -> F^m with
+        entries in 0..p-1, and s an index into S(m) or slice(None) for all
+        of it: the array whose row k is act_table(alphas[k])[s], (K,) or
+        (K, size(m)).  Nothing is kept."""
         raise NotImplementedError
 
     def act(self, alpha: LinearMap, s: SElement | int) -> SElement:
-        """Pullback along alpha: F^n -> F^m of an element of S(F^m)."""
-        idx = s.index if isinstance(s, SElement) else s
-        if isinstance(s, SElement) and s.dim != alpha.rows:
-            raise ValueError("element lives at the wrong dimension")
-        if alpha.rows > self.cap or alpha.cols > self.cap:
-            raise ValueError("map exceeds the cap")
-        key = (alpha.cols, alpha.rows, alpha.data, idx)
-        hit = self._act_cache.get(key)
-        if hit is None:
-            hit = self._act(alpha, idx)
-            self._act_cache[key] = hit
-        return SElement(alpha.cols, hit)
+        """Pullback along alpha: F^n -> F^m of an element of S(F^m), read
+        from act_table."""
+        if isinstance(s, SElement):
+            if s.dim != alpha.rows:
+                raise ValueError("element lives at the wrong dimension")
+            s = s.index
+        return SElement(alpha.cols, int(self.act_table(alpha)[s]))
 
     def act_table(self, alpha: LinearMap) -> np.ndarray:
         """Pullback along alpha as an index array S(rows) -> S(cols), kept per map."""
@@ -115,13 +118,8 @@ class SetFunctor:
         if hit is None:
             if alpha.rows > self.cap or alpha.cols > self.cap:
                 raise ValueError("map exceeds the cap")
-            hit = self._table_cache[key] = self._act_table(alpha)
+            hit = self._table_cache[key] = self._pull(alpha.arr[None], slice(None))[0]
         return hit
-
-    def _act_table(self, alpha: LinearMap) -> np.ndarray:
-        """The table of act_table, not kept; one _act per element unless a
-        subclass batches it."""
-        return np.asarray([self._act(alpha, i) for i in range(self.size(alpha.rows))], dtype=np.int64)
 
     def elements(self, d: int):
         return [SElement(d, i) for i in range(self.size(d))]
@@ -144,24 +142,29 @@ class TableFunctor(SetFunctor):
         self.sizes = list(sizes)
         if len(self.sizes) != cap + 1:
             raise InvalidFunctorData("need one set size per dimension 0..cap")
+        self.action = {}  # (cols, rows, data) -> int64 index array S(rows) -> S(cols)
         for (cols, rows, data), tab in action.items():
-            key = _map_key(LinearMap(p, rows, cols, data))
             if max(rows, cols) > cap or len(tab) != self.sizes[rows]:
-                raise InvalidFunctorData(f"pullback table {key} has {len(tab)} entries, not one per element of S({rows})")
-            bad = [i for i in tab if type(i) is not int or i not in range(self.sizes[cols])]
-            if bad:
-                what = "out of range" if type(bad[0]) is int else "not an int"
-                raise InvalidFunctorData(f"pullback table {key} has an entry that is {what}: {bad[0]!r}")
-        self.action = action  # (cols, rows, data) -> tuple of indices
+                broken = f"has {len(tab)} entries, not one per element of S({rows})"
+            elif bad := [i for i in tab if type(i) is not int or i not in range(self.sizes[cols])]:
+                broken = f"has an entry that is {'out of range' if type(bad[0]) is int else 'not an int'}: {bad[0]!r}"
+            else:
+                self.action[cols, rows, data] = np.array(tab, dtype=np.int64)
+                continue
+            raise InvalidFunctorData(f"pullback table {_map_key(LinearMap(p, rows, cols, data))} {broken}")
 
     def size(self, d: int) -> int:
         return self.sizes[d]
 
-    def _act(self, alpha: LinearMap, s: int) -> int:
-        tab = self.action.get((alpha.cols, alpha.rows, alpha.data))
-        if tab is None:
-            raise InvalidFunctorData(f"the table has no pullback along the map {_map_key(alpha)}")
-        return tab[s]
+    def _pull(self, alphas: np.ndarray, s: int | slice) -> np.ndarray:
+        m, n = alphas.shape[1:]
+        tabs = []
+        for data in (a.tobytes() for a in alphas.astype(np.uint8)):
+            tab = self.action.get((n, m, data))
+            if tab is None:
+                raise InvalidFunctorData(f"the table has no pullback along the map {_map_key(LinearMap(self.p, m, n, data))}")
+            tabs.append(tab[s])
+        return np.array(tabs, dtype=np.int64)
 
 
 class RepresentableFunctor(SetFunctor):
@@ -187,14 +190,8 @@ class RepresentableFunctor(SetFunctor):
     def element_map(self, s: SElement) -> LinearMap:
         return LinearMap.from_array(self._table(s.dim)[s.index], self.p)
 
-    def _act(self, alpha: LinearMap, s: int) -> int:
-        res = self._table(alpha.rows)[s] @ alpha.arr % self.p
-        return int(map_indices(res[None], self.p)[0])
-
-    def _act_table(self, alpha: LinearMap) -> np.ndarray:
-        """Every element matrix times alpha in one product, each result read
-        back as its position in enumerate_maps order."""
-        return map_indices(self._table(alpha.rows) @ alpha.arr % self.p, self.p)
+    def _pull(self, alphas: np.ndarray, s: int | slice) -> np.ndarray:
+        return _products(self._table(alphas.shape[1])[s], alphas, self.p)
 
 
 class OrbitFunctor(SetFunctor):
@@ -228,17 +225,12 @@ class OrbitFunctor(SetFunctor):
     def size(self, d: int) -> int:
         return len(self._table(d))
 
-    def _act(self, alpha: LinearMap, s: int) -> int:
-        res = self._table(alpha.rows)[s] @ alpha.arr % self.p
-        self._table(alpha.cols)
-        return int(self._orbit_lookup[alpha.cols][map_indices(res[None], self.p)[0]])
-
-    def _act_table(self, alpha: LinearMap) -> np.ndarray:
-        """The representatives times alpha in one product, each result mapped
-        to its orbit through the lookup array."""
-        res = map_indices(self._table(alpha.rows) @ alpha.arr % self.p, self.p)
-        self._table(alpha.cols)
-        return self._orbit_lookup[alpha.cols][res]
+    def _pull(self, alphas: np.ndarray, s: int | slice) -> np.ndarray:
+        """The representatives times the maps, each product mapped to its
+        orbit through the lookup array."""
+        products = _products(self._table(alphas.shape[1])[s], alphas, self.p)
+        self._table(alphas.shape[2])
+        return self._orbit_lookup[alphas.shape[2]][products]
 
 
 class SubspaceFunctor(SetFunctor):
@@ -258,9 +250,20 @@ class SubspaceFunctor(SetFunctor):
     def size(self, d: int) -> int:
         return len(self._elts[d])
 
-    def _act(self, alpha: LinearMap, s: int) -> int:
-        u = self._elts[alpha.rows][s]
-        return self._index[alpha.cols][preimage(alpha, u)]
+    def _pull(self, alphas: np.ndarray, s: int | slice) -> np.ndarray:
+        elts, index = self._elts[alphas.shape[1]], self._index[alphas.shape[2]]
+        ids = np.arange(len(elts))[s]
+        pulled = [[index[preimage(LinearMap.from_array(a, self.p), elts[i])] for i in ids.flat] for a in alphas]
+        return np.array(pulled, dtype=np.int64).reshape(len(alphas), *ids.shape)
+
+
+def _products(elts: np.ndarray, alphas: np.ndarray, p: int) -> np.ndarray:
+    """Every element matrix of a contiguous (u, m) or (N, u, m) stack times
+    every map of a (K, m, n) stack in one product, which reads the elements as
+    a (N u, m) view, each result read back as its enumerate_maps position."""
+    flat = elts.reshape(math.prod(elts.shape[:-1]), elts.shape[-1])
+    products = (flat @ alphas % p).reshape(len(alphas), *elts.shape[:-1], alphas.shape[2])
+    return map_indices(products, p)
 
 
 def _mulclose(gens: list[LinearMap]) -> list[LinearMap]:
@@ -289,11 +292,12 @@ def disjoint_union(a: SetFunctor, b: SetFunctor) -> SetFunctor:
         def size(self, d):
             return a.size(d) + b.size(d)
 
-        def _act(self, alpha, s):
-            na = a.size(alpha.rows)
-            if s < na:
-                return a.act(alpha, s).index
-            return a.size(alpha.cols) + b.act(alpha, s - na).index
+        def _pull(self, alphas, s):
+            """a's elements first, then b's, their pullbacks shifted past S_a(n)."""
+            m, n = alphas.shape[1:]
+            if isinstance(s, slice):
+                return np.concatenate([a._pull(alphas, s), a.size(n) + b._pull(alphas, s)], axis=1)
+            return a._pull(alphas, s) if s < a.size(m) else a.size(n) + b._pull(alphas, s - a.size(m))
 
     return _Union(a.p, a.cap, name=f"{a.name}+{b.name}")
 
@@ -378,8 +382,10 @@ def validate(S: SetFunctor) -> ValidationReport:
     for n in dims:
         for m in dims:
             block = blocks[n, m] = np.empty((count_maps(S.p, n, m), S.size(m)), np.min_scalar_type(-S.size(n)))
-            for k, beta in enumerate(enumerate_maps(S.p, n, m)):
-                block[k] = S._act_table(beta)
+            start = 0
+            for betas in map_slices(S.p, n, m):
+                block[start:start + len(betas)] = S._pull(betas, slice(None))
+                start += len(betas)
     checked = 0
     for d in dims:
         gens = elementary_invertibles(S.p, d)
@@ -430,17 +436,16 @@ def _fixed_lines(S: SetFunctor, d: int) -> tuple[list[Subspace], np.ndarray]:
     """The lines l of F^d, in enumerate_subspaces order, and the boolean
     matrix whose row for l marks the s in S(d) with e_l^* s = s, where e_l =
     sect proj is the idempotent with kernel l from proj_with_kernel.  Built
-    once per dimension, after the gate, and kept on S; the tables of the e_l
-    are not kept."""
+    once per dimension, after the gate, one pull per line, and kept on S; the
+    tables of the e_l are not kept."""
     hit = S._fixed_lines.get(d)
     if hit is None:
         _require_laws(S)
         lines = [u for u in enumerate_subspaces(S.p, d) if u.dim == 1]
         ids = np.arange(S.size(d))
         fixed = np.zeros((len(lines), ids.size), dtype=bool)
-        for row, line in zip(fixed, lines):
-            projm, sect = proj_with_kernel(line)
-            row[:] = S._act_table(sect @ projm) == ids
+        for row, (projm, sect) in zip(fixed, map(proj_with_kernel, lines)):
+            row[:] = S._pull((sect @ projm).arr[None], slice(None))[0] == ids
         hit = S._fixed_lines[d] = (lines, fixed)
     return hit
 
@@ -535,22 +540,25 @@ def _weak_noetherian_on_orbits(S: SetFunctor, window: int) -> bool:
     that map times an invertible."""
     preimages: dict[tuple[LinearMap, Subspace], Subspace] = {}
     for m in range(window + 1):
-        alphas = []
+        stacks = []
         subspaces = enumerate_subspaces(S.p, m)
         for n in range(window + 1):
+            alphas = []
             for w in subspaces:
                 if w.dim <= n:
                     arr = np.zeros((m, n), dtype=np.int64)
                     arr[:, : w.dim] = w.basis_arr.T
                     alphas.append(LinearMap.from_array(arr, S.p))
+            stacks.append((np.array([alpha.arr for alpha in alphas]), alphas))
         for s in _orbit_representatives(S, m):
             ker_s = kernel_of(S, s)
-            for alpha in alphas:
-                rhs = preimages.get((alpha, ker_s))
-                if rhs is None:
-                    rhs = preimages[alpha, ker_s] = preimage(alpha, ker_s)
-                if kernel_of(S, S.act(alpha, s)) != rhs:
-                    return False
+            for n, (stack, alphas) in enumerate(stacks):
+                for alpha, t in zip(alphas, S._pull(stack, s.index).tolist()):
+                    rhs = preimages.get((alpha, ker_s))
+                    if rhs is None:
+                        rhs = preimages[alpha, ker_s] = preimage(alpha, ker_s)
+                    if kernel_of(S, SElement(n, t)) != rhs:
+                        return False
     return True
 
 
@@ -626,37 +634,34 @@ def epsilon(S: SetFunctor, d: int) -> SElement:
     return S.act(LinearMap.zero(0, d, S.p), SElement(0, 0))
 
 
+class _Component(SetFunctor):
+    """The elements of base restricting to one element gamma of S(0), by the
+    sorted array of their base indices per dimension."""
+
+    def __init__(self, base: SetFunctor, members: dict[int, np.ndarray], gamma: int):
+        super().__init__(base.p, base.cap, name=f"{base.name}^{gamma}")
+        self.lawful = base.lawful
+        self.base = base
+        self.members = members
+
+    def size(self, d):
+        return len(self.members[d])
+
+    def _pull(self, alphas, s):
+        """The base pullbacks of the members, each found by its position
+        among the members of S(n): pullbacks stay in the component."""
+        m, n = alphas.shape[1:]
+        return np.searchsorted(self.members[n], self.base._pull(alphas, slice(None))[:, self.members[m][s]])
+
+
 def split_components(S: SetFunctor) -> list[SetFunctor]:
     """The partition of S by the component of S(0) each element restricts to."""
-    comps = []
-    for gamma in range(S.size(0)):
-        maps_by_dim: dict[int, list[int]] = {}
-        for d in range(S.cap + 1):
-            incl0 = LinearMap.zero(d, 0, S.p)  # the inclusion of 0 into F^d
-            maps_by_dim[d] = [
-                s.index for s in S.elements(d) if S.act(incl0, s).index == gamma
-            ]
-
-        class _Component(SetFunctor):
-            def __init__(self, base, members, gamma_idx):
-                super().__init__(base.p, base.cap, name=f"{base.name}^{gamma_idx}")
-                self.lawful = base.lawful
-                self.base = base
-                self.members = members
-                self.position = {
-                    d: {orig: k for k, orig in enumerate(idxs)} for d, idxs in members.items()
-                }
-
-            def size(self, d):
-                return len(self.members[d])
-
-            def _act(self, alpha, s):
-                orig = self.members[alpha.rows][s]
-                res = self.base.act(alpha, SElement(alpha.rows, orig))
-                return self.position[alpha.cols][res.index]
-
-        comps.append(_Component(S, maps_by_dim, gamma))
-    return comps
+    # the pullback along the inclusion of 0 into F^d restricts S(d) to S(0)
+    restrict = [S.act_table(LinearMap.zero(d, 0, S.p)) for d in range(S.cap + 1)]
+    return [
+        _Component(S, {d: np.flatnonzero(tab == gamma) for d, tab in enumerate(restrict)}, gamma)
+        for gamma in range(S.size(0))
+    ]
 
 
 def boxplus(S: SetFunctor, psi: SElement, extra_dim: int, check_unique: bool = False) -> SElement:
@@ -665,28 +670,15 @@ def boxplus(S: SetFunctor, psi: SElement, extra_dim: int, check_unique: bool = F
     w, v = psi.dim, extra_dim
     if w + v > S.cap:
         raise ValueError("box-sum exceeds the cap")
-    proj = LinearMap.from_array(
-        np.concatenate([np.eye(w, dtype=np.int64), np.zeros((w, v), dtype=np.int64)], axis=1), S.p
-    )
-    res = S.act(proj, psi)
-    incl_w = LinearMap.from_array(
-        np.concatenate([np.eye(w, dtype=np.int64), np.zeros((v, w), dtype=np.int64)], axis=0), S.p
-    )
-    incl_v = LinearMap.from_array(
-        np.concatenate([np.zeros((w, v), dtype=np.int64), np.eye(v, dtype=np.int64)], axis=0), S.p
-    )
+    res = S.act(LinearMap.from_array(np.eye(w, w + v, dtype=np.int64), S.p), psi)
+    incl_w = LinearMap.from_array(np.eye(w + v, w, dtype=np.int64), S.p)
+    incl_v = LinearMap.from_array(np.eye(w + v, v, -w, dtype=np.int64), S.p)
     if S.act(incl_w, res) != psi or S.act(incl_v, res) != epsilon(S, v):
         raise InvalidFunctorData("box-sum restrictions failed")
     if check_unique:
-        hits = [
-            t
-            for t in S.elements(w + v)
-            if S.act(incl_w, t) == psi and S.act(incl_v, t) == epsilon(S, v)
-        ]
-        if len(hits) != 1:
-            raise WeakNoetherianityViolation(
-                f"box-sum of {psi} (+{v}) is not unique: {len(hits)} candidates"
-            )
+        hits = np.count_nonzero((S.act_table(incl_w) == psi.index) & (S.act_table(incl_v) == epsilon(S, v).index))
+        if hits != 1:
+            raise WeakNoetherianityViolation(f"box-sum of {psi} (+{v}) is not unique: {hits} candidates")
     return res
 
 
@@ -721,8 +713,9 @@ def to_json_dict(S: SetFunctor) -> dict:
     action = {}
     for n in range(S.cap + 1):
         for m in range(S.cap + 1):
-            for alpha in enumerate_maps(S.p, n, m):
-                action[_map_key(alpha)] = S._act_table(alpha).tolist()
+            for alphas in map_slices(S.p, n, m):
+                for arr, tab in zip(alphas, S._pull(alphas, slice(None)).tolist()):
+                    action[_map_key(LinearMap.from_array(arr, S.p))] = tab
     return {
         "p": S.p,
         "cap": S.cap,
@@ -745,7 +738,7 @@ def from_json_dict(doc: dict, name: str = "table") -> TableFunctor:
         lm = _parse_map_key(key, p)
         if (lm.cols, lm.rows, lm.data) in action:
             raise InvalidFunctorData(f"map key {key!r} names the map {_map_key(lm)} a second time")
-        action[(lm.cols, lm.rows, lm.data)] = tuple(tab)
+        action[(lm.cols, lm.rows, lm.data)] = tab
     return TableFunctor(p, cap, sizes, action, name=name)
 
 

@@ -28,6 +28,7 @@ about 20 s on a 2-core Intel Xeon.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import partial
 
@@ -39,9 +40,12 @@ from .gf import (
     Subspace,
     WindowExceeded,
     closure,
+    count_maps,
     decode_entries,
     encode_entries,
     intertwiner_space,
+    map_indices,
+    map_stack,
     nullspace,
     proj_with_kernel,
     rank,
@@ -84,34 +88,21 @@ class ConstantSpace:
 
 
 class FunctionSpace:
-    """V -> F_p^{Hom(V, target)}, the standard injective of plain functors."""
+    """V -> F_p^{Hom(V, target)}, the standard injective of plain functors:
+    one basis vector per map in enumerate_maps order, and gamma sends the
+    basis vector of f to that of f gamma."""
 
     def __init__(self, target_dim: int, p: int):
-        from .gf import enumerate_maps
-
         self.target_dim, self.p = target_dim, p
         self.name = f"I_{target_dim}"
-        self._maps: dict[int, list[LinearMap]] = {}
-        self._pos: dict[int, dict[bytes, int]] = {}
-        self._enumerate = enumerate_maps
-
-    def _table(self, d: int):
-        if d not in self._maps:
-            ms = list(self._enumerate(self.p, d, self.target_dim))
-            self._maps[d] = ms
-            self._pos[d] = {m.data: i for i, m in enumerate(ms)}
-        return self._maps[d]
 
     def dim(self, d: int) -> int:
-        return len(self._table(d))
+        return count_maps(self.p, d, self.target_dim)
 
     def mat(self, gamma: LinearMap) -> np.ndarray:
-        src = self._table(gamma.cols)
-        dst = self._table(gamma.rows)
-        out = np.zeros((len(dst), len(src)), dtype=np.int64)
-        pos = self._pos[gamma.cols]
-        for j, g in enumerate(dst):
-            out[j, pos[(g @ gamma).data]] = 1
+        out = np.zeros((self.dim(gamma.rows), self.dim(gamma.cols)), dtype=np.int64)
+        pulled = map_indices(map_stack(self.p, gamma.rows, self.target_dim) @ gamma.arr % self.p, self.p)
+        out[np.arange(len(out)), pulled] = 1
         return out
 
 
@@ -1071,11 +1062,30 @@ def functor_to_json(F: VecFunctor, map_budget: int = 1 << 20) -> dict:
     maps = {}
     for i in idxs:
         for j in idxs:
-            oi, oj = sk.objects[i], sk.objects[j]
             for g in sk.hom(i, j):
-                key = f"{oi.rclass},{oi.vdim}->{oj.rclass},{oj.vdim}:{encode_entries(g)}"
-                maps[key] = F.mat(i, j, g).tolist()
+                maps[_map_key(sk.objects[i], sk.objects[j], g)] = F.mat(i, j, g).tolist()
     return {"schema": 1, "p": F.p, "window": F.window, "dims": dims, "maps": maps}
+
+
+def _map_key(src: SkObject, dst: SkObject, gamma: LinearMap) -> str:
+    """The JSON key of the matrix along gamma: src -> dst: r,v->r,v:entries."""
+    return f"{src.rclass},{src.vdim}->{dst.rclass},{dst.vdim}:{encode_entries(gamma)}"
+
+
+def _parse_map_key(key: str, sk: Skeleton) -> tuple[int, int, LinearMap]:
+    """The skeletal objects i, j and the map gamma: i -> j of a key written by
+    _map_key; ValueError names a malformed key."""
+    match = re.fullmatch(r"([0-9]+),([0-9]+)->([0-9]+),([0-9]+):([0-9.]*)", key)
+    if match is None:
+        raise ValueError(f"map key {key!r} is not of the form class,trivial_dim->class,trivial_dim:entries")
+    src, dst = (int(match[1]), int(match[2])), (int(match[3]), int(match[4]))
+    if missing := [obj for obj in (src, dst) if obj not in sk.index]:
+        raise ValueError(f"map {key} names the object {missing[0]}, which the skeleton lacks")
+    i, j = sk.index[src], sk.index[dst]
+    try:
+        return i, j, decode_entries(match[5], sk.objects[j].dim, sk.objects[i].dim, sk.p)
+    except ValueError as exc:
+        raise ValueError(f"map key {key!r}: {exc}") from None
 
 
 def functor_from_json(sk: Skeleton, doc: dict, name: str = "loaded") -> VecFunctor:
@@ -1090,27 +1100,21 @@ def functor_from_json(sk: Skeleton, doc: dict, name: str = "loaded") -> VecFunct
     if type(doc["p"]) is not int or doc["p"] != p:
         raise ValueError(f"functor document: 'p' is {doc['p']!r}, but the skeleton is over p = {p}")
 
-    def index(obj, where):
-        if obj not in sk.index:
-            raise ValueError(f"{where} names the object {obj}, which the skeleton lacks")
-        return sk.index[obj]
-
     dims = {}
     for row in doc["dims"]:
         if not isinstance(row, dict) or not all(
             isinstance(row.get(k), int) and row[k] >= 0 for k in ("class", "trivial_dim", "dim")
         ):
             raise ValueError(f"dims row {row} needs non-negative ints under 'class', 'trivial_dim' and 'dim'")
-        dims[index((row["class"], row["trivial_dim"]), f"dims row {row}")] = row["dim"]
+        obj = (row["class"], row["trivial_dim"])
+        if obj not in sk.index:
+            raise ValueError(f"dims row {row} names the object {obj}, which the skeleton lacks")
+        dims[sk.index[obj]] = row["dim"]
     table = {}
     for key, mat in doc["maps"].items():
-        src, _, rest = key.partition("->")
-        dst, _, digits = rest.partition(":")
-        i = index(tuple(int(x) for x in src.split(",")), f"map {key}")
-        j = index(tuple(int(x) for x in dst.split(",")), f"map {key}")
+        i, j, gamma = _parse_map_key(key, sk)
         if not {i, j} <= dims.keys():
             raise ValueError(f"map {key} names an object that has no dims row")
-        gamma = decode_entries(digits, sk.objects[j].dim, sk.objects[i].dim, p)
         rows, cols = dims[j], dims[i]
         if not (isinstance(mat, list) and len(mat) == rows and all(
             isinstance(row, list) and len(row) == cols and all(type(x) is int and 0 <= x < p for x in row)
@@ -1121,8 +1125,7 @@ def functor_from_json(sk: Skeleton, doc: dict, name: str = "loaded") -> VecFunct
 
     def rule(i, j, gamma):
         if (i, j, gamma.data) not in table:
-            oi, oj = sk.objects[i], sk.objects[j]
-            raise ValueError(f"{name} has no map {oi.rclass},{oi.vdim}->{oj.rclass},{oj.vdim}:{encode_entries(gamma)}")
+            raise ValueError(f"{name} has no map {_map_key(sk.objects[i], sk.objects[j], gamma)}")
         return table[(i, j, gamma.data)]
 
     return VecFunctor(sk, doc["window"], dims, rule, name=name)

@@ -164,6 +164,17 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_malformed_functor_file_names_the_file(tmp_path, capsys):
+    # --functor file: reads JSON as --input does: path:line:col: message
+    bad = tmp_path / "F.json"
+    bad.write_text("{nope")
+    argv = ["--u-dim", "1", "--cap", "2", "degree", "--functor", f"file:{bad}"]
+    assert cli.main(argv) == 2
+    assert f"{bad}:1:2: Expecting property name enclosed in double quotes" in capsys.readouterr().err
+    assert cli.main(["--input", str(bad), "validate"]) == 2
+    assert f"{bad}:1:2: Expecting property name enclosed in double quotes" in capsys.readouterr().err
+
+
 def test_budget_exceeded_exit_2(capsys):
     code = cli.main(
         ["--builtin", "representable", "--u-dim", "2", "--cap", "3", "--budget-maps", "4", "rector"]
@@ -539,11 +550,20 @@ def test_malformed_set_functor_json_exit_2(tmp_path, capsys, edit, reason):
            "map 0,1->0,1:1 must hold a 1x1 matrix of ints in 0..1") for x in (1.0, 1.9, True, 3, -1)],
         (lambda doc: {k: v for k, v in doc.items() if k != "p"}, "functor document lacks the key(s) ['p']"),
         (lambda doc: {**doc, "p": 3}, "'p' is 3, but the skeleton is over p = 2"),
+        *[(lambda doc, key=key: {**doc, "maps": {(key if k == "0,0->0,0:" else k): v for k, v in doc["maps"].items()}},
+           f"map key {key!r} is not of the form class,trivial_dim->class,trivial_dim:entries")
+          for key in ("a,0->0,0:", "0,00,0:", "0,0->0,0", "0,0->0,0:x", "0->0,0:")],
+        (lambda doc: {**doc, "maps": {**doc["maps"], "0,1->0,1:1.1": [[1]]}},
+         "map key '0,1->0,1:1.1': map key '1.1' does not hold 1x1 entries"),
+        (lambda doc: {**doc, "maps": {**doc["maps"], "0,1->7,1:1": [[1]]}},
+         "map 0,1->7,1:1 names the object (7, 1), which the skeleton lacks"),
     ],
     ids=["dims-row-outside-skeleton", "no-dims", "map-object-without-dims-row", "dims-row-without-class",
          "dim-not-an-int", "top-level-list", "missing-map", "window-not-an-int", "maps-not-an-object",
          "entry-a-float", "entry-a-fraction", "entry-a-bool", "entry-above-p", "entry-negative", "no-p",
-         "p-of-another-skeleton"],
+         "p-of-another-skeleton", "key-class-not-an-int", "key-without-arrow", "key-without-colon",
+         "key-entry-not-a-digit", "key-object-without-comma", "key-entries-of-wrong-count",
+         "key-object-outside-skeleton"],
 )
 def test_malformed_vfunctor_json_exit_2(tmp_path, capsys, edit, reason):
     # each layout error exits 2 with its reason, not a traceback with exit 1

@@ -4,8 +4,8 @@ import inspect
 
 import pytest
 
-from functorlab.gf import DEFAULT_MAP_BUDGET, LinearMap, enumerate_maps
-from functorlab import elcat as ec
+from functorlab.gf import DEFAULT_MAP_BUDGET, BudgetExceeded, LinearMap, count_maps, enumerate_maps
+from functorlab import elcat as ec, gf
 from functorlab import sfunctor as sf
 
 
@@ -38,6 +38,51 @@ def test_hom_regular_to_regular_unique(SU2):
     assert len(mors) == 1
     # solve eta . gamma = psi by hand: gamma = eta^{-1} psi
     assert mors[0].map.arr.tolist() == [[1], [0]]
+
+
+def oracle_hom_set(S, a, b, budget=DEFAULT_MAP_BUDGET):
+    """One act per map, in enumerate_maps order."""
+    return [ec.ElMorphism(a, b, gamma) for gamma in enumerate_maps(S.p, a.dim, b.dim, budget) if S.act(gamma, b) == a]
+
+
+HOM_CASES = {
+    "representable-u1-cap3": lambda: sf.RepresentableFunctor(2, 1, 3),
+    "representable-u0-cap3": lambda: sf.RepresentableFunctor(2, 0, 3),
+    "representable-p3-u1-cap2": lambda: sf.RepresentableFunctor(3, 1, 2),
+    "orbit-p3": lambda: sf.OrbitFunctor(3, 2, [LinearMap.from_array([[2, 0], [0, 1]], 3)], 2),
+    "subspaces-cap2": lambda: sf.SubspaceFunctor(2, 2),
+    "table": lambda: sf.from_json_dict(sf.to_json_dict(sf.RepresentableFunctor(2, 1, 2))),
+}
+
+
+@pytest.mark.parametrize("case", HOM_CASES)
+@pytest.mark.parametrize("slice_size", [gf.MAP_SLICE, 3])
+def test_hom_set_matches_per_map_loop(case, slice_size, monkeypatch):
+    # every pair of objects, zero-dimensional ones among them; first three
+    # elements per dimension; at slice size 3 every hom-set of more than three
+    # maps is walked in several slices
+    monkeypatch.setattr(gf, "MAP_SLICE", slice_size)
+    S = HOM_CASES[case]()
+    objs = [ec.ElObject(d, i) for d in range(S.cap + 1) for i in range(min(S.size(d), 3))]
+    assert objs[0].dim == 0
+    for a in objs:
+        for b in objs:
+            assert ec.hom_set(S, a, b) == oracle_hom_set(S, a, b), (a, b)
+
+
+def test_hom_set_walks_past_the_default_map_budget(monkeypatch):
+    # hom_set answers to its own budget: with the default map budget below
+    # the 4096 maps F^3 -> F^4, whole-stack enumeration raises, the slices do not
+    S = sf.RepresentableFunctor(2, 1, 4)
+    a, b = ec.ElObject(3, 5), ec.ElObject(4, 9)
+    monkeypatch.setattr(gf, "DEFAULT_MAP_BUDGET", 100)
+    assert count_maps(2, 3, 4) > gf.DEFAULT_MAP_BUDGET
+    with pytest.raises(BudgetExceeded):
+        gf.map_stack(2, 3, 4)
+    got = ec.hom_set(S, a, b, budget=count_maps(2, 3, 4))
+    assert got == oracle_hom_set(S, a, b) and len(got) == 2 ** 9
+    with pytest.raises(BudgetExceeded):
+        ec.hom_set(S, a, b, budget=count_maps(2, 3, 4) - 1)
 
 
 def test_hom_factorization_all_pairs(sk, SU2):

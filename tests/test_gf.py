@@ -1,10 +1,13 @@
 """Field-level linear algebra: frozen examples plus invariant checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from functorlab import gf
 from functorlab.gf import (
     BudgetExceeded,
     LinearMap,
@@ -22,6 +25,7 @@ from functorlab.gf import (
     general_linear,
     kernel_space,
     map_indices,
+    map_slices,
     map_stack,
     nullspace,
     pivot_complement,
@@ -118,14 +122,42 @@ def test_enumeration_budget():
         map_indices(np.zeros((1, 5, 5), dtype=np.int64), 2)
 
 
+def oracle_enumerate_maps(p, dom_dim, cod_dim):
+    """Every map F_p^dom -> F_p^cod, its column-major entries running through
+    itertools.product."""
+    if dom_dim * cod_dim == 0:
+        return [LinearMap.zero(cod_dim, dom_dim, p)]
+    return [
+        LinearMap.from_array(np.asarray(digits, dtype=np.int64).reshape(dom_dim, cod_dim).T, p)
+        for digits in itertools.product(range(p), repeat=dom_dim * cod_dim)
+    ]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
-@pytest.mark.parametrize("dom,cod", [(0, 0), (0, 2), (2, 0), (1, 1), (2, 1), (1, 2), (2, 2)])
-def test_map_stack_follows_enumerate_maps(p, dom, cod):
-    maps = list(enumerate_maps(p, dom, cod))
+@pytest.mark.parametrize("dom,cod", [(0, 0), (0, 2), (2, 0), (1, 1), (2, 1), (1, 2), (2, 2), (3, 2)])
+def test_map_stack_follows_enumerate_maps(p, dom, cod, monkeypatch):
+    maps = oracle_enumerate_maps(p, dom, cod)
     stack = map_stack(p, dom, cod)
     assert stack.shape == (len(maps), cod, dom)
     assert all(np.array_equal(arr, m.arr) for arr, m in zip(stack, maps))
     assert np.array_equal(map_indices(stack, p), np.arange(len(maps)))
+    assert np.array_equal(map_indices(stack[None], p), np.arange(len(maps))[None])
+    assert list(enumerate_maps(p, dom, cod)) == maps
+    # enumerate_maps walks map_slices, so odd slice sizes give the same order
+    monkeypatch.setattr(gf, "MAP_SLICE", 7)
+    assert len(list(map_slices(p, dom, cod))) == -(-len(maps) // 7)
+    assert list(enumerate_maps(p, dom, cod)) == maps
+    assert np.array_equal(map_stack(p, dom, cod), stack)
+
+
+def test_map_slices_honour_their_budget(monkeypatch):
+    # the budget of the walk is the caller's, not the default map budget
+    monkeypatch.setattr(gf, "DEFAULT_MAP_BUDGET", 100)
+    assert sum(len(s) for s in map_slices(2, 3, 3, budget=512)) == 512
+    with pytest.raises(BudgetExceeded):
+        next(map_slices(2, 3, 3, budget=511))
+    with pytest.raises(BudgetExceeded):
+        map_stack(2, 3, 3)
 
 
 def test_subspace_count_matches_gaussian_binomials():

@@ -526,6 +526,12 @@ def test_table_validated_once_across_the_calculus(monkeypatch):
     assert validated == [T]
 
 
+def as_lists(action):
+    """The stored index arrays of a TableFunctor as the lists of ints its
+    constructor reads."""
+    return {key: tab.tolist() for key, tab in action.items()}
+
+
 class LawfulTable(sf.TableFunctor):
     """A table declared lawful, so that the gate lets it in unvalidated; only
     honest for tables that pass validate."""
@@ -535,7 +541,7 @@ class LawfulTable(sf.TableFunctor):
 
 def lawful_kernel_mismatch():
     K = sf.kernel_mismatch_example()
-    return LawfulTable(K.p, K.cap, K.sizes, K.action, name=K.name)
+    return LawfulTable(K.p, K.cap, K.sizes, as_lists(K.action), name=K.name)
 
 
 def table_roundtrip():
@@ -590,7 +596,7 @@ def test_line_idempotent_tables_are_not_kept():
     # only the boolean fixed-line matrix stays, one per dimension
     S = sf.RepresentableFunctor(2, 2, 3)
     counts = [len(sf.regular_set(S, d)) for d in range(S.cap + 1)]
-    assert counts == [1, 3, 6, 0] and not S._table_cache and not S._act_cache
+    assert counts == [1, 3, 6, 0] and not S._table_cache
     for d in range(S.cap + 1):
         lines, fixed = S._fixed_lines[d]
         assert fixed.dtype == bool and fixed.shape == (len(lines), S.size(d)) == (2**d - 1, 4**d)
@@ -729,8 +735,9 @@ def single_entry_changes(T):
         for pos, old in enumerate(tab):
             for new in range(T.sizes[cols]):
                 if new != old:
-                    changed = tab[:pos] + (new,) + tab[pos + 1:]
-                    yield sf.TableFunctor(T.p, T.cap, T.sizes, {**T.action, key: changed})
+                    changed = tab.tolist()
+                    changed[pos] = new
+                    yield sf.TableFunctor(T.p, T.cap, T.sizes, {**as_lists(T.action), key: changed})
 
 
 @pytest.mark.parametrize(
@@ -751,16 +758,28 @@ def test_validate_matches_triple_loop_on_single_entry_changes(make):
 
 
 # ---------------------------------------------------------------------------
-# batched action tables against the per-element loop
+# the pullback hook against per-element oracles
 
 
-def test_act_table_leaves_act_cache_empty():
+def test_act_reads_the_kept_table(monkeypatch):
+    # act reads act_table: one pull of one map per table, however many
+    # elements are read from it, and the table is kept
     S = sf.RepresentableFunctor(2, 1, 3)
-    for n in range(S.cap + 1):
-        for m in range(S.cap + 1):
-            for alpha in enumerate_maps(S.p, n, m):
-                assert S.act_table(alpha).shape == (S.size(m),)
-    assert S._table_cache and not S._act_cache
+    pulls = []
+    pull = S._pull
+    monkeypatch.setattr(S, "_pull", lambda alphas, s: pulls.append((len(alphas), s)) or pull(alphas, s))
+    maps = [alpha for n in range(S.cap + 1) for m in range(S.cap + 1) for alpha in enumerate_maps(S.p, n, m)]
+    for alpha in maps:
+        tab = S.act_table(alpha)
+        assert tab.shape == (S.size(alpha.rows),)
+        for i in range(S.size(alpha.rows)):
+            assert S.act(alpha, sf.SElement(alpha.rows, i)) == (alpha.cols, tab[i])
+            assert S.act(alpha, i) == (alpha.cols, tab[i])
+    assert pulls == [(1, slice(None))] * len(maps) and len(S._table_cache) == len(maps)
+    with pytest.raises(ValueError, match="wrong dimension"):
+        S.act(LinearMap.identity(1, 2), sf.SElement(2, 0))
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        S.act_table(LinearMap.identity(4, 2))
 
 
 def orbit_p3():
@@ -805,23 +824,103 @@ def composition_oracle(S):
     )
 
 
-@pytest.mark.parametrize("case", BATCHED_CASES)
-def test_batched_act_table_matches_element_loop(case):
-    # every map of hom-sets up to 81 maps, rows or cols 0 among them; in
-    # larger ones the zero map, the identity and twelve random maps
-    S = BATCHED_CASES[case]()
-    oracle = composition_oracle(S)
-    rng = np.random.default_rng(7)
+def sample_maps(S, rows, cols, rng):
+    """Every map of hom-sets up to 81 maps, rows or cols 0 among them; in
+    larger ones the zero map, the identity and twelve random maps."""
+    if count_maps(S.p, cols, rows) <= 81:
+        return list(enumerate_maps(S.p, cols, rows))
+    return [LinearMap.zero(rows, cols, S.p), LinearMap.from_array(np.eye(rows, cols), S.p)] + [
+        LinearMap.from_array(rng.integers(0, S.p, (rows, cols)), S.p) for _ in range(12)
+    ]
+
+
+def assert_pull_matches(S, oracle, rng):
+    """act_table along every sampled map, and _pull along the stack of them
+    (for all elements and at each index), equal the oracle's rows."""
     for rows in range(S.cap + 1):
         for cols in range(S.cap + 1):
-            if count_maps(S.p, cols, rows) <= 81:
-                maps = list(enumerate_maps(S.p, cols, rows))
-            else:
-                maps = [LinearMap.zero(rows, cols, S.p), LinearMap.from_array(np.eye(rows, cols), S.p)] + [
-                    LinearMap.from_array(rng.integers(0, S.p, (rows, cols)), S.p) for _ in range(12)
-                ]
-            for alpha in maps:
-                want = sf.SetFunctor._act_table(S, alpha)
-                got = S._act_table(alpha)
-                assert got.dtype == want.dtype and np.array_equal(got, want), alpha
-                assert np.array_equal(want, oracle(alpha)), alpha
+            maps = sample_maps(S, rows, cols, rng)
+            want = np.array([oracle(alpha) for alpha in maps], dtype=np.int64).reshape(len(maps), S.size(rows))
+            for alpha, row in zip(maps, want):
+                got = S.act_table(alpha)
+                assert got.dtype == np.int64 and np.array_equal(got, row), alpha
+            stack = np.array([alpha.arr for alpha in maps])
+            assert np.array_equal(S._pull(stack, slice(None)), want)
+            for i in range(S.size(rows)):
+                assert np.array_equal(S._pull(stack, i), want[:, i])
+
+
+@pytest.mark.parametrize("case", BATCHED_CASES)
+def test_batched_act_table_matches_element_loop(case):
+    S = BATCHED_CASES[case]()
+    assert_pull_matches(S, composition_oracle(S), np.random.default_rng(7))
+
+
+def subspace_oracle(S):
+    """Pullback by preimage, each subspace found by value among
+    enumerate_subspaces."""
+    subs = {d: enumerate_subspaces(S.p, d) for d in range(S.cap + 1)}
+    return lambda alpha: [subs[alpha.cols].index(preimage(alpha, u)) for u in subs[alpha.rows]]
+
+
+def table_oracle(doc):
+    """The entries of an sfunctor.json document."""
+    return lambda alpha: doc["action"][sf._map_key(alpha)]
+
+
+def union_oracle(a, b, oracle_a, oracle_b):
+    """a's pullbacks, then b's shifted past S_a(cols)."""
+    return lambda alpha: list(oracle_a(alpha)) + [a.size(alpha.cols) + t for t in oracle_b(alpha)]
+
+
+def component_oracle(base, oracle, gamma):
+    """The base pullbacks of the members, renumbered by member position; the
+    members are the elements whose pullback along the inclusion of 0 is
+    gamma."""
+    members = {
+        d: [i for i, t in enumerate(oracle(LinearMap.zero(d, 0, base.p))) if t == gamma]
+        for d in range(base.cap + 1)
+    }
+
+    def pull(alpha):
+        full = oracle(alpha)
+        return [members[alpha.cols].index(full[i]) for i in members[alpha.rows]]
+
+    return pull
+
+
+def hook_cases():
+    R = sf.RepresentableFunctor(2, 1, 2)
+    doc = sf.to_json_dict(R)
+    T = sf.from_json_dict(doc)
+    subs = sf.SubspaceFunctor(2, 2)
+    U = sf.disjoint_union(R, subs)
+    subs3 = sf.SubspaceFunctor(2, 3)
+    cases = {
+        "subspaces": (subs3, subspace_oracle(subs3)),
+        "table": (T, table_oracle(doc)),
+        "union": (U, union_oracle(R, subs, composition_oracle(R), subspace_oracle(subs))),
+        "union-of-tables": (sf.disjoint_union(T, T), union_oracle(T, T, table_oracle(doc), table_oracle(doc))),
+    }
+    both = sf.disjoint_union(R, R)
+    both_oracle = union_oracle(R, R, composition_oracle(R), composition_oracle(R))
+    for gamma, C in enumerate(sf.split_components(both)):
+        cases[f"component-{gamma}"] = (C, component_oracle(both, both_oracle, gamma))
+    for gamma, C in enumerate(sf.split_components(U)):
+        cases[f"union-component-{gamma}"] = (C, component_oracle(U, cases["union"][1], gamma))
+    return cases
+
+
+@pytest.mark.parametrize("case", ["subspaces", "table", "union", "union-of-tables",
+                                  "component-0", "component-1", "union-component-0", "union-component-1"])
+def test_pull_matches_element_oracle(case):
+    S, oracle = hook_cases()[case]
+    assert_pull_matches(S, oracle, np.random.default_rng(11))
+
+
+def test_table_pull_names_a_missing_map():
+    T = sf.from_json_dict(sf.to_json_dict(sf.RepresentableFunctor(2, 1, 1)))
+    del T.action[(1, 1, b"\x01")]
+    stack = np.array([alpha.arr for alpha in enumerate_maps(2, 1, 1)])
+    with pytest.raises(sf.InvalidFunctorData, match="no pullback along the map 1x1:1"):
+        T._pull(stack, slice(None))

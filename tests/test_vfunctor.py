@@ -1018,6 +1018,26 @@ def test_function_space_lift(plain):
     assert [d.dim(plain.index[(0, v)]) for v in range(3)] == [1, 2, 4]
 
 
+def oracle_function_space_mat(F, gamma):
+    """One LinearMap product per basis map f, found by its bytes among
+    enumerate_maps."""
+    src = {f.data: i for i, f in enumerate(enumerate_maps(F.p, gamma.cols, F.target_dim))}
+    dst = list(enumerate_maps(F.p, gamma.rows, F.target_dim))
+    out = np.zeros((len(dst), len(src)), dtype=np.int64)
+    for j, f in enumerate(dst):
+        out[j, src[(f @ gamma).data]] = 1
+    return out
+
+
+@pytest.mark.parametrize("p,target", [(2, 0), (2, 1), (2, 2), (3, 1)])
+def test_function_space_matches_composition_loop(p, target):
+    F = vf.FunctionSpace(target, p)
+    for rows in range(3):
+        for cols in range(3):
+            for gamma in enumerate_maps(p, cols, rows):
+                assert np.array_equal(F.mat(gamma), oracle_function_space_mat(F, gamma)), gamma
+
+
 def test_functor_json_roundtrip_p11():
     # entries of 10 and above need the separator-joined map keys
     sk = ec.Skeleton(sf.RepresentableFunctor(11, 0, 2))
