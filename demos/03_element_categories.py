@@ -21,7 +21,9 @@ m = LinearMap.from_array([[1, 0], [0, 0]], 2)
 o = next(e for e in S.elements(2) if S.element_map(e) == m)
 t, u, iso = ec.decompose(S, o)
 print(f"target of the iso has regular part of dim {t.dim} and kernel {u.basis_arr.tolist()}")
-print(f"the witness {iso.map.arr.tolist()} is a morphism both ways: {iso.verify(S)}")
+target = ec.ElObject(o.dim, sf.boxplus(S, t, u.dim).index)
+both_ways = S.act(iso, target) == o and S.act(iso.inverse(), o) == target
+print(f"the witness {iso.arr.tolist()} is a morphism both ways: {both_ways}")
 
 print()
 print("== every skeletal morphism is block lower triangular ==")
@@ -29,7 +31,7 @@ idx = sk.index[(1, 1)]  # a one-dimensional regular class padded by one directio
 print(f"hom-set at that object has {len(sk.hom(idx, idx))} elements")
 print(f"equals the block-triangular set exactly: {ec.verify_block_form(S, sk, idx, idx)}")
 print(f"cardinality factorization |regular hom| * p^((w+u)v): {ec.hom_factorization_holds(S, sk, idx, idx)}")
-gamma = sk.hom(idx, idx)[3]
+gamma = LinearMap.from_array(sk.hom(idx, idx)[3], S.p)
 f, g, h, zero_top_right = sk.blocks(idx, idx, gamma)
 print(f"sample morphism {gamma.arr.tolist()} splits into f={f.arr.tolist()}, g={g.arr.tolist()}, h={h.arr.tolist()}")
 

@@ -274,7 +274,7 @@ def run_rector(args) -> tuple[dict, int]:
     ok, wit = elcat.check_injectivity(S, sk.rector, budget=args.budget_maps)
     body["all_regular_morphisms_injective"] = ok
     if not ok:
-        body["witness"] = {"matrix": wit.map.arr.tolist()}
+        body["witness"] = {"matrix": wit.arr.tolist()}
     return body, (EXIT_OK if ok else EXIT_COUNTEREXAMPLE)
 
 
@@ -445,16 +445,15 @@ def run_verify_theorems(args) -> tuple[dict, int]:
 
     # module recovery and the adjunction (dimension equality plus triangles)
     ok_adj = True
-    for rclass, rep_obj in enumerate(sk.rector.classes):
-        for n in range(1, args.n_max + 1):
-            if rep_obj.dim + n + 1 > sk.window:
-                continue
-            w = min(sk.window, max(3, n + 1))
-            G = vfunctor.aut_sigma_group(sk, rclass, n)
-            M = vfunctor.sigma_functor_from_module(sk, rclass, n, modrep.regular_module(G, sk.p))
-            Fn = vfunctor.forgetful_lift(sk, vfunctor.TensorPower(n, sk.p), window=w)
-            rep = vfunctor.adjunction_check(M, Fn, n)
-            ok_adj &= rep["dims_equal"] and rep["triangle_tensor"] and rep["triangle_difference"]
+    for rclass, n in simples.simple_tasks(sk, args.n_max):
+        if n == 0:
+            continue
+        w = min(sk.window, max(3, n + 1))
+        G = vfunctor.aut_sigma_group(sk, rclass, n)
+        M = vfunctor.sigma_functor_from_module(sk, rclass, n, modrep.regular_module(G, sk.p))
+        Fn = vfunctor.forgetful_lift(sk, vfunctor.TensorPower(n, sk.p), window=w)
+        rep = vfunctor.adjunction_check(M, Fn, n)
+        ok_adj &= rep["dims_equal"] and rep["triangle_tensor"] and rep["triangle_difference"]
     suites["adjunction_dimensions_and_triangles"] = ok_adj
 
     # quotient equivalence instances; a degree-n certificate needs n+1 headroom
@@ -470,10 +469,9 @@ def run_verify_theorems(args) -> tuple[dict, int]:
     # the classification run itself
     descs = simples.enumerate_simples(sk, args.n_max, seed=args.seed, group_budget=args.budget_group)
     expected = 0
-    for rclass, rep_obj in enumerate(sk.rector.classes):
-        for n in range(min(args.n_max, sk.window - rep_obj.dim) + 1):
-            G = vfunctor.aut_sigma_group(sk, rclass, n)
-            expected += len(modrep.simple_modules(G, sk.p, seed=args.seed).simples)
+    for rclass, n in simples.simple_tasks(sk, args.n_max):
+        G = vfunctor.aut_sigma_group(sk, rclass, n)
+        expected += len(modrep.simple_modules(G, sk.p, seed=args.seed, budget=args.budget_group).simples)
     suites["classification_bijection"] = len(descs) == expected
 
     body = {

@@ -1,9 +1,10 @@
 """Categories of elements of a set functor, their skeletons, and hom-sets.
 
 Objects are pairs (W, psi) with psi in S(W); a morphism (W, psi) -> (H, eta)
-is a linear map gamma with gamma^* eta = psi.  Regular pairs form the full
-subcategory whose skeleton (iso-class representatives, witnesses and
-automorphism groups) drives everything downstream.
+is a linear map gamma with gamma^* eta = psi, so a hom-set is held as one
+(K, dim H, dim W) stack of matrices in map enumeration order.  Regular pairs
+form the full subcategory whose skeleton (iso-class representatives,
+witnesses and automorphism groups) drives everything downstream.
 
 Skeletal objects of the whole category are assembled as
 (regular class) + (trivial block of dimension v); in those coordinates every
@@ -27,10 +28,13 @@ from .gf import (
     block_map,
     count_maps,
     elementary_invertibles,
-    enumerate_maps,
     general_linear,
+    linear_maps,
+    map_indices,
     map_slices,
+    map_stack,
     proj_with_kernel,
+    rank,
 )
 from .sfunctor import (
     SElement,
@@ -45,31 +49,19 @@ from .sfunctor import (
 ElObject = SElement  # an object of the category of elements: (dim, index into S(dim))
 
 
-@dataclass(frozen=True)
-class ElMorphism:
-    src: ElObject
-    dst: ElObject
-    map: LinearMap
-
-    def verify(self, S: SetFunctor) -> bool:
-        return S.act(self.map, self.dst) == self.src
-
-
-def hom_set(S: SetFunctor, a: ElObject, b: ElObject, budget: int = DEFAULT_MAP_BUDGET) -> list[ElMorphism]:
-    """All morphisms a -> b, in map enumeration order.
+def hom_set(S: SetFunctor, a: ElObject, b: ElObject, budget: int = DEFAULT_MAP_BUDGET) -> np.ndarray:
+    """All morphisms a -> b: the (K, b.dim, a.dim) int64 stack of the maps
+    gamma with gamma^* b = a, in map enumeration order, so their
+    gf.map_indices increase.
 
     b is pulled back along one map_slices stack of the maps F^a.dim ->
-    F^b.dim at a time, so memory stays bounded up to the budget; a LinearMap
-    is built only for the maps gamma with gamma^* b = a.
+    F^b.dim at a time, so memory stays bounded up to the budget.
     """
-    out = []
-    for gammas in map_slices(S.p, a.dim, b.dim, budget):
-        for arr in gammas[S._pull(gammas, b.index) == a.index].astype(np.uint8):
-            out.append(ElMorphism(a, b, LinearMap(S.p, b.dim, a.dim, arr.tobytes())))
-    return out
+    slices = map_slices(S.p, a.dim, b.dim, budget)
+    return np.concatenate([gammas[S._pull(gammas, b.index) == a.index] for gammas in slices])
 
 
-def decompose(S: SetFunctor, o: ElObject) -> tuple[ElObject, Subspace, ElMorphism]:
+def decompose(S: SetFunctor, o: ElObject) -> tuple[ElObject, Subspace, LinearMap]:
     """Split o into its regular part and trivial block.
 
     Returns (regular object on the pivot complement, ker(psi), iso) where the
@@ -86,13 +78,11 @@ def decompose(S: SetFunctor, o: ElObject) -> tuple[ElObject, Subspace, ElMorphis
     phi = LinearMap.from_array(np.concatenate([projm.arr, resid[u.pivots]], axis=0), S.p)
     assembled = boxplus(S, t, k)
     target = ElObject(m + k, assembled.index)
-    iso = ElMorphism(o, target, phi)
-    if not iso.verify(S):
+    if S.act(phi, target) != o:
         raise RuntimeError("decomposition witness is not a morphism")
-    inv = ElMorphism(target, o, phi.inverse())
-    if not inv.verify(S):
+    if S.act(phi.inverse(), o) != target:
         raise RuntimeError("decomposition witness inverse is not a morphism")
-    return t, u, iso
+    return t, u, phi
 
 
 @dataclass
@@ -152,30 +142,25 @@ def build_rector_skeleton(S: SetFunctor, cap: int | None = None, budget: int = D
 
 def check_injectivity(S: SetFunctor, R: RectorSkeleton, budget: int = DEFAULT_MAP_BUDGET):
     """Every morphism between regular pairs must be injective; returns
-    (True, None) or (False, witness).
+    (True, None) or (False, witness), the witness a LinearMap.
 
     Injectivity is invariant under isomorphism, so it is decided on the
     hom-sets between class representatives.  When that check finds a map that
     is not injective or meets the budget, the loop over all pairs of regular
     elements runs and reports its first witness.
     """
+
+    def witness(objs):  # the first morphism between objs of rank below its source's dim
+        return next((LinearMap.from_array(gamma, S.p) for a in objs for b in objs
+                     for gamma in hom_set(S, a, b, budget) if rank(gamma, S.p) < a.dim), None)
+
     try:
-        if all(
-            mor.map.is_injective()
-            for a in R.classes
-            for b in R.classes
-            for mor in hom_set(S, a, b, budget)
-        ):
+        if witness(R.classes) is None:
             return True, None
     except BudgetExceeded:
         pass
-    regs = [s for d in range(R.cap + 1) for s in regular_set(S, d)]
-    for a in regs:
-        for b in regs:
-            for mor in hom_set(S, a, b, budget):
-                if not mor.map.is_injective():
-                    return False, mor
-    return True, None
+    wit = witness([s for d in range(R.cap + 1) for s in regular_set(S, d)])
+    return wit is None, wit
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +188,9 @@ class SkObject:
 class Skeleton:
     """Skeleton of the category of elements on dimensions <= window.
 
-    Hom-sets are enumerated lazily and cached; composition is by matrix
-    product.  Morphisms between skeletal objects are block
-    lower triangular in the (regular | trivial) coordinates.
+    Hom-sets are listed on first use and kept as read-only hom_set stacks;
+    composition is by matrix product.  Morphisms between skeletal objects are
+    block lower triangular in the (regular | trivial) coordinates.
     """
 
     def __init__(self, S: SetFunctor, window: int | None = None, budget: int = DEFAULT_MAP_BUDGET):
@@ -225,7 +210,7 @@ class Skeleton:
                 sk = SkObject(len(self.objects), r, v, ElObject(rep.dim + v, elt.index))
                 self.index[(r, v)] = sk.index
                 self.objects.append(sk)
-        self._hom: dict[tuple[int, int], list[LinearMap]] = {}
+        self._hom: dict[tuple[int, int], np.ndarray] = {}
         self._rep_cache: dict[ElObject, tuple[int, LinearMap]] = {}
         self._generators: list[tuple[int, int, LinearMap]] | None = None
 
@@ -236,12 +221,13 @@ class Skeleton:
     def obj(self, r: int, v: int) -> SkObject:
         return self.objects[self.index[(r, v)]]
 
-    def hom(self, i: int, j: int) -> list[LinearMap]:
-        key = (i, j)
-        if key not in self._hom:
-            a, b = self.objects[i], self.objects[j]
-            self._hom[key] = [m.map for m in hom_set(self.S, a.obj, b.obj, self.budget)]
-        return self._hom[key]
+    def hom(self, i: int, j: int) -> np.ndarray:
+        """hom(i, j) as hom_set's (K, dim j, dim i) stack, kept read-only."""
+        stack = self._hom.get((i, j))
+        if stack is None:
+            stack = self._hom[i, j] = hom_set(self.S, self.objects[i].obj, self.objects[j].obj, self.budget)
+            stack.setflags(write=False)
+        return stack
 
     def identity(self, i: int) -> LinearMap:
         return LinearMap.identity(self.objects[i].dim, self.p)
@@ -260,7 +246,7 @@ class Skeleton:
             [[wr, LinearMap.zero(wr.rows, v, self.p)],
              [LinearMap.zero(v, wr.cols, self.p), LinearMap.identity(v, self.p)]],
             self.p,
-        ) @ iso.map
+        ) @ iso
         idx = self.index[(r, v)]
         if self.S.act(w, self.objects[idx].obj) != o:
             raise ValueError(f"the action is not functorial: {w} does not carry object {idx} to {o}")
@@ -280,12 +266,6 @@ class Skeleton:
         h = LinearMap.from_array(arr[w2:, w:], self.p)
         top_right = arr[:w2, w:]
         return f, g, h, not top_right.any()
-
-    def assemble(self, i: int, j: int, f: LinearMap, g: LinearMap, h: LinearMap) -> LinearMap:
-        a, b = self.objects[i], self.objects[j]
-        return block_map(
-            [[f, LinearMap.zero(b.wdim, a.vdim, self.p)], [g, h]], self.p
-        )
 
     # -- special morphisms ----------------------------------------------------
 
@@ -379,23 +359,23 @@ class Skeleton:
         )
 
     def rector_hom(self, r1: int, r2: int) -> list[LinearMap]:
-        """Morphisms between regular class representatives: the hom-set of
-        the skeletal objects (r1, 0) and (r2, 0), which are those
+        """Morphisms between regular class representatives, as LinearMaps: the
+        hom-set of the skeletal objects (r1, 0) and (r2, 0), which are those
         representatives."""
-        return self.hom(self.index[(r1, 0)], self.index[(r2, 0)])
+        return linear_maps(self.hom(self.index[(r1, 0)], self.index[(r2, 0)]), self.p)
 
 
 def verify_block_form(S: SetFunctor, sk: Skeleton, i: int, j: int) -> bool:
-    """hom(i, j) must be exactly the block-lower-triangular maps whose regular
-    block is a regular-class morphism."""
+    """hom(i, j) must be exactly the block-lower-triangular maps [[f, 0], [g,
+    h]] whose regular block f is a regular-class morphism."""
     a, b = sk.objects[i], sk.objects[j]
-    got = {g.data for g in sk.hom(i, j)}
-    expect = set()
-    for f in sk.rector_hom(a.rclass, b.rclass):
-        for g in enumerate_maps(S.p, a.wdim, b.vdim):
-            for h in enumerate_maps(S.p, a.vdim, b.vdim):
-                expect.add(sk.assemble(i, j, f, g, h).data)
-    return got == expect
+    fs = sk.hom(sk.index[(a.rclass, 0)], sk.index[(b.rclass, 0)])
+    lower = map_stack(S.p, a.dim, b.vdim)  # every bottom row [g, h]
+    expect = np.zeros((len(fs), len(lower), b.dim, a.dim), dtype=np.int64)
+    expect[:, :, : b.wdim, : a.wdim] = fs[:, None]
+    expect[:, :, b.wdim:] = lower
+    got = map_indices(sk.hom(i, j), S.p)
+    return np.array_equal(got, np.sort(map_indices(expect, S.p), axis=None))
 
 
 def hom_factorization_holds(S: SetFunctor, sk: Skeleton, i: int, j: int) -> bool:

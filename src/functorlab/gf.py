@@ -30,7 +30,7 @@ import numpy as np
 DEFAULT_MAP_BUDGET = 1 << 20
 
 # Maps per slice when a hom-set is walked as a stack: bounds the memory of one
-# step of enumerate_maps, hom-set filters and table fills.
+# step of enumerate_maps, hom-set filters, table fills and functor-law checks.
 MAP_SLICE = 1 << 8
 
 # Most vectors one exhaustive scan may visit: the kernel spins of the
@@ -649,8 +649,13 @@ def enumerate_maps(p: int, dom_dim: int, cod_dim: int, budget: int = DEFAULT_MAP
     """All linear maps F_p^dom -> F_p^cod, lexicographic on column-major
     entries: the maps of the map_slices stacks, one at a time."""
     for stack in map_slices(p, dom_dim, cod_dim, budget):
-        for arr in stack.astype(np.uint8):
-            yield LinearMap(p, cod_dim, dom_dim, arr.tobytes())
+        yield from linear_maps(stack, p)
+
+
+def linear_maps(stack: np.ndarray, p: int) -> list[LinearMap]:
+    """The matrices of a (k, cod, dom) stack with entries in 0..p-1 as LinearMaps."""
+    _, cod_dim, dom_dim = stack.shape
+    return [LinearMap(p, cod_dim, dom_dim, arr.tobytes()) for arr in stack.astype(np.uint8)]
 
 
 def map_stack(p: int, dom_dim: int, cod_dim: int) -> np.ndarray:

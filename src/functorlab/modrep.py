@@ -145,20 +145,20 @@ class FiniteGroup:
 
     @staticmethod
     def symmetric(n: int) -> "FiniteGroup":
-        perms = sorted(itertools.permutations(range(n)))
-        return FiniteGroup.from_mul(perms, compose_perm, name=f"Sym({n})")
+        """Permutations of range(n) in lexicographic order, composed as
+        compose_perm: each pair's product is found by its base-n code."""
+        labels = list(itertools.permutations(range(n)))
+        perms = np.array(labels, dtype=np.int64).reshape(len(labels), n)
+        weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        table = np.searchsorted(perms @ weights, perms[:, perms] @ weights)
+        return FiniteGroup(labels, table, name=f"Sym({n})")
 
     @staticmethod
     def product(A: "FiniteGroup", B: "FiniteGroup") -> "FiniteGroup":
         labels = [(a, b) for a in A.labels for b in B.labels]
         nb = len(B.labels)
         n = len(labels)
-        table = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            ai, bi = divmod(i, nb)
-            for j in range(n):
-                aj, bj = divmod(j, nb)
-                table[i, j] = A.mul(ai, aj) * nb + B.mul(bi, bj)
+        table = (A.table[:, None, :, None] * nb + B.table[None, :, None, :]).reshape(n, n)
         G = FiniteGroup(labels, table, f"{A.name}x{B.name}")
         # prefer factor-wise generators; the greedy set stays as fallback
         gens = [a * nb + B.identity for a in A.generators] + [A.identity * nb + b for b in B.generators]

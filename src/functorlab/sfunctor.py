@@ -363,8 +363,9 @@ def validate(S: SetFunctor) -> ValidationReport:
     hypothesis and the generator check at alpha' give (alpha beta)^* =
     (alpha' beta)^* g^* = beta^* alpha'^* g^* = beta^* alpha^*.
 
-    The betas of one g and n are checked at once: row k of blocks[n, m] is
-    the table along the k-th map F^n -> F^m in enumerate_maps order, stored
+    The betas of one g and n are checked one map_slices slice at a time, so
+    the two sides of one check copy one slice of rows: row k of blocks[n, m]
+    is the table along the k-th map F^n -> F^m in enumerate_maps order, stored
     in the narrowest signed type that holds the indices of S(n).
 
     BudgetExceeded is raised before any pair is checked when F^cap -> F^cap
@@ -395,15 +396,17 @@ def validate(S: SetFunctor) -> ValidationReport:
         for g in gens:
             t_g = S.act_table(g)
             for n in dims:
-                betas = map_stack(S.p, n, g.cols)
-                lhs = blocks[n, g.cols][:, t_g]
-                rhs = blocks[n, g.rows][map_indices(g.arr @ betas % S.p, S.p)]
-                bad = np.flatnonzero((lhs != rhs).any(axis=1))
-                if bad.size:
-                    k = int(bad[0])
-                    s = SElement(g.rows, int(np.flatnonzero(lhs[k] != rhs[k])[0]))
-                    return ValidationReport(False, checked + k + 1, (g, LinearMap.from_array(betas[k], S.p), s))
-                checked += len(betas)
+                start = 0
+                for betas in map_slices(S.p, n, g.cols):
+                    lhs = blocks[n, g.cols][start:start + len(betas), t_g]
+                    rhs = blocks[n, g.rows][map_indices(g.arr @ betas % S.p, S.p)]
+                    bad = np.flatnonzero((lhs != rhs).any(axis=1))
+                    if bad.size:
+                        k = int(bad[0])
+                        s = SElement(g.rows, int(np.flatnonzero(lhs[k] != rhs[k])[0]))
+                        return ValidationReport(False, checked + k + 1, (g, LinearMap.from_array(betas[k], S.p), s))
+                    checked += len(betas)
+                    start += len(betas)
     return ValidationReport(True, checked)
 
 

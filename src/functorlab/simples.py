@@ -248,10 +248,21 @@ def functor_iso(F: VecFunctor, G: VecFunctor) -> bool:
     return spans_invertible([list(t.mats.values()) for t in basis], F.p)
 
 
+def fits_window(sk: Skeleton, rclass: int, n: int) -> bool:
+    """Whether the window can certify degree n at the class: a degree-n
+    certificate needs n + 1 trivial coordinates beside the representative."""
+    return sk.rector.classes[rclass].dim + n + 1 <= sk.window
+
+
+def simple_tasks(sk: Skeleton, n_max: int) -> list[tuple[int, int]]:
+    """The (class, degree) pairs enumerate_simples runs, in its order."""
+    return [(r, n) for r in range(len(sk.rector.classes)) for n in range(n_max + 1) if fits_window(sk, r, n)]
+
+
 def _simples_for_class_degree(sk: Skeleton, rclass: int, n: int, seed: int, group_budget: int) -> list[SimpleDescriptor]:
     p = sk.p
     rep_dim = sk.rector.classes[rclass].dim
-    if rep_dim + n + 1 > sk.window:
+    if not fits_window(sk, rclass, n):
         raise WindowExceeded(
             f"window {sk.window} cannot certify degree {n} at a class of dim {rep_dim}"
         )
@@ -294,13 +305,7 @@ def enumerate_simples(sk: Skeleton, n_max: int, seed: int = 0, group_budget: int
     supported on its class, and differencing back to the source module,
     in (class, degree) order; no two outputs are isomorphic.
     """
-    tasks = [
-        (rclass, n)
-        for rclass, rep in enumerate(sk.rector.classes)
-        for n in range(n_max + 1)
-        if rep.dim + n + 1 <= sk.window
-    ]
-    out = [d for r, n in tasks for d in _simples_for_class_degree(sk, r, n, seed, group_budget)]
+    out = [d for r, n in simple_tasks(sk, n_max) for d in _simples_for_class_degree(sk, r, n, seed, group_budget)]
     for a in range(len(out)):
         for b in range(a + 1, len(out)):
             if functor_iso(out[a].realization, out[b].realization):
@@ -314,7 +319,7 @@ def skipped_tasks(sk: Skeleton, n_max: int) -> list[dict]:
     out = []
     for rclass, rep in enumerate(sk.rector.classes):
         for n in range(n_max + 1):
-            if rep.dim + n + 1 > sk.window:
+            if not fits_window(sk, rclass, n):
                 out.append({"class_index": rclass, "n": n, "needed_window": rep.dim + n + 1})
     return out
 

@@ -21,8 +21,9 @@ identities, and F(g beta) = F(g) F(beta) for each generating morphism g inside
 the window and each beta into its source (proof in its docstring).  The pairs
 (g, beta) grow fast with the window: on the plain base 101, 5,724 and
 1,167,062 at windows 2, 3 and 4, on the rank-one base 142, 6,936 and
-1,289,411.  For a forgetful lift of V, window 3 takes about 0.1 s and window 4
-about 20 s on a 2-core Intel Xeon.
+1,289,411; they are checked one slice of the skeleton's hom-set stacks at a
+time.  For a forgetful lift of V, window 3 takes about 0.1 s and window 4
+about 4 s on a 2-core Intel Xeon.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from functools import partial
 import numpy as np
 
 from .gf import (
+    MAP_SLICE,
     BudgetExceeded,
     LinearMap,
     Subspace,
@@ -44,6 +46,7 @@ from .gf import (
     decode_entries,
     encode_entries,
     intertwiner_space,
+    linear_maps,
     map_indices,
     map_stack,
     nullspace,
@@ -202,19 +205,31 @@ class VecFunctor:
         beta, the induction hypothesis and the generator check at alpha' give
         F(alpha beta) = F(g) F(alpha' beta) = F(g) F(alpha') F(beta) =
         F(alpha) F(beta).
+
+        hom(i, j) is walked in MAP_SLICE slices; F(beta) is read once per slice
+        for all g out of j, and both sides are compared as stacks.
         """
-        sk, idxs = self.sk, self.object_indices()
+        sk, p, idxs = self.sk, self.p, self.object_indices()
+
+        def mats(i, j, stack):  # F at every map of a nonempty stack
+            return np.array([self.mat(i, j, gamma) for gamma in linear_maps(stack, p)])
+
         for i in idxs:
             if not np.array_equal(self.mat(i, i, sk.identity(i)), np.eye(self.dim(i), dtype=np.int64)):
                 return False
+        gens_from: dict[int, list] = {}
         for j, k, g in sk.generating_morphisms():
-            if sk.objects[j].dim > self.window or sk.objects[k].dim > self.window:
-                continue
-            Fg = self.mat(j, k, g)
+            if sk.objects[j].dim <= self.window and sk.objects[k].dim <= self.window:
+                gens_from.setdefault(j, []).append((k, g.arr, self.mat(j, k, g)))
+        for j, gens in gens_from.items():
             for i in idxs:
-                for beta in sk.hom(i, j):
-                    if not np.array_equal(Fg @ self.mat(i, j, beta) % self.p, self.mat(i, k, g @ beta)):
-                        return False
+                hom = sk.hom(i, j)
+                for start in range(0, len(hom), MAP_SLICE):
+                    betas = hom[start:start + MAP_SLICE]
+                    Fbetas = mats(i, j, betas)
+                    for k, g, Fg in gens:
+                        if not np.array_equal(Fg @ Fbetas % p, mats(i, k, g @ betas % p)):
+                            return False
         return True
 
 
@@ -240,12 +255,10 @@ def injective_cogen(sk: Skeleton, target: int, window: int | None = None) -> Vec
     }
 
     def rule(i, j, gamma):
-        src = sk.hom(i, target)
-        dst = sk.hom(j, target)
-        pos = {m.data: t for t, m in enumerate(src)}
+        src, dst = sk.hom(i, target), sk.hom(j, target)
         out = np.zeros((len(dst), len(src)), dtype=np.int64)
-        for r, delta in enumerate(dst):
-            out[r, pos[(delta @ gamma).data]] = 1
+        pos = np.searchsorted(map_indices(src, sk.p), map_indices(dst @ gamma.arr % sk.p, sk.p))
+        out[np.arange(len(dst)), pos] = 1
         return out
 
     return VecFunctor(sk, window, dims, rule, name=f"I[{target}]")
@@ -257,12 +270,10 @@ def projective_gen(sk: Skeleton, source: int, window: int | None = None) -> VecF
     dims = {o.index: len(sk.hom(source, o.index)) for o in sk.objects if o.dim <= window}
 
     def rule(i, j, gamma):
-        src = sk.hom(source, i)
-        dst = sk.hom(source, j)
-        pos = {m.data: t for t, m in enumerate(dst)}
+        src, dst = sk.hom(source, i), sk.hom(source, j)
         out = np.zeros((len(dst), len(src)), dtype=np.int64)
-        for c, delta in enumerate(src):
-            out[pos[(gamma @ delta).data], c] = 1
+        pos = np.searchsorted(map_indices(dst, sk.p), map_indices(gamma.arr @ src % sk.p, sk.p))
+        out[pos, np.arange(len(src))] = 1
         return out
 
     return VecFunctor(sk, window, dims, rule, name=f"P[{source}]")
@@ -790,6 +801,11 @@ def aut_sigma_group(sk: Skeleton, rclass: int, n: int) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 # the balanced tensor construction
 
+# Most cells, (n - 1) * plain rows by plain columns, of the dense relation
+# matrix of one balanced tensor value.  The plain base at cap 5, n <= 4 (p = 2
+# and 3), and the rank-one base at cap 6, n <= 4, need up to about 2 * 10^7.
+MAX_RELATION_CELLS = 1 << 25
+
 
 class TensorSigma(VecFunctor):
     """(trivial block)^{tensor n} balanced over Sym(n) with a module functor.
@@ -821,6 +837,9 @@ class TensorSigma(VecFunctor):
         plain = (v**self.n) * mdim
         if plain == 0:
             return np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.int64)
+        cells = (self.n - 1) * plain * plain
+        if cells > MAX_RELATION_CELLS:
+            raise BudgetExceeded("relation matrix cells", cells, MAX_RELATION_CELLS)
         rel_rows = []
         idx = list(itertools.product(range(v), repeat=self.n))
         pos = {J: t for t, J in enumerate(idx)}
@@ -1062,7 +1081,7 @@ def functor_to_json(F: VecFunctor, map_budget: int = 1 << 20) -> dict:
     maps = {}
     for i in idxs:
         for j in idxs:
-            for g in sk.hom(i, j):
+            for g in linear_maps(sk.hom(i, j), sk.p):
                 maps[_map_key(sk.objects[i], sk.objects[j], g)] = F.mat(i, j, g).tolist()
     return {"schema": 1, "p": F.p, "window": F.window, "dims": dims, "maps": maps}
 

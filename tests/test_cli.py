@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from functorlab import cli
+from functorlab import cli, vfunctor
 
 
 def run_cli(args, capsys):
@@ -115,6 +115,23 @@ def test_verify_theorems_passes(capsys):
     doc = json.loads(out)
     assert code == 0
     assert all(doc["suites"].values())
+
+
+@pytest.mark.parametrize("u_dim,cap,n_max", [(1, 3, 2), (0, 3, 3), (1, 2, 1), (2, 3, 1)])
+def test_verify_theorems_passes_when_the_window_skips_pairs(u_dim, cap, n_max, capsys):
+    # the classification suite counts only the (class, degree) pairs the
+    # window can certify, the ones enumerate-simples runs
+    code, out = run_cli(
+        ["--u-dim", str(u_dim), "--cap", str(cap), "--n-max", str(n_max), "verify-theorems"], capsys
+    )
+    doc = json.loads(out)
+    assert code == 0 and all(doc["suites"].values()), doc["suites"]
+
+
+def test_oversize_balanced_tensor_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(vfunctor, "MAX_RELATION_CELLS", 15)
+    assert cli.main(["--u-dim", "0", "--cap", "3", "--n-max", "2", "enumerate-simples"]) == 2
+    assert "budget 'relation matrix cells' exceeded" in capsys.readouterr().err
 
 
 def test_markdown_rendering(capsys):

@@ -50,6 +50,26 @@ def test_product_group(S3):
     assert len(P) == 12 and P.validate()
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_symmetric_table_matches_composition_oracle(n):
+    want = mr.FiniteGroup.from_mul(sorted(itertools.permutations(range(n))), mr.compose_perm)
+    G = mr.FiniteGroup.symmetric(n)
+    assert G.labels == want.labels and G.generators == want.generators
+    assert G.table.dtype == np.int64 and np.array_equal(G.table, want.table)
+
+
+def test_product_table_matches_pair_oracle(S3):
+    for A, B in ((S3, mr.FiniteGroup.symmetric(2)), (_gl2_f2(), S3), (mr.FiniteGroup.trivial(), S3)):
+        P = mr.FiniteGroup.product(A, B)
+
+        def mul(x, y):
+            return (A.labels[A.mul(A.index[x[0]], A.index[y[0]])], B.labels[B.mul(B.index[x[1]], B.index[y[1]])])
+
+        want = mr.FiniteGroup.from_mul(P.labels, mul)
+        assert P.table.dtype == np.int64 and np.array_equal(P.table, want.table)
+        assert P.validate()
+
+
 def oracle_associative(G):
     """Every triple: the n^3 loop that Light's test replaced."""
     n = len(G)

@@ -17,7 +17,7 @@ from functorlab.gf import (
     preimage,
     proj_with_kernel,
 )
-from functorlab import elcat as ec, sfunctor as sf
+from functorlab import elcat as ec, gf, sfunctor as sf
 
 
 @pytest.fixture(scope="module")
@@ -745,7 +745,9 @@ def single_entry_changes(T):
     [lambda: sf.from_json_dict(sf.to_json_dict(sf.RepresentableFunctor(2, 1, 2))), sf.kernel_mismatch_example],
     ids=["representable-u1-cap2", "kernel-mismatch"],
 )
-def test_validate_matches_triple_loop_on_single_entry_changes(make):
+def test_validate_matches_triple_loop_on_single_entry_changes(make, monkeypatch):
+    # slices of three maps, so witnesses past the first slice are counted too
+    monkeypatch.setattr(gf, "MAP_SLICE", 3)
     oks = []
     for T in single_entry_changes(make()):
         rep = sf.validate(T)

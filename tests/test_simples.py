@@ -10,7 +10,7 @@ from functorlab import modrep as mr
 from functorlab import sfunctor as sf
 from functorlab import simples as sp
 from functorlab import vfunctor as vf
-from functorlab.gf import SCAN_BUDGET, nonzero_combinations, rref
+from functorlab.gf import SCAN_BUDGET, linear_maps, nonzero_combinations, rref
 
 
 # -- the routes certify_simple took before condensation, kept as oracles -------
@@ -369,7 +369,7 @@ def test_end_generators_generate_end(p, u_dim, cap):
             new = [g @ m for m in frontier for g in gens]
             frontier = [m for m in new if m.data not in reached]
             reached |= {m.data for m in frontier}
-        assert reached == {m.data for m in sk.hom(o.index, o.index)}
+        assert reached == {m.data for m in linear_maps(sk.hom(o.index, o.index), sk.p)}
 
 
 def _condensation_object(F):

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from functorlab.gf import LinearMap, enumerate_maps, restrict, rref
+from functorlab.gf import BudgetExceeded, LinearMap, enumerate_maps, linear_maps, restrict, rref
 from functorlab import elcat as ec
 from functorlab import modrep as mr
 from functorlab import sfunctor as sf
@@ -28,6 +28,11 @@ def skhom():
 
 def tensor_lift(sk, n, window=None):
     return vf.forgetful_lift(sk, vf.TensorPower(n, 2), window)
+
+
+def maps_of(sk, i, j):
+    """hom(i, j) as LinearMaps, in the skeleton's order."""
+    return linear_maps(sk.hom(i, j), sk.p)
 
 
 # -- constructors -------------------------------------------------------------
@@ -74,6 +79,40 @@ def test_projective_gen_covariant(skhom):
     assert P.validate()
 
 
+def oracle_cogen_mat(sk, target, i, j, gamma):
+    """I[target](gamma): one LinearMap product per map of hom(j, target),
+    found by its bytes among hom(i, target)."""
+    pos = {m.data: t for t, m in enumerate(maps_of(sk, i, target))}
+    dst = maps_of(sk, j, target)
+    out = np.zeros((len(dst), len(pos)), dtype=np.int64)
+    for r, delta in enumerate(dst):
+        out[r, pos[(delta @ gamma).data]] = 1
+    return out
+
+
+def oracle_gen_mat(sk, source, i, j, gamma):
+    """P[source](gamma): one LinearMap product per map of hom(source, i),
+    found by its bytes among hom(source, j)."""
+    src = maps_of(sk, source, i)
+    pos = {m.data: t for t, m in enumerate(maps_of(sk, source, j))}
+    out = np.zeros((len(pos), len(src)), dtype=np.int64)
+    for c, delta in enumerate(src):
+        out[pos[(gamma @ delta).data], c] = 1
+    return out
+
+
+@pytest.mark.parametrize("p,u_dim", [(2, 1), (2, 2), (3, 0)])
+def test_hom_functor_rules_match_position_oracle(p, u_dim):
+    sk = ec.Skeleton(sf.RepresentableFunctor(p, u_dim, 2))
+    objs = [o.index for o in sk.objects]
+    for t in objs:
+        I, P = vf.injective_cogen(sk, t), vf.projective_gen(sk, t)
+        for i, j in itertools.product(objs, repeat=2):
+            for gamma in maps_of(sk, i, j):
+                assert np.array_equal(I.mat(i, j, gamma), oracle_cogen_mat(sk, t, i, j, gamma))
+                assert np.array_equal(P.mat(i, j, gamma), oracle_gen_mat(sk, t, i, j, gamma))
+
+
 def oracle_validate(F):
     """The functor laws on every composable pair of morphisms inside the
     window, the triple loop that validate ran before it checked generators."""
@@ -83,13 +122,15 @@ def oracle_validate(F):
     return all(
         np.array_equal(F.mat(j, k, b) @ F.mat(i, j, a) % F.p, F.mat(i, k, b @ a))
         for i, j, k in itertools.product(idxs, repeat=3)
-        for a in sk.hom(i, j)
-        for b in sk.hom(j, k)
+        for a in maps_of(sk, i, j)
+        for b in maps_of(sk, j, k)
     )
 
 
-def test_validate_matches_triple_loop(plain, skhom):
-    # functors at windows below their skeleton's, so the generators are cut
+def test_validate_matches_triple_loop(plain, skhom, monkeypatch):
+    # functors at windows below their skeleton's, so the generators are cut;
+    # slices of three betas, so most hom-sets are walked in several
+    monkeypatch.setattr(vf, "MAP_SLICE", 3)
     G = vf.aut_sigma_group(skhom, 1, 2)
     M = vf.sigma_functor_from_module(skhom, 1, 2, mr.regular_module(G, 2))
     functors = [
@@ -103,7 +144,9 @@ def test_validate_matches_triple_loop(plain, skhom):
         assert F.validate() and oracle_validate(F), F.name
 
 
-def test_validate_matches_triple_loop_on_single_entry_flips():
+def test_validate_matches_triple_loop_on_single_entry_flips(monkeypatch):
+    # slices of three betas, so flips past the first slice are found too
+    monkeypatch.setattr(vf, "MAP_SLICE", 3)
     sk = ec.Skeleton(sf.RepresentableFunctor(2, 1, 2))
     doc = vf.functor_to_json(tensor_lift(sk, 1))
     rejected = 0
@@ -306,7 +349,7 @@ def _p_n_oracle(F, n, known_degree_bound=None):
         def rows():
             for o in constraint_objs:
                 plus = sk.index[(o.rclass, o.vdim + k)]
-                homs = sk.hom(i, plus)
+                homs = maps_of(sk, i, plus)
                 if not homs:
                     continue
                 pos = {g.data: t for t, g in enumerate(homs)}
@@ -422,7 +465,7 @@ def test_generated_subfunctor_matches_full_hom_span(skhom):
         if o.dim > 2:
             continue
         vecs = [np.zeros(F.dim(o.index), dtype=np.int64)]
-        for gamma in skhom.hom(start, o.index):
+        for gamma in maps_of(skhom, start, o.index):
             vecs.append((F.mat(start, o.index, gamma) @ x) % 2)
         from functorlab.gf import rref
 
@@ -534,11 +577,11 @@ def test_certify_simple_witness_matches_oracle(plain, skhom):
             assert at_o.shape[0] == 0
             want = {}
             for i in F.object_indices():
-                maps = [F.mat(i, o, g) for g in sk.hom(i, o)]
+                maps = [F.mat(i, o, g) for g in maps_of(sk, i, o)]
                 want[i] = nullspace(np.concatenate(maps or [np.zeros((0, F.dim(i)), dtype=np.int64)]), 2)
         else:
             assert 0 < at_o.shape[0] <= F.dim(o) and (at_o.shape[0] == F.dim(o)) == (condition == "b")
-            for g in sk.hom(o, o):  # an End(o)-submodule
+            for g in maps_of(sk, o, o):  # an End(o)-submodule
                 img = (at_o @ F.mat(o, o, g).T) % 2
                 assert len(rref(np.concatenate([at_o, img]), 2)[1]) == at_o.shape[0]
             want = _generated_oracle(F, o, at_o)
@@ -755,7 +798,7 @@ def oracle_is_natural(t, budget=100_000):
     """Naturality on every morphism of every hom-set inside the window."""
     A, B, sk, w = t.src, t.dst, t.src.sk, t.window()
     objs = [o.index for o in sk.objects if o.dim <= w]
-    homs = [(i, j, sk.hom(i, j)) for i in objs for j in objs]
+    homs = [(i, j, maps_of(sk, i, j)) for i in objs for j in objs]
     assert sum(len(h) for _, _, h in homs) <= budget
     return all(
         np.array_equal((t.mats[j] @ A.mat(i, j, g)) % A.p, (B.mat(i, j, g) @ t.mats[i]) % A.p)
@@ -869,12 +912,23 @@ def test_tensor_sigma_matches_kron_oracle(u_dim, n):
     for TM in _balanced_tensors(sk, n):
         for i in TM.object_indices():
             for j in TM.object_indices():
-                for g in sk.hom(i, j):
+                for g in maps_of(sk, i, j):
                     got = TM.mat(i, j, g)
                     assert np.array_equal(got, _kron_tensor_rule(TM, i, j, g))
                     zero += got.size == 0
                     nonzero += bool(got.any())
     assert zero and nonzero  # both the empty shortcut and real products ran
+
+
+def test_tensor_sigma_refuses_an_oversize_relation_matrix(monkeypatch):
+    # at v = 2, n = 2 the relation matrix has (n - 1) * 4 rows of 4 cells
+    sk = ec.Skeleton(sf.RepresentableFunctor(2, 0, 3))
+    M = vf.sigma_functor_from_module(sk, 0, 2, mr.trivial_module(vf.aut_sigma_group(sk, 0, 2), 2))
+    monkeypatch.setattr(vf, "MAX_RELATION_CELLS", 16)
+    assert vf.tensor_sigma_n(sk, M, 2, window=2).dim(sk.index[(0, 2)]) == 3
+    monkeypatch.setattr(vf, "MAX_RELATION_CELLS", 15)
+    with pytest.raises(BudgetExceeded, match="needs 16, allows 15"):
+        vf.tensor_sigma_n(sk, M, 2, window=2)
 
 
 def test_tensor_sigma_freed_without_the_cycle_collector(skhom):
@@ -883,7 +937,7 @@ def test_tensor_sigma_freed_without_the_cycle_collector(skhom):
     G = vf.aut_sigma_group(skhom, 1, 2)
     TM = vf.tensor_sigma_n(skhom, vf.sigma_functor_from_module(skhom, 1, 2, mr.regular_module(G, 2)), 2)
     i = skhom.index[(1, 2)]
-    assert TM.mat(i, i, skhom.hom(i, i)[0]).size
+    assert TM.mat(i, i, maps_of(skhom, i, i)[0]).size
     ref = weakref.ref(TM)
     gc.disable()
     try:
@@ -982,8 +1036,8 @@ def test_query_routing_off_the_skeleton(skhom):
                 for s2 in S.elements(d2):
                     o2 = ec2.ElObject(d2, s2.index)
                     mors = ec2.hom_set(S, o, o2)
-                    for mor in mors[:2]:
-                        m = F.map_at(o, o2, mor.map)
+                    for mor in linear_maps(mors[:2], S.p):
+                        m = F.map_at(o, o2, mor)
                         assert m.shape == (F.value_dim_at(o2), F.value_dim_at(o))
                         done += 1
     assert done > 10
@@ -998,10 +1052,10 @@ def test_query_routing_respects_composition(skhom):
     m_a, m_b = LinearMap.from_array([[1, 1]], 2), LinearMap.from_array([[1]], 2)
     a = ec2.ElObject(2, next(e.index for e in S.elements(2) if S.element_map(e) == m_a))
     b = ec2.ElObject(1, next(e.index for e in S.elements(1) if S.element_map(e) == m_b))
-    for m1 in ec2.hom_set(S, a, b):
-        for m2 in ec2.hom_set(S, b, a):
-            comp = m2.map @ m1.map
-            lhs = (F.map_at(b, a, m2.map) @ F.map_at(a, b, m1.map)) % 2
+    for m1 in linear_maps(ec2.hom_set(S, a, b), S.p):
+        for m2 in linear_maps(ec2.hom_set(S, b, a), S.p):
+            comp = m2 @ m1
+            lhs = (F.map_at(b, a, m2) @ F.map_at(a, b, m1)) % 2
             assert np.array_equal(lhs, F.map_at(a, a, comp))
 
 
