@@ -669,11 +669,12 @@ def map_stack(p: int, dom_dim: int, cod_dim: int) -> np.ndarray:
 
 def map_indices(stack: np.ndarray, p: int) -> np.ndarray:
     """The position in enumerate_maps order of every matrix of a (..., cod,
-    dom) stack with entries in 0..p-1; the inverse of map_stack."""
+    dom) stack with entries in 0..p-1; the inverse of map_stack.  Callers
+    list maps under their own budgets; positions need only fit in int64."""
     *lead, cod_dim, dom_dim = stack.shape
     total = count_maps(p, dom_dim, cod_dim)
-    if total > DEFAULT_MAP_BUDGET:
-        raise BudgetExceeded("maps", total, DEFAULT_MAP_BUDGET)
+    if total > np.iinfo(np.int64).max:
+        raise BudgetExceeded("maps", total, np.iinfo(np.int64).max)
     return stack.reshape(*lead, cod_dim * dom_dim) @ _digit_weights(p, dom_dim, cod_dim).reshape(-1)
 
 

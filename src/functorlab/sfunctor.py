@@ -22,8 +22,9 @@ The calculus reads one boolean matrix per dimension d: which elements of
 S(F_p^d) each line idempotent e_l = sect proj_l fixes.  The kernel of s is the
 span of the lines fixing s (kernel_of's docstring has the proof), its regular
 reduction is sect_u^* s for u = ker s, and the regular elements are those no
-line fixes.  check_weak_noetherian decides on GL-orbit representatives and
-runs the exhaustive pair loop only for the witness of a violation.
+line fixes.  check_weak_noetherian compares ker(alpha^* s) with
+alpha^{-1}(ker s) by their lines, one product per stack of maps, on GL-orbit
+representatives, and builds the two subspaces only for a violation's witness.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class SetFunctor:
         self.name = name
         self._table_cache: dict = {}
         self._kernel_cache: dict[SElement, Subspace] = {}
-        self._fixed_lines: dict[int, tuple[list[Subspace], np.ndarray]] = {}
+        self._fixed_lines: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def size(self, d: int) -> int:
         raise NotImplementedError
@@ -435,12 +436,12 @@ def _require_laws(S: SetFunctor) -> None:
 # kernel calculus
 
 
-def _fixed_lines(S: SetFunctor, d: int) -> tuple[list[Subspace], np.ndarray]:
-    """The lines l of F^d, in enumerate_subspaces order, and the boolean
-    matrix whose row for l marks the s in S(d) with e_l^* s = s, where e_l =
-    sect proj is the idempotent with kernel l from proj_with_kernel.  Built
-    once per dimension, after the gate, one pull per line, and kept on S; the
-    tables of the e_l are not kept."""
+def _fixed_lines(S: SetFunctor, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lines l of F^d, in enumerate_subspaces order, as the rows of an
+    (L, d) matrix, and the boolean matrix whose row for l marks the s in S(d)
+    with e_l^* s = s, e_l = sect proj the idempotent with kernel l from
+    proj_with_kernel.  Built once per dimension, after the gate, one pull per
+    line, and kept on S; the tables of the e_l are not kept."""
     hit = S._fixed_lines.get(d)
     if hit is None:
         _require_laws(S)
@@ -449,7 +450,8 @@ def _fixed_lines(S: SetFunctor, d: int) -> tuple[list[Subspace], np.ndarray]:
         fixed = np.zeros((len(lines), ids.size), dtype=bool)
         for row, (projm, sect) in zip(fixed, map(proj_with_kernel, lines)):
             row[:] = S._pull((sect @ projm).arr[None], slice(None))[0] == ids
-        hit = S._fixed_lines[d] = (lines, fixed)
+        vecs = np.array([u.basis_arr[0] for u in lines], dtype=np.int64).reshape(len(lines), d)
+        hit = S._fixed_lines[d] = (vecs, fixed)
     return hit
 
 
@@ -476,9 +478,7 @@ def kernel_of(S: SetFunctor, s: SElement) -> Subspace:
     hit = S._kernel_cache.get(s)
     if hit is None:
         lines, fixed = _fixed_lines(S, s.dim)
-        vecs = [line.basis_arr[0] for line, f in zip(lines, fixed[:, s.index]) if f]
-        hit = Subspace.from_vectors(vecs, S.p, s.dim) if vecs else Subspace.zero(s.dim, S.p)
-        S._kernel_cache[s] = hit
+        hit = S._kernel_cache[s] = Subspace.from_vectors(lines[fixed[:, s.index]], S.p, s.dim)
     return hit
 
 
@@ -541,28 +541,29 @@ def _weak_noetherian_on_orbits(S: SetFunctor, window: int) -> bool:
     subspace W of F^m with dim W <= n, the one map F^n -> F^m whose columns
     are the RREF basis of W followed by zeros: every surjection onto W is
     that map times an invertible."""
-    preimages: dict[tuple[LinearMap, Subspace], Subspace] = {}
-    for m in range(window + 1):
-        stacks = []
+    dims = range(window + 1)
+    for m in dims:
         subspaces = enumerate_subspaces(S.p, m)
-        for n in range(window + 1):
-            alphas = []
-            for w in subspaces:
-                if w.dim <= n:
-                    arr = np.zeros((m, n), dtype=np.int64)
-                    arr[:, : w.dim] = w.basis_arr.T
-                    alphas.append(LinearMap.from_array(arr, S.p))
-            stacks.append((np.array([alpha.arr for alpha in alphas]), alphas))
+        spans = np.zeros((len(subspaces), m, window), dtype=np.int64)
+        for span, w in zip(spans, subspaces):
+            span[:, : w.dim] = w.basis_arr.T
+        stacks = [spans[[w.dim <= n for w in subspaces], :, :n] for n in dims]
         for s in _orbit_representatives(S, m):
-            ker_s = kernel_of(S, s)
-            for n, (stack, alphas) in enumerate(stacks):
-                for alpha, t in zip(alphas, S._pull(stack, s.index).tolist()):
-                    rhs = preimages.get((alpha, ker_s))
-                    if rhs is None:
-                        rhs = preimages[alpha, ker_s] = preimage(alpha, ker_s)
-                    if kernel_of(S, SElement(n, t)) != rhs:
-                        return False
+            proj = proj_with_kernel(kernel_of(S, s))[0].arr
+            if any(_kernel_mismatches(S, stack, s.index, proj).size for stack in stacks):
+                return False
     return True
+
+
+def _kernel_mismatches(S: SetFunctor, alphas: np.ndarray, s: int, proj: np.ndarray) -> np.ndarray:
+    """The positions k of a (K, m, n) stack of maps with ker(alphas[k]^* s) !=
+    alphas[k]^{-1}(ker s), for s an index into S(m) and proj a map with
+    kernel ker s.  Two subspaces are equal when they hold the same lines: the
+    line of v lies in the preimage when proj alphas[k] v = 0, and in ker t
+    exactly when _fixed_lines marks it for t, by kernel_of's proof."""
+    lines, fixed = _fixed_lines(S, alphas.shape[2])
+    inside = ~((proj @ alphas @ lines.T) % S.p).any(axis=1)
+    return np.flatnonzero((inside != fixed[:, S._pull(alphas, s)].T).any(axis=1))
 
 
 def _orbit_representatives(S: SetFunctor, m: int) -> list[SElement]:
@@ -584,25 +585,23 @@ def _orbit_representatives(S: SetFunctor, m: int) -> list[SElement]:
 
 
 def _weak_noetherian_loop(S: SetFunctor, window: int, budget: int) -> WeakNoetherianReport:
-    """Every pair in enumeration order, stopping at the first violation.  Each
-    Hom set is listed once and alpha^{-1}(ker s) is memoised per (alpha, ker s)."""
+    """Every pair in enumeration order, one map_slices stack at a time,
+    stopping at the first violation; only that pair's two kernels are built,
+    for its witness."""
     checked = 0
-    preimages: dict[tuple[LinearMap, Subspace], Subspace] = {}
     for m in range(window + 1):
-        homs = [list(enumerate_maps(S.p, n, m, budget)) for n in range(window + 1)]
         for s in S.elements(m):
             ker_s = kernel_of(S, s)
-            for maps in homs:
-                for alpha in maps:
-                    checked += 1
-                    lhs = kernel_of(S, S.act(alpha, s))
-                    rhs = preimages.get((alpha, ker_s))
-                    if rhs is None:
-                        rhs = preimages[alpha, ker_s] = preimage(alpha, ker_s)
-                    if lhs != rhs:
-                        return WeakNoetherianReport(
-                            False, checked, window, (alpha, s, lhs, rhs), window < S.cap
-                        )
+            proj = proj_with_kernel(ker_s)[0].arr
+            for n in range(window + 1):
+                for alphas in map_slices(S.p, n, m, budget):
+                    bad = _kernel_mismatches(S, alphas, s.index, proj)
+                    if bad.size:
+                        k = int(bad[0])
+                        alpha = LinearMap.from_array(alphas[k], S.p)
+                        witness = (alpha, s, kernel_of(S, S.act(alpha, s)), preimage(alpha, ker_s))
+                        return WeakNoetherianReport(False, checked + k + 1, window, witness, window < S.cap)
+                    checked += len(alphas)
     return WeakNoetherianReport(True, checked, window, None, window < S.cap)
 
 

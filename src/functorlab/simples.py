@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import SCAN_BUDGET, WindowExceeded, nonzero_combinations, nullspace, rref, spans_invertible
+from . import vfunctor
+from .gf import SCAN_BUDGET, BudgetExceeded, WindowExceeded, nonzero_combinations, nullspace, rref, spans_invertible
 from .elcat import Skeleton
 from .modrep import (
     FiniteGroup,
@@ -304,8 +305,17 @@ def enumerate_simples(sk: Skeleton, n_max: int, seed: int = 0, group_budget: int
     lower-degree subfunctor quotiented away, certified simple on the window,
     supported on its class, and differencing back to the source module,
     in (class, degree) order; no two outputs are isomorphic.
+
+    Every task builds a balanced tensor of a module of dimension >= 1 at v =
+    window - dim(class), so BudgetExceeded is raised before the first task
+    when (n - 1) (v^n)^2 relation cells exceed vfunctor.MAX_RELATION_CELLS.
     """
-    out = [d for r, n in simple_tasks(sk, n_max) for d in _simples_for_class_degree(sk, r, n, seed, group_budget)]
+    tasks = simple_tasks(sk, n_max)
+    for r, n in tasks:
+        cells = (n - 1) * ((sk.window - sk.rector.classes[r].dim) ** n) ** 2
+        if cells > vfunctor.MAX_RELATION_CELLS:
+            raise BudgetExceeded("relation matrix cells", cells, vfunctor.MAX_RELATION_CELLS)
+    out = [d for r, n in tasks for d in _simples_for_class_degree(sk, r, n, seed, group_budget)]
     for a in range(len(out)):
         for b in range(a + 1, len(out)):
             if functor_iso(out[a].realization, out[b].realization):

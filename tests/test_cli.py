@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from functorlab import cli, vfunctor
+from functorlab import cli, simples, vfunctor
 
 
 def run_cli(args, capsys):
@@ -132,6 +132,13 @@ def test_oversize_balanced_tensor_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(vfunctor, "MAX_RELATION_CELLS", 15)
     assert cli.main(["--u-dim", "0", "--cap", "3", "--n-max", "2", "enumerate-simples"]) == 2
     assert "budget 'relation matrix cells' exceeded" in capsys.readouterr().err
+
+
+def test_oversize_balanced_tensor_refused_before_the_first_task(monkeypatch, capsys):
+    # the n = 5 task needs 4 (6^5)^2 cells at module dimension 1; no task runs
+    monkeypatch.setattr(simples, "_simples_for_class_degree", None)
+    assert cli.main(["--u-dim", "0", "--cap", "6", "--n-max", "5", "enumerate-simples"]) == 2
+    assert "needs 241864704, allows 33554432" in capsys.readouterr().err
 
 
 def test_markdown_rendering(capsys):

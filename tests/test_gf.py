@@ -118,8 +118,9 @@ def test_enumeration_budget():
         list(enumerate_maps(2, 5, 5, budget=100))
     with pytest.raises(BudgetExceeded):
         map_stack(2, 5, 5)
+    # map_indices is bounded by int64 alone: the 2^64 maps F_2^8 -> F_2^8 overflow it
     with pytest.raises(BudgetExceeded):
-        map_indices(np.zeros((1, 5, 5), dtype=np.int64), 2)
+        map_indices(np.zeros((1, 8, 8), dtype=np.int64), 2)
 
 
 def oracle_enumerate_maps(p, dom_dim, cod_dim):
@@ -196,6 +197,20 @@ def test_preimage_of_kernel_is_kernel_of_composite(n, m, x, p, seed):
     a = LinearMap.from_array(rng.integers(0, p, size=(m, n)), p)
     q = LinearMap.from_array(rng.integers(0, p, size=(x, m)), p)
     assert preimage(a, kernel_space(q)) == kernel_space(q @ a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3), st.sampled_from([2, 3, 5]), st.integers(0, 2**30))
+def test_line_in_preimage_iff_projection_kills_its_image(n, m, k, p, seed):
+    # the line test of sfunctor's weak noetherianity check: <v> lies in
+    # alpha^{-1}(U) exactly when the projection with kernel U kills alpha v
+    rng = np.random.default_rng(seed)
+    alpha = rng.integers(0, p, size=(m, n))
+    u = Subspace.from_vectors(rng.integers(0, p, size=(k, m)), p, m)
+    v = rng.integers(0, p, size=n)
+    v[rng.integers(n)] = rng.integers(1, p)
+    inside = not (proj_with_kernel(u)[0].arr @ alpha @ v % p).any()
+    assert preimage(LinearMap.from_array(alpha, p), u).contains_vector(v) == inside
 
 
 def test_pivot_complement_is_complement():

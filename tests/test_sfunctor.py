@@ -253,8 +253,8 @@ def test_json_roundtrip_p11():
 
 
 # ---------------------------------------------------------------------------
-# line idempotents and the preimage memo against the per-element searches
-# they replaced, kept here as oracles
+# line idempotents and line tables against the per-element searches they
+# replaced, kept here as oracles
 
 
 def oracle_kernel_of(S, s):
@@ -559,6 +559,8 @@ WEAK_CASES = {
     "union-component-0": (lambda: sf.split_components(union())[0], DEFAULT_MAP_BUDGET),
     "union-component-1": (lambda: sf.split_components(union())[1], DEFAULT_MAP_BUDGET),
     "representable-p3-u1-cap2": (lambda: sf.RepresentableFunctor(3, 1, 2), DEFAULT_MAP_BUDGET),
+    # lines of F_5^n have four nonzero spanning vectors each
+    "representable-p5-u1-cap2": (lambda: sf.RepresentableFunctor(5, 1, 2), DEFAULT_MAP_BUDGET),
     "table-roundtrip": (table_roundtrip, DEFAULT_MAP_BUDGET),
 }
 
@@ -580,6 +582,37 @@ def test_weak_noetherian_matches_element_loop(case):
     assert got == want
     assert got.partial == (case == "representable-small-budget")
     assert got.ok == ("kernel-mismatch" not in case)
+
+
+@pytest.mark.parametrize("case", WEAK_CASES)
+def test_witness_route_matches_element_loop(case):
+    # the witness route alone runs the line test at every element, not only
+    # at GL-orbit representatives
+    make, budget = WEAK_CASES[case]
+    want = weak_oracle(case)
+    assert sf._weak_noetherian_loop(make(), want.window, budget) == want
+
+
+@pytest.mark.parametrize("case", [case for case in WEAK_CASES if "kernel-mismatch" in case])
+def test_weak_noetherian_witness_across_slices(case, monkeypatch):
+    # slices of three maps, so the witness route counts its pairs over many
+    monkeypatch.setattr(gf, "MAP_SLICE", 3)
+    make, budget = WEAK_CASES[case]
+    assert sf.check_weak_noetherian(make(), budget) == weak_oracle(case)
+
+
+@pytest.mark.parametrize("case", WEAK_CASES)
+def test_fixed_lines_are_the_lines_of_the_kernel(case):
+    # the lemma the weak noetherianity check rests on: a line lies in ker t
+    # exactly when _fixed_lines marks it for t
+    make, _ = WEAK_CASES[case]
+    S = make()
+    for n in range(S.cap + 1):
+        lines, fixed = sf._fixed_lines(S, n)
+        assert lines.shape == (len(fixed), n)
+        for t in S.elements(n):
+            ker = sf.kernel_of(S, t)
+            assert [ker.contains_vector(v) for v in lines] == fixed[:, t.index].tolist(), t
 
 
 @pytest.mark.parametrize("case", WEAK_CASES)

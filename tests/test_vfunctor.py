@@ -9,6 +9,7 @@ import pytest
 
 from functorlab.gf import BudgetExceeded, LinearMap, enumerate_maps, linear_maps, restrict, rref
 from functorlab import elcat as ec
+from functorlab import gf
 from functorlab import modrep as mr
 from functorlab import sfunctor as sf
 from functorlab import vfunctor as vf
@@ -111,6 +112,21 @@ def test_hom_functor_rules_match_position_oracle(p, u_dim):
             for gamma in maps_of(sk, i, j):
                 assert np.array_equal(I.mat(i, j, gamma), oracle_cogen_mat(sk, t, i, j, gamma))
                 assert np.array_equal(P.mat(i, j, gamma), oracle_gen_mat(sk, t, i, j, gamma))
+
+
+def test_hom_functors_past_the_default_map_budget(monkeypatch):
+    # hom(t, t) is listed under the skeleton's budget; with the default map
+    # budget below its 512 maps, finding positions among them must not raise
+    sk = ec.Skeleton(sf.RepresentableFunctor(2, 0, 3), budget=1 << 20)
+    t = sk.index[(0, 3)]
+    monkeypatch.setattr(gf, "DEFAULT_MAP_BUDGET", 100)
+    gamma = maps_of(sk, t, t)[-1]
+    assert len(sk.hom(t, t)) == 512
+    I, P = vf.injective_cogen(sk, t), vf.projective_gen(sk, t)
+    for F in (I, P):
+        assert np.array_equal(F.mat(t, t, sk.identity(t)), np.eye(512, dtype=np.int64))
+    assert np.array_equal(I.mat(t, t, gamma), oracle_cogen_mat(sk, t, t, t, gamma))
+    assert np.array_equal(P.mat(t, t, gamma), oracle_gen_mat(sk, t, t, t, gamma))
 
 
 def oracle_validate(F):
