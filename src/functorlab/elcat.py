@@ -370,7 +370,7 @@ def verify_block_form(S: SetFunctor, sk: Skeleton, i: int, j: int) -> bool:
     h]] whose regular block f is a regular-class morphism."""
     a, b = sk.objects[i], sk.objects[j]
     fs = sk.hom(sk.index[(a.rclass, 0)], sk.index[(b.rclass, 0)])
-    lower = map_stack(S.p, a.dim, b.vdim)  # every bottom row [g, h]
+    lower = map_stack(S.p, a.dim, b.vdim, sk.budget)  # every bottom row [g, h]
     expect = np.zeros((len(fs), len(lower), b.dim, a.dim), dtype=np.int64)
     expect[:, :, : b.wdim, : a.wdim] = fs[:, None]
     expect[:, :, b.wdim:] = lower

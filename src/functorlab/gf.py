@@ -14,6 +14,10 @@ suite checks them against each other.
 contains given vectors and is closed under a set of linear maps between them.
 Generated subfunctors and module spins both run on it.
 
+``intertwiner_space`` solves the equations X_j a = b X_i of natural
+transformations and module homs on the solutions themselves, one equation at
+a time; no equation is written out over all unknowns.
+
 ``BudgetExceeded``, ``WindowExceeded`` and ``SplittingFailure``, the errors
 that end a CLI run with exit 2, live here, so callers catch them without
 loading the layers that raise them.
@@ -199,11 +203,8 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     free = [j for j in range(n) if j not in pivots]
     if not free:
         return np.zeros((0, n), dtype=np.int64)
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, j in enumerate(free):
-        basis[k, j] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-int(r[i, j])) % p
+    basis = np.eye(n, dtype=np.int64)[free]
+    basis[:, pivots] = -r[: len(pivots), free].T % p
     out, _ = rref(basis, p)
     return out
 
@@ -225,24 +226,18 @@ def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
     return x
 
 
-def _stacked_nullspace(rows_iter, ncols: int, p: int) -> np.ndarray:
-    """Kernel of a tall stacked system, reducing row chunks incrementally."""
-    basis, pivots = np.zeros((0, ncols), dtype=np.int64), []
-    for chunk in rows_iter:
-        basis, pivots, _ = _extend(basis, pivots, np.asarray(chunk, dtype=np.int64).reshape(-1, ncols) % p, p)
-        if len(pivots) == ncols:
-            break
-    return nullspace(basis, p) if basis.size else np.eye(ncols, dtype=np.int64)
-
-
 def intertwiner_space(shapes: dict, blocks, p: int) -> list[dict]:
     """Basis of the solutions of the equations X_j a = b X_i.
 
-    ``shapes`` maps each unknown's key to its (rows, cols) and fixes the
-    column layout of the system.  ``blocks`` yields (i, j, a, b) with
-    a: cols_i -> cols_j and b: rows_i -> rows_j; it is consumed lazily and
-    left unfinished once the equations force every unknown to zero.  Each
-    solution is a dict key -> matrix.
+    ``shapes`` maps each unknown's key to its (rows, cols).  ``blocks`` yields
+    (i, j, a, b) with a: cols_i -> cols_j and b: rows_i -> rows_j; it is
+    consumed lazily and left unfinished once the equations force every
+    unknown to zero.  Each solution is a dict key -> matrix.  The rows of
+    ``sols`` span the solutions of the equations read so far: every unknown's
+    entries, row-major, one unknown after another.  An equation keeps the
+    combinations of rows whose residues vanish.  The rows left depend on the
+    order of the equations and their RREF only on the solution space, so the
+    returned basis is canonical.
     """
     offsets, total = {}, 0
     for key, (r, c) in shapes.items():
@@ -251,22 +246,25 @@ def intertwiner_space(shapes: dict, blocks, p: int) -> list[dict]:
     if total == 0:
         return []
 
-    def rows():
-        # row-major vec: vec(X a) = (I kron a^T) vec(X), vec(b X) = (b kron I) vec(X)
-        for i, j, a, b in blocks:
-            (nb_i, na_i), (nb_j, na_j) = shapes[i], shapes[j]
-            if nb_j * na_i == 0:
-                continue
-            block = np.zeros((nb_j * na_i, total), dtype=np.int64)
-            block[:, offsets[j]: offsets[j] + nb_j * na_j] = np.kron(np.eye(nb_j, dtype=np.int64), a.T)
-            block[:, offsets[i]: offsets[i] + nb_i * na_i] -= np.kron(b, np.eye(na_i, dtype=np.int64))
-            yield block % p
+    def unknown(key):
+        (r, c), off = shapes[key], offsets[key]
+        return sols[:, off: off + r * c].reshape(len(sols), r, c)
 
-    sols = _stacked_nullspace(rows(), total, p)
-    return [
-        {key: s[offsets[key]: offsets[key] + r * c].reshape(r, c) for key, (r, c) in shapes.items()}
-        for s in sols
-    ]
+    sols = np.eye(total, dtype=np.int64)
+    for i, j, a, b in blocks:
+        if shapes[j][0] * shapes[i][1] == 0:
+            continue
+        res = (unknown(j) @ a - b @ unknown(i)) % p
+        if not res.any():
+            continue
+        r, pivots = rref(res.reshape(len(sols), -1).T, p)
+        free = np.ones(len(sols), dtype=bool)
+        free[pivots] = False
+        sols = (sols[free] - r[: len(pivots), free].T @ sols[pivots]) % p
+        if not len(sols):
+            return []
+    sols = rref(sols, p)[0]
+    return [{key: unknown(key)[t] for key in shapes} for t in range(len(sols))]
 
 
 def closure(dims: dict, edges, start: dict, p: int) -> dict:
@@ -596,19 +594,12 @@ def proj_with_kernel(u: Subspace) -> tuple[LinearMap, LinearMap]:
     basis vector to the j-th standard basis vector; the returned section
     embeds F^{d-k} back onto the pivot complement, so P @ section = id.
     """
-    p, d, k = u.p, u.ambient, u.dim
+    p, d = u.p, u.ambient
     piv = u.pivots
     nonpiv = [j for j in range(d) if j not in piv]
-    b = u.basis_arr
-    proj = np.zeros((d - k, d), dtype=np.int64)
-    for jj, c in enumerate(nonpiv):
-        proj[jj, c] = 1
-    for i, pc in enumerate(piv):
-        for jj, c in enumerate(nonpiv):
-            proj[jj, pc] = (-int(b[i, c])) % p
-    sect = np.zeros((d, d - k), dtype=np.int64)
-    for jj, c in enumerate(nonpiv):
-        sect[c, jj] = 1
+    sect = np.eye(d, dtype=np.int64)[:, nonpiv]
+    proj = sect.T.copy()
+    proj[:, piv] = -u.basis_arr[:, nonpiv].T % p
     return LinearMap.from_array(proj, p), LinearMap.from_array(sect, p)
 
 
@@ -658,12 +649,13 @@ def linear_maps(stack: np.ndarray, p: int) -> list[LinearMap]:
     return [LinearMap(p, cod_dim, dom_dim, arr.tobytes()) for arr in stack.astype(np.uint8)]
 
 
-def map_stack(p: int, dom_dim: int, cod_dim: int) -> np.ndarray:
+def map_stack(p: int, dom_dim: int, cod_dim: int, budget: int | None = None) -> np.ndarray:
     """All linear maps F_p^dom -> F_p^cod as one (count, cod, dom) array in
-    enumerate_maps order."""
+    enumerate_maps order; the budget defaults to DEFAULT_MAP_BUDGET."""
     total = count_maps(p, dom_dim, cod_dim)
-    if total > DEFAULT_MAP_BUDGET:
-        raise BudgetExceeded("maps", total, DEFAULT_MAP_BUDGET)
+    budget = DEFAULT_MAP_BUDGET if budget is None else budget
+    if total > budget:
+        raise BudgetExceeded("maps", total, budget)
     return _map_range(p, dom_dim, cod_dim, 0, total)
 
 

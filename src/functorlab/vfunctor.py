@@ -11,7 +11,7 @@ cross effects with their symmetric-group action, polynomial degree
 certificates, greatest polynomial subfunctors, the restriction/extension
 comparison with functors on (regular classes) x (plain spaces), the balanced
 tensor construction attached to a symmetric-group module functor, and
-natural-transformation spaces as kernels of assembled linear systems.
+natural-transformation spaces solved on the solutions themselves.
 Generated subfunctors come from ``gf.closure``, the one closure engine, run
 over the skeleton's generating morphisms; ``p_n`` runs the same engine on
 annihilators, pushing functionals backwards along the transposed generators.

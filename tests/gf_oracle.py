@@ -1,0 +1,50 @@
+"""The intertwiner solver that assembled Kronecker rows, kept as the oracle
+of gf.intertwiner_space and of the stacked systems in the tests."""
+
+import numpy as np
+
+from functorlab.gf import _extend, nullspace
+
+
+def _stacked_nullspace(rows_iter, ncols: int, p: int) -> np.ndarray:
+    """Kernel of a tall stacked system, reducing row chunks incrementally."""
+    basis, pivots = np.zeros((0, ncols), dtype=np.int64), []
+    for chunk in rows_iter:
+        basis, pivots, _ = _extend(basis, pivots, np.asarray(chunk, dtype=np.int64).reshape(-1, ncols) % p, p)
+        if len(pivots) == ncols:
+            break
+    return nullspace(basis, p) if basis.size else np.eye(ncols, dtype=np.int64)
+
+
+def intertwiner_space(shapes: dict, blocks, p: int) -> list[dict]:
+    """Basis of the solutions of the equations X_j a = b X_i.
+
+    ``shapes`` maps each unknown's key to its (rows, cols) and fixes the
+    column layout of the system.  ``blocks`` yields (i, j, a, b) with
+    a: cols_i -> cols_j and b: rows_i -> rows_j; it is consumed lazily and
+    left unfinished once the equations force every unknown to zero.  Each
+    solution is a dict key -> matrix.
+    """
+    offsets, total = {}, 0
+    for key, (r, c) in shapes.items():
+        offsets[key] = total
+        total += r * c
+    if total == 0:
+        return []
+
+    def rows():
+        # row-major vec: vec(X a) = (I kron a^T) vec(X), vec(b X) = (b kron I) vec(X)
+        for i, j, a, b in blocks:
+            (nb_i, na_i), (nb_j, na_j) = shapes[i], shapes[j]
+            if nb_j * na_i == 0:
+                continue
+            block = np.zeros((nb_j * na_i, total), dtype=np.int64)
+            block[:, offsets[j]: offsets[j] + nb_j * na_j] = np.kron(np.eye(nb_j, dtype=np.int64), a.T)
+            block[:, offsets[i]: offsets[i] + nb_i * na_i] -= np.kron(b, np.eye(na_i, dtype=np.int64))
+            yield block % p
+
+    sols = _stacked_nullspace(rows(), total, p)
+    return [
+        {key: s[offsets[key]: offsets[key] + r * c].reshape(r, c) for key, (r, c) in shapes.items()}
+        for s in sols
+    ]

@@ -12,7 +12,6 @@ from functorlab.gf import (
     BudgetExceeded,
     LinearMap,
     Subspace,
-    _stacked_nullspace,
     check_prime,
     closure,
     decode_entries,
@@ -23,6 +22,7 @@ from functorlab.gf import (
     enumerate_subspaces,
     gaussian_binomial,
     general_linear,
+    intertwiner_space,
     kernel_space,
     map_indices,
     map_slices,
@@ -39,6 +39,8 @@ from functorlab.gf import (
     solve,
     tensor_apply,
 )
+from gf_oracle import _stacked_nullspace
+from gf_oracle import intertwiner_space as oracle_intertwiner_space
 
 
 def test_rref_identity():
@@ -462,3 +464,53 @@ def test_stacked_nullspace_matches_one_shot_kernel():
             chunks = [rng.integers(0, p, size=(int(rng.integers(0, 5)), ncols)) * (rng.random() < 0.8) for _ in range(4)]
             want = nullspace(np.concatenate(chunks), p)
             assert np.array_equal(_stacked_nullspace(iter(chunks), ncols, p), want)
+
+
+def _random_system(rng, p):
+    """Unknowns of 0 to 3 rows and columns, the last key only ever a source,
+    and equations whose maps are random with a random share of zero entries;
+    a quarter of them are drawn with i == j."""
+    nkeys = int(rng.integers(1, 5))
+    shapes = {k: tuple(int(x) for x in rng.integers(0, 4, size=2)) for k in range(nkeys)}
+    blocks = []
+    for _ in range(int(rng.integers(0, 7))):
+        j = int(rng.integers(0, max(1, nkeys - 1)))
+        i = j if rng.random() < 0.25 else int(rng.integers(0, nkeys))
+        (ri, ci), (rj, cj) = shapes[i], shapes[j]
+        density = rng.choice([0.1, 0.3, 0.7])
+        a = rng.integers(0, p, size=(cj, ci)) * (rng.random((cj, ci)) < density)
+        b = rng.integers(0, p, size=(rj, ri)) * (rng.random((rj, ri)) < density)
+        blocks.append((i, j, a, b))
+    return shapes, blocks
+
+
+def test_intertwiner_space_matches_kronecker_oracle():
+    rng = np.random.default_rng(18)
+    proper = 0  # systems whose solutions are neither zero nor everything
+    for p in (2, 3, 5):
+        for _ in range(400):
+            shapes, blocks = _random_system(rng, p)
+            want = oracle_intertwiner_space(shapes, iter(blocks), p)
+            got = intertwiner_space(shapes, iter(blocks), p)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert list(g) == list(w) == list(shapes)
+                assert all(np.array_equal(g[k], w[k]) for k in shapes)
+            proper += 0 < len(want) < sum(r * c for r, c in shapes.values())
+    assert proper >= 300
+
+
+def test_intertwiner_space_reads_no_block_past_zero():
+    def blocks():
+        yield 2, 0, np.zeros((2, 0), dtype=np.int64), np.eye(2, dtype=np.int64)  # 2 x 0: no equation
+        yield 0, 0, np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)  # X_0 = 0
+        yield 1, 0, np.eye(2, dtype=np.int64), np.array([[1], [0]])  # then X_1 = 0
+        raise AssertionError("read past the block that forces every unknown to zero")
+
+    assert intertwiner_space({0: (2, 2), 1: (1, 2), 2: (2, 0)}, blocks(), 3) == []
+
+    def never():
+        raise AssertionError("read although every unknown is empty")
+        yield
+
+    assert intertwiner_space({0: (0, 2), 1: (3, 0)}, never(), 2) == []

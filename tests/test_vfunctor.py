@@ -13,6 +13,7 @@ from functorlab import gf
 from functorlab import modrep as mr
 from functorlab import sfunctor as sf
 from functorlab import vfunctor as vf
+from gf_oracle import _stacked_nullspace
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +128,8 @@ def test_hom_functors_past_the_default_map_budget(monkeypatch):
         assert np.array_equal(F.mat(t, t, sk.identity(t)), np.eye(512, dtype=np.int64))
     assert np.array_equal(I.mat(t, t, gamma), oracle_cogen_mat(sk, t, t, t, gamma))
     assert np.array_equal(P.mat(t, t, gamma), oracle_gen_mat(sk, t, t, t, gamma))
+    # the lower rows [g, h] of hom(t, t) are listed under the skeleton's budget too
+    assert ec.verify_block_form(sk.S, sk, t, t)
 
 
 def oracle_validate(F):
@@ -348,8 +351,6 @@ def _p_n_oracle(F, n, known_degree_bound=None):
     """The omission-system p_n: for each object i, one row block per map in
     hom(i, plus) of the kernel of the omission buckets, stacked into one
     system whose kernel is the value of p_n(F) at i."""
-    from functorlab.gf import _stacked_nullspace
-
     sk = F.sk
     k = n + 1
     fast = known_degree_bound is not None and known_degree_bound <= k
