@@ -22,6 +22,7 @@ import numpy as np
 
 from .gf import (
     DEFAULT_MAP_BUDGET,
+    MAP_SLICE,
     BudgetExceeded,
     LinearMap,
     Subspace,
@@ -29,12 +30,12 @@ from .gf import (
     count_maps,
     elementary_invertibles,
     general_linear,
+    line_vectors,
     linear_maps,
     map_indices,
     map_slices,
     map_stack,
     proj_with_kernel,
-    rank,
 )
 from .sfunctor import (
     SElement,
@@ -144,15 +145,25 @@ def check_injectivity(S: SetFunctor, R: RectorSkeleton, budget: int = DEFAULT_MA
     """Every morphism between regular pairs must be injective; returns
     (True, None) or (False, witness), the witness a LinearMap.
 
-    Injectivity is invariant under isomorphism, so it is decided on the
-    hom-sets between class representatives.  When that check finds a map that
-    is not injective or meets the budget, the loop over all pairs of regular
-    elements runs and reports its first witness.
+    A map is injective when it kills no line of its source, so each hom-set
+    stack is tested in one product with the line vectors of its source,
+    MAP_SLICE maps at a time.  Injectivity is invariant under isomorphism, so
+    it is decided on the hom-sets between class representatives.  When that
+    check finds a map that is not injective or meets the budget, the loop
+    over all pairs of regular elements runs and reports its first witness.
     """
 
-    def witness(objs):  # the first morphism between objs of rank below its source's dim
-        return next((LinearMap.from_array(gamma, S.p) for a in objs for b in objs
-                     for gamma in hom_set(S, a, b, budget) if rank(gamma, S.p) < a.dim), None)
+    def witness(objs):  # the first morphism between objs that kills a line of its source
+        lines = {d: line_vectors(S.p, d).T for d in {a.dim for a in objs}}
+        for a in objs:
+            for b in objs:
+                stack = hom_set(S, a, b, budget)
+                for start in range(0, len(stack), MAP_SLICE):
+                    gammas = stack[start:start + MAP_SLICE]
+                    killing = np.flatnonzero(~(gammas @ lines[a.dim] % S.p).any(axis=1).all(axis=1))
+                    if killing.size:
+                        return LinearMap.from_array(gammas[killing[0]], S.p)
+        return None
 
     try:
         if witness(R.classes) is None:
@@ -401,8 +412,5 @@ def rector_report(sk: Skeleton) -> dict:
             }
         )
     n = len(R.classes)
-    matrix = [[0] * n for _ in range(n)]
-    for r1 in range(n):
-        for r2 in range(n):
-            matrix[r1][r2] = len(sk.rector_hom(r1, r2))
+    matrix = [[len(sk.hom(sk.index[r1, 0], sk.index[r2, 0])) for r2 in range(n)] for r1 in range(n)]
     return {"classes": classes, "hom_cardinalities": matrix}

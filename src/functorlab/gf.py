@@ -196,17 +196,20 @@ def rank(mat: np.ndarray, p: int) -> int:
 
 
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis (RREF rows) of the right kernel {v : mat @ v = 0}."""
+    """Basis (RREF rows) of the right kernel {v : mat @ v = 0}, from one RREF
+    of mat with its columns reversed.  There the kernel vector of a free
+    column f has its 1 at f and its other entries at pivot columns before f;
+    reversed back, its leading 1 sits at a free column no other vector
+    touches, so the vectors, last first, are already the reduced basis."""
     a = _as_mat(mat) % p
-    m, n = a.shape
-    r, pivots = rref(a, p)
+    n = a.shape[1]
+    r, pivots = rref(a[:, ::-1], p)
     free = [j for j in range(n) if j not in pivots]
     if not free:
         return np.zeros((0, n), dtype=np.int64)
     basis = np.eye(n, dtype=np.int64)[free]
     basis[:, pivots] = -r[: len(pivots), free].T % p
-    out, _ = rref(basis, p)
-    return out
+    return np.ascontiguousarray(basis[::-1, ::-1])
 
 
 def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
@@ -740,6 +743,20 @@ def enumerate_subspaces(p: int, dim: int, budget: int = DEFAULT_MAP_BUDGET) -> l
         layer.sort(key=lambda s: s.basis)
         out.extend(layer)
     return out
+
+
+def line_vectors(p: int, dim: int) -> np.ndarray:
+    """The lines of F_p^dim in enumerate_subspaces order, as the rows of an
+    (L, dim) matrix of their RREF vectors: the vectors whose first nonzero
+    entry is 1, lexicographically, so a later pivot comes first."""
+    blocks = [np.zeros((0, dim), dtype=np.int64)]
+    for c in reversed(range(dim)):
+        tails = map_stack(p, dim - c - 1, 1)[:, 0]
+        block = np.zeros((len(tails), dim), dtype=np.int64)
+        block[:, c] = 1
+        block[:, c + 1:] = tails
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:

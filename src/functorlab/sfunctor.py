@@ -19,12 +19,16 @@ connected-component splitting and the box-sum with a trivial block.  A functor
 that is not lawful by construction, such as a JSON table, is validated once
 where the calculus starts; InvalidFunctorData names the witness when it fails.
 The calculus reads one boolean matrix per dimension d: which elements of
-S(F_p^d) each line idempotent e_l = sect proj_l fixes.  The kernel of s is the
+S(F_p^d) each line idempotent e_l = sect proj_l = I - v e_c^T fixes, for v the
+RREF vector of l and c its pivot; the idempotents are pulled as one stack, in
+slices of at most PULL_PAIRS (line, element) pairs.  The kernel of s is the
 span of the lines fixing s (kernel_of's docstring has the proof), its regular
 reduction is sect_u^* s for u = ker s, and the regular elements are those no
 line fixes.  check_weak_noetherian compares ker(alpha^* s) with
-alpha^{-1}(ker s) by their lines, one product per stack of maps, on GL-orbit
-representatives, and builds the two subspaces only for a violation's witness.
+alpha^{-1}(ker s) by their lines: all GL-orbit representatives against each
+stack of maps at once, the lines of alpha v read from the marks of F^m, and
+it builds the two subspaces only for a violation's witness.  The box-sum
+reads its restrictions by pulling single elements.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from .gf import (
     encode_entries,
     enumerate_maps,
     enumerate_subspaces,
+    line_vectors,
     map_indices,
     map_slices,
     map_stack,
@@ -96,11 +101,12 @@ class SetFunctor:
     def size(self, d: int) -> int:
         raise NotImplementedError
 
-    def _pull(self, alphas: np.ndarray, s: int | slice) -> np.ndarray:
+    def _pull(self, alphas: np.ndarray, s: int | np.ndarray | slice) -> np.ndarray:
         """The pullback hook.  For a (K, m, n) stack of maps F^n -> F^m with
-        entries in 0..p-1, and s an index into S(m) or slice(None) for all
-        of it: the array whose row k is act_table(alphas[k])[s], (K,) or
-        (K, size(m)).  Nothing is kept."""
+        entries in 0..p-1, and s an index into S(m), an int array of them or
+        slice(None) for all of it: the array whose row k is
+        act_table(alphas[k])[s], (K,), (K, *s.shape) or (K, size(m)).
+        Nothing is kept."""
         raise NotImplementedError
 
     def act(self, alpha: LinearMap, s: SElement | int) -> SElement:
@@ -294,11 +300,16 @@ def disjoint_union(a: SetFunctor, b: SetFunctor) -> SetFunctor:
             return a.size(d) + b.size(d)
 
         def _pull(self, alphas, s):
-            """a's elements first, then b's, their pullbacks shifted past S_a(n)."""
+            """a's elements first, then b's, their pullbacks shifted past S_a(n).
+            A single index makes ids 0-d, and a 0-d mask indexes it as an
+            axis of length one or zero."""
             m, n = alphas.shape[1:]
-            if isinstance(s, slice):
-                return np.concatenate([a._pull(alphas, s), a.size(n) + b._pull(alphas, s)], axis=1)
-            return a._pull(alphas, s) if s < a.size(m) else a.size(n) + b._pull(alphas, s - a.size(m))
+            ids = np.arange(self.size(m))[s]
+            in_a = ids < a.size(m)
+            out = np.empty((len(alphas), *ids.shape), dtype=np.int64)
+            out[:, in_a] = a._pull(alphas, ids[in_a])
+            out[:, ~in_a] = a.size(n) + b._pull(alphas, ids[~in_a] - a.size(m))
+            return out
 
     return _Union(a.p, a.cap, name=f"{a.name}+{b.name}")
 
@@ -436,23 +447,40 @@ def _require_laws(S: SetFunctor) -> None:
 # kernel calculus
 
 
+# Most (map, element) pairs one pull of the kernel calculus covers: the line
+# idempotents of _fixed_lines and the maps of _weak_noetherian_on_orbits are
+# pulled in slices of at most this many pairs with the elements they act on,
+# so memory stays flat when S(d) is large.
+PULL_PAIRS = 1 << 11
+
+
 def _fixed_lines(S: SetFunctor, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lines l of F^d, in enumerate_subspaces order, as the rows of an
-    (L, d) matrix, and the boolean matrix whose row for l marks the s in S(d)
-    with e_l^* s = s, e_l = sect proj the idempotent with kernel l from
-    proj_with_kernel.  Built once per dimension, after the gate, one pull per
-    line, and kept on S; the tables of the e_l are not kept."""
+    """The lines l of F^d, in enumerate_subspaces order, as the rows of the
+    (L, d) matrix of their RREF vectors, and the boolean matrix whose row for
+    l marks the s in S(d) with e_l^* s = s, for e_l the idempotent with
+    kernel l of _line_idempotents.  Built once per dimension, after the
+    gate, and kept on S.  The idempotents are pulled in stacks of at most
+    PULL_PAIRS (line, element) pairs, and their tables are not kept."""
     hit = S._fixed_lines.get(d)
     if hit is None:
         _require_laws(S)
-        lines = [u for u in enumerate_subspaces(S.p, d) if u.dim == 1]
+        lines = line_vectors(S.p, d)
+        idems = _line_idempotents(lines, S.p)
         ids = np.arange(S.size(d))
-        fixed = np.zeros((len(lines), ids.size), dtype=bool)
-        for row, (projm, sect) in zip(fixed, map(proj_with_kernel, lines)):
-            row[:] = S._pull((sect @ projm).arr[None], slice(None))[0] == ids
-        vecs = np.array([u.basis_arr[0] for u in lines], dtype=np.int64).reshape(len(lines), d)
-        hit = S._fixed_lines[d] = (vecs, fixed)
+        fixed = np.empty((len(lines), ids.size), dtype=bool)
+        step = max(1, PULL_PAIRS // max(1, ids.size))
+        for start in range(0, len(lines), step):
+            fixed[start:start + step] = S._pull(idems[start:start + step], slice(None)) == ids
+        hit = S._fixed_lines[d] = (lines, fixed)
     return hit
+
+
+def _line_idempotents(lines: np.ndarray, p: int) -> np.ndarray:
+    """The (L, d, d) stack of the e_l = I - v e_c^T for the RREF vectors v of
+    an (L, d) matrix of lines, c the pivot of v: the matrices sect proj of
+    proj_with_kernel, with kernel the line of v."""
+    pivots = (lines != 0) & (np.cumsum(lines != 0, axis=1) == 1)
+    return (np.eye(lines.shape[1], dtype=np.int64) - lines[:, :, None] * pivots[:, None, :]) % p
 
 
 def kernel_of(S: SetFunctor, s: SElement) -> Subspace:
@@ -537,22 +565,50 @@ def check_weak_noetherian(S: SetFunctor, budget: int = DEFAULT_MAP_BUDGET) -> We
 
 
 def _weak_noetherian_on_orbits(S: SetFunctor, window: int) -> bool:
-    """The pair test on GL_m-orbit representatives s of S(m) and, for each
-    subspace W of F^m with dim W <= n, the one map F^n -> F^m whose columns
-    are the RREF basis of W followed by zeros: every surjection onto W is
-    that map times an invertible."""
-    dims = range(window + 1)
-    for m in dims:
+    """The pair test on the GL_m-orbit representatives s of S(m) and, for each
+    subspace W of F^m with dim W <= n, the one map alpha: F^n -> F^m whose
+    columns are the RREF basis of W followed by zeros: every surjection onto
+    W is that map times an invertible.
+
+    The line of v lies in alpha^{-1}(ker s) when alpha v is zero or its line
+    lies in ker s, which the marks of _fixed_lines(S, m) say, found through
+    _line_index; it lies in ker(alpha^* s) when the marks of F^n say so.  So
+    each stack of maps takes one product with the lines of F^n and one pull
+    of the representatives, at most PULL_PAIRS (map, representative) pairs
+    at a time; the rest of S(m) is never pulled."""
+    for m in range(window + 1):
+        reps = _orbit_representatives(S, m)
+        lines_m, fixed_m = _fixed_lines(S, m)
+        line_of = _line_index(lines_m, S.p)
         subspaces = enumerate_subspaces(S.p, m)
         spans = np.zeros((len(subspaces), m, window), dtype=np.int64)
         for span, w in zip(spans, subspaces):
             span[:, : w.dim] = w.basis_arr.T
-        stacks = [spans[[w.dim <= n for w in subspaces], :, :n] for n in dims]
-        for s in _orbit_representatives(S, m):
-            proj = proj_with_kernel(kernel_of(S, s))[0].arr
-            if any(_kernel_mismatches(S, stack, s.index, proj).size for stack in stacks):
-                return False
+        weights = S.p ** np.arange(m - 1, -1, -1)
+        for n in range(1, window + 1):  # F^0 has no lines
+            lines_n, fixed_n = _fixed_lines(S, n)
+            alphas = spans[[w.dim <= n for w in subspaces], :, :n]
+            # row k, column l: the line of F^m through alphas[k] lines_n[l]
+            images = line_of[weights @ (alphas @ lines_n.T % S.p)]
+            step = max(1, PULL_PAIRS // len(alphas))
+            for start in range(0, len(reps), step):
+                chunk = reps[start:start + step]
+                marks_m = np.vstack([fixed_m[:, chunk], np.ones((1, len(chunk)), dtype=bool)])
+                pulled = S._pull(alphas, chunk)  # (K, R)
+                if (marks_m[images] != fixed_n[:, pulled].swapaxes(0, 1)).any():
+                    return False
     return True
+
+
+def _line_index(lines: np.ndarray, p: int) -> np.ndarray:
+    """The line of every vector of F^d, by the vector read as a base-p number
+    with its first entry most significant: the row of lines spanning it, or
+    len(lines) for the zero vector."""
+    d = lines.shape[1]
+    multiples = np.arange(1, p)[:, None, None] * lines % p
+    table = np.full(p**d, len(lines), dtype=np.int64)
+    table[multiples @ p ** np.arange(d - 1, -1, -1)] = np.arange(len(lines))
+    return table
 
 
 def _kernel_mismatches(S: SetFunctor, alphas: np.ndarray, s: int, proj: np.ndarray) -> np.ndarray:
@@ -566,11 +622,11 @@ def _kernel_mismatches(S: SetFunctor, alphas: np.ndarray, s: int, proj: np.ndarr
     return np.flatnonzero((inside != fixed[:, S._pull(alphas, s)].T).any(axis=1))
 
 
-def _orbit_representatives(S: SetFunctor, m: int) -> list[SElement]:
-    """The first element of each GL_m-orbit of S(m).  Every element starts
-    labelled by its index, and labels take the minimum across the pullback
-    tables of the elementary invertibles, which generate GL_m, in both
-    directions until they settle; the roots keep their own index."""
+def _orbit_representatives(S: SetFunctor, m: int) -> np.ndarray:
+    """The index of the first element of each GL_m-orbit of S(m).  Every
+    element starts labelled by its index, and labels take the minimum across
+    the pullback tables of the elementary invertibles, which generate GL_m,
+    in both directions until they settle; the roots keep their own index."""
     tables = [S.act_table(g) for g in elementary_invertibles(S.p, m)]
     ids = np.arange(S.size(m))
     label = ids.copy()
@@ -581,7 +637,7 @@ def _orbit_representatives(S: SetFunctor, m: int) -> list[SElement]:
             np.minimum(label, label[tab], out=label)
             np.minimum.at(label, tab, label.copy())
         settled = np.array_equal(before, label)
-    return [SElement(m, int(i)) for i in np.flatnonzero(label == ids)]
+    return np.flatnonzero(label == ids)
 
 
 def _weak_noetherian_loop(S: SetFunctor, window: int, budget: int) -> WeakNoetherianReport:
@@ -653,7 +709,7 @@ class _Component(SetFunctor):
         """The base pullbacks of the members, each found by its position
         among the members of S(n): pullbacks stay in the component."""
         m, n = alphas.shape[1:]
-        return np.searchsorted(self.members[n], self.base._pull(alphas, slice(None))[:, self.members[m][s]])
+        return np.searchsorted(self.members[n], self.base._pull(alphas, self.members[m][s]))
 
 
 def split_components(S: SetFunctor) -> list[SetFunctor]:
@@ -668,20 +724,24 @@ def split_components(S: SetFunctor) -> list[SetFunctor]:
 
 def boxplus(S: SetFunctor, psi: SElement, extra_dim: int, check_unique: bool = False) -> SElement:
     """The unique element of S(W + V) restricting to psi on W and to the
-    trivial element on V; concretely the pullback of psi along the projection."""
+    trivial element on V; concretely the pullback of psi along the projection.
+    The pullback and its two restrictions are pulls of single elements, and
+    check_unique pulls all of S(W + V) along the two inclusions; no table is
+    kept."""
     w, v = psi.dim, extra_dim
     if w + v > S.cap:
         raise ValueError("box-sum exceeds the cap")
-    res = S.act(LinearMap.from_array(np.eye(w, w + v, dtype=np.int64), S.p), psi)
-    incl_w = LinearMap.from_array(np.eye(w + v, w, dtype=np.int64), S.p)
-    incl_v = LinearMap.from_array(np.eye(w + v, v, -w, dtype=np.int64), S.p)
-    if S.act(incl_w, res) != psi or S.act(incl_v, res) != epsilon(S, v):
+    res = int(S._pull(np.eye(w, w + v, dtype=np.int64)[None], psi.index)[0])
+    incl_w = np.eye(w + v, w, dtype=np.int64)[None]
+    incl_v = np.eye(w + v, v, -w, dtype=np.int64)[None]
+    if S._pull(incl_w, res)[0] != psi.index or S._pull(incl_v, res)[0] != epsilon(S, v).index:
         raise InvalidFunctorData("box-sum restrictions failed")
     if check_unique:
-        hits = np.count_nonzero((S.act_table(incl_w) == psi.index) & (S.act_table(incl_v) == epsilon(S, v).index))
+        on_w, on_v = S._pull(incl_w, slice(None))[0], S._pull(incl_v, slice(None))[0]
+        hits = np.count_nonzero((on_w == psi.index) & (on_v == epsilon(S, v).index))
         if hits != 1:
             raise WeakNoetherianityViolation(f"box-sum of {psi} (+{v}) is not unique: {hits} candidates")
-    return res
+    return SElement(w + v, res)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,13 @@ from .gf import (
 from .elcat import Skeleton, SkObject
 from .modrep import GroupModule, FiniteGroup
 
+# Most cells of one dense matrix built for a value or a morphism: the relation
+# matrix of one balanced tensor value, (n - 1) * plain rows by plain columns,
+# and the matrix of one morphism under a hom functor, |hom(j, t)| by |hom(i,
+# t)|.  The plain base at cap 5, n <= 4 (p = 2 and 3), and the rank-one base
+# at cap 6, n <= 4, need up to about 2 * 10^7.
+MAX_RELATION_CELLS = 1 << 25
+
 
 # ---------------------------------------------------------------------------
 # plain vector-space functors (inputs for the forgetful lift)
@@ -256,7 +263,7 @@ def injective_cogen(sk: Skeleton, target: int, window: int | None = None) -> Vec
 
     def rule(i, j, gamma):
         src, dst = sk.hom(i, target), sk.hom(j, target)
-        out = np.zeros((len(dst), len(src)), dtype=np.int64)
+        out = _hom_matrix(len(dst), len(src))
         pos = np.searchsorted(map_indices(src, sk.p), map_indices(dst @ gamma.arr % sk.p, sk.p))
         out[np.arange(len(dst)), pos] = 1
         return out
@@ -271,12 +278,20 @@ def projective_gen(sk: Skeleton, source: int, window: int | None = None) -> VecF
 
     def rule(i, j, gamma):
         src, dst = sk.hom(source, i), sk.hom(source, j)
-        out = np.zeros((len(dst), len(src)), dtype=np.int64)
+        out = _hom_matrix(len(dst), len(src))
         pos = np.searchsorted(map_indices(dst, sk.p), map_indices(gamma.arr @ src % sk.p, sk.p))
         out[pos, np.arange(len(src))] = 1
         return out
 
     return VecFunctor(sk, window, dims, rule, name=f"P[{source}]")
+
+
+def _hom_matrix(rows: int, cols: int) -> np.ndarray:
+    """The zero matrix a hom functor's rule fills, refused with BudgetExceeded
+    before it is allocated when it has more than MAX_RELATION_CELLS cells."""
+    if rows * cols > MAX_RELATION_CELLS:
+        raise BudgetExceeded("hom matrix cells", rows * cols, MAX_RELATION_CELLS)
+    return np.zeros((rows, cols), dtype=np.int64)
 
 
 def direct_sum(F: VecFunctor, G: VecFunctor, name: str | None = None) -> VecFunctor:
@@ -800,12 +815,6 @@ def aut_sigma_group(sk: Skeleton, rclass: int, n: int) -> FiniteGroup:
 
 # ---------------------------------------------------------------------------
 # the balanced tensor construction
-
-# Most cells, (n - 1) * plain rows by plain columns, of the dense relation
-# matrix of one balanced tensor value.  The plain base at cap 5, n <= 4 (p = 2
-# and 3), and the rank-one base at cap 6, n <= 4, need up to about 2 * 10^7.
-MAX_RELATION_CELLS = 1 << 25
-
 
 class TensorSigma(VecFunctor):
     """(trivial block)^{tensor n} balanced over Sym(n) with a module functor.

@@ -1,9 +1,24 @@
-"""The intertwiner solver that assembled Kronecker rows, kept as the oracle
+"""Routes gf has replaced, kept as oracles: the kernel basis that reduced
+twice, and the intertwiner solver that assembled Kronecker rows, the oracle
 of gf.intertwiner_space and of the stacked systems in the tests."""
 
 import numpy as np
 
-from functorlab.gf import _extend, nullspace
+from functorlab.gf import _as_mat, _extend, rref
+
+
+def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
+    """Basis (RREF rows) of the right kernel {v : mat @ v = 0}."""
+    a = _as_mat(mat) % p
+    m, n = a.shape
+    r, pivots = rref(a, p)
+    free = [j for j in range(n) if j not in pivots]
+    if not free:
+        return np.zeros((0, n), dtype=np.int64)
+    basis = np.eye(n, dtype=np.int64)[free]
+    basis[:, pivots] = -r[: len(pivots), free].T % p
+    out, _ = rref(basis, p)
+    return out
 
 
 def _stacked_nullspace(rows_iter, ncols: int, p: int) -> np.ndarray:

@@ -141,6 +141,12 @@ def test_oversize_balanced_tensor_refused_before_the_first_task(monkeypatch, cap
     assert "needs 241864704, allows 33554432" in capsys.readouterr().err
 
 
+def test_oversize_hom_functor_matrix_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(vfunctor, "MAX_RELATION_CELLS", 1000)
+    assert cli.main(["--u-dim", "0", "--cap", "3", "degree", "--functor", "cogen:0,3"]) == 2
+    assert "budget 'hom matrix cells' exceeded" in capsys.readouterr().err
+
+
 def test_markdown_rendering(capsys):
     code, out = run_cli(
         ["--builtin", "representable", "--u-dim", "1", "--cap", "2", "--format", "markdown", "rector"],

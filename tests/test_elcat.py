@@ -220,12 +220,28 @@ def broken_lawful_table():
     return LawfulTable(2, 1, [1, 2], action, name="broken-lawful")
 
 
+def rank_deficient_table(p=2, cap=3):
+    """Not a functor, declared lawful: S(d) = {a, b}, with alpha^* b = b and
+    alpha^* a = a exactly when alpha is injective or square with no zero
+    entry.  No line idempotent has that form, so every a is regular, and on
+    F_2^2 the all-ones matrix, of rank one and last in enumeration order, is
+    a morphism a -> a that is not injective, the seventh of hom(a, a)."""
+    action = {}
+    for n in range(cap + 1):
+        for m in range(cap + 1):
+            for alpha in enumerate_maps(p, n, m):
+                keeps = alpha.is_injective() or (n == m and alpha.arr.all())
+                action[(n, m, alpha.data)] = (0 if keeps else 1, 1)
+    return LawfulTable(p, cap, [2] * (cap + 1), action, name="rank-deficient")
+
+
 INJECTIVITY_CASES = {
     **{f"representable-u{u}-cap3": (lambda u=u: sf.RepresentableFunctor(2, u, 3)) for u in range(4)},
     "orbit": lambda: sf.OrbitFunctor(2, 2, [LinearMap.from_array([[0, 1], [1, 0]], 2)], 3),
     "subspaces-cap3": lambda: sf.SubspaceFunctor(2, 3),
     "table-roundtrip": lambda: sf.from_json_dict(sf.to_json_dict(sf.RepresentableFunctor(2, 2, 3))),
     "broken-lawful": broken_lawful_table,
+    "broken-rank-deficient": rank_deficient_table,
 }
 
 
@@ -236,6 +252,24 @@ def test_injectivity_matches_pair_loop(case):
     want = oracle_check_injectivity(T, ec.build_rector_skeleton(T))
     assert got == want
     assert got[0] == ("broken" not in case)
+
+
+@pytest.mark.parametrize("case", [case for case in INJECTIVITY_CASES if "broken" in case])
+def test_injectivity_across_slices(case, monkeypatch):
+    # slices of two maps: the all-ones witness of the rank-deficient table
+    # is the first map of the fourth slice of its hom-set
+    monkeypatch.setattr(ec, "MAP_SLICE", 2)
+    S, T = INJECTIVITY_CASES[case](), INJECTIVITY_CASES[case]()
+    got = ec.check_injectivity(S, ec.build_rector_skeleton(S))
+    assert got == oracle_check_injectivity(T, ec.build_rector_skeleton(T))
+    if case == "broken-rank-deficient":
+        assert got[1].arr.tolist() == [[1, 1], [1, 1]]
+
+
+def test_rector_report_counts_class_hom_sets(sk):
+    n = len(sk.rector.classes)
+    want = [[len(sk.rector_hom(r1, r2)) for r2 in range(n)] for r1 in range(n)]
+    assert ec.rector_report(sk)["hom_cardinalities"] == want
 
 
 def test_rep_of_routes_everything(sk, SU2):

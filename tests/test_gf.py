@@ -41,6 +41,7 @@ from functorlab.gf import (
 )
 from gf_oracle import _stacked_nullspace
 from gf_oracle import intertwiner_space as oracle_intertwiner_space
+from gf_oracle import nullspace as oracle_nullspace
 
 
 def test_rref_identity():
@@ -247,6 +248,35 @@ def test_solve_and_nullspace():
     assert solve([[1, 1], [1, 1]], [1, 0], 2) is None
     ker = nullspace(a, 2)
     assert ker.shape[0] == 1 and not ((a @ ker.T) % 2).any()
+
+
+def test_nullspace_matches_two_rref_oracle():
+    # one RREF of the reversed columns gives the reduced kernel basis; the
+    # wide GF(2) matrices take the packed path, and some rows repeat others
+    rng = np.random.default_rng(19)
+    shapes = set()
+    for t in range(4000):
+        p = (2, 3, 5, 7, 251)[t % 5]
+        rows, cols = (int(x) for x in rng.integers(0, 7, size=2))
+        if t % 40 == 0:
+            cols = int(rng.integers(48, 70))
+        mat = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < rng.choice([0.3, 1.0]))
+        if rows > 2 and rng.random() < 0.3:
+            mat[-1] = (2 * mat[0] + mat[1]) % p
+        got, want = nullspace(mat, p), oracle_nullspace(mat, p)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (p, mat)
+        assert got.flags.c_contiguous
+        shapes.add((got.shape[0] == 0, got.shape[0] == cols))
+    assert shapes == {(True, False), (False, True), (False, False), (True, True)}
+
+
+def test_line_vectors_match_enumerate_subspaces():
+    for p in (2, 3, 5):
+        for d in range(5):
+            want = [u.basis_arr[0] for u in enumerate_subspaces(p, d) if u.dim == 1]
+            got = gf.line_vectors(p, d)
+            assert got.dtype == np.int64 and got.shape == (len(want), d)
+            assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(len(want), d)), (p, d)
 
 
 def test_empty_shapes():

@@ -615,6 +615,132 @@ def test_fixed_lines_are_the_lines_of_the_kernel(case):
             assert [ker.contains_vector(v) for v in lines] == fixed[:, t.index].tolist(), t
 
 
+# the stack routes of the kernel calculus against the per-item routes they
+# replaced, kept here unchanged as oracles
+
+
+def oracle_fixed_lines(S, d):
+    """One proj_with_kernel, one LinearMap product and one pull per line."""
+    lines = [u for u in enumerate_subspaces(S.p, d) if u.dim == 1]
+    ids = np.arange(S.size(d))
+    fixed = np.zeros((len(lines), ids.size), dtype=bool)
+    for row, (projm, sect) in zip(fixed, map(proj_with_kernel, lines)):
+        row[:] = S._pull((sect @ projm).arr[None], slice(None))[0] == ids
+    vecs = np.array([u.basis_arr[0] for u in lines], dtype=np.int64).reshape(len(lines), d)
+    return vecs, fixed
+
+
+def oracle_weak_noetherian_on_orbits(S, window):
+    """One kernel_of, one projection and one _kernel_mismatches call per
+    orbit representative and n."""
+    dims = range(window + 1)
+    for m in dims:
+        subspaces = enumerate_subspaces(S.p, m)
+        spans = np.zeros((len(subspaces), m, window), dtype=np.int64)
+        for span, w in zip(spans, subspaces):
+            span[:, : w.dim] = w.basis_arr.T
+        stacks = [spans[[w.dim <= n for w in subspaces], :, :n] for n in dims]
+        for s in [sf.SElement(m, int(i)) for i in sf._orbit_representatives(S, m)]:
+            proj = proj_with_kernel(sf.kernel_of(S, s))[0].arr
+            if any(sf._kernel_mismatches(S, stack, s.index, proj).size for stack in stacks):
+                return False
+    return True
+
+
+def oracle_boxplus(S, psi, extra_dim, check_unique=False):
+    """Three act calls, and two act_table fills for check_unique."""
+    w, v = psi.dim, extra_dim
+    if w + v > S.cap:
+        raise ValueError("box-sum exceeds the cap")
+    res = S.act(LinearMap.from_array(np.eye(w, w + v, dtype=np.int64), S.p), psi)
+    incl_w = LinearMap.from_array(np.eye(w + v, w, dtype=np.int64), S.p)
+    incl_v = LinearMap.from_array(np.eye(w + v, v, -w, dtype=np.int64), S.p)
+    if S.act(incl_w, res) != psi or S.act(incl_v, res) != sf.epsilon(S, v):
+        raise sf.InvalidFunctorData("box-sum restrictions failed")
+    if check_unique:
+        hits = np.count_nonzero((S.act_table(incl_w) == psi.index) & (S.act_table(incl_v) == sf.epsilon(S, v).index))
+        if hits != 1:
+            raise sf.WeakNoetherianityViolation(f"box-sum of {psi} (+{v}) is not unique: {hits} candidates")
+    return res
+
+
+STACK_CASES = {
+    **{f"representable-p2-u{u}-cap3": (lambda u=u: sf.RepresentableFunctor(2, u, 3)) for u in range(4)},
+    **{f"representable-p3-u{u}-cap2": (lambda u=u: sf.RepresentableFunctor(3, u, 2)) for u in range(3)},
+    **{f"representable-p5-u{u}-cap2": (lambda u=u: sf.RepresentableFunctor(5, u, 2)) for u in range(2)},
+    "orbit-p2": orbit_u2,
+    "orbit-p3": lambda: sf.OrbitFunctor(3, 2, [LinearMap.from_array([[0, 1], [1, 0]], 3)], 2),
+    "orbit-p5": lambda: sf.OrbitFunctor(5, 1, [LinearMap.from_array([[2]], 5)], 2),
+    "subspaces-p2": lambda: sf.SubspaceFunctor(2, 3),
+    "subspaces-p3": lambda: sf.SubspaceFunctor(3, 2),
+    "subspaces-p5": lambda: sf.SubspaceFunctor(5, 2),
+    "table-p2": lambda: as_table(sf.RepresentableFunctor(2, 2, 3)),
+    "table-p3": lambda: as_table(sf.RepresentableFunctor(3, 1, 2)),
+    "table-p5": lambda: as_table(sf.RepresentableFunctor(5, 1, 2)),
+    "union": union,
+    "union-p3": lambda: sf.disjoint_union(sf.RepresentableFunctor(3, 1, 2), sf.SubspaceFunctor(3, 2)),
+    "union-component-0": lambda: sf.split_components(union())[0],
+    "union-component-1": lambda: sf.split_components(union())[1],
+    "kernel-mismatch": sf.kernel_mismatch_example,
+}
+
+
+@pytest.mark.parametrize("pairs", [sf.PULL_PAIRS, 5])
+@pytest.mark.parametrize("case", STACK_CASES)
+def test_fixed_lines_match_per_line_oracle(case, pairs, monkeypatch):
+    # at 5 pairs per pull, S(d) of more than 5 elements takes one line per
+    # pull and smaller ones several, with a short last slice
+    monkeypatch.setattr(sf, "PULL_PAIRS", pairs)
+    S, T = STACK_CASES[case](), STACK_CASES[case]()
+    for d in range(S.cap + 1):
+        lines, fixed = sf._fixed_lines(S, d)
+        want_lines, want_fixed = oracle_fixed_lines(T, d)
+        assert lines.dtype == want_lines.dtype and np.array_equal(lines, want_lines), d
+        assert fixed.dtype == bool and np.array_equal(fixed, want_fixed), d
+
+
+def test_line_idempotent_is_sect_proj():
+    for p in (2, 3, 5):
+        for d in range(5):
+            lines = [u for u in enumerate_subspaces(p, d) if u.dim == 1]
+            idems = sf._line_idempotents(gf.line_vectors(p, d), p)
+            assert idems.shape == (len(lines), d, d)
+            for e, u in zip(idems, lines):
+                projm, sect = proj_with_kernel(u)
+                assert np.array_equal(e, (sect @ projm).arr), (p, u)
+
+
+@pytest.mark.parametrize("pairs", [sf.PULL_PAIRS, 3])
+@pytest.mark.parametrize("case", WEAK_CASES)
+def test_orbit_route_matches_per_representative_oracle(case, pairs, monkeypatch):
+    # every window; at 3 pairs per pull the representatives come a few at a
+    # time, or one at a time against the larger stacks
+    monkeypatch.setattr(sf, "PULL_PAIRS", pairs)
+    make, _ = WEAK_CASES[case]
+    S, T = make(), make()
+    verdicts = [sf._weak_noetherian_on_orbits(S, window) for window in range(S.cap + 1)]
+    assert verdicts == [oracle_weak_noetherian_on_orbits(T, window) for window in range(T.cap + 1)]
+    assert verdicts[-1] == ("kernel-mismatch" not in case)
+
+
+@pytest.mark.parametrize("case", STACK_CASES)
+def test_boxplus_matches_act_oracle(case):
+    S, T = STACK_CASES[case](), STACK_CASES[case]()
+
+    def outcome_of(f, *args):
+        try:
+            return f(*args)
+        except (ValueError, sf.InvalidFunctorData, sf.WeakNoetherianityViolation) as err:
+            return type(err), str(err)
+
+    for psi in S.all_elements():
+        for v in range(S.cap - psi.dim + 2):
+            for unique in (False, True):
+                assert outcome_of(sf.boxplus, S, psi, v, unique) == outcome_of(oracle_boxplus, T, psi, v, unique)
+    # only epsilon's tables, on S(0), are kept
+    assert all(rows == 0 for _, rows, _ in S._table_cache)
+
+
 @pytest.mark.parametrize("case", WEAK_CASES)
 def test_table_weak_noetherian_matches_element_loop(case):
     # the JSON table of each case passes the gate and takes the orbit route
@@ -883,6 +1009,9 @@ def assert_pull_matches(S, oracle, rng):
             assert np.array_equal(S._pull(stack, slice(None)), want)
             for i in range(S.size(rows)):
                 assert np.array_equal(S._pull(stack, i), want[:, i])
+            ids = rng.permutation(np.repeat(np.arange(S.size(rows)), 2))[:6]  # repeats, or empty
+            got = S._pull(stack, ids)
+            assert got.shape == (len(maps), len(ids)) and np.array_equal(got, want[:, ids])
 
 
 @pytest.mark.parametrize("case", BATCHED_CASES)

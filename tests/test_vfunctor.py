@@ -132,6 +132,21 @@ def test_hom_functors_past_the_default_map_budget(monkeypatch):
     assert ec.verify_block_form(sk.S, sk, t, t)
 
 
+def test_hom_functors_refuse_an_oversize_matrix(monkeypatch):
+    # a morphism of hom(t, t) has a 512 x 512 matrix under both hom functors,
+    # refused before it is allocated when the bound is one cell short
+    sk = ec.Skeleton(sf.RepresentableFunctor(2, 0, 3))
+    t = sk.index[(0, 3)]
+    monkeypatch.setattr(vf, "MAX_RELATION_CELLS", 512 * 512)
+    for F in (vf.injective_cogen(sk, t), vf.projective_gen(sk, t)):
+        assert np.array_equal(F.mat(t, t, sk.identity(t)), np.eye(512, dtype=np.int64))
+    monkeypatch.setattr(vf, "MAX_RELATION_CELLS", 512 * 512 - 1)
+    for F in (vf.injective_cogen(sk, t), vf.projective_gen(sk, t)):
+        with pytest.raises(BudgetExceeded, match="'hom matrix cells' exceeded: needs 262144, allows 262143"):
+            F.mat(t, t, sk.identity(t))
+        assert F.mat(0, 0, sk.identity(0)).shape == (F.dim(0), F.dim(0))
+
+
 def oracle_validate(F):
     """The functor laws on every composable pair of morphisms inside the
     window, the triple loop that validate ran before it checked generators."""
