@@ -7,6 +7,11 @@ when the splitting search gives up.  The exceptions behind exit 2 live in
 ``sfunctor`` (``InvalidFunctorData``), beside ``ValueError`` and ``OSError``.
 Importing this module loads ``gf``, ``sfunctor``, ``elcat`` and ``report``;
 handlers import ``vfunctor``, ``modrep`` and ``simples`` when they run.
+
+The parser is flat and built per call: one ``ArgumentParser`` holds the
+shared flags, the command (a key of ``HANDLERS``, whose docstrings give the
+``--help`` lines) and the options of single commands, whose defaults
+``COMMAND_DEFAULTS`` fills in after parsing.
 """
 
 from __future__ import annotations
@@ -81,63 +86,74 @@ def _check_group_order(aut_order: int, n: int, budget: int) -> None:
             raise ValueError(f"group order {shown} exceeds budget {budget}")
 
 
-def _add_common(ap: argparse.ArgumentParser, suppress: bool):
-    # shared flags live on the main parser and on every subparser, the latter
-    # with suppressed defaults so values given before the subcommand survive
-    d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    ap.add_argument("--p", type=_prime, default=d(2), help="field characteristic (prime)")
-    ap.add_argument("--cap", type=_non_negative, default=d(3), help="dimension cap / window")
-    ap.add_argument("--n-max", type=_non_negative, default=d(2), help="largest polynomial degree")
-    ap.add_argument("--seed", type=int, default=d(0), help="seed for all derived streams")
-    ap.add_argument("--budget-maps", type=_positive, default=d(1 << 20), help="map enumeration budget")
-    ap.add_argument("--budget-group", type=_positive, default=d(1000), help="group order budget")
-    ap.add_argument("--input", type=str, default=d(None), help="sfunctor.json or builtin spec file")
-    ap.add_argument("--builtin", type=str, default=d(None), help="representable | orbit | subspaces | kernel-mismatch")
-    ap.add_argument("--u-dim", type=_non_negative, default=d(2), help="target dimension for builtins")
-    ap.add_argument("--format", dest="fmt", choices=["json", "markdown"], default=d("json"))
-    ap.add_argument("--output", type=str, default=d(None), help="write the report here instead of stdout")
+# The options that only some commands take, by command, with their defaults;
+# the parser leaves them unset, so parse_args can tell which were given.
+COMMAND_DEFAULTS = {
+    "degree": {"functor": "tensor:1", "save_functor": None},
+    "delta": {"functor": "tensor:1", "save_functor": None, "times": 1},
+    "cross-effect": {"functor": "tensor:2", "base": (0, 0), "blocks": (1, 1)},
+    "simples-of-group": {"group": "sym:3"},
+    "demo": {"action": "rector"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flat parser, built per call: the shared flags, the command, and
+    every command's own options with suppressed defaults."""
+    helps = {name: (handler.__doc__ or "").partition("\n")[0] for name, handler in HANDLERS.items()}
     ap = argparse.ArgumentParser(
         prog="functorlab",
         description="exact functor-category computations over prime fields",
+        epilog="commands:\n" + "\n".join(f"  {name:<20}{text}" for name, text in helps.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    _add_common(ap, suppress=False)
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common(common, suppress=True)
-
-    sub = ap.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate", parents=[common], help="check the functor laws of the input tables")
-    sub.add_parser("check-noetherian", parents=[common], help="weaker noetherianity plus regular-element report")
-    sub.add_parser("rector", parents=[common], help="regular classes, automorphism groups, hom matrix")
-
-    for name in ("degree", "delta"):
-        p = sub.add_parser(name, parents=[common], help="difference calculus on a chosen functor")
-        p.add_argument(
-            "--functor",
-            type=str,
-            default="tensor:1",
-            help="tensor:n | constant | cogen:r,v | symmetrizer:parts | file:vfunctor.json",
-        )
-        p.add_argument("--save-functor", type=str, default=None, help="write the (differenced) functor tables here")
-        if name == "delta":
-            p.add_argument("--times", type=_non_negative, default=1)
-
-    p = sub.add_parser("cross-effect", parents=[common], help="joint omission kernel at a base object")
-    p.add_argument("--functor", type=str, default="tensor:2")
-    p.add_argument("--base", type=_non_negative_list(2), default="0,0", help="skeletal object as class,trivial-dim")
-    p.add_argument("--blocks", type=_non_negative_list(), default="1,1", help="block dimensions")
-
-    p = sub.add_parser("simples-of-group", parents=[common], help="simple modules of a small group")
-    p.add_argument("--group", type=str, default="sym:3", help="sym:n | autsym:class,n")
-
-    sub.add_parser("enumerate-simples", parents=[common], help="classification run up to degree n-max")
-    sub.add_parser("verify-theorems", parents=[common], help="run the full verification suites")
-
-    p = sub.add_parser("demo", parents=[common], help="run an action on a shipped builtin")
-    p.add_argument("action", nargs="?", default="rector")
+    ap.add_argument("--p", type=_prime, default=2, help="field characteristic (prime)")
+    ap.add_argument("--cap", type=_non_negative, default=3, help="dimension cap / window")
+    ap.add_argument("--n-max", type=_non_negative, default=2, help="largest polynomial degree")
+    ap.add_argument("--seed", type=int, default=0, help="seed for all derived streams")
+    ap.add_argument("--budget-maps", type=_positive, default=1 << 20, help="map enumeration budget")
+    ap.add_argument("--budget-group", type=_positive, default=1000, help="group order budget")
+    ap.add_argument("--input", type=str, default=None, help="sfunctor.json or builtin spec file")
+    ap.add_argument("--builtin", type=str, default=None, help="representable | orbit | subspaces | kernel-mismatch")
+    ap.add_argument("--u-dim", type=_non_negative, default=2, help="target dimension for builtins")
+    ap.add_argument("--format", dest="fmt", choices=["json", "markdown"], default="json")
+    ap.add_argument("--output", type=str, default=None, help="write the report here instead of stdout")
+    ap.add_argument("command", metavar="command", choices=HANDLERS, help="one of the commands below")
+    unset = argparse.SUPPRESS
+    ap.add_argument(
+        "--functor", default=unset,
+        help="degree, delta, cross-effect: tensor:n | constant | cogen:r,v | symmetrizer:parts | file:vfunctor.json",
+    )
+    ap.add_argument("--save-functor", default=unset, help="degree, delta: write the (differenced) functor tables here")
+    ap.add_argument("--times", type=_non_negative, default=unset, help="delta: how many differences")
+    ap.add_argument("--base", type=_non_negative_list(2), default=unset, help="cross-effect: object as class,trivial-dim")
+    ap.add_argument("--blocks", type=_non_negative_list(), default=unset, help="cross-effect: block dimensions")
+    ap.add_argument("--group", default=unset, help="simples-of-group: sym:n | autsym:class,n")
+    ap.add_argument("action", nargs="?", default=unset, help="demo: the command to run on a builtin")
     return ap
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """The parsed argv, each command's own options filled in from
+    COMMAND_DEFAULTS; an option the command does not take exits 2."""
+    ap = build_parser()
+    args, extras = ap.parse_known_args(argv)
+    given = vars(args)
+    # argparse gives demo's optional action an empty match beside the command
+    # when flags follow, so an action given after them comes back as an extra
+    if extras and args.command == "demo" and "action" not in given and not extras[0].startswith("-"):
+        given["action"] = extras.pop(0)
+    if extras:
+        ap.error(f"unrecognized arguments: {' '.join(extras)}")
+    takes = COMMAND_DEFAULTS.get(args.command, {})
+    own = {dest for options in COMMAND_DEFAULTS.values() for dest in options}
+    for dest in sorted((own - takes.keys()) & given.keys()):
+        if dest == "action":
+            ap.error(f"unrecognized arguments: {given[dest]}")
+        ap.error(f"argument --{dest.replace('_', '-')}: not an option of {args.command}")
+    for dest, default in takes.items():
+        given.setdefault(dest, default)
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +239,7 @@ def config_dict(args) -> dict:
 
 
 def run_validate(args) -> tuple[dict, int]:
+    """check the functor laws of the input tables"""
     S = resolve_set_functor(args)
     rep = sfunctor.validate(S)
     body = {
@@ -250,6 +267,7 @@ def _witness_dict(w):
 
 
 def run_check_noetherian(args) -> tuple[dict, int]:
+    """weaker noetherianity plus regular-element report"""
     S = resolve_set_functor(args)
     weak = sfunctor.check_weak_noetherian(S, budget=args.budget_maps)
     body = {
@@ -268,10 +286,13 @@ def run_check_noetherian(args) -> tuple[dict, int]:
 
 
 def run_rector(args) -> tuple[dict, int]:
+    """regular classes, automorphism groups, hom matrix"""
     S = resolve_set_functor(args)
-    sk = elcat.Skeleton(S, budget=args.budget_maps)
-    body = elcat.rector_report(sk)
-    ok, wit = elcat.check_injectivity(S, sk.rector, budget=args.budget_maps)
+    elcat.require_connected(S)
+    R = elcat.build_rector_skeleton(S, budget=args.budget_maps)
+    homs = elcat.class_hom_sets(R, args.budget_maps)
+    body = elcat.rector_report(R, homs)
+    ok, wit = elcat.check_injectivity(S, R, args.budget_maps, homs)
     body["all_regular_morphisms_injective"] = ok
     if not ok:
         body["witness"] = {"matrix": wit.arr.tolist()}
@@ -279,6 +300,7 @@ def run_rector(args) -> tuple[dict, int]:
 
 
 def run_degree(args) -> tuple[dict, int]:
+    """polynomial degree of a chosen functor"""
     from . import vfunctor
 
     S = resolve_set_functor(args)
@@ -292,7 +314,7 @@ def run_degree(args) -> tuple[dict, int]:
         "vanishing_checked_on_window": window,
         "value_dims": _dims_rows(F),
     }
-    if getattr(args, "save_functor", None):
+    if args.save_functor:
         with open(args.save_functor, "w") as fh:
             json.dump(vfunctor.functor_to_json(F, args.budget_maps), fh, sort_keys=True)
     return body, EXIT_OK
@@ -305,6 +327,7 @@ def _dims_rows(F) -> list[dict]:
 
 
 def run_delta(args) -> tuple[dict, int]:
+    """iterated difference of a chosen functor"""
     from . import vfunctor
 
     S = resolve_set_functor(args)
@@ -318,13 +341,14 @@ def run_delta(args) -> tuple[dict, int]:
         "value_dims": _dims_rows(D),
         "is_zero": D.is_zero(),
     }
-    if getattr(args, "save_functor", None):
+    if args.save_functor:
         with open(args.save_functor, "w") as fh:
             json.dump(vfunctor.functor_to_json(D, args.budget_maps), fh, sort_keys=True)
     return body, EXIT_OK
 
 
 def run_cross_effect(args) -> tuple[dict, int]:
+    """joint omission kernel at a base object"""
     from . import vfunctor
 
     S = resolve_set_functor(args)
@@ -347,6 +371,7 @@ def run_cross_effect(args) -> tuple[dict, int]:
 
 
 def run_simples_of_group(args) -> tuple[dict, int]:
+    """simple modules of a small group"""
     from . import modrep
 
     kind = args.group.partition(":")[0]
@@ -380,6 +405,7 @@ def run_simples_of_group(args) -> tuple[dict, int]:
 
 
 def run_enumerate_simples(args) -> tuple[dict, int]:
+    """classification run up to degree n-max"""
     from . import simples
 
     S = resolve_set_functor(args)
@@ -390,11 +416,20 @@ def run_enumerate_simples(args) -> tuple[dict, int]:
 
 
 def run_verify_theorems(args) -> tuple[dict, int]:
+    """run the full verification suites"""
     from . import modrep, simples, vfunctor
 
     S = resolve_set_functor(args)
     sk = elcat.Skeleton(S, budget=args.budget_maps)
     suites: dict[str, bool] = {}
+    lifts: dict[int, vfunctor.VecFunctor] = {}
+
+    def tensor_lift(n: int) -> vfunctor.VecFunctor:
+        # T^n on the window its suites need, built once so its mat cache is shared
+        if n not in lifts:
+            w = min(sk.window, max(3, n + 1))
+            lifts[n] = vfunctor.forgetful_lift(sk, vfunctor.TensorPower(n, sk.p), window=w)
+        return lifts[n]
 
     # difference calculus: iterated differences match cross effects
     F2 = vfunctor.forgetful_lift(sk, vfunctor.TensorPower(2, sk.p))
@@ -413,7 +448,7 @@ def run_verify_theorems(args) -> tuple[dict, int]:
     # exactness of the difference functor on seeded subfunctor sequences
     rng = np.random.default_rng(args.seed)
     oks = []
-    F2w = vfunctor.forgetful_lift(sk, vfunctor.TensorPower(2, sk.p), window=min(3, sk.window))
+    F2w = tensor_lift(2)
     for _ in range(8):
         sub = vfunctor.random_subfunctor(F2w, rng)
         oks.append(vfunctor.ses_delta_exactness(F2w, sub))
@@ -448,11 +483,9 @@ def run_verify_theorems(args) -> tuple[dict, int]:
     for rclass, n in simples.simple_tasks(sk, args.n_max):
         if n == 0:
             continue
-        w = min(sk.window, max(3, n + 1))
         G = vfunctor.aut_sigma_group(sk, rclass, n)
         M = vfunctor.sigma_functor_from_module(sk, rclass, n, modrep.regular_module(G, sk.p))
-        Fn = vfunctor.forgetful_lift(sk, vfunctor.TensorPower(n, sk.p), window=w)
-        rep = vfunctor.adjunction_check(M, Fn, n)
+        rep = vfunctor.adjunction_check(M, tensor_lift(n), n)
         ok_adj &= rep["dims_equal"] and rep["triangle_tensor"] and rep["triangle_difference"]
     suites["adjunction_dimensions_and_triangles"] = ok_adj
 
@@ -461,9 +494,7 @@ def run_verify_theorems(args) -> tuple[dict, int]:
     for n in range(1, args.n_max + 1):
         if n + 1 > sk.window:
             continue
-        w = min(sk.window, max(3, n + 1))
-        Fn = vfunctor.forgetful_lift(sk, vfunctor.TensorPower(n, sk.p), window=w)
-        ok_main &= simples.verify_quotient_equivalence(Fn, n)["ok"]
+        ok_main &= simples.verify_quotient_equivalence(tensor_lift(n), n)["ok"]
     suites["quotient_equivalence_instances"] = ok_main
 
     # the classification run itself
@@ -483,6 +514,7 @@ def run_verify_theorems(args) -> tuple[dict, int]:
 
 
 def run_demo(args) -> tuple[dict, int]:
+    """run an action on a shipped builtin"""
     action = args.action
     dispatch = {
         "validate": run_validate,
@@ -494,8 +526,7 @@ def run_demo(args) -> tuple[dict, int]:
     }
     if action not in dispatch:
         raise ValueError(f"unknown demo action {action!r}")
-    if action in ("degree",):
-        args.functor = "tensor:1"
+    vars(args).update(COMMAND_DEFAULTS.get(action, {}))
     body, code = dispatch[action](args)
     body["demo_action"] = action
     return body, code
@@ -516,7 +547,7 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         body, code = HANDLERS[args.command](args)
     except (BudgetExceeded, WindowExceeded, SplittingFailure, sfunctor.InvalidFunctorData,

@@ -141,23 +141,34 @@ def build_rector_skeleton(S: SetFunctor, cap: int | None = None, budget: int = D
     return RectorSkeleton(S, cap, classes, witnesses, auts)
 
 
-def check_injectivity(S: SetFunctor, R: RectorSkeleton, budget: int = DEFAULT_MAP_BUDGET):
+def class_hom_sets(R: RectorSkeleton, budget: int = DEFAULT_MAP_BUDGET) -> list[list[np.ndarray]]:
+    """hom_set(R.S, a, b) for each ordered pair of class representatives:
+    row a, column b, both in the order of R.classes.  rector_report and
+    check_injectivity share these stacks."""
+    return [[hom_set(R.S, a, b, budget) for b in R.classes] for a in R.classes]
+
+
+def check_injectivity(
+    S: SetFunctor, R: RectorSkeleton, budget: int = DEFAULT_MAP_BUDGET, homs: list[list[np.ndarray]] | None = None
+):
     """Every morphism between regular pairs must be injective; returns
     (True, None) or (False, witness), the witness a LinearMap.
 
     A map is injective when it kills no line of its source, so each hom-set
     stack is tested in one product with the line vectors of its source,
     MAP_SLICE maps at a time.  Injectivity is invariant under isomorphism, so
-    it is decided on the hom-sets between class representatives.  When that
+    it is decided on the hom-sets between class representatives, homs (the
+    class_hom_sets of R, listed here when not given), row by row.  When that
     check finds a map that is not injective or meets the budget, the loop
     over all pairs of regular elements runs and reports its first witness.
     """
 
-    def witness(objs):  # the first morphism between objs that kills a line of its source
-        lines = {d: line_vectors(S.p, d).T for d in {a.dim for a in objs}}
-        for a in objs:
-            for b in objs:
-                stack = hom_set(S, a, b, budget)
+    def witness(rows):  # the first morphism of the (source, hom-set stacks) rows that kills a line of its source
+        lines = {}
+        for a, stacks in rows:
+            if a.dim not in lines:
+                lines[a.dim] = line_vectors(S.p, a.dim).T
+            for stack in stacks:
                 for start in range(0, len(stack), MAP_SLICE):
                     gammas = stack[start:start + MAP_SLICE]
                     killing = np.flatnonzero(~(gammas @ lines[a.dim] % S.p).any(axis=1).all(axis=1))
@@ -166,16 +177,22 @@ def check_injectivity(S: SetFunctor, R: RectorSkeleton, budget: int = DEFAULT_MA
         return None
 
     try:
-        if witness(R.classes) is None:
+        if witness(zip(R.classes, class_hom_sets(R, budget) if homs is None else homs)) is None:
             return True, None
     except BudgetExceeded:
         pass
-    wit = witness([s for d in range(R.cap + 1) for s in regular_set(S, d)])
+    regs = [s for d in range(R.cap + 1) for s in regular_set(S, d)]
+    wit = witness((a, (hom_set(S, a, b, budget) for b in regs)) for a in regs)
     return wit is None, wit
 
 
 # ---------------------------------------------------------------------------
 # skeletal category
+
+
+def require_connected(S: SetFunctor) -> None:
+    if not is_connected(S):
+        raise ValueError("skeletons need a connected functor; split components first")
 
 
 @dataclass(frozen=True)
@@ -205,8 +222,7 @@ class Skeleton:
     """
 
     def __init__(self, S: SetFunctor, window: int | None = None, budget: int = DEFAULT_MAP_BUDGET):
-        if not is_connected(S):
-            raise ValueError("skeletons need a connected functor; split components first")
+        require_connected(S)
         self.S = S
         self.window = S.cap if window is None else window
         if self.window > S.cap:
@@ -397,9 +413,9 @@ def hom_factorization_holds(S: SetFunctor, sk: Skeleton, i: int, j: int) -> bool
     return lhs == rhs
 
 
-def rector_report(sk: Skeleton) -> dict:
-    """Classes, automorphism groups and the hom-set cardinality matrix."""
-    R = sk.rector
+def rector_report(R: RectorSkeleton, homs: list[list[np.ndarray]]) -> dict:
+    """Classes, automorphism groups and the hom-set cardinality matrix, read
+    off homs, the class_hom_sets of R."""
     classes = []
     for r, rep in enumerate(R.classes):
         aut = R.aut_groups[r]
@@ -411,6 +427,4 @@ def rector_report(sk: Skeleton) -> dict:
                 "aut_elements": [g.arr.tolist() for g in aut],
             }
         )
-    n = len(R.classes)
-    matrix = [[len(sk.hom(sk.index[r1, 0], sk.index[r2, 0])) for r2 in range(n)] for r1 in range(n)]
-    return {"classes": classes, "hom_cardinalities": matrix}
+    return {"classes": classes, "hom_cardinalities": [[len(stack) for stack in row] for row in homs]}

@@ -1230,7 +1230,7 @@ def adjunction_check(M: SigmaNFunctor, F: VecFunctor, n: int) -> dict:
     sk = F.sk
     TM = tensor_sigma_n(sk, M, n, window=F.window)
     left = len(nat_space(TM, F))
-    DF = delta_n_sigma(F, n)
+    eta_f, T_DF, DF = counit(F, n)
     right = sigma_hom_space(M, DF)
 
     # triangle at TM: counit after tensored unit is the identity
@@ -1246,7 +1246,6 @@ def adjunction_check(M: SigmaNFunctor, F: VecFunctor, n: int) -> dict:
     )
 
     # triangle at F: differenced counit after the unit at DF is the identity
-    eta_f, T_DF, _ = counit(F, n)
     D_TDF = delta_n_sigma(T_DF, n)
     triangle2 = True
     for r in DF.classes():

@@ -447,6 +447,44 @@ def test_rector_frontier_u3_cap5(capsys):
     assert len(doc["classes"]) == 16
 
 
+def test_rector_lists_each_class_hom_set_once(monkeypatch, capsys):
+    # the report and the injectivity check share one stack per ordered class
+    # pair, and no skeletal object with a trivial block is assembled
+    from functorlab import elcat, sfunctor
+
+    pairs, extra_dims = [], []
+    real_hom_set, real_boxplus = elcat.hom_set, sfunctor.boxplus
+
+    def hom_set(S, a, b, *rest):
+        pairs.append((a, b))
+        return real_hom_set(S, a, b, *rest)
+
+    def boxplus(S, psi, extra_dim, *rest, **kwargs):
+        extra_dims.append(extra_dim)
+        return real_boxplus(S, psi, extra_dim, *rest, **kwargs)
+
+    monkeypatch.setattr(elcat, "hom_set", hom_set)
+    monkeypatch.setattr(elcat, "boxplus", boxplus)
+    monkeypatch.setattr(sfunctor, "boxplus", boxplus)
+    code, out = run_cli(["--u-dim", "2", "--cap", "4", "rector"], capsys)
+    classes = json.loads(out)["classes"]
+    assert code == 0 and len(classes) == 5
+    assert len(pairs) == len(set(pairs)) == 25
+    assert [v for v in extra_dims if v > 0] == []
+
+
+def test_rector_refuses_a_disconnected_table(tmp_path, capsys):
+    from functorlab import sfunctor as sf
+
+    S = sf.RepresentableFunctor(2, 1, 2)
+    U = sf.disjoint_union(S, S)
+    assert U.size(0) == 2
+    path = tmp_path / "U.json"
+    path.write_text(json.dumps(sf.to_json_dict(U)))
+    assert cli.main(["--input", str(path), "rector"]) == 2
+    assert capsys.readouterr().err == "error: skeletons need a connected functor; split components first\n"
+
+
 def _write_table(tmp_path, S, edit):
     from functorlab import sfunctor as sf
 

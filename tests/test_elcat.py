@@ -269,7 +269,7 @@ def test_injectivity_across_slices(case, monkeypatch):
 def test_rector_report_counts_class_hom_sets(sk):
     n = len(sk.rector.classes)
     want = [[len(sk.rector_hom(r1, r2)) for r2 in range(n)] for r1 in range(n)]
-    assert ec.rector_report(sk)["hom_cardinalities"] == want
+    assert ec.rector_report(sk.rector, ec.class_hom_sets(sk.rector))["hom_cardinalities"] == want
 
 
 def test_rep_of_routes_everything(sk, SU2):
@@ -360,7 +360,7 @@ def test_aut_acts_freely_on_hom_f_blocks(SU2, sk):
 
 
 def test_rector_report_shape(sk):
-    rep = ec.rector_report(sk)
+    rep = ec.rector_report(sk.rector, ec.class_hom_sets(sk.rector))
     assert len(rep["classes"]) == 5
     assert all(c["aut_order"] == 1 for c in rep["classes"])
     assert len(rep["hom_cardinalities"]) == 5
