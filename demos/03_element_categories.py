@@ -31,9 +31,9 @@ idx = sk.index[(1, 1)]  # a one-dimensional regular class padded by one directio
 print(f"hom-set at that object has {len(sk.hom(idx, idx))} elements")
 print(f"equals the block-triangular set exactly: {ec.verify_block_form(S, sk, idx, idx)}")
 print(f"cardinality factorization |regular hom| * p^((w+u)v): {ec.hom_factorization_holds(S, sk, idx, idx)}")
-gamma = LinearMap.from_array(sk.hom(idx, idx)[3], S.p)
+gamma = sk.hom(idx, idx)[3]
 f, g, h, zero_top_right = sk.blocks(idx, idx, gamma)
-print(f"sample morphism {gamma.arr.tolist()} splits into f={f.arr.tolist()}, g={g.arr.tolist()}, h={h.arr.tolist()}")
+print(f"sample morphism {gamma.tolist()} splits into f={f.tolist()}, g={g.tolist()}, h={h.tolist()}")
 
 print()
 print("== morphisms between regular pairs are injective ==")

@@ -26,12 +26,10 @@ from .gf import (
     BudgetExceeded,
     LinearMap,
     Subspace,
-    block_map,
     count_maps,
     elementary_invertibles,
     general_linear,
     line_vectors,
-    linear_maps,
     map_indices,
     map_slices,
     map_stack,
@@ -217,8 +215,11 @@ class Skeleton:
     """Skeleton of the category of elements on dimensions <= window.
 
     Hom-sets are listed on first use and kept as read-only hom_set stacks;
-    composition is by matrix product.  Morphisms between skeletal objects are
-    block lower triangular in the (regular | trivial) coordinates.
+    composition is by matrix product mod p.  Every morphism the skeleton
+    hands out (hom-set rows, special morphisms, generators, class hom-sets)
+    is, like a stack row, a (dim target, dim source) int64 matrix with
+    entries in 0..p-1.  Morphisms between skeletal objects are block lower
+    triangular in the (regular | trivial) coordinates.
     """
 
     def __init__(self, S: SetFunctor, window: int | None = None, budget: int = DEFAULT_MAP_BUDGET):
@@ -239,7 +240,7 @@ class Skeleton:
                 self.objects.append(sk)
         self._hom: dict[tuple[int, int], np.ndarray] = {}
         self._rep_cache: dict[ElObject, tuple[int, LinearMap]] = {}
-        self._generators: list[tuple[int, int, LinearMap]] | None = None
+        self._generators: list[tuple[int, int, np.ndarray]] | None = None
 
     @property
     def p(self) -> int:
@@ -256,8 +257,8 @@ class Skeleton:
             stack.setflags(write=False)
         return stack
 
-    def identity(self, i: int) -> LinearMap:
-        return LinearMap.identity(self.objects[i].dim, self.p)
+    def identity(self, i: int) -> np.ndarray:
+        return np.eye(self.objects[i].dim, dtype=np.int64)
 
     # -- routing of arbitrary pairs onto the skeleton ------------------------
 
@@ -269,11 +270,7 @@ class Skeleton:
         t, u, iso = decompose(self.S, o)
         r, wr = self.rector.witnesses[t]
         v = u.dim
-        w = block_map(
-            [[wr, LinearMap.zero(wr.rows, v, self.p)],
-             [LinearMap.zero(v, wr.cols, self.p), LinearMap.identity(v, self.p)]],
-            self.p,
-        ) @ iso
+        w = LinearMap.from_array(self._diag(wr.arr, np.eye(v, dtype=np.int64)) @ iso.arr, self.p)
         idx = self.index[(r, v)]
         if self.S.act(w, self.objects[idx].obj) != o:
             raise ValueError(f"the action is not functorial: {w} does not carry object {idx} to {o}")
@@ -282,53 +279,52 @@ class Skeleton:
 
     # -- block structure ------------------------------------------------------
 
-    def blocks(self, i: int, j: int, gamma: LinearMap):
-        """Split gamma in hom(i, j) into (f, g, h) per the lower-triangular form."""
-        a, b = self.objects[i], self.objects[j]
-        arr = gamma.arr
-        w, v = a.wdim, a.vdim
-        w2, v2 = b.wdim, b.vdim
-        f = LinearMap.from_array(arr[:w2, :w], self.p)
-        g = LinearMap.from_array(arr[w2:, :w], self.p)
-        h = LinearMap.from_array(arr[w2:, w:], self.p)
-        top_right = arr[:w2, w:]
-        return f, g, h, not top_right.any()
+    def blocks(self, i: int, j: int, gamma: np.ndarray):
+        """Split gamma in hom(i, j) into views (f, g, h) per the
+        lower-triangular form, plus whether the top right block is zero."""
+        w, w2 = self.objects[i].wdim, self.objects[j].wdim
+        return gamma[:w2, :w], gamma[w2:, :w], gamma[w2:, w:], not gamma[:w2, w:].any()
+
+    @staticmethod
+    def _diag(f: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """The block-diagonal map [[f, 0], [0, h]]."""
+        out = np.zeros((f.shape[0] + h.shape[0], f.shape[1] + h.shape[1]), dtype=np.int64)
+        out[: f.shape[0], : f.shape[1]] = f
+        out[f.shape[0]:, f.shape[1]:] = h
+        return out
 
     # -- special morphisms ----------------------------------------------------
 
-    def proj_one(self, r: int, v: int) -> LinearMap:
+    def proj_one(self, r: int, v: int) -> np.ndarray:
         """The projection (r, v+1) -> (r, v) dropping the last trivial coordinate."""
         d = self.obj(r, v).dim
-        return LinearMap.from_array(np.eye(d, d + 1, dtype=np.int64), self.p)
+        return np.eye(d, d + 1, dtype=np.int64)
 
-    def incl_one(self, r: int, v: int) -> LinearMap:
+    def incl_one(self, r: int, v: int) -> np.ndarray:
         """The inclusion (r, v) -> (r, v+1)."""
         d = self.obj(r, v).dim
-        return LinearMap.from_array(np.eye(d + 1, d, dtype=np.int64), self.p)
+        return np.eye(d + 1, d, dtype=np.int64)
 
-    def drop_coords(self, r: int, v: int, coords: tuple[int, ...]) -> LinearMap:
+    def drop_coords(self, r: int, v: int, coords: tuple[int, ...]) -> np.ndarray:
         """Projection (r, v) -> (r, v - len(coords)) killing the given trivial
         coordinates (indices into the trivial block)."""
         a = self.obj(r, v)
         keep = list(range(a.wdim)) + [a.wdim + k for k in range(v) if k not in coords]
-        return LinearMap.from_array(np.eye(a.dim, dtype=np.int64)[keep], self.p)
+        return np.eye(a.dim, dtype=np.int64)[keep]
 
-    def perm_trivial(self, r: int, v: int, perm: tuple[int, ...]) -> LinearMap:
+    def perm_trivial(self, r: int, v: int, perm: tuple[int, ...]) -> np.ndarray:
         """Automorphism of (r, v) permuting trivial coordinates: e_i -> e_perm(i)."""
         a = self.obj(r, v)
         arr = np.eye(a.dim, dtype=np.int64)
-        block = np.zeros((v, v), dtype=np.int64)
-        for i, pi in enumerate(perm):
-            block[pi, i] = 1
-        arr[a.wdim:, a.wdim:] = block
-        return LinearMap.from_array(arr, self.p)
+        arr[a.wdim:, a.wdim:] = np.eye(v, dtype=np.int64)[:, list(perm)]
+        return arr
 
-    def shear(self, r: int, v: int, f_block: np.ndarray) -> LinearMap:
+    def shear(self, r: int, v: int, f_block: np.ndarray) -> np.ndarray:
         """Automorphism [[id, 0], [f, id]] of (r, v); f: regular coords -> trivial."""
         a = self.obj(r, v)
         arr = np.eye(a.dim, dtype=np.int64)
         arr[a.wdim:, : a.wdim] = np.asarray(f_block, dtype=np.int64) % self.p
-        return LinearMap.from_array(arr, self.p)
+        return arr
 
     def shears(self, r: int, v: int):
         """All shear automorphisms of (r, v), trivial one excluded."""
@@ -341,26 +337,28 @@ class Skeleton:
 
     # -- generators -----------------------------------------------------------
 
-    def generating_morphisms(self) -> list[tuple[int, int, LinearMap]]:
+    def generating_morphisms(self) -> list[tuple[int, int, np.ndarray]]:
         """A generating family: every skeletal morphism is a composite of these.
 
         Block-diagonal moves (all regular-class morphisms; elementary
         invertibles, adjacent projections and inclusions on the trivial
         block) together with elementary shears.  Built on the first call and
-        kept on the skeleton; callers must not change the list.
+        kept on the skeleton, its matrices read-only; callers must not change
+        the list.
         """
         if self._generators is not None:
             return self._generators
-        gens: list[tuple[int, int, LinearMap]] = []
+        gens: list[tuple[int, int, np.ndarray]] = []
         for a in self.objects:
             r, v = a.rclass, a.vdim
+            eye_w, eye_v = np.eye(a.wdim, dtype=np.int64), np.eye(v, dtype=np.int64)
             # adjacent projection / inclusion on the trivial block
             if (r, v + 1) in self.index:
                 gens.append((self.index[(r, v + 1)], a.index, self.proj_one(r, v)))
                 gens.append((a.index, self.index[(r, v + 1)], self.incl_one(r, v)))
             # elementary invertibles on the trivial block
             for h in elementary_invertibles(self.p, v):
-                gens.append((a.index, a.index, self._diag(a, LinearMap.identity(a.wdim, self.p), h)))
+                gens.append((a.index, a.index, self._diag(eye_w, h.arr)))
             # shears, elementary only
             for pos in range(a.wdim * v):
                 fb = np.zeros(a.wdim * v, dtype=np.int64)
@@ -371,25 +369,21 @@ class Skeleton:
                 if b.vdim != v or b.rclass == r:
                     continue
                 for f in self.rector_hom(r, b.rclass):
-                    gens.append((a.index, b.index, self._diag(a, f, LinearMap.identity(v, self.p))))
+                    gens.append((a.index, b.index, self._diag(f, eye_v)))
             # automorphisms of the own class
             for f in self.rector.aut_groups[r]:
-                if f != LinearMap.identity(a.wdim, self.p):
-                    gens.append((a.index, a.index, self._diag(a, f, LinearMap.identity(v, self.p))))
+                if not np.array_equal(f.arr, eye_w):
+                    gens.append((a.index, a.index, self._diag(f.arr, eye_v)))
+        for _, _, g in gens:
+            g.setflags(write=False)
         self._generators = gens
         return gens
 
-    def _diag(self, a: SkObject, f: LinearMap, h: LinearMap) -> LinearMap:
-        return block_map(
-            [[f, LinearMap.zero(f.rows, h.cols, self.p)], [LinearMap.zero(h.rows, f.cols, self.p), h]],
-            self.p,
-        )
-
-    def rector_hom(self, r1: int, r2: int) -> list[LinearMap]:
-        """Morphisms between regular class representatives, as LinearMaps: the
-        hom-set of the skeletal objects (r1, 0) and (r2, 0), which are those
-        representatives."""
-        return linear_maps(self.hom(self.index[(r1, 0)], self.index[(r2, 0)]), self.p)
+    def rector_hom(self, r1: int, r2: int) -> np.ndarray:
+        """Morphisms between regular class representatives: the read-only
+        hom-set stack of the skeletal objects (r1, 0) and (r2, 0), which are
+        those representatives."""
+        return self.hom(self.index[(r1, 0)], self.index[(r2, 0)])
 
 
 def verify_block_form(S: SetFunctor, sk: Skeleton, i: int, j: int) -> bool:

@@ -33,6 +33,9 @@ import numpy as np
 
 DEFAULT_MAP_BUDGET = 1 << 20
 
+# Most maps map_indices can number: positions must fit in int64.
+MAX_MAP_INDEX = np.iinfo(np.int64).max
+
 # Maps per slice when a hom-set is walked as a stack: bounds the memory of one
 # step of enumerate_maps, hom-set filters, table fills and functor-law checks.
 MAP_SLICE = 1 << 8
@@ -383,9 +386,9 @@ def _pivots(rref_rows: np.ndarray) -> list[int]:
     return [int(np.nonzero(row)[0][0]) for row in rref_rows]
 
 
-def encode_entries(m: LinearMap) -> str:
-    """The entries of m, row-major, as a JSON map-key fragment."""
-    return MAP_KEY_SEP.join(map(str, m.data))
+def encode_entries(m) -> str:
+    """The entries of m, a LinearMap or a 2-d array, row-major, as a JSON map-key fragment."""
+    return MAP_KEY_SEP.join(map(str, m.data if isinstance(m, LinearMap) else m.ravel().tolist()))
 
 
 def decode_entries(text: str, rows: int, cols: int, p: int) -> LinearMap:
@@ -491,12 +494,6 @@ class LinearMap:
 
     def __repr__(self):
         return f"LinearMap(p={self.p}, {self.rows}x{self.cols}, {self.arr.tolist()})"
-
-
-def block_map(blocks: list[list[LinearMap]], p: int) -> LinearMap:
-    """Assemble a block matrix; blocks given row-of-blocks by row-of-blocks."""
-    rows = [np.concatenate([b.arr for b in row], axis=1) for row in blocks]
-    return LinearMap.from_array(np.concatenate(rows, axis=0), p)
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +665,8 @@ def map_indices(stack: np.ndarray, p: int) -> np.ndarray:
     list maps under their own budgets; positions need only fit in int64."""
     *lead, cod_dim, dom_dim = stack.shape
     total = count_maps(p, dom_dim, cod_dim)
-    if total > np.iinfo(np.int64).max:
-        raise BudgetExceeded("maps", total, np.iinfo(np.int64).max)
+    if total > MAX_MAP_INDEX:
+        raise BudgetExceeded("maps", total, MAX_MAP_INDEX)
     return stack.reshape(*lead, cod_dim * dom_dim) @ _digit_weights(p, dom_dim, cod_dim).reshape(-1)
 
 

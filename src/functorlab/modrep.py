@@ -31,7 +31,6 @@ import numpy as np
 
 from .gf import (
     SCAN_BUDGET,
-    LinearMap,
     SplittingFailure,
     closure,
     intertwiner_space,
@@ -784,5 +783,5 @@ class TensorSymmetrizerImage:
     def dim(self, d: int) -> int:
         return self.basis(d).shape[0]
 
-    def mat(self, gamma: LinearMap) -> np.ndarray:
-        return restrict([gamma.arr] * self.n, self.basis(gamma.cols), self.basis(gamma.rows), self.p)
+    def mat(self, gamma: np.ndarray) -> np.ndarray:
+        return restrict([gamma] * self.n, self.basis(gamma.shape[1]), self.basis(gamma.shape[0]), self.p)

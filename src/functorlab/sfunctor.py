@@ -788,7 +788,7 @@ def to_json_dict(S: SetFunctor) -> dict:
 
 def from_json_dict(doc: dict, name: str = "table") -> TableFunctor:
     for key, kind in (("p", int), ("cap", int), ("sets", list), ("action", dict)):
-        if not isinstance(doc.get(key), kind):
+        if type(doc.get(key)) is not kind:
             raise InvalidFunctorData(f"functor table needs the key {key!r} holding a {kind.__name__}")
     p, cap, sizes = check_prime(doc["p"]), doc["cap"], doc["sets"]
     if not all(type(n) is int and n >= 0 for n in sizes):
@@ -809,9 +809,9 @@ def from_builtin_spec(doc: dict, cap: int) -> SetFunctor:
     "gamma_generators": [...]}, with the raw-table layout handled by from_json_dict."""
     p = doc.get("p", 2)
     kind = doc.get("type")
-    if not (isinstance(cap, int) and cap >= 0):
+    if not (type(cap) is int and cap >= 0):
         raise InvalidFunctorData(f"a builtin spec needs a non-negative int cap, not {cap!r}")
-    if kind in ("representable", "orbit") and not (isinstance(doc.get("U_dim"), int) and doc["U_dim"] >= 0):
+    if kind in ("representable", "orbit") and not (type(doc.get("U_dim")) is int and doc["U_dim"] >= 0):
         raise InvalidFunctorData(f"a {kind} spec needs the key 'U_dim' holding a non-negative int")
     if kind == "representable":
         return RepresentableFunctor(p, doc["U_dim"], cap)

@@ -183,7 +183,7 @@ def support_check(F: VecFunctor):
     maximal = [
         r
         for r in supported
-        if not any(r2 != r and sk.rector_hom(r, r2) for r2 in supported)
+        if not any(r2 != r and len(sk.rector_hom(r, r2)) for r2 in supported)
     ]
     r = maximal[0]
     bases = {}
@@ -211,7 +211,7 @@ def delta_n_module(F: VecFunctor, n: int, rclass: int, group: FiniteGroup) -> Gr
     gens = {}
     for gidx in group.generators:
         autmap, perm = group.labels[gidx]
-        gens[gidx] = (D.rmap(rclass, rclass, autmap) @ D.perm_action(rclass, perm)) % F.p
+        gens[gidx] = (D.rmap(rclass, rclass, autmap.arr) @ D.perm_action(rclass, perm)) % F.p
     return GroupModule(group, F.p, dim, gens, name=f"D^{n}{F.name}@{rclass}")
 
 

@@ -173,7 +173,7 @@ def test_criterion_09_module_recovery_and_adjunction(sk_hom):
                 for t in range(n - 1):
                     assert np.array_equal((u @ M.sigma_gen(rclass, t)) % 2, (D.sigma_gen(rclass, t) @ u) % 2)
                 for f in sk_hom.rector.aut_groups[rclass]:
-                    assert np.array_equal((u @ M.rmap(rclass, rclass, f)) % 2, (D.rmap(rclass, rclass, f) @ u) % 2)
+                    assert np.array_equal((u @ M.rmap(rclass, rclass, f.arr)) % 2, (D.rmap(rclass, rclass, f.arr) @ u) % 2)
                 recovered += 1
     # transformation-space dimension equality plus triangles
     pairs = 0

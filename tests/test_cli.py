@@ -581,9 +581,13 @@ def test_missing_map_table_exit_2(tmp_path, capsys):
         (lambda doc: {"type": "representable", "U_dim": 1, "cap": "2"}, "needs a non-negative int cap, not '2'"),
         (lambda doc: doc["action"]["1x1:1"].__setitem__(1, 1.0), "pullback table 1x1:1 has an entry that is not an int: 1.0"),
         (lambda doc: {**doc, "sets": [True, 2, 4]}, "'sets' must hold non-negative ints"),
+        (lambda doc: {**doc, "cap": True}, "functor table needs the key 'cap' holding a int"),
+        (lambda doc: {"type": "representable", "U_dim": 1, "cap": True}, "needs a non-negative int cap, not True"),
+        (lambda doc: {"type": "representable", "U_dim": True}, "a representable spec needs the key 'U_dim'"),
     ],
     ids=["entry-not-a-list", "no-sets", "top-level-list", "spec-without-type", "spec-without-u-dim",
-         "sets-entry-not-an-int", "spec-p-not-an-int", "spec-cap-not-an-int", "entry-a-float", "sets-entry-a-bool"],
+         "sets-entry-not-an-int", "spec-p-not-an-int", "spec-cap-not-an-int", "entry-a-float", "sets-entry-a-bool",
+         "table-cap-a-bool", "spec-cap-a-bool", "spec-u-dim-a-bool"],
 )
 def test_malformed_set_functor_json_exit_2(tmp_path, capsys, edit, reason):
     # a layout other than sfunctor.json's is an input error, exit 2, not a
@@ -613,6 +617,9 @@ def test_malformed_set_functor_json_exit_2(tmp_path, capsys, edit, reason):
         (lambda doc: {**doc, "maps": {k: v for k, v in doc["maps"].items() if k != "0,0->0,0:"}},
          "has no map 0,0->0,0:"),
         (lambda doc: {**doc, "window": "2"}, "'window' must hold an int"),
+        (lambda doc: {**doc, "window": True}, "'window' must hold an int"),
+        *[(lambda doc, k=k: {**doc, "dims": [{**doc["dims"][0], k: True}] + doc["dims"][1:]},
+           "needs non-negative ints under 'class', 'trivial_dim' and 'dim'") for k in ("class", "trivial_dim", "dim")],
         (lambda doc: {**doc, "maps": []}, "'maps' must hold an object"),
         *[(lambda doc, x=x: {**doc, "maps": {**doc["maps"], "0,1->0,1:1": [[x]]}},
            "map 0,1->0,1:1 must hold a 1x1 matrix of ints in 0..1") for x in (1.0, 1.9, True, 3, -1)],
@@ -627,7 +634,8 @@ def test_malformed_set_functor_json_exit_2(tmp_path, capsys, edit, reason):
          "map 0,1->7,1:1 names the object (7, 1), which the skeleton lacks"),
     ],
     ids=["dims-row-outside-skeleton", "no-dims", "map-object-without-dims-row", "dims-row-without-class",
-         "dim-not-an-int", "top-level-list", "missing-map", "window-not-an-int", "maps-not-an-object",
+         "dim-not-an-int", "top-level-list", "missing-map", "window-not-an-int", "window-a-bool",
+         "class-a-bool", "trivial-dim-a-bool", "dim-a-bool", "maps-not-an-object",
          "entry-a-float", "entry-a-fraction", "entry-a-bool", "entry-above-p", "entry-negative", "no-p",
          "p-of-another-skeleton", "key-class-not-an-int", "key-without-arrow", "key-without-colon",
          "key-entry-not-a-digit", "key-object-without-comma", "key-entries-of-wrong-count",

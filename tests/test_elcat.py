@@ -287,9 +287,11 @@ def test_generators_generate_all_homs(SU2, sk):
     # scalings
     for skel in (ec.Skeleton(SU2, window=2), sk, ec.Skeleton(sf.RepresentableFunctor(3, 0, 2))):
         objs = [o.index for o in skel.objects if o.dim <= 2]
-        reach = {(i, i): {skel.identity(i).data: skel.identity(i)} for i in objs}
+        ident = {i: LinearMap.from_array(skel.identity(i), skel.p) for i in objs}
+        reach = {(i, i): {ident[i].data: ident[i]} for i in objs}
         for i, j, g in skel.generating_morphisms():
             if i in objs and j in objs:
+                g = LinearMap.from_array(g, skel.p)
                 reach.setdefault((i, j), {})[g.data] = g
         changed = True
         while changed:
@@ -315,7 +317,9 @@ def test_generators_generate_all_homs(SU2, sk):
 def test_generating_morphisms_built_once_per_skeleton(SU2, sk):
     gens = sk.generating_morphisms()
     assert sk.generating_morphisms() is gens
-    assert gens == ec.Skeleton(SU2).generating_morphisms()
+    again = ec.Skeleton(SU2).generating_morphisms()
+    assert [(i, j) for i, j, _ in gens] == [(i, j) for i, j, _ in again]
+    assert all(np.array_equal(g, h) for (_, _, g), (_, _, h) in zip(gens, again))
     # a plain function in the class dict, so it can be wrapped from there
     assert inspect.isfunction(ec.Skeleton.__dict__["generating_morphisms"])
 
@@ -335,15 +339,15 @@ def test_decompose_functor_laws(SU2):
     sk = ec.Skeleton(SU2, window=2)
     for a in sk.objects:
         for b in sk.objects:
-            for gamma in linear_maps(sk.hom(a.index, b.index), sk.p):
+            for gamma in sk.hom(a.index, b.index):
                 f, g, h, zero_block = sk.blocks(a.index, b.index, gamma)
                 assert zero_block
                 for c in sk.objects:
-                    for delta in linear_maps(sk.hom(b.index, c.index), sk.p):
+                    for delta in sk.hom(b.index, c.index):
                         f2, g2, h2, _ = sk.blocks(b.index, c.index, delta)
-                        comp = delta @ gamma
+                        comp = delta @ gamma % sk.p
                         fc, gc, hc, _ = sk.blocks(a.index, c.index, comp)
-                        assert fc == f2 @ f and hc == h2 @ h
+                        assert np.array_equal(fc, f2 @ f % sk.p) and np.array_equal(hc, h2 @ h % sk.p)
 
 
 def test_aut_acts_freely_on_hom_f_blocks(SU2, sk):
@@ -364,3 +368,45 @@ def test_rector_report_shape(sk):
     assert len(rep["classes"]) == 5
     assert all(c["aut_order"] == 1 for c in rep["classes"])
     assert len(rep["hom_cardinalities"]) == 5
+
+
+@pytest.mark.parametrize("p,u_dim,cap", [(2, 2, 3), (3, 1, 2)])
+def test_skeletal_morphisms_are_int64_matrices(p, u_dim, cap):
+    # every morphism a Skeleton hands out is a (dim target, dim source) int64
+    # matrix with entries in 0..p-1; those drawn from hom-set stacks, and
+    # the kept generators, are read-only
+    sk = ec.Skeleton(sf.RepresentableFunctor(p, u_dim, cap))
+
+    def check(m, rows, cols, read_only=False):
+        assert isinstance(m, np.ndarray) and m.dtype == np.int64 and m.shape == (rows, cols)
+        assert ((m >= 0) & (m < p)).all()
+        assert not read_only or not m.flags.writeable
+
+    shears = 0
+    for a in sk.objects:
+        r, v, d = a.rclass, a.vdim, a.dim
+        check(sk.identity(a.index), d, d)
+        if (r, v + 1) in sk.index:
+            check(sk.proj_one(r, v), d, d + 1)
+            check(sk.incl_one(r, v), d + 1, d)
+        check(sk.drop_coords(r, v, tuple(range(v))), a.wdim, d)
+        check(sk.perm_trivial(r, v, tuple(reversed(range(v)))), d, d)
+        for s in sk.shears(r, v):
+            check(s, d, d)
+            shears += 1
+        for b in sk.objects:
+            for gamma in sk.hom(a.index, b.index)[:4]:
+                check(gamma, b.dim, a.dim, read_only=True)
+                f, g, h, _ = sk.blocks(a.index, b.index, gamma)
+                check(f, b.wdim, a.wdim, read_only=True)
+                check(g, b.vdim, a.wdim, read_only=True)
+                check(h, b.vdim, v, read_only=True)
+    assert shears
+    for i, j, g in sk.generating_morphisms():
+        check(g, sk.objects[j].dim, sk.objects[i].dim, read_only=True)
+    for r1, c1 in enumerate(sk.rector.classes):
+        for r2, c2 in enumerate(sk.rector.classes):
+            stack = sk.rector_hom(r1, r2)
+            assert stack is sk.hom(sk.index[(r1, 0)], sk.index[(r2, 0)])
+            for f in stack:
+                check(f, c2.dim, c1.dim, read_only=True)

@@ -262,8 +262,8 @@ def test_tensor_symmetrizer_functoriality():
     img = mr.TensorSymmetrizerImage(mr.epsilon_lambda(mr.Partition((2, 1)), 3, 2), 3, 2)
     a = LinearMap.from_array([[1, 1], [0, 1]], 2)
     b = LinearMap.from_array([[1, 0], [1, 1]], 2)
-    lhs = (img.mat(a) @ img.mat(b)) % 2
-    assert np.array_equal(lhs, img.mat(a @ b))
+    lhs = (img.mat(a.arr) @ img.mat(b.arr)) % 2
+    assert np.array_equal(lhs, img.mat((a @ b).arr))
 
 
 def test_spin_and_submodule(S3):

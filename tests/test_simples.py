@@ -10,7 +10,7 @@ from functorlab import modrep as mr
 from functorlab import sfunctor as sf
 from functorlab import simples as sp
 from functorlab import vfunctor as vf
-from functorlab.gf import SCAN_BUDGET, linear_maps, nonzero_combinations, rref
+from functorlab.gf import SCAN_BUDGET, nonzero_combinations, rref
 
 
 # -- the routes certify_simple took before condensation, kept as oracles -------
@@ -363,13 +363,13 @@ def test_end_generators_generate_end(p, u_dim, cap):
     sk = ec.Skeleton(sf.RepresentableFunctor(p, u_dim, cap))
     for o in sk.objects:
         gens = sp._end_generators(sk, o.index)
-        reached = {sk.identity(o.index).data}
+        reached = {sk.identity(o.index).tobytes()}
         frontier = [sk.identity(o.index)]
         while frontier:
-            new = [g @ m for m in frontier for g in gens]
-            frontier = [m for m in new if m.data not in reached]
-            reached |= {m.data for m in frontier}
-        assert reached == {m.data for m in linear_maps(sk.hom(o.index, o.index), sk.p)}
+            new = [g @ m % sk.p for m in frontier for g in gens]
+            frontier = [m for m in new if m.tobytes() not in reached]
+            reached |= {m.tobytes() for m in frontier}
+        assert reached == {m.tobytes() for m in sk.hom(o.index, o.index)}
 
 
 def _condensation_object(F):
