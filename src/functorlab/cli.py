@@ -423,6 +423,7 @@ def run_verify_theorems(args) -> tuple[dict, int]:
     sk = elcat.Skeleton(S, budget=args.budget_maps)
     suites: dict[str, bool] = {}
     lifts: dict[int, vfunctor.VecFunctor] = {}
+    counits: dict[int, tuple] = {}
 
     def tensor_lift(n: int) -> vfunctor.VecFunctor:
         # T^n on the window its suites need, built once so its mat cache is shared
@@ -430,6 +431,12 @@ def run_verify_theorems(args) -> tuple[dict, int]:
             w = min(sk.window, max(3, n + 1))
             lifts[n] = vfunctor.forgetful_lift(sk, vfunctor.TensorPower(n, sk.p), window=w)
         return lifts[n]
+
+    def counit(n: int) -> tuple:
+        # the differenced counit of T^n, built once for the adjunction and quotient suites
+        if n not in counits:
+            counits[n] = vfunctor.differenced_counit(tensor_lift(n), n)
+        return counits[n]
 
     # difference calculus: iterated differences match cross effects
     F2 = vfunctor.forgetful_lift(sk, vfunctor.TensorPower(2, sk.p))
@@ -485,7 +492,7 @@ def run_verify_theorems(args) -> tuple[dict, int]:
             continue
         G = vfunctor.aut_sigma_group(sk, rclass, n)
         M = vfunctor.sigma_functor_from_module(sk, rclass, n, modrep.regular_module(G, sk.p))
-        rep = vfunctor.adjunction_check(M, tensor_lift(n), n)
+        rep = vfunctor.adjunction_check(M, tensor_lift(n), n, counit(n))
         ok_adj &= rep["dims_equal"] and rep["triangle_tensor"] and rep["triangle_difference"]
     suites["adjunction_dimensions_and_triangles"] = ok_adj
 
@@ -494,7 +501,7 @@ def run_verify_theorems(args) -> tuple[dict, int]:
     for n in range(1, args.n_max + 1):
         if n + 1 > sk.window:
             continue
-        ok_main &= simples.verify_quotient_equivalence(tensor_lift(n), n)["ok"]
+        ok_main &= simples.verify_quotient_equivalence(tensor_lift(n), n, counit(n))["ok"]
     suites["quotient_equivalence_instances"] = ok_main
 
     # the classification run itself

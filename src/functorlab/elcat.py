@@ -27,8 +27,8 @@ from .gf import (
     LinearMap,
     Subspace,
     count_maps,
-    elementary_invertibles,
     general_linear,
+    gl_generators,
     line_vectors,
     map_indices,
     map_slices,
@@ -340,11 +340,15 @@ class Skeleton:
     def generating_morphisms(self) -> list[tuple[int, int, np.ndarray]]:
         """A generating family: every skeletal morphism is a composite of these.
 
-        Block-diagonal moves (all regular-class morphisms; elementary
-        invertibles, adjacent projections and inclusions on the trivial
-        block) together with elementary shears.  Built on the first call and
-        kept on the skeleton, its matrices read-only; callers must not change
-        the list.
+        At each object (r, v): the adjacent projection and inclusion on the
+        trivial block, diag(1, h) for h in gf.gl_generators(p, v), the wdim
+        shears whose lower-left block has a single 1 in row 0, the class
+        morphisms into other classes and the automorphisms of r.  Every
+        shear at (r, v) is a word in these: diag(1, h) shear(c) diag(1,
+        h)^-1 = shear(h c), GL_v is transitive on nonzero columns and
+        finite (so inverses are powers), and shears add under composition.
+        Built on the first call and kept on the skeleton, its matrices
+        read-only; callers must not change the list.
         """
         if self._generators is not None:
             return self._generators
@@ -356,14 +360,14 @@ class Skeleton:
             if (r, v + 1) in self.index:
                 gens.append((self.index[(r, v + 1)], a.index, self.proj_one(r, v)))
                 gens.append((a.index, self.index[(r, v + 1)], self.incl_one(r, v)))
-            # elementary invertibles on the trivial block
-            for h in elementary_invertibles(self.p, v):
+            # generators of GL_v on the trivial block
+            for h in gl_generators(self.p, v):
                 gens.append((a.index, a.index, self._diag(eye_w, h.arr)))
-            # shears, elementary only
-            for pos in range(a.wdim * v):
-                fb = np.zeros(a.wdim * v, dtype=np.int64)
-                fb[pos] = 1
-                gens.append((a.index, a.index, self.shear(r, v, fb.reshape(v, a.wdim))))
+            # shears with a single 1 in row 0
+            for k in range(a.wdim if v else 0):
+                fb = np.zeros((v, a.wdim), dtype=np.int64)
+                fb[0, k] = 1
+                gens.append((a.index, a.index, self.shear(r, v, fb)))
             # regular-class morphisms into other classes, diagonally embedded
             for b in self.objects:
                 if b.vdim != v or b.rclass == r:

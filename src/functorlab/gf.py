@@ -539,22 +539,6 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(row) for row in other.basis_arr)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient, self.p)
-        # x·basis lies in other  <=>  x in the kernel of (ann_other @ basis^T)
-        a = self.basis_arr
-        ann = other._annihilator()
-        ker = nullspace((ann @ a.T) % self.p, self.p)
-        vecs = (ker @ a) % self.p
-        return Subspace.from_vectors(vecs, self.p, self.ambient)
-
-    def _annihilator(self) -> np.ndarray:
-        """Rows w with w @ v = 0 for every v in the subspace."""
-        if self.dim == 0:
-            return np.eye(self.ambient, dtype=np.int64)
-        return nullspace(self.basis_arr, self.p)
-
     def vectors(self):
         """All vectors of the subspace, deterministic order."""
         yield np.zeros(self.ambient, dtype=np.int64)
@@ -670,12 +654,6 @@ def map_indices(stack: np.ndarray, p: int) -> np.ndarray:
     return stack.reshape(*lead, cod_dim * dom_dim) @ _digit_weights(p, dom_dim, cod_dim).reshape(-1)
 
 
-def enumerate_injections(p: int, dom_dim: int, cod_dim: int, budget: int = DEFAULT_MAP_BUDGET):
-    for f in enumerate_maps(p, dom_dim, cod_dim, budget):
-        if f.is_injective():
-            yield f
-
-
 def enumerate_invertibles(p: int, dim: int, budget: int = DEFAULT_MAP_BUDGET):
     for f in enumerate_maps(p, dim, dim, budget):
         if f.is_invertible():
@@ -710,9 +688,30 @@ def elementary_invertibles(p: int, n: int) -> list[LinearMap]:
     return out
 
 
-def enumerate_vectors(p: int, dim: int):
-    for digits in itertools.product(range(p), repeat=dim):
-        yield np.asarray(digits, dtype=np.int64)
+def gl_generators(p: int, n: int) -> list[LinearMap]:
+    """At most three matrices generating GL(n, p) (Steinberg, Canad. J. Math.
+    14, 1962): I + E_01 and the cyclic shift e_i -> e_{i+1 mod n} when n >= 2,
+    and diag(a, 1, ..., 1) with a a primitive root mod p when p > 2; none
+    when GL(n, p) is trivial.
+
+    Conjugating I + E_01 by powers of the shift gives every I + E_{i,i+1 mod
+    n} (for n = 2 both transvections), and the commutators [I + E_ij, I +
+    E_jk] = I + E_ik (i != k) then give every I + E_ik; their powers are
+    the elementary transvections, which generate SL(n, p).  The
+    scaling has determinant a, which generates F_p^*, so the set generates
+    GL(n, p); the group is finite, so also as a monoid."""
+    out = []
+    if n >= 2:
+        eye = np.eye(n, dtype=np.int64)
+        transvection = eye.copy()
+        transvection[0, 1] = 1
+        out += [LinearMap.from_array(transvection, p), LinearMap.from_array(np.roll(eye, 1, axis=0), p)]
+    if p > 2 and n >= 1:
+        a = next(a for a in range(2, p) if len({pow(a, k, p) for k in range(1, p)}) == p - 1)
+        scaling = np.eye(n, dtype=np.int64)
+        scaling[0, 0] = a
+        out.append(LinearMap.from_array(scaling, p))
+    return out
 
 
 def enumerate_subspaces(p: int, dim: int, budget: int = DEFAULT_MAP_BUDGET) -> list[Subspace]:

@@ -52,6 +52,7 @@ from .gf import (
     encode_entries,
     enumerate_maps,
     enumerate_subspaces,
+    gl_generators,
     line_vectors,
     map_indices,
     map_slices,
@@ -625,9 +626,10 @@ def _kernel_mismatches(S: SetFunctor, alphas: np.ndarray, s: int, proj: np.ndarr
 def _orbit_representatives(S: SetFunctor, m: int) -> np.ndarray:
     """The index of the first element of each GL_m-orbit of S(m).  Every
     element starts labelled by its index, and labels take the minimum across
-    the pullback tables of the elementary invertibles, which generate GL_m,
-    in both directions until they settle; the roots keep their own index."""
-    tables = [S.act_table(g) for g in elementary_invertibles(S.p, m)]
+    the pullback tables of gf.gl_generators, at most three matrices that
+    generate GL_m, in both directions until they settle; the roots keep
+    their own index."""
+    tables = [S.act_table(g) for g in gl_generators(S.p, m)]
     ids = np.arange(S.size(m))
     label = ids.copy()
     settled = False

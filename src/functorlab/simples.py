@@ -40,9 +40,9 @@ from .vfunctor import (
     SubFunctor,
     VecFunctor,
     _closure,
-    counit,
     delta_bar_power,
     delta_n_sigma,
+    differenced_counit,
     generated_subfunctor,
     nat_space,
     p_n,
@@ -72,16 +72,15 @@ class SimpleDescriptor:
 # the degree-n comparison at instance level
 
 
-def verify_quotient_equivalence(F: VecFunctor, n: int) -> dict:
+def verify_quotient_equivalence(F: VecFunctor, n: int, counit_f: tuple | None = None) -> dict:
     """Check the quotient-category equivalence on one functor: the counit of
     the degree-n adjunction must become an isomorphism after n differences,
-    and its kernel and cokernel must drop degree."""
+    and its kernel and cokernel must drop degree.  counit_f is
+    vfunctor.differenced_counit(F, n), built here when not given."""
     deg, degwin = polynomial_degree(F, max_degree=n)
     if deg is None:
         raise WindowExceeded(f"sample not certified of degree <= {n} on the window")
-    eta, TM, M = counit(F, n)
-    D_TM = delta_n_sigma(TM, n)
-    D_F = M  # counit already differenced F
+    eta, _, D_F, D_TM = differenced_counit(F, n) if counit_f is None else counit_f
     iso_at_classes = True
     for r in D_F.classes():
         mat = restrict_nat_to_cross(eta, n, r, D_TM.cross_effects[r], D_F.cross_effects[r])
@@ -138,10 +137,13 @@ def certify_simple(F: VecFunctor, seed: int = 0):
 
 
 def _end_generators(sk: Skeleton, o: int) -> list:
-    """Monoid generators of End(o): its generating morphisms and, when o has
-    a trivial coordinate, the idempotent zeroing the last one.  They suffice
-    as [[f,0],[g,h]] = diag(f,1) shear(g) diag(1,h) and M_v(F_p) is generated
-    by GL_v and one idempotent of rank v-1 (Howie)."""
+    """Monoid generators of End(o): its generating morphisms (the class
+    automorphisms, the gf.gl_generators of GL_v on the trivial block and the
+    row-0 shears) and, when o has a trivial coordinate, the idempotent
+    zeroing the last one.  They suffice as [[f,0],[g,h]] = diag(f,1)
+    shear(g) diag(1,h), every shear is a word in the row-0 shears and GL_v
+    (Skeleton.generating_morphisms), and M_v(F_p) is generated by GL_v and
+    one idempotent of rank v-1 (Howie)."""
     a = sk.objects[o]
     gens = [g for (i, j, g) in sk.generating_morphisms() if i == j == o]
     if a.vdim:

@@ -207,10 +207,12 @@ class VecFunctor:
         left inverse), and h = P iota pi Q has rank t, with P, Q invertible,
         pi: F^v -> F^t dropping coordinates and iota: F^t -> F^v' including.
         The factors pass through (r, t) and (r', t), inside the window as t
-        <= min(v, v'), and each is a word in the generators there: s in the
-        elementary shears, P and Q in the elementary invertibles (they
-        generate the finite group GL, hence also as a monoid), pi and iota in
-        the one-step projections and inclusions, and diag(f, 1) is a class
+        <= min(v, v'), and each is a word in the generators there: P and Q
+        in diag(1, h) for h in gf.gl_generators (they generate the finite
+        group GL, hence also as a monoid); s in the row-0 shears conjugated
+        by such words, as diag(1, h) shear(c) diag(1, h)^-1 = shear(h c),
+        GL is transitive on nonzero columns and shears add; pi and iota in
+        the one-step projections and inclusions; and diag(f, 1) is a class
         morphism or an automorphism.  By induction
         on the word length: the empty word is an identity, covered by the
         identity law, and for alpha = g alpha' the generator check at alpha'
@@ -1225,13 +1227,22 @@ def restrict_nat_to_cross(phi: NatTransform, n: int, r: int, src_cr: CrossEffect
     return restrict(phi.mats[plus], src_cr.basis, dst_cr.basis, phi.src.p)
 
 
-def adjunction_check(M: SigmaNFunctor, F: VecFunctor, n: int) -> dict:
+def differenced_counit(F: VecFunctor, n: int) -> tuple["NatTransform", TensorSigma, SigmaNFunctor, SigmaNFunctor]:
+    """counit(F, n) and the n-fold difference of its balanced tensor, the
+    four things adjunction_check and verify_quotient_equivalence read; a
+    caller checking both on one F builds them once and passes them to each."""
+    eta, TM, M = counit(F, n)
+    return eta, TM, M, delta_n_sigma(TM, n)
+
+
+def adjunction_check(M: SigmaNFunctor, F: VecFunctor, n: int, counit_f: tuple | None = None) -> dict:
     """Compare the two transformation spaces of the degree-n adjunction and
-    check the triangle identities on the unit/counit instances."""
+    check the triangle identities on the unit/counit instances; counit_f is
+    differenced_counit(F, n), built here when not given."""
     sk = F.sk
     TM = tensor_sigma_n(sk, M, n, window=F.window)
     left = len(nat_space(TM, F))
-    eta_f, T_DF, DF = counit(F, n)
+    eta_f, T_DF, DF, D_TDF = differenced_counit(F, n) if counit_f is None else counit_f
     right = sigma_hom_space(M, DF)
 
     # triangle at TM: counit after tensored unit is the identity
@@ -1247,7 +1258,6 @@ def adjunction_check(M: SigmaNFunctor, F: VecFunctor, n: int) -> dict:
     )
 
     # triangle at F: differenced counit after the unit at DF is the identity
-    D_TDF = delta_n_sigma(T_DF, n)
     triangle2 = True
     for r in DF.classes():
         if DF.dim(r) == 0:

@@ -1,10 +1,13 @@
 """Routes gf has replaced, kept as oracles: the kernel basis that reduced
 twice, and the intertwiner solver that assembled Kronecker rows, the oracle
-of gf.intertwiner_space and of the stacked systems in the tests."""
+of gf.intertwiner_space and of the stacked systems in the tests.  Also the
+helpers only tests use: injections, all vectors, subspace intersection."""
+
+import itertools
 
 import numpy as np
 
-from functorlab.gf import _as_mat, _extend, rref
+from functorlab.gf import DEFAULT_MAP_BUDGET, Subspace, _as_mat, _extend, enumerate_maps, rref
 
 
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
@@ -63,3 +66,26 @@ def intertwiner_space(shapes: dict, blocks, p: int) -> list[dict]:
         {key: s[offsets[key]: offsets[key] + r * c].reshape(r, c) for key, (r, c) in shapes.items()}
         for s in sols
     ]
+
+
+def enumerate_injections(p: int, dom_dim: int, cod_dim: int, budget: int = DEFAULT_MAP_BUDGET):
+    for f in enumerate_maps(p, dom_dim, cod_dim, budget):
+        if f.is_injective():
+            yield f
+
+
+def enumerate_vectors(p: int, dim: int):
+    for digits in itertools.product(range(p), repeat=dim):
+        yield np.asarray(digits, dtype=np.int64)
+
+
+def intersect(u: Subspace, w: Subspace) -> Subspace:
+    """u ∩ w in canonical form."""
+    if u.dim == 0 or w.dim == 0:
+        return Subspace.zero(u.ambient, u.p)
+    # x·basis lies in w  <=>  x in the kernel of (ann_w @ basis^T), ann_w the
+    # rows annihilating w
+    a = u.basis_arr
+    ann = nullspace(w.basis_arr, u.p)
+    ker = nullspace((ann @ a.T) % u.p, u.p)
+    return Subspace.from_vectors((ker @ a) % u.p, u.p, u.ambient)

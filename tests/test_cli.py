@@ -117,6 +117,23 @@ def test_verify_theorems_passes(capsys):
     assert all(doc["suites"].values())
 
 
+def test_verify_theorems_builds_each_counit_once(monkeypatch, capsys):
+    # the adjunction and quotient-equivalence suites share the counit of
+    # each tensor lift T^n, so no (functor, n) pair is built twice
+    built = []  # holds each F, so no two of them share an id
+    counit = vfunctor.counit
+
+    def recording(F, n):
+        built.append((F, n))
+        return counit(F, n)
+
+    monkeypatch.setattr(vfunctor, "counit", recording)
+    code, out = run_cli(["--u-dim", "1", "--cap", "4", "--n-max", "2", "verify-theorems"], capsys)
+    assert code == 0 and all(json.loads(out)["suites"].values())
+    keys = [(id(F), n) for F, n in built]
+    assert len(keys) == len(set(keys)) and {n for _, n in built} == {1, 2}
+
+
 @pytest.mark.parametrize("u_dim,cap,n_max", [(1, 3, 2), (0, 3, 3), (1, 2, 1), (2, 3, 1)])
 def test_verify_theorems_passes_when_the_window_skips_pairs(u_dim, cap, n_max, capsys):
     # the classification suite counts only the (class, degree) pairs the

@@ -324,6 +324,20 @@ def test_generating_morphisms_built_once_per_skeleton(SU2, sk):
     assert inspect.isfunction(ec.Skeleton.__dict__["generating_morphisms"])
 
 
+@pytest.mark.parametrize("p,u_dim,cap", [(2, 0, 4), (2, 1, 4), (2, 2, 3), (3, 0, 3), (3, 1, 3), (5, 1, 2)])
+def test_endomorphism_generators_count(p, u_dim, cap):
+    # per object: the GL_v generators, one shear per regular coordinate when
+    # there is a trivial one, and the automorphisms of the class but its identity
+    skel = ec.Skeleton(sf.RepresentableFunctor(p, u_dim, cap))
+    ends = {}
+    for i, j, _ in skel.generating_morphisms():
+        if i == j:
+            ends[i] = ends.get(i, 0) + 1
+    for a in skel.objects:
+        want = len(gf.gl_generators(p, a.vdim)) + a.wdim * (a.vdim > 0) + len(skel.rector.aut_groups[a.rclass]) - 1
+        assert ends.get(a.index, 0) == want, (a.rclass, a.vdim)
+
+
 def test_skeleton_hom_is_a_kept_read_only_stack(SU2, sk):
     for a in sk.objects:
         for b in sk.objects:

@@ -22,6 +22,7 @@ from functorlab.gf import (
     enumerate_subspaces,
     gaussian_binomial,
     general_linear,
+    gl_generators,
     intertwiner_space,
     kernel_space,
     map_indices,
@@ -39,7 +40,7 @@ from functorlab.gf import (
     solve,
     tensor_apply,
 )
-from gf_oracle import _stacked_nullspace
+from gf_oracle import _stacked_nullspace, enumerate_injections, intersect
 from gf_oracle import intertwiner_space as oracle_intertwiner_space
 from gf_oracle import nullspace as oracle_nullspace
 
@@ -221,7 +222,7 @@ def test_pivot_complement_is_complement():
         for d in range(5):
             for u in enumerate_subspaces(p, d):
                 c = pivot_complement(u)
-                assert u.intersect(c).dim == 0
+                assert intersect(u, c).dim == 0
                 assert u.dim + c.dim == d
 
 
@@ -359,8 +360,6 @@ def test_map_enumeration_budget_and_determinism():
 
 
 def test_enumerate_injections():
-    from functorlab.gf import enumerate_injections
-
     # injective maps F_2 -> F_2^2 are exactly the nonzero ones
     assert len(list(enumerate_injections(2, 1, 2))) == 3
     # |injections F_2^2 -> F_2^3| = (2^3 - 1)(2^3 - 2)
@@ -369,8 +368,7 @@ def test_enumerate_injections():
 
 @pytest.mark.parametrize("p,n", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2)])
 def test_elementary_invertibles_generate_general_linear(p, n):
-    # the orbit union-find of check_weak_noetherian and the skeleton's
-    # generating morphisms both rely on these generating GL(n, p) as a monoid
+    # sfunctor.validate relies on these generating GL(n, p) as a monoid
     gens = elementary_invertibles(p, n)
     assert all(g.is_invertible() for g in gens)
     reached = {LinearMap.identity(n, p)}
@@ -379,6 +377,44 @@ def test_elementary_invertibles_generate_general_linear(p, n):
         frontier = {g @ m for g in gens for m in frontier} - reached
         reached = reached | frontier
     assert reached == set(general_linear(p, n))
+
+
+def _generated_order(gens, p, n):
+    """The order of the group the matrices generate: a breadth-first closure
+    from I under left multiplication by each, every matrix coded by the
+    codes of its columns, every vector v by its base-p digits."""
+    size = p**n
+    weights = p ** np.arange(n)
+    vectors = np.arange(size)[:, None] // weights % p
+    tables = [(vectors @ g.arr.T % p) @ weights for g in gens]  # code of g v, by the code of v
+    places = size ** np.arange(n)
+    start = int(weights @ places)  # column c of I is e_c, code p^c
+    seen = np.zeros(size**n, dtype=bool)
+    seen[start] = True
+    frontier = np.array([start])
+    while frontier.size:
+        cols = [frontier // place % size for place in places]
+        new = np.concatenate([sum(tab[c] * place for c, place in zip(cols, places)) for tab in tables] + [frontier[:0]])
+        frontier = np.unique(new[~seen[new]])
+        seen[frontier] = True
+    return int(seen.sum())
+
+
+# GL(3, 7) has 33,784,128 elements, a closure of about 50 s, so it is left out
+@pytest.mark.parametrize(
+    "p,n", [(p, n) for p in (2, 3, 5, 7) for n in range(4) if (p, n) != (7, 3)] + [(2, 4)]
+)
+def test_gl_generators_generate_general_linear(p, n):
+    # the skeleton's generating morphisms and the orbit labels of
+    # check_weak_noetherian rely on these generating GL(n, p) as a monoid
+    gens = gl_generators(p, n)
+    assert all(g.is_invertible() and g.rows == n for g in gens)
+    assert len(gens) <= 3
+    assert (len(gens) == 0) == (n == 0 or (p, n) == (2, 1))
+    order = 1
+    for i in range(n):
+        order *= p**n - p**i
+    assert _generated_order(gens, p, n) == order
 
 
 def test_map_key_codec_reads_both_layouts():

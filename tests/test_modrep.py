@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from functorlab.gf import BudgetExceeded, LinearMap, enumerate_vectors, rref
+from functorlab.gf import BudgetExceeded, LinearMap, rref
 from functorlab import modrep as mr
+from gf_oracle import enumerate_vectors
 
 
 @pytest.fixture(scope="module")
