@@ -26,6 +26,7 @@ loading the layers that raise them.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -338,8 +339,8 @@ def spans_invertible(basis: list[list[np.ndarray]], p: int) -> bool:
     blocks, is invertible in every block.
 
     At most SCAN_BUDGET nonzero combinations are tried.  When that covers all
-    of them the answer is exact either way; otherwise seeded random
-    combinations are tried, a hit answers True, and a miss raises
+    of them the answer is exact either way; otherwise combinations drawn
+    from ``random.Random(0)`` are tried, a hit answers True, and a miss raises
     ``BudgetExceeded`` instead of guessing False.
     """
     if not basis:
@@ -352,9 +353,9 @@ def spans_invertible(basis: list[list[np.ndarray]], p: int) -> bool:
 
     if p**k - 1 <= SCAN_BUDGET:
         return any(invertible(c) for c in nonzero_combinations(np.eye(k, dtype=np.int64), p))
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     for _ in range(SCAN_BUDGET):
-        if invertible(rng.integers(0, p, size=k)):
+        if invertible(np.array(rng.choices(range(p), k=k), dtype=np.int64)):
             return True
     raise BudgetExceeded("isomorphism search", p**k, SCAN_BUDGET)
 

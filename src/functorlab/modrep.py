@@ -26,6 +26,7 @@ symmetrizer products whose right ideals realize the simple modules.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -36,6 +37,7 @@ from .gf import (
     intertwiner_space,
     nonzero_combinations,
     nullspace,
+    rank,
     restrict,
     rref,
     solve,
@@ -434,9 +436,9 @@ def find_invariant_subspace(ops: list[np.ndarray], p: int, pool: list[np.ndarray
     """Proper nonzero subspace invariant under ops (RREF rows), or None with
     certificate.
 
-    Each try draws an algebra element theta: one to three scaled members of
-    ``pool`` summed.  The pool is required, nonempty and inside the algebra
-    that ops generate.  For the first irreducible factor f of a local minimal
+    Each try draws, from ``random.Random(seed)``, an algebra element theta
+    (one to three scaled members of ``pool`` summed) and a start vector.
+    The pool is required, nonempty and inside the algebra that ops generate.  For the first irreducible factor f of a local minimal
     polynomial of theta whose N = f(theta) has a nonzero kernel of at most
     SCAN_BUDGET vectors, every nonzero vector of ker N is spun under ops and
     every nonzero vector of ker N^T under their transposes.  A spin short of
@@ -447,14 +449,12 @@ def find_invariant_subspace(ops: list[np.ndarray], p: int, pool: list[np.ndarray
     d = pool[0].shape[0]
     if d <= 1:
         return None
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for _ in range(MAX_TRIES):
         theta = np.zeros((d, d), dtype=np.int64)
-        for _ in range(int(rng.integers(1, 4))):
-            c = int(rng.integers(1, p))
-            term = pool[int(rng.integers(0, len(pool)))]
-            theta = (theta + c * term) % p
-        v = rng.integers(0, p, size=d)
+        for _ in range(rng.randint(1, 3)):
+            theta = (theta + rng.randrange(1, p) * rng.choice(pool)) % p
+        v = np.array(rng.choices(range(p), k=d), dtype=np.int64)
         if not v.any():
             continue
         poly = _local_min_poly(theta, v, p)
@@ -531,8 +531,61 @@ class SimplesReport:
         return sum(s.dim * m for s, m in zip(self.simples, self.multiplicities)) == self.group_order
 
 
+def p_regular_classes(G: FiniteGroup, p: int) -> list[tuple[int, int]]:
+    """(least element index, element order) of each conjugacy class of G
+    whose elements have order prime to p, by least element index."""
+    T, seen, out = G.table, np.zeros(len(G), dtype=bool), []
+    for g in range(len(G)):
+        if seen[g]:
+            continue
+        seen[T[T[:, g], G.inverse]] = True  # the class x g x^-1 of g
+        order, x = 1, g
+        while x != G.identity:
+            x, order = G.mul(x, g), order + 1
+        if order % p:
+            out.append((g, order))
+    return out
+
+
+def brauer_key(M: GroupModule, classes: list[tuple[int, int]]) -> tuple[int, ...]:
+    """dim ker f(M(g)) for each class (g, m) of ``p_regular_classes`` and
+    each irreducible factor f of x^m - 1, in ``_factor_poly`` order.
+
+    M(g) is semisimple as p does not divide m, so the kernel of f(M(g)) is
+    deg f times the multiplicity of each root of f as an eigenvalue of M(g)
+    (the roots of one f share it, M(g) being defined over F_p).  The key so
+    fixes the eigenvalues of M(g) on every p-regular class, which is the
+    Brauer character of M, and non-isomorphic simple modules have distinct
+    Brauer characters (Curtis-Reiner, Methods of Representation Theory I,
+    17.11): their keys differ."""
+    key = []
+    for g, m in classes:
+        A = M.element_matrix(g)
+        for f in _factor_poly([-1] + [0] * (m - 1) + [1], M.p):
+            key.append(M.dim - rank(_poly_eval_matrix(f, A, M.p), M.p))
+    return tuple(key)
+
+
+def _brauer_order(reps: list[GroupModule], G: FiniteGroup, p: int) -> list[int]:
+    """Indices of reps by (dim, Brauer key), keys computed only where a
+    dimension is shared; equal keys mean the splitting went wrong."""
+    dims = [r.dim for r in reps]
+    tied = [i for i, d in enumerate(dims) if dims.count(d) > 1]
+    classes = p_regular_classes(G, p) if tied else []
+    keys = {i: brauer_key(reps[i], classes) for i in tied}
+    if len({(dims[i], keys[i]) for i in tied}) < len(tied):
+        raise SplittingFailure("two simple modules share a Brauer character")
+    return sorted(range(len(reps)), key=lambda i: (dims[i], keys.get(i, ())))
+
+
 def simple_modules(G: FiniteGroup, p: int, seed: int = 0, budget: int = DEFAULT_GROUP_BUDGET) -> SimplesReport:
-    """All simple F_p[G]-modules, from the composition factors of the regular module."""
+    """All simple F_p[G]-modules, from the composition factors of the regular
+    module, with their multiplicities there.
+
+    The seed drives the MeatAxe tries of ``chop``, drawn from
+    ``random.Random``; it may change the bases of the simples but not the
+    report.  Simples are ordered by dimension, then by ``brauer_key``, a
+    total order on isomorphism classes that no draw can change."""
     if len(G) > budget:
         raise ValueError(f"group order {len(G)} exceeds budget {budget}")
     factors = chop(regular_module(G, p), seed=seed)
@@ -546,7 +599,7 @@ def simple_modules(G: FiniteGroup, p: int, seed: int = 0, budget: int = DEFAULT_
         else:
             reps.append(f)
             mults.append(1)
-    order = sorted(range(len(reps)), key=lambda i: reps[i].dim)
+    order = _brauer_order(reps, G, p)
     report = SimplesReport([reps[i] for i in order], [mults[i] for i in order], len(G))
     if not report.accounting_ok:
         raise SplittingFailure(f"composition accounting failed (seed {seed})")

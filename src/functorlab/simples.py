@@ -272,7 +272,7 @@ def _simples_for_class_degree(sk: Skeleton, rclass: int, n: int, seed: int, grou
     group = aut_sigma_group(sk, rclass, n)
     if len(group) > group_budget:
         raise ValueError(f"group order {len(group)} exceeds budget {group_budget}")
-    # one seed stream per (class, degree); the reports depend on this formula
+    # one seed stream per (class, degree); the report's order does not depend on it
     job_seed = seed * 1000003 + rclass * 101 + n
     report = simple_modules(group, p, seed=job_seed)
     out = []
@@ -306,7 +306,9 @@ def enumerate_simples(sk: Skeleton, n_max: int, seed: int = 0, group_budget: int
     Each output is the balanced tensor of its module with the greatest
     lower-degree subfunctor quotiented away, certified simple on the window,
     supported on its class, and differencing back to the source module,
-    in (class, degree) order; no two outputs are isomorphic.
+    in (class, degree) order and within a task in ``simple_modules``' order
+    (dimension, then Brauer key), so the seed does not change the order; no
+    two outputs are isomorphic.
 
     Every task builds a balanced tensor of a module of dimension >= 1 at v =
     window - dim(class), so BudgetExceeded is raised before the first task

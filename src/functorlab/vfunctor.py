@@ -1162,15 +1162,19 @@ def functor_from_json(sk: Skeleton, doc: dict, name: str = "loaded") -> VecFunct
     return VecFunctor(sk, doc["window"], dims, rule, name=name)
 
 
-def random_subfunctor(F: VecFunctor, rng: np.random.Generator, max_seeds: int = 2) -> SubFunctor:
-    """Morphism-stable family generated by random vectors at random objects."""
+def random_subfunctor(F: VecFunctor, rng, max_seeds: int = 2) -> SubFunctor:
+    """Morphism-stable family generated by random vectors at random objects.
+
+    rng is anything with a ``choice`` method over a sequence: the CLI's
+    exactness suite passes ``random.Random(--seed)``, and a numpy Generator
+    works too.  Every draw goes through ``rng.choice``."""
     idxs = [i for i in F.object_indices() if F.dim(i) > 0]
     if not idxs:
         return zero_subfunctor(F)
     starts: dict[int, list] = {}
-    for _ in range(int(rng.integers(1, max_seeds + 1))):
+    for _ in range(int(rng.choice(range(1, max_seeds + 1)))):
         i = int(rng.choice(idxs))
-        starts.setdefault(i, []).append(rng.integers(0, F.p, size=F.dim(i)))
+        starts.setdefault(i, []).append(np.array([rng.choice(range(F.p)) for _ in range(F.dim(i))], dtype=np.int64))
     return SubFunctor(F, _closure(F, starts))
 
 

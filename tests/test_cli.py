@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from functorlab import cli, simples, vfunctor
+from functorlab import cli, elcat, sfunctor, simples, vfunctor
 
 
 def run_cli(args, capsys):
@@ -245,6 +245,41 @@ def test_vfunctor_json_roundtrip(tmp_path, capsys):
     )
     doc = json.loads(out2)
     assert code2 == 0 and doc["degree"] == 2
+
+
+@pytest.mark.parametrize("command,times", [("degree", None), ("delta", "2")])
+def test_save_functor_writes_sorted_json(tmp_path, capsys, command, times):
+    save = tmp_path / "F.json"
+    base = ["--builtin", "representable", "--u-dim", "0", "--cap", "3"]
+    extra = ["--times", times] if times else []
+    assert cli.main([*base, command, "--functor", "tensor:2", *extra, "--save-functor", str(save)]) == 0
+    capsys.readouterr()
+    sk = elcat.Skeleton(sfunctor.RepresentableFunctor(2, 0, 3))
+    F = cli.resolve_functor(sk, "tensor:2")
+    if times:
+        F = vfunctor.delta_bar_power(F, int(times))
+    assert save.read_text() == json.dumps(vfunctor.functor_to_json(F), sort_keys=True)
+
+
+def test_seeded_commands_leave_numpy_random_unloaded():
+    # the seeded streams come from the stdlib random module; numpy.random
+    # would pull in secrets, hashlib and OpenSSL, several MB per process
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = """
+import os, sys
+from functorlab import cli
+for argv in (
+    ["--u-dim", "1", "--cap", "3", "--n-max", "1", "verify-theorems"],
+    ["--u-dim", "0", "--cap", "3", "--n-max", "2", "enumerate-simples"],
+    ["--group", "sym:4", "simples-of-group"],
+):
+    assert cli.main([*argv, "--seed", "3", "--output", os.devnull]) == 0, argv
+print(sorted(m for m in ("numpy.random", "hashlib") if m in sys.modules))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point():
@@ -702,14 +737,18 @@ def _simples_payload(tmp_path, argv, seed):
         (["--builtin", "representable", "--u-dim", "1", "--cap", "5", "--n-max", "3"], 10),
         (["--builtin", "representable", "--u-dim", "0", "--cap", "4", "--n-max", "3"], 5),
         (["--builtin", "representable", "--u-dim", "0", "--cap", "5", "--n-max", "4"], 7),
+        (["--p", "3", "--builtin", "representable", "--u-dim", "0", "--cap", "4", "--n-max", "3"], 6),
     ],
-    ids=["rank-one-cap5-n3", "plain-cap4-n3", "plain-cap5-n4"],
+    ids=["rank-one-cap5-n3", "plain-cap4-n3", "plain-cap5-n4", "plain-p3-cap4-n3"],
 )
 def test_enumerate_simples_seed_independent(tmp_path, capsys, argv, count):
     # the simplicity certificate spins no random kernel on these outputs, so
     # every seed finds the same simples, each run in one or two seconds; the
     # plain base at cap 5, n <= 4 guards the balanced tensor at scale (about
-    # 9 s per run while h^{(x)4} was formed as a 625 x 625 matrix)
+    # 9 s per run while h^{(x)4} was formed as a 625 x 625 matrix); at p = 3
+    # Sym(2) and Sym(3) each have two simples of dimension 1, which the
+    # splitting found in a seed-dependent order before simples were ordered
+    # by Brauer key
     a, b = (_simples_payload(tmp_path, argv, seed) for seed in (1, 11))
     assert a["count"] == count and a["complete_for_n_max"]
     assert a["simples"] == b["simples"]

@@ -1,5 +1,6 @@
 """Groups, modules, splitting, partitions and symmetrizer ideals."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -435,3 +436,120 @@ def test_factor_poly_matches_sympy():
             assert [h.tolist() for h in mr._factor_poly(np.asarray(f), p)] == want, (p, f)
             checked += 1
     assert checked > 250
+
+
+# -- the order of simple modules: dimension, then Brauer key --------------------
+
+
+def _dim_only_simple_modules(G, p, seed):
+    """The reference for the Brauer-key order: the composition factors of
+    the regular module up to isomorphism, sorted by dimension alone, so that
+    equal dimensions keep the order the splitting found."""
+    reps, mults = [], []
+    for f in sorted(mr.chop(mr.regular_module(G, p), seed=seed), key=lambda m: m.dim):
+        hit = next((i for i, r in enumerate(reps) if r.dim == f.dim and mr.iso_modules(r, f)), None)
+        if hit is None:
+            reps.append(f)
+            mults.append(1)
+        else:
+            mults[hit] += 1
+    order = sorted(range(len(reps)), key=lambda i: reps[i].dim)
+    return [reps[i] for i in order], [mults[i] for i in order]
+
+
+@functools.lru_cache(maxsize=None)
+def _sym_simples(n, p, seed):
+    return mr.simple_modules(mr.FiniteGroup.symmetric(n), p, seed=seed)
+
+
+def _cycle_type(perm):
+    seen, out = set(), []
+    for i in range(len(perm)):
+        length, j = 0, i
+        while j not in seen:
+            seen.add(j)
+            j, length = perm[j], length + 1
+        if length:
+            out.append(length)
+    return tuple(sorted(out, reverse=True))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_p_regular_classes_are_cycle_types(n, p):
+    G = mr.FiniteGroup.symmetric(n)
+    classes = mr.p_regular_classes(G, p)
+    types = [_cycle_type(G.labels[g]) for g, _ in classes]
+    # conjugacy in Sym(n) is cycle type; p-regular means no cycle length divisible by p
+    want = {lam.parts for lam in mr.partitions(n) if all(x % p for x in lam.parts)}
+    assert sorted(types) == sorted(want) and len(set(types)) == len(types)
+    for g, order in classes:
+        assert order == np.lcm.reduce(_cycle_type(G.labels[g]))
+        assert g == min(i for i in range(len(G)) if _cycle_type(G.labels[i]) == _cycle_type(G.labels[g]))
+    assert [g for g, _ in classes] == sorted(g for g, _ in classes)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_brauer_keys_separate_symmetric_simples(n, p):
+    # F_p splits Sym(n), so it has one simple module per p-regular class;
+    # the symmetrizer ideals build them without the splitting engine, which
+    # cannot split the regular module of Sym(5) at p = 5
+    G = mr.FiniteGroup.symmetric(n)
+    classes = mr.p_regular_classes(G, p)
+    sims = [mr.epsilon_lambda_module(lam, n, p) for lam in mr.p_regular_partitions(n, p)]
+    keys = [mr.brauer_key(M, classes) for M in sims]
+    assert len(set(keys)) == len(keys) == len(classes)
+    # the identity's class comes first, and x - 1 is its one factor
+    assert [k[0] for k in keys] == [M.dim for M in sims]
+
+
+def test_brauer_key_of_the_natural_module_by_hand():
+    # Sym(3) permuting coordinates of F_2^3: the 3-cycle has x^3 - 1 =
+    # (x + 1)(x^2 + x + 1) over F_2, with kernels of dimension 1 and 2
+    G = mr.FiniteGroup.symmetric(3)
+    gens = {g: np.eye(3, dtype=np.int64)[list(G.labels[g])].T for g in G.generators}
+    M = mr.GroupModule(G, 2, 3, gens)
+    assert M.validate()
+    assert mr.p_regular_classes(G, 2) == [(0, 1), (3, 3)]
+    assert mr.brauer_key(M, mr.p_regular_classes(G, 2)) == (3, 1, 2)
+
+
+def test_equal_brauer_keys_raise():
+    G = mr.FiniteGroup.symmetric(3)
+    triv = mr.trivial_module(G, 2)
+    with pytest.raises(mr.SplittingFailure, match="Brauer character"):
+        mr._brauer_order([triv, mr.trivial_module(G, 2)], G, 2)
+
+
+def test_simple_modules_sym5_p2_seed_independent():
+    # at seed 5 the two 4-dimensional simples came out of the splitting in
+    # the other order than at seeds 1-4; the Brauer key fixes one order
+    runs = [[(m.dim, k) for m, k in zip(r.simples, r.multiplicities)] for r in (_sym_simples(5, 2, s) for s in range(1, 6))]
+    assert runs == [runs[0]] * 5
+    assert runs[0] == [(1, 24), (4, 16), (4, 8)]
+
+
+def _differential_cases():
+    """(name, group, p, simple_modules at seed 1) for Sym(n) and for the
+    Aut x Sym(n) groups of the rank-one base at cap 4."""
+    from functorlab import elcat, sfunctor, simples, vfunctor
+
+    for n, p in itertools.product(range(1, 6), (2, 3, 5)):
+        if (n, p) != (5, 5):  # the splitting engine fails there
+            yield f"Sym({n})-p{p}", mr.FiniteGroup.symmetric(n), p, _sym_simples(n, p, 1)
+    for p in (2, 3):
+        sk = elcat.Skeleton(sfunctor.RepresentableFunctor(p, 1, 4))
+        for r, n in simples.simple_tasks(sk, 3):
+            G = vfunctor.aut_sigma_group(sk, r, n)
+            yield f"rank-one-cap4-p{p}-class{r}-n{n}", G, p, mr.simple_modules(G, p, seed=1)
+
+
+def test_brauer_order_matches_dim_only_oracle():
+    for name, G, p, new in _differential_cases():
+        old, old_mults = _dim_only_simple_modules(G, p, 1)
+        assert sorted(zip([m.dim for m in new.simples], new.multiplicities)) == sorted(
+            zip([m.dim for m in old], old_mults)
+        ), name
+        for m, k in zip(new.simples, new.multiplicities):
+            assert [k] == [j for o, j in zip(old, old_mults) if mr.iso_modules(m, o)], name
