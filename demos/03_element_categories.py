@@ -3,7 +3,9 @@
 Run:  python3 demos/03_element_categories.py
 """
 
-from functorlab.gf import LinearMap
+import numpy as np
+
+from functorlab.gf import inverse
 from functorlab import elcat as ec
 from functorlab import sfunctor as sf
 
@@ -17,13 +19,13 @@ print(f"skeletal objects (class, trivial dim): {[(o.rclass, o.vdim) for o in sk.
 
 print()
 print("== decomposition into a regular part and a trivial block ==")
-m = LinearMap.from_array([[1, 0], [0, 0]], 2)
-o = next(e for e in S.elements(2) if S.element_map(e) == m)
+m = np.array([[1, 0], [0, 0]])
+o = next(e for e in S.elements(2) if np.array_equal(S.element_map(e), m))
 t, u, iso = ec.decompose(S, o)
 print(f"target of the iso has regular part of dim {t.dim} and kernel {u.basis_arr.tolist()}")
 target = ec.ElObject(o.dim, sf.boxplus(S, t, u.dim).index)
-both_ways = S.act(iso, target) == o and S.act(iso.inverse(), o) == target
-print(f"the witness {iso.arr.tolist()} is a morphism both ways: {both_ways}")
+both_ways = S.act(iso, target) == o and S.act(inverse(iso, 2), o) == target
+print(f"the witness {iso.tolist()} is a morphism both ways: {both_ways}")
 
 print()
 print("== every skeletal morphism is block lower triangular ==")
@@ -42,7 +44,7 @@ print(f"checked across the whole cap: {ok}")
 
 print()
 print("== a base with symmetry: orbits under the full invertible group ==")
-gens = [LinearMap.from_array([[0, 1], [1, 0]], 2), LinearMap.from_array([[1, 1], [0, 1]], 2)]
+gens = [np.array([[0, 1], [1, 0]]), np.array([[1, 1], [0, 1]])]
 O = sf.OrbitFunctor(2, 2, gens, 3)
 skO = ec.Skeleton(O)
 print(f"class dims {[c.dim for c in skO.rector.classes]}, aut orders {[len(a) for a in skO.rector.aut_groups]}")

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import elcat, report, sfunctor
-from .gf import BudgetExceeded, LinearMap, SplittingFailure, WindowExceeded, check_prime, restrict, rref
+from .gf import BudgetExceeded, SplittingFailure, WindowExceeded, check_prime, restrict, rref
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -256,8 +256,8 @@ def _witness_dict(w):
         return None
     out = []
     for part in w:
-        if isinstance(part, LinearMap):
-            out.append({"matrix": part.arr.tolist(), "rows": part.rows, "cols": part.cols})
+        if isinstance(part, np.ndarray):
+            out.append({"matrix": part.tolist(), "rows": part.shape[0], "cols": part.shape[1]})
         elif isinstance(part, sfunctor.SElement):
             out.append({"dim": part.dim, "index": part.index})
         elif hasattr(part, "basis_arr"):
@@ -296,7 +296,7 @@ def run_rector(args) -> tuple[dict, int]:
     ok, wit = elcat.check_injectivity(S, R, args.budget_maps, homs)
     body["all_regular_morphisms_injective"] = ok
     if not ok:
-        body["witness"] = {"matrix": wit.arr.tolist()}
+        body["witness"] = {"matrix": wit.tolist()}
     return body, (EXIT_OK if ok else EXIT_COUNTEREXAMPLE)
 
 

@@ -24,11 +24,11 @@ from .gf import (
     DEFAULT_MAP_BUDGET,
     MAP_SLICE,
     BudgetExceeded,
-    LinearMap,
     Subspace,
     count_maps,
     general_linear,
     gl_generators,
+    inverse,
     line_vectors,
     map_indices,
     map_slices,
@@ -60,7 +60,7 @@ def hom_set(S: SetFunctor, a: ElObject, b: ElObject, budget: int = DEFAULT_MAP_B
     return np.concatenate([gammas[S._pull(gammas, b.index) == a.index] for gammas in slices])
 
 
-def decompose(S: SetFunctor, o: ElObject) -> tuple[ElObject, Subspace, LinearMap]:
+def decompose(S: SetFunctor, o: ElObject) -> tuple[ElObject, Subspace, np.ndarray]:
     """Split o into its regular part and trivial block.
 
     Returns (regular object on the pivot complement, ker(psi), iso) where the
@@ -73,13 +73,13 @@ def decompose(S: SetFunctor, o: ElObject) -> tuple[ElObject, Subspace, LinearMap
     projm, sect = proj_with_kernel(u)
     # u-component of v is (I - sect proj) v; its coordinates in the RREF basis
     # of u can be read off at the pivot positions
-    resid = (np.eye(o.dim, dtype=np.int64) - sect.arr @ projm.arr) % S.p
-    phi = LinearMap.from_array(np.concatenate([projm.arr, resid[u.pivots]], axis=0), S.p)
+    resid = (np.eye(o.dim, dtype=np.int64) - sect @ projm) % S.p
+    phi = np.concatenate([projm, resid[u.pivots]], axis=0)
     assembled = boxplus(S, t, k)
     target = ElObject(m + k, assembled.index)
     if S.act(phi, target) != o:
         raise RuntimeError("decomposition witness is not a morphism")
-    if S.act(phi.inverse(), o) != target:
+    if S.act(inverse(phi, S.p), o) != target:
         raise RuntimeError("decomposition witness inverse is not a morphism")
     return t, u, phi
 
@@ -89,8 +89,8 @@ class RectorSkeleton:
     S: SetFunctor
     cap: int
     classes: list[ElObject]
-    witnesses: dict[ElObject, tuple[int, LinearMap]]  # regular o -> (class idx, iso o -> rep)
-    aut_groups: list[list[LinearMap]]
+    witnesses: dict[ElObject, tuple[int, np.ndarray]]  # regular o -> (class idx, read-only iso o -> rep)
+    aut_groups: list[np.ndarray]  # per class, its automorphisms as one read-only stack in general_linear order
 
     def class_index(self, o: ElObject) -> int:
         return self.witnesses[o][0]
@@ -101,12 +101,12 @@ def build_rector_skeleton(S: SetFunctor, cap: int | None = None, budget: int = D
 
     Representatives are enumeration-minimal in each orbit; every regular pair
     gets a stored iso to its representative and each representative gets its
-    automorphism group as an explicit element list.
+    automorphism group as the stack of its elements in general_linear order.
     """
     cap = S.cap if cap is None else cap
     classes: list[ElObject] = []
-    witnesses: dict[ElObject, tuple[int, LinearMap]] = {}
-    auts: list[list[LinearMap]] = []
+    witnesses: dict[ElObject, tuple[int, np.ndarray]] = {}
+    auts: list[np.ndarray] = []
     for d in range(cap + 1):
         regs = regular_set(S, d)
         if not regs:
@@ -114,26 +114,27 @@ def build_rector_skeleton(S: SetFunctor, cap: int | None = None, budget: int = D
         if count_maps(S.p, d, d) > budget:
             raise BudgetExceeded("maps", count_maps(S.p, d, d), budget)
         gl = general_linear(S.p, d)
-        gl_stack = np.array([g.arr for g in gl])
         seen: set[SElement] = set()
         for s in regs:
             if s in seen:
                 continue
-            # orbit of s: all gamma^* s with gamma invertible
-            orbit: dict[SElement, LinearMap] = {}
-            for gamma, t in zip(gl, S._pull(gl_stack, s.index).tolist()):
-                orbit.setdefault(SElement(d, t), gamma)
+            # orbit of s: all gamma^* s with gamma invertible, each member by
+            # the position in gl of the first gamma reaching it
+            orbit: dict[SElement, int] = {}
+            for k, t in enumerate(S._pull(gl, s.index).tolist()):
+                orbit.setdefault(SElement(d, t), k)
             rep = min(orbit)
             cls = len(classes)
             classes.append(rep)
-            auts.append([g for g, t in zip(gl, S._pull(gl_stack, rep.index).tolist()) if t == rep.index])
+            auts.append(gl[S._pull(gl, rep.index) == rep.index])
+            auts[-1].setflags(write=False)
             # (g_from_rep)^* s = rep and gamma^* s = member, so w = g_from_rep^-1
             # gamma is an iso member -> rep: w^* rep = member
-            g_from_rep_inv = orbit[rep].inverse()
-            ws = [g_from_rep_inv @ gamma for gamma in orbit.values()]
-            for member, w, t in zip(orbit, ws, S._pull(np.array([w.arr for w in ws]), rep.index).tolist()):
+            ws = inverse(gl[orbit[rep]], S.p) @ gl[list(orbit.values())] % S.p
+            ws.setflags(write=False)
+            for member, w, t in zip(orbit, ws, S._pull(ws, rep.index).tolist()):
                 if t != member.index:
-                    raise ValueError(f"the action is not functorial: {w} does not carry {rep} to {member}")
+                    raise ValueError(f"the action is not functorial: {w.tolist()} does not carry {rep} to {member}")
                 seen.add(member)
                 witnesses[member] = (cls, w)
     return RectorSkeleton(S, cap, classes, witnesses, auts)
@@ -150,7 +151,7 @@ def check_injectivity(
     S: SetFunctor, R: RectorSkeleton, budget: int = DEFAULT_MAP_BUDGET, homs: list[list[np.ndarray]] | None = None
 ):
     """Every morphism between regular pairs must be injective; returns
-    (True, None) or (False, witness), the witness a LinearMap.
+    (True, None) or (False, witness), the witness a map that is not injective.
 
     A map is injective when it kills no line of its source, so each hom-set
     stack is tested in one product with the line vectors of its source,
@@ -171,7 +172,7 @@ def check_injectivity(
                     gammas = stack[start:start + MAP_SLICE]
                     killing = np.flatnonzero(~(gammas @ lines[a.dim] % S.p).any(axis=1).all(axis=1))
                     if killing.size:
-                        return LinearMap.from_array(gammas[killing[0]], S.p)
+                        return gammas[killing[0]]
         return None
 
     try:
@@ -239,7 +240,7 @@ class Skeleton:
                 self.index[(r, v)] = sk.index
                 self.objects.append(sk)
         self._hom: dict[tuple[int, int], np.ndarray] = {}
-        self._rep_cache: dict[ElObject, tuple[int, LinearMap]] = {}
+        self._rep_cache: dict[ElObject, tuple[int, np.ndarray]] = {}
         self._generators: list[tuple[int, int, np.ndarray]] | None = None
 
     @property
@@ -262,18 +263,19 @@ class Skeleton:
 
     # -- routing of arbitrary pairs onto the skeleton ------------------------
 
-    def rep_of(self, o: ElObject) -> tuple[int, LinearMap]:
-        """Skeletal index plus an iso w: o -> representative (w^* rep = ... o)."""
+    def rep_of(self, o: ElObject) -> tuple[int, np.ndarray]:
+        """Skeletal index plus an iso w: o -> representative (w^* rep = ... o), kept read-only."""
         hit = self._rep_cache.get(o)
         if hit is not None:
             return hit
         t, u, iso = decompose(self.S, o)
         r, wr = self.rector.witnesses[t]
         v = u.dim
-        w = LinearMap.from_array(self._diag(wr.arr, np.eye(v, dtype=np.int64)) @ iso.arr, self.p)
+        w = self._diag(wr, np.eye(v, dtype=np.int64)) @ iso % self.p
+        w.setflags(write=False)
         idx = self.index[(r, v)]
         if self.S.act(w, self.objects[idx].obj) != o:
-            raise ValueError(f"the action is not functorial: {w} does not carry object {idx} to {o}")
+            raise ValueError(f"the action is not functorial: {w.tolist()} does not carry object {idx} to {o}")
         self._rep_cache[o] = (idx, w)
         return idx, w
 
@@ -362,7 +364,7 @@ class Skeleton:
                 gens.append((a.index, self.index[(r, v + 1)], self.incl_one(r, v)))
             # generators of GL_v on the trivial block
             for h in gl_generators(self.p, v):
-                gens.append((a.index, a.index, self._diag(eye_w, h.arr)))
+                gens.append((a.index, a.index, self._diag(eye_w, h)))
             # shears with a single 1 in row 0
             for k in range(a.wdim if v else 0):
                 fb = np.zeros((v, a.wdim), dtype=np.int64)
@@ -376,8 +378,8 @@ class Skeleton:
                     gens.append((a.index, b.index, self._diag(f, eye_v)))
             # automorphisms of the own class
             for f in self.rector.aut_groups[r]:
-                if not np.array_equal(f.arr, eye_w):
-                    gens.append((a.index, a.index, self._diag(f.arr, eye_v)))
+                if not np.array_equal(f, eye_w):
+                    gens.append((a.index, a.index, self._diag(f, eye_v)))
         for _, _, g in gens:
             g.setflags(write=False)
         self._generators = gens
@@ -422,7 +424,7 @@ def rector_report(R: RectorSkeleton, homs: list[list[np.ndarray]]) -> dict:
                 "dim": rep.dim,
                 "element_index": rep.index,
                 "aut_order": len(aut),
-                "aut_elements": [g.arr.tolist() for g in aut],
+                "aut_elements": aut.tolist(),
             }
         )
     return {"classes": classes, "hom_cardinalities": [[len(stack) for stack in row] for row in homs]}

@@ -1,9 +1,11 @@
 """Exact linear algebra over prime fields F_p.
 
-Matrices are dense with entries in {0, ..., p-1}.  ``LinearMap`` and
-``Subspace`` are immutable and hashable so they can key action tables and
-hom-set caches.  Subspaces are stored through their reduced row-echelon
-basis, which makes equality of subspaces plain value equality.
+Matrices are dense with entries in {0, ..., p-1}; a linear map F_p^cols ->
+F_p^rows is a (rows, cols) int64 array acting on column vectors, and every
+routine takes p explicitly.  ``Subspace`` is immutable and hashable, so the
+subspace functor can number its elements by it; it is stored through its
+reduced row-echelon basis, which makes equality of subspaces plain value
+equality.
 
 For p = 2 a bit-packed elimination path (rows packed into uint64 words)
 backs rref/rank/kernel computations on larger matrices; the dense generic
@@ -233,6 +235,18 @@ def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
     return x
 
 
+def inverse(a: np.ndarray, p: int) -> np.ndarray:
+    """The inverse over F_p of a square matrix; ValueError when it has none."""
+    a = _as_mat(a)
+    n = a.shape[0]
+    if a.shape[1] != n:
+        raise ValueError("not square")
+    r, pivots = rref(np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1), p)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("not invertible")
+    return np.ascontiguousarray(r[:, n:])
+
+
 def intertwiner_space(shapes: dict, blocks, p: int) -> list[dict]:
     """Basis of the solutions of the equations X_j a = b X_i.
 
@@ -387,12 +401,12 @@ def _pivots(rref_rows: np.ndarray) -> list[int]:
     return [int(np.nonzero(row)[0][0]) for row in rref_rows]
 
 
-def encode_entries(m) -> str:
-    """The entries of m, a LinearMap or a 2-d array, row-major, as a JSON map-key fragment."""
-    return MAP_KEY_SEP.join(map(str, m.data if isinstance(m, LinearMap) else m.ravel().tolist()))
+def encode_entries(m: np.ndarray) -> str:
+    """The entries of the 2-d array m, row-major, as a JSON map-key fragment."""
+    return MAP_KEY_SEP.join(map(str, m.ravel().tolist()))
 
 
-def decode_entries(text: str, rows: int, cols: int, p: int) -> LinearMap:
+def decode_entries(text: str, rows: int, cols: int, p: int) -> np.ndarray:
     """Inverse of encode_entries; also reads keys written with one character per entry."""
     parts = text.split(MAP_KEY_SEP)
     if len(parts) != rows * cols:
@@ -402,7 +416,7 @@ def decode_entries(text: str, rows: int, cols: int, p: int) -> LinearMap:
     entries = [int(c) for c in parts]
     if not all(0 <= x < p for x in entries):
         raise ValueError(f"map key {text!r} has an entry outside 0..{p - 1}")
-    return LinearMap(p, rows, cols, bytes(entries))
+    return np.array(entries, dtype=np.int64).reshape(rows, cols)
 
 
 def row_space_contains(rref_rows: np.ndarray, pivots: list[int], vec: np.ndarray, p: int) -> bool:
@@ -412,89 +426,6 @@ def row_space_contains(rref_rows: np.ndarray, pivots: list[int], vec: np.ndarray
         if v[pc]:
             v = (v - v[pc] * rref_rows[i]) % p
     return not v.any()
-
-
-# ---------------------------------------------------------------------------
-# LinearMap
-
-
-@dataclass(frozen=True)
-class LinearMap:
-    """Matrix over F_p acting on column vectors: rows x cols, row-major bytes."""
-
-    p: int
-    rows: int
-    cols: int
-    data: bytes
-
-    @staticmethod
-    def from_array(arr, p: int) -> "LinearMap":
-        a = np.asarray(arr, dtype=np.int64) % p
-        if a.ndim != 2:
-            a = a.reshape(a.shape[0], -1) if a.size else a.reshape(0, 0)
-        return LinearMap(p, a.shape[0], a.shape[1], a.astype(np.uint8).tobytes())
-
-    @staticmethod
-    def identity(n: int, p: int) -> "LinearMap":
-        return LinearMap.from_array(np.eye(n, dtype=np.int64), p)
-
-    @staticmethod
-    def zero(rows: int, cols: int, p: int) -> "LinearMap":
-        return LinearMap(p, rows, cols, bytes(rows * cols))
-
-    @property
-    def arr(self) -> np.ndarray:
-        return np.frombuffer(self.data, dtype=np.uint8).reshape(self.rows, self.cols).astype(np.int64)
-
-    def __matmul__(self, other: "LinearMap") -> "LinearMap":
-        if self.p != other.p or self.cols != other.rows:
-            raise ValueError("composition mismatch")
-        return LinearMap.from_array(self.arr @ other.arr, self.p)
-
-    def __add__(self, other: "LinearMap") -> "LinearMap":
-        if (self.p, self.rows, self.cols) != (other.p, other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return LinearMap.from_array(self.arr + other.arr, self.p)
-
-    def transpose(self) -> "LinearMap":
-        return LinearMap.from_array(self.arr.T, self.p)
-
-    def direct_sum(self, other: "LinearMap") -> "LinearMap":
-        if self.p != other.p:
-            raise ValueError("field mismatch")
-        out = np.zeros((self.rows + other.rows, self.cols + other.cols), dtype=np.int64)
-        out[: self.rows, : self.cols] = self.arr
-        out[self.rows:, self.cols:] = other.arr
-        return LinearMap.from_array(out, self.p)
-
-    def rref(self) -> tuple["LinearMap", list[int]]:
-        r, pivots = rref(self.arr, self.p)
-        return LinearMap.from_array(r, self.p), pivots
-
-    def rank(self) -> int:
-        return rank(self.arr, self.p)
-
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
-
-    def is_injective(self) -> bool:
-        return self.rank() == self.cols
-
-    def inverse(self) -> "LinearMap":
-        if self.rows != self.cols:
-            raise ValueError("not square")
-        n = self.rows
-        aug = np.concatenate([self.arr, np.eye(n, dtype=np.int64)], axis=1)
-        r, pivots = rref(aug, self.p)
-        if pivots[:n] != list(range(n)):
-            raise ValueError("not invertible")
-        return LinearMap.from_array(r[:, n:], self.p)
-
-    def key(self):
-        return (self.rows, self.cols, self.data)
-
-    def __repr__(self):
-        return f"LinearMap(p={self.p}, {self.rows}x{self.cols}, {self.arr.tolist()})"
 
 
 # ---------------------------------------------------------------------------
@@ -549,18 +480,16 @@ class Subspace:
         return f"Subspace(p={self.p}, dim {self.dim} of F^{self.ambient}, {self.basis_arr.tolist()})"
 
 
-def kernel_space(m: LinearMap) -> Subspace:
+def kernel_space(m: np.ndarray, p: int) -> Subspace:
     """{v : m v = 0} in canonical form."""
-    basis = nullspace(m.arr, m.p)
-    return Subspace.from_vectors(basis, m.p, m.cols)
+    return Subspace.from_vectors(nullspace(m, p), p, m.shape[1])
 
 
-def preimage(m: LinearMap, t: Subspace) -> Subspace:
-    """m^{-1}(t) as a subspace of the domain."""
-    if t.ambient != m.rows:
+def preimage(m: np.ndarray, t: Subspace) -> Subspace:
+    """m^{-1}(t) as a subspace of the domain of m, over the field of t."""
+    if t.ambient != m.shape[0]:
         raise ValueError("preimage ambient mismatch")
-    proj, _ = proj_with_kernel(t)
-    return kernel_space(proj @ m)
+    return kernel_space(proj_with_kernel(t)[0] @ m, t.p)
 
 
 def pivot_complement(u: Subspace) -> Subspace:
@@ -572,7 +501,7 @@ def pivot_complement(u: Subspace) -> Subspace:
     return Subspace.from_vectors(np.stack(vecs), u.p, u.ambient)
 
 
-def proj_with_kernel(u: Subspace) -> tuple[LinearMap, LinearMap]:
+def proj_with_kernel(u: Subspace) -> tuple[np.ndarray, np.ndarray]:
     """Canonical projection P: F^d -> F^{d-k} with kernel u, plus its section.
 
     P restricted to the pivot complement sends the j-th non-pivot standard
@@ -585,7 +514,7 @@ def proj_with_kernel(u: Subspace) -> tuple[LinearMap, LinearMap]:
     sect = np.eye(d, dtype=np.int64)[:, nonpiv]
     proj = sect.T.copy()
     proj[:, piv] = -u.basis_arr[:, nonpiv].T % p
-    return LinearMap.from_array(proj, p), LinearMap.from_array(sect, p)
+    return proj, sect
 
 
 # ---------------------------------------------------------------------------
@@ -625,13 +554,7 @@ def enumerate_maps(p: int, dom_dim: int, cod_dim: int, budget: int = DEFAULT_MAP
     """All linear maps F_p^dom -> F_p^cod, lexicographic on column-major
     entries: the maps of the map_slices stacks, one at a time."""
     for stack in map_slices(p, dom_dim, cod_dim, budget):
-        yield from linear_maps(stack, p)
-
-
-def linear_maps(stack: np.ndarray, p: int) -> list[LinearMap]:
-    """The matrices of a (k, cod, dom) stack with entries in 0..p-1 as LinearMaps."""
-    _, cod_dim, dom_dim = stack.shape
-    return [LinearMap(p, cod_dim, dom_dim, arr.tobytes()) for arr in stack.astype(np.uint8)]
+        yield from stack
 
 
 def map_stack(p: int, dom_dim: int, cod_dim: int, budget: int | None = None) -> np.ndarray:
@@ -655,18 +578,16 @@ def map_indices(stack: np.ndarray, p: int) -> np.ndarray:
     return stack.reshape(*lead, cod_dim * dom_dim) @ _digit_weights(p, dom_dim, cod_dim).reshape(-1)
 
 
-def enumerate_invertibles(p: int, dim: int, budget: int = DEFAULT_MAP_BUDGET):
-    for f in enumerate_maps(p, dim, dim, budget):
-        if f.is_invertible():
-            yield f
-
-
 @lru_cache(maxsize=None)
-def general_linear(p: int, dim: int) -> tuple[LinearMap, ...]:
-    return tuple(enumerate_invertibles(p, dim))
+def general_linear(p: int, dim: int) -> np.ndarray:
+    """GL(dim, p) as one read-only (K, dim, dim) stack in enumerate_maps order."""
+    maps = map_stack(p, dim, dim)
+    stack = maps[[rank(m, p) == dim for m in maps]]
+    stack.setflags(write=False)
+    return stack
 
 
-def elementary_invertibles(p: int, n: int) -> list[LinearMap]:
+def elementary_invertibles(p: int, n: int) -> list[np.ndarray]:
     """Transvections, swaps of adjacent coordinates and scalings: generate GL(n, p)."""
     out = []
     eye = np.eye(n, dtype=np.int64)
@@ -676,20 +597,20 @@ def elementary_invertibles(p: int, n: int) -> list[LinearMap]:
                 continue
             m = eye.copy()
             m[i, j] = 1
-            out.append(LinearMap.from_array(m, p))
+            out.append(m)
     for i in range(n - 1):
         m = eye.copy()
         m[[i, i + 1]] = m[[i + 1, i]]
-        out.append(LinearMap.from_array(m, p))
+        out.append(m)
     if p > 2 and n >= 1:
         for a in range(2, p):
             m = eye.copy()
             m[0, 0] = a
-            out.append(LinearMap.from_array(m, p))
+            out.append(m)
     return out
 
 
-def gl_generators(p: int, n: int) -> list[LinearMap]:
+def gl_generators(p: int, n: int) -> list[np.ndarray]:
     """At most three matrices generating GL(n, p) (Steinberg, Canad. J. Math.
     14, 1962): I + E_01 and the cyclic shift e_i -> e_{i+1 mod n} when n >= 2,
     and diag(a, 1, ..., 1) with a a primitive root mod p when p > 2; none
@@ -706,12 +627,12 @@ def gl_generators(p: int, n: int) -> list[LinearMap]:
         eye = np.eye(n, dtype=np.int64)
         transvection = eye.copy()
         transvection[0, 1] = 1
-        out += [LinearMap.from_array(transvection, p), LinearMap.from_array(np.roll(eye, 1, axis=0), p)]
+        out += [transvection, np.roll(eye, 1, axis=0)]
     if p > 2 and n >= 1:
         a = next(a for a in range(2, p) if len({pow(a, k, p) for k in range(1, p)}) == p - 1)
         scaling = np.eye(n, dtype=np.int64)
         scaling[0, 0] = a
-        out.append(LinearMap.from_array(scaling, p))
+        out.append(scaling)
     return out
 
 

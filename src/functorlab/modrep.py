@@ -290,40 +290,13 @@ def quotient_module(M: GroupModule, basis: np.ndarray, name: str | None = None) 
     from .gf import Subspace, proj_with_kernel
 
     sub = Subspace.from_vectors(basis, M.p, M.dim) if np.asarray(basis).size else Subspace.zero(M.dim, M.p)
-    projm, sect = proj_with_kernel(sub)
-    q, s = projm.arr, sect.arr
+    q, s = proj_with_kernel(sub)
     gens = {}
     for g, m in M.gen_mats.items():
         gens[g] = (q @ m @ s) % M.p
         if sub.dim and ((q @ m @ sub.basis_arr.T) % M.p).any():
             raise ValueError("basis is not invariant; quotient undefined")
     return GroupModule(M.group, M.p, M.dim - sub.dim, gens, name=name or f"quot({M.name})")
-
-
-def module_to_json(M: GroupModule) -> dict:
-    """Generator matrices plus enough group structure to rebuild the module."""
-    G = M.group
-    return {
-        "group": {
-            "name": G.name,
-            "order": len(G),
-            "table": G.table.tolist(),
-            "generators": list(G.generators),
-        },
-        "p": M.p,
-        "dim": M.dim,
-        "generator_matrices": {str(g): M.gen_mats[g].tolist() for g in G.generators},
-        "name": M.name,
-    }
-
-
-def module_from_json(doc: dict) -> GroupModule:
-    gdoc = doc["group"]
-    labels = list(range(gdoc["order"]))
-    G = FiniteGroup(labels, np.asarray(gdoc["table"], dtype=np.int64), gdoc.get("name", "G"))
-    G.generators = list(gdoc["generators"])
-    gens = {int(g): np.asarray(m, dtype=np.int64) for g, m in doc["generator_matrices"].items()}
-    return GroupModule(G, doc["p"], doc["dim"], gens, name=doc.get("name", "M"))
 
 
 # ---------------------------------------------------------------------------
@@ -625,12 +598,6 @@ class Partition:
     def is_p_regular(self, p: int) -> bool:
         return all(self.parts.count(x) < p for x in set(self.parts))
 
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return self
-        width = self.parts[0]
-        return Partition(tuple(sum(1 for x in self.parts if x > j) for j in range(width)))
-
     def canonical_tableau(self) -> list[list[int]]:
         """Row-reading standard tableau: rows filled 0..n-1 left to right."""
         out, c = [], 0
@@ -783,32 +750,6 @@ def right_algebra_matrix(elt: dict, d: int, n: int, p: int) -> np.ndarray:
     for perm, c in elt.items():
         out = (out + c * right_perm_matrix(d, n, perm)) % p
     return out
-
-
-def epsilon_lambda_tensor(lam: Partition, n: int, p: int):
-    """The image of tensor powers under the right action of the symmetrizer
-    product of lam: a functor on plain vector spaces.
-
-    The two defining properties are checked on the window n + 1: no nonzero
-    subfunctor of degree below n, and the n-fold difference is the simple
-    ideal of lam.
-    """
-    from .elcat import Skeleton
-    from .sfunctor import RepresentableFunctor
-    from .vfunctor import delta_n_sigma, forgetful_lift, p_n
-
-    img = TensorSymmetrizerImage(epsilon_lambda(lam, n, p), n, p, name=f"e{lam.parts}T^{n}")
-    sk = Skeleton(RepresentableFunctor(p, 0, n + 1))
-    F = forgetful_lift(sk, img)
-    if n >= 1 and p_n(F, n - 1, known_degree_bound=n).total_dim():
-        raise ValueError(f"image functor of {lam} has a lower-degree subfunctor")
-    D = delta_n_sigma(F, n)
-    sym = FiniteGroup.symmetric(n)
-    gens = {g: D.perm_action(0, sym.labels[g]) for g in sym.generators}
-    recovered = GroupModule(sym, p, D.dim(0), gens, name=f"D^{n}(e{lam.parts}T^{n})")
-    if not iso_modules(recovered, epsilon_lambda_module(lam, n, p)):
-        raise ValueError(f"difference of the image functor of {lam} is not the simple ideal")
-    return img
 
 
 class TensorSymmetrizerImage:

@@ -43,14 +43,12 @@ import numpy as np
 from .gf import (
     DEFAULT_MAP_BUDGET,
     BudgetExceeded,
-    LinearMap,
     Subspace,
     check_prime,
     count_maps,
     decode_entries,
     elementary_invertibles,
     encode_entries,
-    enumerate_maps,
     enumerate_subspaces,
     gl_generators,
     line_vectors,
@@ -59,6 +57,7 @@ from .gf import (
     map_stack,
     preimage,
     proj_with_kernel,
+    rank,
 )
 
 
@@ -110,31 +109,32 @@ class SetFunctor:
         Nothing is kept."""
         raise NotImplementedError
 
-    def act(self, alpha: LinearMap, s: SElement | int) -> SElement:
+    def act(self, alpha: np.ndarray, s: SElement | int) -> SElement:
         """Pullback along alpha: F^n -> F^m of an element of S(F^m), read
         from act_table."""
+        table = self.act_table(alpha)
         if isinstance(s, SElement):
-            if s.dim != alpha.rows:
+            if s.dim != alpha.shape[0]:
                 raise ValueError("element lives at the wrong dimension")
             s = s.index
-        return SElement(alpha.cols, int(self.act_table(alpha)[s]))
+        return SElement(alpha.shape[1], int(table[s]))
 
-    def act_table(self, alpha: LinearMap) -> np.ndarray:
-        """Pullback along alpha as an index array S(rows) -> S(cols), kept per map."""
-        key = (alpha.cols, alpha.rows, alpha.data)
+    def act_table(self, alpha: np.ndarray) -> np.ndarray:
+        """Pullback along alpha, a (rows, cols) int array with entries in
+        0..p-1, as an index array S(rows) -> S(cols), kept per map under its
+        shape and bytes.  Any other array raises ValueError."""
+        key = (alpha.shape, alpha.tobytes())
         hit = self._table_cache.get(key)
         if hit is None:
-            if alpha.rows > self.cap or alpha.cols > self.cap:
+            if alpha.ndim != 2 or alpha.dtype.kind not in "iu" or not ((0 <= alpha) & (alpha < self.p)).all():
+                raise ValueError(f"not a matrix with int entries in 0..{self.p - 1}: {alpha.tolist()}")
+            if max(alpha.shape) > self.cap:
                 raise ValueError("map exceeds the cap")
-            hit = self._table_cache[key] = self._pull(alpha.arr[None], slice(None))[0]
+            hit = self._table_cache[key] = self._pull(alpha.astype(np.int64)[None], slice(None))[0]
         return hit
 
     def elements(self, d: int):
         return [SElement(d, i) for i in range(self.size(d))]
-
-    def all_elements(self):
-        for d in range(self.cap + 1):
-            yield from self.elements(d)
 
     # -- optional hooks ----------------------------------------------------
 
@@ -159,7 +159,7 @@ class TableFunctor(SetFunctor):
             else:
                 self.action[cols, rows, data] = np.array(tab, dtype=np.int64)
                 continue
-            raise InvalidFunctorData(f"pullback table {_map_key(LinearMap(p, rows, cols, data))} {broken}")
+            raise InvalidFunctorData(f"pullback table {_table_key(rows, cols, data)} {broken}")
 
     def size(self, d: int) -> int:
         return self.sizes[d]
@@ -170,7 +170,7 @@ class TableFunctor(SetFunctor):
         for data in (a.tobytes() for a in alphas.astype(np.uint8)):
             tab = self.action.get((n, m, data))
             if tab is None:
-                raise InvalidFunctorData(f"the table has no pullback along the map {_map_key(LinearMap(self.p, m, n, data))}")
+                raise InvalidFunctorData(f"the table has no pullback along the map {_table_key(m, n, data)}")
             tabs.append(tab[s])
         return np.array(tabs, dtype=np.int64)
 
@@ -190,13 +190,15 @@ class RepresentableFunctor(SetFunctor):
         stack = self._stacks.get(d)
         if stack is None:
             stack = self._stacks[d] = map_stack(self.p, d, self.u_dim)
+            stack.setflags(write=False)
         return stack
 
     def size(self, d: int) -> int:
         return count_maps(self.p, d, self.u_dim)
 
-    def element_map(self, s: SElement) -> LinearMap:
-        return LinearMap.from_array(self._table(s.dim)[s.index], self.p)
+    def element_map(self, s: SElement) -> np.ndarray:
+        """The (u, dim) matrix of s, read-only."""
+        return self._table(s.dim)[s.index]
 
     def _pull(self, alphas: np.ndarray, s: int | slice) -> np.ndarray:
         return _products(self._table(alphas.shape[1])[s], alphas, self.p)
@@ -207,11 +209,10 @@ class OrbitFunctor(SetFunctor):
 
     lawful = True
 
-    def __init__(self, p: int, u_dim: int, generators: list[LinearMap], cap: int):
+    def __init__(self, p: int, u_dim: int, generators: list[np.ndarray], cap: int):
         super().__init__(p, cap, name=f"orbit(U=F_{p}^{u_dim})")
         self.u_dim = u_dim
-        group = _mulclose([LinearMap.identity(u_dim, p)] + list(generators))
-        self._group_stack = np.array([g.arr for g in group]).reshape(len(group), u_dim, u_dim)
+        self._group_stack = _mulclose([np.eye(u_dim, dtype=np.int64), *generators], self.p)
         self._rep: dict[int, np.ndarray] = {}  # one representative matrix per orbit
         self._orbit_lookup: dict[int, np.ndarray] = {}  # orbit id by enumerate_maps position
 
@@ -261,7 +262,7 @@ class SubspaceFunctor(SetFunctor):
     def _pull(self, alphas: np.ndarray, s: int | slice) -> np.ndarray:
         elts, index = self._elts[alphas.shape[1]], self._index[alphas.shape[2]]
         ids = np.arange(len(elts))[s]
-        pulled = [[index[preimage(LinearMap.from_array(a, self.p), elts[i])] for i in ids.flat] for a in alphas]
+        pulled = [[index[preimage(a, elts[i])] for i in ids.flat] for a in alphas]
         return np.array(pulled, dtype=np.int64).reshape(len(alphas), *ids.shape)
 
 
@@ -274,19 +275,21 @@ def _products(elts: np.ndarray, alphas: np.ndarray, p: int) -> np.ndarray:
     return map_indices(products, p)
 
 
-def _mulclose(gens: list[LinearMap]) -> list[LinearMap]:
-    els = {g.data: g for g in gens}
+def _mulclose(gens: list[np.ndarray], p: int) -> np.ndarray:
+    """The monoid generated by int64 (u, u) matrices with entries in 0..p-1,
+    as a (K, u, u) stack sorted by row-major entries."""
+    els = {g.tobytes(): g for g in gens}
     frontier = list(els.values())
     while frontier:
         new = []
         for a in gens:
             for b in frontier:
-                c = a @ b
-                if c.data not in els:
-                    els[c.data] = c
+                c = a @ b % p
+                if c.tobytes() not in els:
+                    els[c.tobytes()] = c
                     new.append(c)
         frontier = new
-    return sorted(els.values(), key=lambda m: m.data)
+    return np.array(sorted(els.values(), key=lambda m: m.ravel().tolist()))
 
 
 def disjoint_union(a: SetFunctor, b: SetFunctor) -> SetFunctor:
@@ -330,14 +333,14 @@ def kernel_mismatch_example(p: int = 2) -> TableFunctor:
     action: dict = {}
     for n in range(cap + 1):
         for m in range(cap + 1):
-            for alpha in enumerate_maps(p, n, m):
+            for alpha in map_stack(p, n, m):
                 if m < 2:
                     tab = tuple(0 for _ in range(sizes[m]))
                 elif n < 2:
                     tab = (0, 0)
                 else:  # endomorphisms of F_2^2 acting on {b, c}
-                    tab = (0, 1) if alpha.is_invertible() else (0, 0)
-                action[(n, m, alpha.data)] = tab
+                    tab = (0, 1) if rank(alpha, p) == 2 else (0, 0)
+                action[(n, m, alpha.astype(np.uint8).tobytes())] = tab
     return TableFunctor(p, cap, sizes, action, name="kernel-mismatch")
 
 
@@ -386,7 +389,7 @@ def validate(S: SetFunctor) -> ValidationReport:
     """
     dims = range(S.cap + 1)
     for d in dims:
-        moved = np.flatnonzero(S.act_table(LinearMap.identity(d, S.p)) != np.arange(S.size(d)))
+        moved = np.flatnonzero(S.act_table(np.eye(d, dtype=np.int64)) != np.arange(S.size(d)))
         if moved.size:
             return ValidationReport(False, 0, ("identity", d, int(moved[0])))
     largest = count_maps(S.p, S.cap, S.cap)
@@ -405,19 +408,20 @@ def validate(S: SetFunctor) -> ValidationReport:
         gens = elementary_invertibles(S.p, d)
         if d < S.cap:
             eye = np.eye(d + 1, dtype=np.int64)
-            gens += [LinearMap.from_array(eye[:d], S.p), LinearMap.from_array(eye[:, :d], S.p)]
+            gens += [eye[:d], eye[:, :d]]
         for g in gens:
             t_g = S.act_table(g)
+            rows, cols = g.shape
             for n in dims:
                 start = 0
-                for betas in map_slices(S.p, n, g.cols):
-                    lhs = blocks[n, g.cols][start:start + len(betas), t_g]
-                    rhs = blocks[n, g.rows][map_indices(g.arr @ betas % S.p, S.p)]
+                for betas in map_slices(S.p, n, cols):
+                    lhs = blocks[n, cols][start:start + len(betas), t_g]
+                    rhs = blocks[n, rows][map_indices(g @ betas % S.p, S.p)]
                     bad = np.flatnonzero((lhs != rhs).any(axis=1))
                     if bad.size:
                         k = int(bad[0])
-                        s = SElement(g.rows, int(np.flatnonzero(lhs[k] != rhs[k])[0]))
-                        return ValidationReport(False, checked + k + 1, (g, LinearMap.from_array(betas[k], S.p), s))
+                        s = SElement(rows, int(np.flatnonzero(lhs[k] != rhs[k])[0]))
+                        return ValidationReport(False, checked + k + 1, (g, betas[k], s))
                     checked += len(betas)
                     start += len(betas)
     return ValidationReport(True, checked)
@@ -431,14 +435,14 @@ def _require_laws(S: SetFunctor) -> None:
         return
     rep = validate(S)
     if not rep.ok:
-        if rep.witness[0] == "identity":
+        if isinstance(rep.witness[0], str):
             _, d, i = rep.witness
             broken = f"the identity of F^{d} moves element {i} of S({d})"
         else:
             g, beta, s = rep.witness
             broken = (
                 f"pulling element {s.index} of S({s.dim}) back along g = {_map_key(g)} and then along "
-                f"beta = {_map_key(beta)} differs from pulling it back along g beta = {_map_key(g @ beta)}"
+                f"beta = {_map_key(beta)} differs from pulling it back along g beta = {_map_key(g @ beta % S.p)}"
             )
         raise InvalidFunctorData(f"{S.name} is not a functor: {broken}")
     S.lawful = True
@@ -650,13 +654,13 @@ def _weak_noetherian_loop(S: SetFunctor, window: int, budget: int) -> WeakNoethe
     for m in range(window + 1):
         for s in S.elements(m):
             ker_s = kernel_of(S, s)
-            proj = proj_with_kernel(ker_s)[0].arr
+            proj = proj_with_kernel(ker_s)[0]
             for n in range(window + 1):
                 for alphas in map_slices(S.p, n, m, budget):
                     bad = _kernel_mismatches(S, alphas, s.index, proj)
                     if bad.size:
                         k = int(bad[0])
-                        alpha = LinearMap.from_array(alphas[k], S.p)
+                        alpha = alphas[k]
                         witness = (alpha, s, kernel_of(S, S.act(alpha, s)), preimage(alpha, ker_s))
                         return WeakNoetherianReport(False, checked + k + 1, window, witness, window < S.cap)
                     checked += len(alphas)
@@ -691,7 +695,7 @@ def epsilon(S: SetFunctor, d: int) -> SElement:
     """The pullback of the unique element of S(0) to dimension d."""
     if not is_connected(S):
         raise ValueError("epsilon needs a connected functor")
-    return S.act(LinearMap.zero(0, d, S.p), SElement(0, 0))
+    return S.act(np.zeros((0, d), dtype=np.int64), SElement(0, 0))
 
 
 class _Component(SetFunctor):
@@ -717,7 +721,7 @@ class _Component(SetFunctor):
 def split_components(S: SetFunctor) -> list[SetFunctor]:
     """The partition of S by the component of S(0) each element restricts to."""
     # the pullback along the inclusion of 0 into F^d restricts S(d) to S(0)
-    restrict = [S.act_table(LinearMap.zero(d, 0, S.p)) for d in range(S.cap + 1)]
+    restrict = [S.act_table(np.zeros((d, 0), dtype=np.int64)) for d in range(S.cap + 1)]
     return [
         _Component(S, {d: np.flatnonzero(tab == gamma) for d, tab in enumerate(restrict)}, gamma)
         for gamma in range(S.size(0))
@@ -750,12 +754,17 @@ def boxplus(S: SetFunctor, psi: SElement, extra_dim: int, check_unique: bool = F
 # JSON interchange
 
 
-def _map_key(m: LinearMap) -> str:
+def _map_key(m: np.ndarray) -> str:
     """The JSON key of the pullback table along m: RxC:entries."""
-    return f"{m.rows}x{m.cols}:{encode_entries(m)}"
+    return f"{m.shape[0]}x{m.shape[1]}:{encode_entries(m)}"
 
 
-def _parse_map_key(key: str, p: int) -> LinearMap:
+def _table_key(rows: int, cols: int, data: bytes) -> str:
+    """_map_key of the map a TableFunctor stores as row-major uint8 bytes."""
+    return _map_key(np.frombuffer(data, dtype=np.uint8).reshape(rows, cols))
+
+
+def _parse_map_key(key: str, p: int) -> np.ndarray:
     """The map of a key written by _map_key, or with one character per entry;
     InvalidFunctorData names a malformed key."""
     match = re.fullmatch(r"([0-9]+)x([0-9]+):([0-9.]*)", key)
@@ -779,7 +788,7 @@ def to_json_dict(S: SetFunctor) -> dict:
         for m in range(S.cap + 1):
             for alphas in map_slices(S.p, n, m):
                 for arr, tab in zip(alphas, S._pull(alphas, slice(None)).tolist()):
-                    action[_map_key(LinearMap.from_array(arr, S.p))] = tab
+                    action[_map_key(arr)] = tab
     return {
         "p": S.p,
         "cap": S.cap,
@@ -799,10 +808,11 @@ def from_json_dict(doc: dict, name: str = "table") -> TableFunctor:
     for key, tab in doc["action"].items():
         if not isinstance(tab, list):
             raise InvalidFunctorData(f"pullback table {key} is not a list")
-        lm = _parse_map_key(key, p)
-        if (lm.cols, lm.rows, lm.data) in action:
-            raise InvalidFunctorData(f"map key {key!r} names the map {_map_key(lm)} a second time")
-        action[(lm.cols, lm.rows, lm.data)] = tab
+        m = _parse_map_key(key, p)
+        stored = (m.shape[1], m.shape[0], m.astype(np.uint8).tobytes())
+        if stored in action:
+            raise InvalidFunctorData(f"map key {key!r} names the map {_map_key(m)} a second time")
+        action[stored] = tab
     return TableFunctor(p, cap, sizes, action, name=name)
 
 
@@ -818,10 +828,32 @@ def from_builtin_spec(doc: dict, cap: int) -> SetFunctor:
     if kind == "representable":
         return RepresentableFunctor(p, doc["U_dim"], cap)
     if kind == "orbit":
-        gens = [LinearMap.from_array(g, p) for g in doc.get("gamma_generators", [])]
-        return OrbitFunctor(p, doc["U_dim"], gens, cap)
+        return OrbitFunctor(p, doc["U_dim"], _gamma_generators(doc, check_prime(p)), cap)
     if kind == "subspaces":
         return SubspaceFunctor(p, cap)
     if kind == "table":
         return from_json_dict(doc)
     raise ValueError(f"unknown builtin type {kind!r}")
+
+
+def _gamma_generators(doc: dict, p: int) -> list[np.ndarray]:
+    """The 'gamma_generators' of an orbit spec as int64 matrices: a list of
+    U_dim x U_dim matrices of ints (not bools) in 0..p-1, each invertible mod
+    p; InvalidFunctorData names anything else."""
+    u, gens = doc["U_dim"], doc.get("gamma_generators", [])
+    if not isinstance(gens, list):
+        raise InvalidFunctorData(f"'gamma_generators' must be a list of {u}x{u} matrices, not {gens!r}")
+    out = []
+    for g in gens:
+        if not (
+            isinstance(g, list)
+            and len(g) == u
+            and all(isinstance(row, list) and len(row) == u for row in g)
+            and all(type(x) is int and 0 <= x < p for row in g for x in row)
+        ):
+            raise InvalidFunctorData(f"'gamma_generators' holds {g!r}, not a {u}x{u} matrix of ints in 0..{p - 1}")
+        m = np.array(g, dtype=np.int64).reshape(u, u)
+        if rank(m, p) < u:
+            raise InvalidFunctorData(f"'gamma_generators' holds {g!r}, which is not invertible mod {p}")
+        out.append(m)
+    return out

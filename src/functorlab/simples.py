@@ -210,10 +210,12 @@ def delta_n_module(F: VecFunctor, n: int, rclass: int, group: FiniteGroup) -> Gr
     D = delta_n_sigma(F, n)
     sk = F.sk
     dim = D.dim(rclass)
+    d = sk.rector.classes[rclass].dim
     gens = {}
     for gidx in group.generators:
-        autmap, perm = group.labels[gidx]
-        gens[gidx] = (D.rmap(rclass, rclass, autmap.arr) @ D.perm_action(rclass, perm)) % F.p
+        entries, perm = group.labels[gidx]
+        autmap = np.array(entries, dtype=np.int64).reshape(d, d)
+        gens[gidx] = (D.rmap(rclass, rclass, autmap) @ D.perm_action(rclass, perm)) % F.p
     return GroupModule(group, F.p, dim, gens, name=f"D^{n}{F.name}@{rclass}")
 
 

@@ -41,7 +41,6 @@ import numpy as np
 from .gf import (
     MAP_SLICE,
     BudgetExceeded,
-    LinearMap,
     Subspace,
     WindowExceeded,
     closure,
@@ -49,6 +48,7 @@ from .gf import (
     decode_entries,
     encode_entries,
     intertwiner_space,
+    inverse,
     map_indices,
     map_stack,
     nullspace,
@@ -188,7 +188,7 @@ class VecFunctor:
         """Matrix of an arbitrary morphism, routed through the iso witnesses."""
         i, wi = self.sk.rep_of(src_o)
         j, wj = self.sk.rep_of(dst_o)
-        return self.mat(i, j, wj.inverse().arr @ gamma @ wi.arr % self.p)
+        return self.mat(i, j, inverse(wj, self.p) @ gamma @ wi % self.p)
 
     # -- validation ------------------------------------------------------------
 
@@ -522,8 +522,7 @@ def quotient_functor(F: VecFunctor, sub: SubFunctor, name: str | None = None) ->
     projs, sects, dims = {}, {}, {}
     for i in F.object_indices():
         space = Subspace.from_vectors(sub.bases[i], F.p, F.dim(i)) if sub.bases[i].size else Subspace.zero(F.dim(i), F.p)
-        pr, se = proj_with_kernel(space)
-        projs[i], sects[i] = pr.arr, se.arr
+        projs[i], sects[i] = proj_with_kernel(space)
         dims[i] = F.dim(i) - space.dim
 
     def rule(i, j, gamma):
@@ -784,15 +783,15 @@ def _adjacent_transposition_word(perm: tuple[int, ...]) -> list[int]:
 def sigma_functor_from_module(sk: Skeleton, rclass: int, n: int, M: GroupModule, name: str | None = None) -> SigmaNFunctor:
     """Place a module over Aut(class) x Sym(n) on a single class.
 
-    The group of M must be the product of the class automorphism group (as a
-    matrix group, labels are the maps) with Sym(n).
+    The group of M must be aut_sigma_group(sk, rclass, n), labels (entries of
+    the map, permutation).
     """
     dims = {r: (M.dim if r == rclass else 0) for r in range(len(sk.rector.classes))}
 
     def sigma_gens(r, t):
         if r != rclass:
             return np.zeros((0, 0), dtype=np.int64)
-        ident = LinearMap.identity(sk.rector.classes[rclass].dim, sk.p)
+        ident = tuple(np.eye(sk.rector.classes[rclass].dim, dtype=np.int64).ravel().tolist())
         perm = list(range(n))
         perm[t], perm[t + 1] = perm[t + 1], perm[t]
         label = (ident, tuple(perm))
@@ -800,7 +799,7 @@ def sigma_functor_from_module(sk: Skeleton, rclass: int, n: int, M: GroupModule,
 
     def rmap(r1, r2, f):
         if r1 == rclass and r2 == rclass:
-            label = (LinearMap.from_array(f, sk.p), tuple(range(n)))
+            label = (tuple(f.ravel().tolist()), tuple(range(n)))
             return M.element_matrix(M.group.index[label])
         return np.zeros((dims[r2], dims[r1]), dtype=np.int64)
 
@@ -808,10 +807,16 @@ def sigma_functor_from_module(sk: Skeleton, rclass: int, n: int, M: GroupModule,
 
 
 def aut_sigma_group(sk: Skeleton, rclass: int, n: int) -> FiniteGroup:
-    """Aut(class representative) x Sym(n), labels (map, permutation)."""
-    aut = FiniteGroup.from_mul(
-        sorted(sk.rector.aut_groups[rclass], key=lambda m: m.data), lambda a, b: a @ b, name=f"Aut{rclass}"
-    )
+    """Aut(class representative) x Sym(n), labels (entries of the map,
+    row-major, as a tuple; permutation); the automorphisms are numbered in
+    the lexicographic order of their entries."""
+    d, p = sk.rector.classes[rclass].dim, sk.p
+
+    def mul(a, b):
+        return tuple((np.reshape(a, (d, d)) @ np.reshape(b, (d, d)) % p).ravel().tolist())
+
+    auts = sorted(tuple(g.ravel().tolist()) for g in sk.rector.aut_groups[rclass])
+    aut = FiniteGroup.from_mul(auts, mul, name=f"Aut{rclass}")
     sym = FiniteGroup.symmetric(n)
     return FiniteGroup.product(aut, sym)
 
@@ -871,8 +876,7 @@ class TensorSigma(VecFunctor):
                         rel_rows.append(row)
         rel = np.stack(rel_rows) if rel_rows else np.zeros((0, plain), dtype=np.int64)
         space = Subspace.from_vectors(rel, p, plain) if rel.size else Subspace.zero(plain, p)
-        pr, se = proj_with_kernel(space)
-        return pr.arr, se.arr
+        return proj_with_kernel(space)
 
     def _rule(self, i, j, gamma):
         sk = self.sk
@@ -1114,7 +1118,7 @@ def _parse_map_key(key: str, sk: Skeleton) -> tuple[int, int, np.ndarray]:
         raise ValueError(f"map {key} names the object {missing[0]}, which the skeleton lacks")
     i, j = sk.index[src], sk.index[dst]
     try:
-        return i, j, decode_entries(match[5], sk.objects[j].dim, sk.objects[i].dim, sk.p).arr
+        return i, j, decode_entries(match[5], sk.objects[j].dim, sk.objects[i].dim, sk.p)
     except ValueError as exc:
         raise ValueError(f"map key {key!r}: {exc}") from None
 

@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 
-from functorlab.gf import DEFAULT_MAP_BUDGET, Subspace, _as_mat, _extend, enumerate_maps, rref
+from functorlab.gf import DEFAULT_MAP_BUDGET, Subspace, _as_mat, _extend, enumerate_maps, rank, rref
 
 
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
@@ -70,7 +70,7 @@ def intertwiner_space(shapes: dict, blocks, p: int) -> list[dict]:
 
 def enumerate_injections(p: int, dom_dim: int, cod_dim: int, budget: int = DEFAULT_MAP_BUDGET):
     for f in enumerate_maps(p, dom_dim, cod_dim, budget):
-        if f.is_injective():
+        if rank(f, p) == dom_dim:
             yield f
 
 

@@ -636,10 +636,18 @@ def test_missing_map_table_exit_2(tmp_path, capsys):
         (lambda doc: {**doc, "cap": True}, "functor table needs the key 'cap' holding a int"),
         (lambda doc: {"type": "representable", "U_dim": 1, "cap": True}, "needs a non-negative int cap, not True"),
         (lambda doc: {"type": "representable", "U_dim": True}, "a representable spec needs the key 'U_dim'"),
+        *[(lambda doc, g=g: {"type": "orbit", "p": 2, "U_dim": 2, "cap": 2, "gamma_generators": [g]}, reason)
+          for g, reason in [
+              ([[1, 1], [1, 1]], "'gamma_generators' holds [[1, 1], [1, 1]], which is not invertible mod 2"),
+              ([[3, 0], [0, 1]], "'gamma_generators' holds [[3, 0], [0, 1]], not a 2x2 matrix of ints in 0..1"),
+              ([[True, 0], [0, 1]], "'gamma_generators' holds [[True, 0], [0, 1]], not a 2x2 matrix of ints in 0..1"),
+              ([[1]], "'gamma_generators' holds [[1]], not a 2x2 matrix of ints in 0..1"),
+          ]],
     ],
     ids=["entry-not-a-list", "no-sets", "top-level-list", "spec-without-type", "spec-without-u-dim",
          "sets-entry-not-an-int", "spec-p-not-an-int", "spec-cap-not-an-int", "entry-a-float", "sets-entry-a-bool",
-         "table-cap-a-bool", "spec-cap-a-bool", "spec-u-dim-a-bool"],
+         "table-cap-a-bool", "spec-cap-a-bool", "spec-u-dim-a-bool", "orbit-generator-singular",
+         "orbit-generator-entry-out-of-range", "orbit-generator-entry-a-bool", "orbit-generator-wrong-shape"],
 )
 def test_malformed_set_functor_json_exit_2(tmp_path, capsys, edit, reason):
     # a layout other than sfunctor.json's is an input error, exit 2, not a

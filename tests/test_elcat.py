@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from functorlab.gf import DEFAULT_MAP_BUDGET, BudgetExceeded, LinearMap, count_maps, enumerate_maps, linear_maps, map_indices
+from functorlab.gf import DEFAULT_MAP_BUDGET, BudgetExceeded, count_maps, enumerate_maps, inverse, map_indices, rank
 from functorlab import elcat as ec, gf
 from functorlab import sfunctor as sf
 
@@ -21,8 +21,7 @@ def sk(SU2):
 
 
 def obj_of(S, mat):
-    lm = LinearMap.from_array(mat, S.p)
-    s = next(e for e in S.elements(lm.cols) if S.element_map(e) == lm)
+    s = next(e for e in S.elements(np.shape(mat)[1]) if np.array_equal(S.element_map(e), mat))
     return ec.ElObject(s.dim, s.index)
 
 
@@ -43,7 +42,7 @@ def test_hom_regular_to_regular_unique(SU2):
 
 def oracle_hom_set(S, a, b, budget=DEFAULT_MAP_BUDGET):
     """One act per map, in enumerate_maps order, as a (K, b.dim, a.dim) stack."""
-    kept = [gamma.arr for gamma in enumerate_maps(S.p, a.dim, b.dim, budget) if S.act(gamma, b) == a]
+    kept = [gamma for gamma in enumerate_maps(S.p, a.dim, b.dim, budget) if S.act(gamma, b) == a]
     return np.array(kept, dtype=np.int64).reshape(len(kept), b.dim, a.dim)
 
 
@@ -57,7 +56,7 @@ HOM_CASES = {
     "representable-u1-cap3": lambda: sf.RepresentableFunctor(2, 1, 3),
     "representable-u0-cap3": lambda: sf.RepresentableFunctor(2, 0, 3),
     "representable-p3-u1-cap2": lambda: sf.RepresentableFunctor(3, 1, 2),
-    "orbit-p3": lambda: sf.OrbitFunctor(3, 2, [LinearMap.from_array([[2, 0], [0, 1]], 3)], 2),
+    "orbit-p3": lambda: sf.OrbitFunctor(3, 2, [np.array([[2, 0], [0, 1]])], 2),
     "subspaces-cap2": lambda: sf.SubspaceFunctor(2, 2),
     "table": lambda: sf.from_json_dict(sf.to_json_dict(sf.RepresentableFunctor(2, 1, 2))),
 }
@@ -111,7 +110,7 @@ def test_decompose_regular(SU2):
     o = obj_of(SU2, [[1, 0], [0, 1]])
     t, u, iso = ec.decompose(SU2, o)
     assert t == o and u.dim == 0
-    assert iso == LinearMap.identity(2, 2)
+    assert np.array_equal(iso, np.eye(2, dtype=np.int64))
 
 
 def test_decompose_trivial_element(SU2):
@@ -125,7 +124,7 @@ def test_decompose_rank_one(SU2):
     t, u, iso = ec.decompose(SU2, o)
     assert t.dim == 1 and u.basis_arr.tolist() == [[0, 1]]
     target = ec.ElObject(o.dim, sf.boxplus(SU2, t, u.dim).index)
-    assert SU2.act(iso, target) == o and SU2.act(iso.inverse(), o) == target
+    assert SU2.act(iso, target) == o and SU2.act(inverse(iso, SU2.p), o) == target
 
 
 def test_rector_skeleton_su2(sk):
@@ -143,7 +142,7 @@ def test_rector_skeleton_constant():
 
 
 def test_rector_skeleton_orbit_functor_has_nontrivial_aut():
-    gens = [LinearMap.from_array([[0, 1], [1, 0]], 2), LinearMap.from_array([[1, 1], [0, 1]], 2)]
+    gens = [np.array([[0, 1], [1, 0]]), np.array([[1, 1], [0, 1]])]
     O = sf.OrbitFunctor(2, 2, gens, 2)
     R = ec.build_rector_skeleton(O)
     assert max(len(a) for a in R.aut_groups) > 1
@@ -159,7 +158,7 @@ def test_witnesses_land_on_representatives(sk, SU2):
             cls, w = R.witnesses[s]
             rep = R.classes[cls]
             assert SU2.act(w, rep) == s
-            assert w.is_invertible()
+            assert w.shape == (s.dim, s.dim) and rank(w, SU2.p) == s.dim
 
 
 def test_representatives_pairwise_nonisomorphic(sk, SU2):
@@ -168,7 +167,7 @@ def test_representatives_pairwise_nonisomorphic(sk, SU2):
         for j, b in enumerate(R.classes):
             if i == j:
                 continue
-            isos = [m for m in linear_maps(ec.hom_set(SU2, a, b), SU2.p) if m.is_invertible()]
+            isos = [m for m in ec.hom_set(SU2, a, b) if m.shape[0] == m.shape[1] == rank(m, SU2.p)]
             assert not isos
 
 
@@ -191,9 +190,17 @@ def oracle_check_injectivity(S, R, budget=DEFAULT_MAP_BUDGET):
     for a in regs:
         for b in regs:
             for gamma in homs.get((a, b), []):
-                if not gamma.is_injective():
+                if rank(gamma, S.p) < gamma.shape[1]:
                     return False, gamma
     return True, None
+
+
+def same_verdict(got, want):
+    """Equal (ok, witness) pairs of check_injectivity, the witness a map or None."""
+    (ok, wit), (ok2, wit2) = got, want
+    if wit is None or wit2 is None:
+        return ok == ok2 and wit is wit2
+    return ok == ok2 and wit.shape == wit2.shape and np.array_equal(wit, wit2)
 
 
 class LawfulTable(sf.TableFunctor):
@@ -209,13 +216,12 @@ def broken_lawful_table():
     to y.  In a functor it would fix x, as it factors through F^1 -> 0.  No
     line idempotent fixes x, so the kernel calculus finds x regular, and F^1 ->
     0 is a morphism x -> * that is not injective."""
-    zero, one = LinearMap.zero(1, 1, 2), LinearMap.identity(1, 2)
     action = {
         (0, 0, b""): (0,),
         (1, 0, b""): (0,),
         (0, 1, b""): (0, 0),
-        (1, 1, zero.data): (1, 1),
-        (1, 1, one.data): (0, 1),
+        (1, 1, b"\x00"): (1, 1),
+        (1, 1, b"\x01"): (0, 1),
     }
     return LawfulTable(2, 1, [1, 2], action, name="broken-lawful")
 
@@ -230,14 +236,14 @@ def rank_deficient_table(p=2, cap=3):
     for n in range(cap + 1):
         for m in range(cap + 1):
             for alpha in enumerate_maps(p, n, m):
-                keeps = alpha.is_injective() or (n == m and alpha.arr.all())
-                action[(n, m, alpha.data)] = (0 if keeps else 1, 1)
+                keeps = rank(alpha, p) == n or (n == m and alpha.all())
+                action[(n, m, alpha.astype(np.uint8).tobytes())] = (0 if keeps else 1, 1)
     return LawfulTable(p, cap, [2] * (cap + 1), action, name="rank-deficient")
 
 
 INJECTIVITY_CASES = {
     **{f"representable-u{u}-cap3": (lambda u=u: sf.RepresentableFunctor(2, u, 3)) for u in range(4)},
-    "orbit": lambda: sf.OrbitFunctor(2, 2, [LinearMap.from_array([[0, 1], [1, 0]], 2)], 3),
+    "orbit": lambda: sf.OrbitFunctor(2, 2, [np.array([[0, 1], [1, 0]])], 3),
     "subspaces-cap3": lambda: sf.SubspaceFunctor(2, 3),
     "table-roundtrip": lambda: sf.from_json_dict(sf.to_json_dict(sf.RepresentableFunctor(2, 2, 3))),
     "broken-lawful": broken_lawful_table,
@@ -250,7 +256,7 @@ def test_injectivity_matches_pair_loop(case):
     S, T = INJECTIVITY_CASES[case](), INJECTIVITY_CASES[case]()
     got = ec.check_injectivity(S, ec.build_rector_skeleton(S))
     want = oracle_check_injectivity(T, ec.build_rector_skeleton(T))
-    assert got == want
+    assert same_verdict(got, want)
     assert got[0] == ("broken" not in case)
 
 
@@ -261,9 +267,9 @@ def test_injectivity_across_slices(case, monkeypatch):
     monkeypatch.setattr(ec, "MAP_SLICE", 2)
     S, T = INJECTIVITY_CASES[case](), INJECTIVITY_CASES[case]()
     got = ec.check_injectivity(S, ec.build_rector_skeleton(S))
-    assert got == oracle_check_injectivity(T, ec.build_rector_skeleton(T))
+    assert same_verdict(got, oracle_check_injectivity(T, ec.build_rector_skeleton(T)))
     if case == "broken-rank-deficient":
-        assert got[1].arr.tolist() == [[1, 1], [1, 1]]
+        assert got[1].tolist() == [[1, 1], [1, 1]]
 
 
 def test_rector_report_counts_class_hom_sets(sk):
@@ -287,12 +293,11 @@ def test_generators_generate_all_homs(SU2, sk):
     # scalings
     for skel in (ec.Skeleton(SU2, window=2), sk, ec.Skeleton(sf.RepresentableFunctor(3, 0, 2))):
         objs = [o.index for o in skel.objects if o.dim <= 2]
-        ident = {i: LinearMap.from_array(skel.identity(i), skel.p) for i in objs}
-        reach = {(i, i): {ident[i].data: ident[i]} for i in objs}
+        ident = {i: skel.identity(i) for i in objs}
+        reach = {(i, i): {ident[i].tobytes(): ident[i]} for i in objs}
         for i, j, g in skel.generating_morphisms():
             if i in objs and j in objs:
-                g = LinearMap.from_array(g, skel.p)
-                reach.setdefault((i, j), {})[g.data] = g
+                reach.setdefault((i, j), {})[g.tobytes()] = g
         changed = True
         while changed:
             changed = False
@@ -303,13 +308,13 @@ def test_generators_generate_all_homs(SU2, sk):
                         continue
                     for m1 in maps1:
                         for m2 in maps2:
-                            c = m2 @ m1
-                            if c.data not in reach.setdefault((i, k), {}):
-                                reach[(i, k)][c.data] = c
+                            c = m2 @ m1 % skel.p
+                            if c.tobytes() not in reach.setdefault((i, k), {}):
+                                reach[(i, k)][c.tobytes()] = c
                                 changed = True
         for i in objs:
             for j in objs:
-                expect = {g.data for g in linear_maps(skel.hom(i, j), skel.p)}
+                expect = {g.tobytes() for g in skel.hom(i, j)}
                 got = set(reach.get((i, j), {}).keys())
                 assert got == expect, (skel.window, i, j, len(got), len(expect))
 
@@ -370,11 +375,11 @@ def test_aut_acts_freely_on_hom_f_blocks(SU2, sk):
     for r, aut in enumerate(R.aut_groups):
         rep = R.classes[r]
         for g in aut:
-            if g == LinearMap.identity(rep.dim, SU2.p):
+            if np.array_equal(g, np.eye(rep.dim, dtype=np.int64)):
                 continue
             for b in R.classes:
-                for m in linear_maps(ec.hom_set(SU2, rep, b), SU2.p):
-                    assert (m @ g).data != m.data
+                for m in ec.hom_set(SU2, rep, b):
+                    assert not np.array_equal(m @ g % SU2.p, m)
 
 
 def test_rector_report_shape(sk):

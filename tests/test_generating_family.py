@@ -27,7 +27,7 @@ def old_family(sk):
             gens.append((sk.index[(r, v + 1)], a.index, sk.proj_one(r, v)))
             gens.append((a.index, sk.index[(r, v + 1)], sk.incl_one(r, v)))
         for h in elementary_invertibles(sk.p, v):
-            gens.append((a.index, a.index, sk._diag(eye_w, h.arr)))
+            gens.append((a.index, a.index, sk._diag(eye_w, h)))
         for pos in range(a.wdim * v):
             fb = np.zeros(a.wdim * v, dtype=np.int64)
             fb[pos] = 1
@@ -36,8 +36,8 @@ def old_family(sk):
             if b.vdim == v and b.rclass != r:
                 gens += [(a.index, b.index, sk._diag(f, eye_v)) for f in sk.rector_hom(r, b.rclass)]
         for f in sk.rector.aut_groups[r]:
-            if not np.array_equal(f.arr, eye_w):
-                gens.append((a.index, a.index, sk._diag(f.arr, eye_v)))
+            if not np.array_equal(f, eye_w):
+                gens.append((a.index, a.index, sk._diag(f, eye_v)))
     for _, _, g in gens:
         g.setflags(write=False)
     return gens

@@ -10,20 +10,19 @@ from hypothesis import strategies as st
 from functorlab import gf
 from functorlab.gf import (
     BudgetExceeded,
-    LinearMap,
     Subspace,
     check_prime,
     closure,
     decode_entries,
     elementary_invertibles,
     encode_entries,
-    enumerate_invertibles,
     enumerate_maps,
     enumerate_subspaces,
     gaussian_binomial,
     general_linear,
     gl_generators,
     intertwiner_space,
+    inverse,
     kernel_space,
     map_indices,
     map_slices,
@@ -65,6 +64,14 @@ def test_rref_ones_gf2():
     assert piv == [0]
 
 
+def test_rref_rank_one_and_zero():
+    r, piv = rref(np.array([[1, 1], [1, 1]]), 2)
+    assert r.tolist() == [[1, 1], [0, 0]] and piv == [0]
+    z = np.zeros((2, 2), dtype=np.int64)
+    r, piv = rref(z, 2)
+    assert np.array_equal(r, z) and piv == []
+
+
 def test_rref_generic_p3():
     r, piv = rref([[2, 1], [1, 2]], 3)
     assert r.tolist() == [[1, 2], [0, 0]]
@@ -72,32 +79,32 @@ def test_rref_generic_p3():
 
 
 def test_kernel_invertible_is_zero():
-    m = LinearMap.from_array([[1, 1], [0, 1]], 2)
-    assert kernel_space(m).dim == 0
+    m = np.array([[1, 1], [0, 1]])
+    assert kernel_space(m, 2).dim == 0
 
 
 def test_kernel_zero_map_is_full():
-    m = LinearMap.zero(2, 2, 2)
-    k = kernel_space(m)
+    m = np.zeros((2, 2), dtype=np.int64)
+    k = kernel_space(m, 2)
     assert k == Subspace.full(2, 2)
 
 
 def test_kernel_projector():
     # solve m v = 0 by hand: v = e2
-    m = LinearMap.from_array([[1, 0], [0, 0]], 2)
-    assert kernel_space(m).basis_arr.tolist() == [[0, 1]]
+    m = np.array([[1, 0], [0, 0]])
+    assert kernel_space(m, 2).basis_arr.tolist() == [[0, 1]]
 
 
 def test_preimage_identity_and_full():
-    m = LinearMap.identity(2, 2)
+    m = np.eye(2, dtype=np.int64)
     t = Subspace.from_vectors([[1, 0]], 2, 2)
     assert preimage(m, t) == t
-    assert preimage(LinearMap.from_array([[1, 0], [0, 0]], 2), Subspace.full(2, 2)) == Subspace.full(2, 2)
+    assert preimage(np.array([[1, 0], [0, 0]]), Subspace.full(2, 2)) == Subspace.full(2, 2)
 
 
 def test_preimage_projector_line():
     # enumerate all four vectors: every v has m v in span(e1)
-    m = LinearMap.from_array([[1, 0], [0, 0]], 2)
+    m = np.array([[1, 0], [0, 0]])
     t = Subspace.from_vectors([[1, 0]], 2, 2)
     assert preimage(m, t) == Subspace.full(2, 2)
 
@@ -114,7 +121,16 @@ def test_enumerate_maps_basics():
     subs = enumerate_subspaces(2, 2)
     assert len(subs) == 5
     assert len(set(subs)) == 5
-    assert len(list(enumerate_invertibles(2, 2))) == 6  # (4-1)(4-2)
+    assert len(general_linear(2, 2)) == 6  # (4-1)(4-2)
+
+
+@pytest.mark.parametrize("p,n", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 2), (5, 1)])
+def test_general_linear_is_one_read_only_stack(p, n):
+    gl = general_linear(p, n)
+    stack = map_stack(p, n, n)
+    assert gl.dtype == np.int64 and not gl.flags.writeable
+    assert np.array_equal(gl, stack[[rank(m, p) == n for m in stack]])
+    assert general_linear(p, n) is gl
 
 
 def test_enumeration_budget():
@@ -131,9 +147,9 @@ def oracle_enumerate_maps(p, dom_dim, cod_dim):
     """Every map F_p^dom -> F_p^cod, its column-major entries running through
     itertools.product."""
     if dom_dim * cod_dim == 0:
-        return [LinearMap.zero(cod_dim, dom_dim, p)]
+        return [np.zeros((cod_dim, dom_dim), dtype=np.int64)]
     return [
-        LinearMap.from_array(np.asarray(digits, dtype=np.int64).reshape(dom_dim, cod_dim).T, p)
+        np.asarray(digits, dtype=np.int64).reshape(dom_dim, cod_dim).T
         for digits in itertools.product(range(p), repeat=dom_dim * cod_dim)
     ]
 
@@ -144,14 +160,14 @@ def test_map_stack_follows_enumerate_maps(p, dom, cod, monkeypatch):
     maps = oracle_enumerate_maps(p, dom, cod)
     stack = map_stack(p, dom, cod)
     assert stack.shape == (len(maps), cod, dom)
-    assert all(np.array_equal(arr, m.arr) for arr, m in zip(stack, maps))
+    assert all(np.array_equal(arr, m) for arr, m in zip(stack, maps))
     assert np.array_equal(map_indices(stack, p), np.arange(len(maps)))
     assert np.array_equal(map_indices(stack[None], p), np.arange(len(maps))[None])
-    assert list(enumerate_maps(p, dom, cod)) == maps
+    assert np.array_equal(list(enumerate_maps(p, dom, cod)), maps)
     # enumerate_maps walks map_slices, so odd slice sizes give the same order
     monkeypatch.setattr(gf, "MAP_SLICE", 7)
     assert len(list(map_slices(p, dom, cod))) == -(-len(maps) // 7)
-    assert list(enumerate_maps(p, dom, cod)) == maps
+    assert np.array_equal(list(enumerate_maps(p, dom, cod)), maps)
     assert np.array_equal(map_stack(p, dom, cod), stack)
 
 
@@ -184,23 +200,23 @@ def test_subspace_count_matches_gaussian_binomials():
 def test_rref_idempotent_exhaustive_small():
     for p in (2, 3):
         for m in enumerate_maps(p, 2, 2):
-            r1, piv1 = rref(m.arr, p)
+            r1, piv1 = rref(m, p)
             r2, piv2 = rref(r1, p)
             assert np.array_equal(r1, r2) and piv1 == piv2
 
 
 def test_rank_nullity_exhaustive_dim_le_3():
     for m in enumerate_maps(2, 3, 2):
-        assert kernel_space(m).dim + m.rank() == m.cols
+        assert kernel_space(m, 2).dim + rank(m, 2) == m.shape[1]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.sampled_from([2, 3]), st.integers(0, 2**30))
 def test_preimage_of_kernel_is_kernel_of_composite(n, m, x, p, seed):
     rng = np.random.default_rng(seed)
-    a = LinearMap.from_array(rng.integers(0, p, size=(m, n)), p)
-    q = LinearMap.from_array(rng.integers(0, p, size=(x, m)), p)
-    assert preimage(a, kernel_space(q)) == kernel_space(q @ a)
+    a = rng.integers(0, p, size=(m, n))
+    q = rng.integers(0, p, size=(x, m))
+    assert preimage(a, kernel_space(q, p)) == kernel_space(q @ a % p, p)
 
 
 @settings(max_examples=100, deadline=None)
@@ -213,8 +229,8 @@ def test_line_in_preimage_iff_projection_kills_its_image(n, m, k, p, seed):
     u = Subspace.from_vectors(rng.integers(0, p, size=(k, m)), p, m)
     v = rng.integers(0, p, size=n)
     v[rng.integers(n)] = rng.integers(1, p)
-    inside = not (proj_with_kernel(u)[0].arr @ alpha @ v % p).any()
-    assert preimage(LinearMap.from_array(alpha, p), u).contains_vector(v) == inside
+    inside = not (proj_with_kernel(u)[0] @ alpha @ v % p).any()
+    assert preimage(alpha, u).contains_vector(v) == inside
 
 
 def test_pivot_complement_is_complement():
@@ -229,8 +245,8 @@ def test_pivot_complement_is_complement():
 def test_proj_with_kernel_contract():
     for u in enumerate_subspaces(2, 3):
         proj, sect = proj_with_kernel(u)
-        assert kernel_space(proj) == u
-        assert (proj @ sect) == LinearMap.identity(3 - u.dim, 2)
+        assert kernel_space(proj, 2) == u
+        assert np.array_equal(proj @ sect % 2, np.eye(3 - u.dim, dtype=np.int64))
 
 
 def test_bitpacked_matches_dense():
@@ -281,20 +297,33 @@ def test_line_vectors_match_enumerate_subspaces():
 
 
 def test_empty_shapes():
-    z = LinearMap.zero(0, 2, 2)
-    assert kernel_space(z) == Subspace.full(2, 2)
-    i0 = LinearMap.identity(0, 2)
-    assert (i0 @ z).rows == 0 and (i0 @ z).cols == 2
+    z = np.zeros((0, 2), dtype=np.int64)
+    assert kernel_space(z, 2) == Subspace.full(2, 2)
+    i0 = np.eye(0, dtype=np.int64)
+    assert (i0 @ z).shape == (0, 2)
+    assert inverse(i0, 2).shape == (0, 0)
     assert rank(np.zeros((0, 3), dtype=np.int64), 2) == 0
 
 
-def test_tensor_and_direct_sum():
-    a = LinearMap.from_array([[1, 1], [0, 1]], 2)
-    b = LinearMap.from_array([[1]], 2)
-    t = LinearMap.from_array(tensor_apply([a.arr, a.arr], np.eye(4, dtype=np.int64), 2), 2)
-    assert t.rows == 4 and t.is_invertible()
-    d = a.direct_sum(b)
-    assert d.rows == 3 and d.arr[2, 2] == 1 and d.arr[0, 2] == 0
+def test_tensor_of_invertibles_is_invertible():
+    a = np.array([[1, 1], [0, 1]])
+    t = tensor_apply([a, a], np.eye(4, dtype=np.int64), 2)
+    assert t.shape == (4, 4) and rank(t, 2) == 4
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_inverse_over_general_linear(p):
+    # every invertible 2x2 matrix times its inverse is I, on both sides; a
+    # singular or non-square matrix has no inverse
+    eye = np.eye(2, dtype=np.int64)
+    for g in general_linear(p, 2):
+        g_inv = inverse(g, p)
+        assert g_inv.dtype == np.int64 and ((0 <= g_inv) & (g_inv < p)).all()
+        assert np.array_equal(g @ g_inv % p, eye) and np.array_equal(g_inv @ g % p, eye)
+    with pytest.raises(ValueError, match="not invertible"):
+        inverse(np.array([[1, 1], [1, 1]]), p)
+    with pytest.raises(ValueError, match="not square"):
+        inverse(np.zeros((1, 2), dtype=np.int64), p)
 
 
 def _kron_chain(factors, x, p):
@@ -354,8 +383,8 @@ def test_restrict_takes_tensor_factors():
 
 
 def test_map_enumeration_budget_and_determinism():
-    first = [m.data for m in enumerate_maps(3, 1, 2)]
-    second = [m.data for m in enumerate_maps(3, 1, 2)]
+    first = [m.tobytes() for m in enumerate_maps(3, 1, 2)]
+    second = [m.tobytes() for m in enumerate_maps(3, 1, 2)]
     assert first == second and len(first) == 9
 
 
@@ -370,13 +399,14 @@ def test_enumerate_injections():
 def test_elementary_invertibles_generate_general_linear(p, n):
     # sfunctor.validate relies on these generating GL(n, p) as a monoid
     gens = elementary_invertibles(p, n)
-    assert all(g.is_invertible() for g in gens)
-    reached = {LinearMap.identity(n, p)}
+    assert all(rank(g, p) == n for g in gens)
+    reached = {np.eye(n, dtype=np.int64).tobytes()}
     frontier = reached
     while frontier:
-        frontier = {g @ m for g in gens for m in frontier} - reached
+        frontier = {(g @ np.frombuffer(m, dtype=np.int64).reshape(n, n) % p).tobytes() for g in gens for m in frontier}
+        frontier -= reached
         reached = reached | frontier
-    assert reached == set(general_linear(p, n))
+    assert reached == {g.tobytes() for g in general_linear(p, n)}
 
 
 def _generated_order(gens, p, n):
@@ -386,7 +416,7 @@ def _generated_order(gens, p, n):
     size = p**n
     weights = p ** np.arange(n)
     vectors = np.arange(size)[:, None] // weights % p
-    tables = [(vectors @ g.arr.T % p) @ weights for g in gens]  # code of g v, by the code of v
+    tables = [(vectors @ g.T % p) @ weights for g in gens]  # code of g v, by the code of v
     places = size ** np.arange(n)
     start = int(weights @ places)  # column c of I is e_c, code p^c
     seen = np.zeros(size**n, dtype=bool)
@@ -408,7 +438,7 @@ def test_gl_generators_generate_general_linear(p, n):
     # the skeleton's generating morphisms and the orbit labels of
     # check_weak_noetherian rely on these generating GL(n, p) as a monoid
     gens = gl_generators(p, n)
-    assert all(g.is_invertible() and g.rows == n for g in gens)
+    assert all(g.shape == (n, n) and rank(g, p) == n for g in gens)
     assert len(gens) <= 3
     assert (len(gens) == 0) == (n == 0 or (p, n) == (2, 1))
     order = 1
@@ -418,14 +448,14 @@ def test_gl_generators_generate_general_linear(p, n):
 
 
 def test_map_key_codec_reads_both_layouts():
-    m = LinearMap.from_array([[0, 10], [3, 1]], 11)
+    m = np.array([[0, 10], [3, 1]])
     assert encode_entries(m) == "0.10.3.1"
-    assert decode_entries(encode_entries(m), 2, 2, 11) == m
+    assert np.array_equal(decode_entries(encode_entries(m), 2, 2, 11), m)
     # keys written with one character per entry still read back
-    old = LinearMap.from_array([[0, 1], [1, 1]], 2)
-    assert decode_entries("0111", 2, 2, 2) == old
-    assert decode_entries("7", 1, 1, 11) == LinearMap.from_array([[7]], 11)
-    assert decode_entries("", 0, 3, 2) == LinearMap.zero(0, 3, 2)
+    assert np.array_equal(decode_entries("0111", 2, 2, 2), [[0, 1], [1, 1]])
+    assert np.array_equal(decode_entries("7", 1, 1, 11), [[7]])
+    empty = decode_entries("", 0, 3, 2)
+    assert empty.shape == (0, 3) and empty.dtype == np.int64
     with pytest.raises(ValueError):
         decode_entries("0.1.1", 2, 2, 2)
     with pytest.raises(ValueError, match="has an entry outside 0..10"):

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from functorlab.gf import BudgetExceeded, LinearMap, rref
+from functorlab.gf import BudgetExceeded, rref
 from functorlab import modrep as mr
 from gf_oracle import enumerate_vectors
 
@@ -16,6 +16,68 @@ def S3():
     return mr.FiniteGroup.symmetric(3)
 
 
+# module JSON, conjugate partitions and the verified symmetrizer image: only the tests call these
+
+
+def module_to_json(M: mr.GroupModule) -> dict:
+    """Generator matrices plus enough group structure to rebuild the module."""
+    G = M.group
+    return {
+        "group": {
+            "name": G.name,
+            "order": len(G),
+            "table": G.table.tolist(),
+            "generators": list(G.generators),
+        },
+        "p": M.p,
+        "dim": M.dim,
+        "generator_matrices": {str(g): M.gen_mats[g].tolist() for g in G.generators},
+        "name": M.name,
+    }
+
+
+def module_from_json(doc: dict) -> mr.GroupModule:
+    gdoc = doc["group"]
+    labels = list(range(gdoc["order"]))
+    G = mr.FiniteGroup(labels, np.asarray(gdoc["table"], dtype=np.int64), gdoc.get("name", "G"))
+    G.generators = list(gdoc["generators"])
+    gens = {int(g): np.asarray(m, dtype=np.int64) for g, m in doc["generator_matrices"].items()}
+    return mr.GroupModule(G, doc["p"], doc["dim"], gens, name=doc.get("name", "M"))
+
+
+def conjugate(lam: mr.Partition) -> mr.Partition:
+    if not lam.parts:
+        return lam
+    width = lam.parts[0]
+    return mr.Partition(tuple(sum(1 for x in lam.parts if x > j) for j in range(width)))
+
+
+def epsilon_lambda_tensor(lam: mr.Partition, n: int, p: int):
+    """The image of tensor powers under the right action of the symmetrizer
+    product of lam: a functor on plain vector spaces.
+
+    The two defining properties are checked on the window n + 1: no nonzero
+    subfunctor of degree below n, and the n-fold difference is the simple
+    ideal of lam.
+    """
+    from functorlab.elcat import Skeleton
+    from functorlab.sfunctor import RepresentableFunctor
+    from functorlab.vfunctor import delta_n_sigma, forgetful_lift, p_n
+
+    img = mr.TensorSymmetrizerImage(mr.epsilon_lambda(lam, n, p), n, p, name=f"e{lam.parts}T^{n}")
+    sk = Skeleton(RepresentableFunctor(p, 0, n + 1))
+    F = forgetful_lift(sk, img)
+    if n >= 1 and p_n(F, n - 1, known_degree_bound=n).total_dim():
+        raise ValueError(f"image functor of {lam} has a lower-degree subfunctor")
+    D = delta_n_sigma(F, n)
+    sym = mr.FiniteGroup.symmetric(n)
+    gens = {g: D.perm_action(0, sym.labels[g]) for g in sym.generators}
+    recovered = mr.GroupModule(sym, p, D.dim(0), gens, name=f"D^{n}(e{lam.parts}T^{n})")
+    if not mr.iso_modules(recovered, mr.epsilon_lambda_module(lam, n, p)):
+        raise ValueError(f"difference of the image functor of {lam} is not the simple ideal")
+    return img
+
+
 def test_symmetric_group_tables(S3):
     assert len(S3) == 6
     assert S3.validate()
@@ -23,27 +85,31 @@ def test_symmetric_group_tables(S3):
 
 
 def test_group_from_matrices():
-    gens = [LinearMap.from_array([[0, 1], [1, 0]], 2), LinearMap.from_array([[1, 1], [0, 1]], 2)]
-    G = mr.FiniteGroup.from_mul(
-        sorted(set(_mulclose(gens)), key=lambda m: m.data), lambda a, b: a @ b
-    )
+    gens = [np.array([[0, 1], [1, 0]]), np.array([[1, 1], [0, 1]])]
+    G = mr.FiniteGroup.from_mul(sorted(_mulclose(gens)), _mul_entries)
     assert len(G) == 6 and G.validate()
 
 
+def _mul_entries(a, b):
+    """The product mod 2 of two 2 x 2 matrices given by their row-major entries."""
+    return tuple((np.reshape(a, (2, 2)) @ np.reshape(b, (2, 2)) % 2).ravel().tolist())
+
+
 def _mulclose(gens):
-    els = {g.data: g for g in gens}
-    els[LinearMap.identity(2, 2).data] = LinearMap.identity(2, 2)
-    frontier = list(els.values())
+    """The group generated by 2 x 2 matrices over F_2, as row-major entry tuples."""
+    gens = [tuple(g.ravel().tolist()) for g in gens]
+    els = set(gens) | {(1, 0, 0, 1)}
+    frontier = list(els)
     while frontier:
         new = []
         for a in gens:
             for b in frontier:
-                c = a @ b
-                if c.data not in els:
-                    els[c.data] = c
+                c = _mul_entries(a, b)
+                if c not in els:
+                    els.add(c)
                     new.append(c)
         frontier = new
-    return els.values()
+    return els
 
 
 def test_product_group(S3):
@@ -82,8 +148,8 @@ def oracle_associative(G):
 
 
 def _gl2_f2():
-    gens = [LinearMap.from_array([[0, 1], [1, 0]], 2), LinearMap.from_array([[1, 1], [0, 1]], 2)]
-    return mr.FiniteGroup.from_mul(sorted(set(_mulclose(gens)), key=lambda m: m.data), lambda a, b: a @ b)
+    gens = [np.array([[0, 1], [1, 0]]), np.array([[1, 1], [0, 1]])]
+    return mr.FiniteGroup.from_mul(sorted(_mulclose(gens)), _mul_entries)
 
 
 def _loop5():
@@ -105,8 +171,8 @@ GROUPS = {
     "gl2-f2": _gl2_f2,
     "sym3xsym2": lambda: mr.FiniteGroup.product(mr.FiniteGroup.symmetric(3), mr.FiniteGroup.symmetric(2)),
     "gl2-f2xsym2": lambda: mr.FiniteGroup.product(_gl2_f2(), mr.FiniteGroup.symmetric(2)),
-    "from-json": lambda: mr.module_from_json(
-        mr.module_to_json(mr.regular_module(mr.FiniteGroup.symmetric(3), 2))
+    "from-json": lambda: module_from_json(
+        module_to_json(mr.regular_module(mr.FiniteGroup.symmetric(3), 2))
     ).group,
     "loop5": _loop5,
 }
@@ -209,7 +275,7 @@ def test_partitions():
     assert [p.parts for p in mr.p_regular_partitions(3, 2)] == [(3,), (2, 1)]
     assert mr.Partition((2, 2)).is_p_regular(3)
     assert not mr.Partition((2, 2)).is_p_regular(2)
-    assert mr.Partition((3, 1)).conjugate().parts == (2, 1, 1)
+    assert conjugate(mr.Partition((3, 1))).parts == (2, 1, 1)
 
 
 def test_epsilon_lambda_full_row_is_trivial_module():
@@ -262,10 +328,10 @@ def test_tensor_symmetrizer_image_exterior_square():
 
 def test_tensor_symmetrizer_functoriality():
     img = mr.TensorSymmetrizerImage(mr.epsilon_lambda(mr.Partition((2, 1)), 3, 2), 3, 2)
-    a = LinearMap.from_array([[1, 1], [0, 1]], 2)
-    b = LinearMap.from_array([[1, 0], [1, 1]], 2)
-    lhs = (img.mat(a.arr) @ img.mat(b.arr)) % 2
-    assert np.array_equal(lhs, img.mat((a @ b).arr))
+    a = np.array([[1, 1], [0, 1]])
+    b = np.array([[1, 0], [1, 1]])
+    lhs = (img.mat(a) @ img.mat(b)) % 2
+    assert np.array_equal(lhs, img.mat(a @ b % 2))
 
 
 def test_spin_and_submodule(S3):
@@ -322,24 +388,16 @@ def test_epsilon_lambda_tensor_verified_properties():
     # both defining properties are checked internally: no lower-degree
     # subfunctor, and the n-fold difference is the simple ideal
     for parts, n, p in [((1,), 1, 2), ((2,), 2, 2), ((2, 1), 3, 2), ((2,), 2, 3)]:
-        img = mr.epsilon_lambda_tensor(mr.Partition(parts), n, p)
+        img = epsilon_lambda_tensor(mr.Partition(parts), n, p)
         assert img.dim(0) == 0 or n == 0
-    assert mr.epsilon_lambda_tensor(mr.Partition((1,)), 1, 2).dim(3) == 3
-
-
-def test_linearmap_rref_wrapper():
-    m = LinearMap.from_array([[1, 1], [1, 1]], 2)
-    r, piv = m.rref()
-    assert r.arr.tolist() == [[1, 1], [0, 0]] and piv == [0]
-    z = LinearMap.zero(2, 2, 2)
-    assert z.rref() == (z, [])
+    assert epsilon_lambda_tensor(mr.Partition((1,)), 1, 2).dim(3) == 3
 
 
 def test_module_json_roundtrip(S3):
     rep = mr.simple_modules(S3, 2)
     two = next(m for m in rep.simples if m.dim == 2)
-    doc = mr.module_to_json(two)
-    back = mr.module_from_json(doc)
+    doc = module_to_json(two)
+    back = module_from_json(doc)
     assert back.validate()
     assert back.dim == 2
     # same action on the relabeled group

@@ -1,5 +1,6 @@
 """Set-functor layer: validation, kernel calculus, noetherianity, box-sums."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from functorlab.gf import (
     DEFAULT_MAP_BUDGET,
-    LinearMap,
     Subspace,
     count_maps,
     elementary_invertibles,
@@ -16,6 +16,7 @@ from functorlab.gf import (
     kernel_space,
     preimage,
     proj_with_kernel,
+    rank,
 )
 from functorlab import elcat as ec, gf, sfunctor as sf
 
@@ -31,9 +32,23 @@ def crafted():
     return sf.kernel_mismatch_example()
 
 
+def all_elements(S):
+    """Every element of S, dimension by dimension."""
+    for d in range(S.cap + 1):
+        yield from S.elements(d)
+
+
+def plain(report):
+    """The report with each matrix of its witness as (shape, entries), so
+    that reports compare with ==."""
+    if report.witness is None:
+        return report
+    witness = tuple((x.shape, x.tolist()) if isinstance(x, np.ndarray) else x for x in report.witness)
+    return dataclasses.replace(report, witness=witness)
+
+
 def elem_of(S, mat):
-    lm = LinearMap.from_array(mat, S.p)
-    return next(e for e in S.elements(lm.cols) if S.element_map(e) == lm)
+    return next(e for e in S.elements(np.shape(mat)[1]) if np.array_equal(S.element_map(e), mat))
 
 
 def test_validate_representable(SU2):
@@ -55,7 +70,7 @@ def test_validate_detects_corruption():
 
 
 def test_validate_orbit_functor():
-    gens = [LinearMap.from_array([[0, 1], [1, 0]], 2), LinearMap.from_array([[1, 1], [0, 1]], 2)]
+    gens = [np.array([[0, 1], [1, 0]]), np.array([[1, 1], [0, 1]])]
     O = sf.OrbitFunctor(2, 2, gens, 2)
     assert sf.validate(O).ok
 
@@ -79,7 +94,7 @@ def test_kernel_matches_matrix_kernel_everywhere(SU2):
     # dual route: functor-level kernels vs plain matrix kernels
     for d in range(SU2.cap + 1):
         for s in SU2.elements(d):
-            assert sf.kernel_of(SU2, s) == kernel_space(SU2.element_map(s))
+            assert sf.kernel_of(SU2, s) == kernel_space(SU2.element_map(s), 2)
 
 
 def test_tilde_regular_is_identity(SU2):
@@ -97,7 +112,7 @@ def test_tilde_rank_one(SU2):
     s = elem_of(SU2, [[1, 0], [0, 0]])
     t = sf.tilde(SU2, s)
     assert t.dim == 1
-    assert SU2.element_map(t).arr.tolist() == [[1], [0]]
+    assert SU2.element_map(t).tolist() == [[1], [0]]
 
 
 def test_tilde_roundtrip_kernel(SU2):
@@ -182,7 +197,7 @@ def test_boxplus_trivial_cases(SU2):
 def test_boxplus_block_matrix(SU2):
     psi = elem_of(SU2, [[1, 0], [0, 1]])
     res = sf.boxplus(SU2, psi, 1, check_unique=True)
-    assert SU2.element_map(res).arr.tolist() == [[1, 0, 0], [0, 1, 0]]
+    assert SU2.element_map(res).tolist() == [[1, 0, 0], [0, 1, 0]]
 
 
 def test_boxplus_associative(SU2):
@@ -247,7 +262,7 @@ def test_json_roundtrip_p11():
     doc = sf.to_json_dict(S)
     T = sf.from_json_dict(doc)
     assert sf.to_json_dict(T) == doc
-    alpha = LinearMap.from_array([[10]], 11)
+    alpha = np.array([[10]])
     for s in S.elements(1):
         assert T.act(alpha, s) == S.act(alpha, s)
 
@@ -327,7 +342,7 @@ def ambiguous_table():
 
     def pull(u, tab):
         projm, _ = proj_with_kernel(u)
-        action[(projm.cols, projm.rows, projm.data)] = tab
+        action[(projm.shape[1], projm.shape[0], projm.astype(np.uint8).tobytes())] = tab
 
     for d, size in enumerate([1, 1, 2]):
         pull(Subspace.zero(d, p), tuple(range(size)))
@@ -341,7 +356,7 @@ def ambiguous_table():
 
 
 def orbit_u2():
-    return sf.OrbitFunctor(2, 2, [LinearMap.from_array([[0, 1], [1, 0]], 2)], 3)
+    return sf.OrbitFunctor(2, 2, [np.array([[0, 1], [1, 0]])], 3)
 
 
 def union():
@@ -376,7 +391,7 @@ def assert_kernels_match_oracle(S, T):
     copy of S; every S ends up on the line-idempotent route."""
     for d in range(S.cap + 1):
         assert outcome(sf.regular_set, S, d) == outcome(oracle_regular_set, T, d), d
-    for s in S.all_elements():
+    for s in all_elements(S):
         assert outcome(sf.kernel_of, S, s) == outcome(oracle_kernel_of, T, s), s
         assert outcome(sf.tilde, S, s) == outcome(oracle_tilde, T, s), s
     assert S.lawful and sorted(S._fixed_lines) == list(range(S.cap + 1))
@@ -386,10 +401,10 @@ def assert_calculus_refuses_every_element(make, reason):
     """On a table that is not a functor the kernel calculus answers on no
     element, also where the element search finds an answer."""
     S, T = make(), make()
-    searched = [outcome(oracle_kernel_of, T, s) for s in T.all_elements()]
+    searched = [outcome(oracle_kernel_of, T, s) for s in all_elements(T)]
     assert any(isinstance(u, Subspace) for u in searched)
     calls = [(sf.regular_set, d) for d in range(S.cap + 1)]
-    calls += [(f, s) for s in S.all_elements() for f in (sf.kernel_of, sf.tilde)]
+    calls += [(f, s) for s in all_elements(S) for f in (sf.kernel_of, sf.tilde)]
     for f, arg in calls:
         with pytest.raises(sf.InvalidFunctorData) as err:
             f(S, arg)
@@ -415,7 +430,7 @@ def test_ambiguous_factorization_raises_on_that_element_only():
         oracle_kernel_of(S, x)
     with pytest.raises(sf.InvalidFunctorData, match="kernel ambiguity"):
         oracle_tilde(S, x)
-    for s in S.all_elements():
+    for s in all_elements(S):
         if s != x:
             oracle_tilde(S, s)
 
@@ -441,13 +456,12 @@ def broken_table():
     be regular, and the zero map a morphism x -> x that is not injective.  In
     a functor no such morphism exists: it factors through a projection, which
     puts its kernel into the kernel of its source."""
-    zero, one = LinearMap.zero(1, 1, 2), LinearMap.identity(1, 2)
     action = {
         (0, 0, b""): (0,),
         (1, 0, b""): (1,),
         (0, 1, b""): (0, 0),
-        (1, 1, zero.data): (0, 1),
-        (1, 1, one.data): (0, 1),
+        (1, 1, b"\x00"): (0, 1),
+        (1, 1, b"\x01"): (0, 1),
     }
     return sf.TableFunctor(2, 1, [1, 2], action, name="broken")
 
@@ -579,7 +593,7 @@ def test_weak_noetherian_matches_element_loop(case):
     # dataclass equality: ok, checked, window, witness and partial; the
     # kernel-mismatch table finds its violation on the orbit route and must
     # still report the loop's first witness
-    assert got == want
+    assert plain(got) == plain(want)
     assert got.partial == (case == "representable-small-budget")
     assert got.ok == ("kernel-mismatch" not in case)
 
@@ -590,7 +604,7 @@ def test_witness_route_matches_element_loop(case):
     # at GL-orbit representatives
     make, budget = WEAK_CASES[case]
     want = weak_oracle(case)
-    assert sf._weak_noetherian_loop(make(), want.window, budget) == want
+    assert plain(sf._weak_noetherian_loop(make(), want.window, budget)) == plain(want)
 
 
 @pytest.mark.parametrize("case", [case for case in WEAK_CASES if "kernel-mismatch" in case])
@@ -598,7 +612,7 @@ def test_weak_noetherian_witness_across_slices(case, monkeypatch):
     # slices of three maps, so the witness route counts its pairs over many
     monkeypatch.setattr(gf, "MAP_SLICE", 3)
     make, budget = WEAK_CASES[case]
-    assert sf.check_weak_noetherian(make(), budget) == weak_oracle(case)
+    assert plain(sf.check_weak_noetherian(make(), budget)) == plain(weak_oracle(case))
 
 
 @pytest.mark.parametrize("case", WEAK_CASES)
@@ -620,12 +634,12 @@ def test_fixed_lines_are_the_lines_of_the_kernel(case):
 
 
 def oracle_fixed_lines(S, d):
-    """One proj_with_kernel, one LinearMap product and one pull per line."""
+    """One proj_with_kernel, one matrix product and one pull per line."""
     lines = [u for u in enumerate_subspaces(S.p, d) if u.dim == 1]
     ids = np.arange(S.size(d))
     fixed = np.zeros((len(lines), ids.size), dtype=bool)
     for row, (projm, sect) in zip(fixed, map(proj_with_kernel, lines)):
-        row[:] = S._pull((sect @ projm).arr[None], slice(None))[0] == ids
+        row[:] = S._pull((sect @ projm % S.p)[None], slice(None))[0] == ids
     vecs = np.array([u.basis_arr[0] for u in lines], dtype=np.int64).reshape(len(lines), d)
     return vecs, fixed
 
@@ -641,7 +655,7 @@ def oracle_weak_noetherian_on_orbits(S, window):
             span[:, : w.dim] = w.basis_arr.T
         stacks = [spans[[w.dim <= n for w in subspaces], :, :n] for n in dims]
         for s in [sf.SElement(m, int(i)) for i in sf._orbit_representatives(S, m)]:
-            proj = proj_with_kernel(sf.kernel_of(S, s))[0].arr
+            proj = proj_with_kernel(sf.kernel_of(S, s))[0]
             if any(sf._kernel_mismatches(S, stack, s.index, proj).size for stack in stacks):
                 return False
     return True
@@ -652,9 +666,9 @@ def oracle_boxplus(S, psi, extra_dim, check_unique=False):
     w, v = psi.dim, extra_dim
     if w + v > S.cap:
         raise ValueError("box-sum exceeds the cap")
-    res = S.act(LinearMap.from_array(np.eye(w, w + v, dtype=np.int64), S.p), psi)
-    incl_w = LinearMap.from_array(np.eye(w + v, w, dtype=np.int64), S.p)
-    incl_v = LinearMap.from_array(np.eye(w + v, v, -w, dtype=np.int64), S.p)
+    res = S.act(np.eye(w, w + v, dtype=np.int64), psi)
+    incl_w = np.eye(w + v, w, dtype=np.int64)
+    incl_v = np.eye(w + v, v, -w, dtype=np.int64)
     if S.act(incl_w, res) != psi or S.act(incl_v, res) != sf.epsilon(S, v):
         raise sf.InvalidFunctorData("box-sum restrictions failed")
     if check_unique:
@@ -669,8 +683,8 @@ STACK_CASES = {
     **{f"representable-p3-u{u}-cap2": (lambda u=u: sf.RepresentableFunctor(3, u, 2)) for u in range(3)},
     **{f"representable-p5-u{u}-cap2": (lambda u=u: sf.RepresentableFunctor(5, u, 2)) for u in range(2)},
     "orbit-p2": orbit_u2,
-    "orbit-p3": lambda: sf.OrbitFunctor(3, 2, [LinearMap.from_array([[0, 1], [1, 0]], 3)], 2),
-    "orbit-p5": lambda: sf.OrbitFunctor(5, 1, [LinearMap.from_array([[2]], 5)], 2),
+    "orbit-p3": lambda: sf.OrbitFunctor(3, 2, [np.array([[0, 1], [1, 0]])], 2),
+    "orbit-p5": lambda: sf.OrbitFunctor(5, 1, [np.array([[2]])], 2),
     "subspaces-p2": lambda: sf.SubspaceFunctor(2, 3),
     "subspaces-p3": lambda: sf.SubspaceFunctor(3, 2),
     "subspaces-p5": lambda: sf.SubspaceFunctor(5, 2),
@@ -707,7 +721,7 @@ def test_line_idempotent_is_sect_proj():
             assert idems.shape == (len(lines), d, d)
             for e, u in zip(idems, lines):
                 projm, sect = proj_with_kernel(u)
-                assert np.array_equal(e, (sect @ projm).arr), (p, u)
+                assert np.array_equal(e, sect @ projm % p), (p, u)
 
 
 @pytest.mark.parametrize("pairs", [sf.PULL_PAIRS, 3])
@@ -733,12 +747,12 @@ def test_boxplus_matches_act_oracle(case):
         except (ValueError, sf.InvalidFunctorData, sf.WeakNoetherianityViolation) as err:
             return type(err), str(err)
 
-    for psi in S.all_elements():
+    for psi in all_elements(S):
         for v in range(S.cap - psi.dim + 2):
             for unique in (False, True):
                 assert outcome_of(sf.boxplus, S, psi, v, unique) == outcome_of(oracle_boxplus, T, psi, v, unique)
     # only epsilon's tables, on S(0), are kept
-    assert all(rows == 0 for _, rows, _ in S._table_cache)
+    assert all(rows == 0 for (rows, _), _ in S._table_cache)
 
 
 @pytest.mark.parametrize("case", WEAK_CASES)
@@ -747,7 +761,7 @@ def test_table_weak_noetherian_matches_element_loop(case):
     make, budget = WEAK_CASES[case]
     T = as_table(make())
     assert not T.lawful
-    assert sf.check_weak_noetherian(T, budget) == weak_oracle(case)
+    assert plain(sf.check_weak_noetherian(T, budget)) == plain(weak_oracle(case))
     assert T.lawful
 
 
@@ -789,7 +803,7 @@ def composable_triples(p, cap):
     """For every hom-set of maps beta within the cap: the list of betas and,
     for every alpha composable with them, (alpha, [alpha @ beta for beta in
     betas]).  Computed once per (p, cap) and shared by every functor there;
-    equal products share one LinearMap."""
+    equal products share one array."""
     canon = {}
     out = []
     dims = range(cap + 1)
@@ -797,7 +811,7 @@ def composable_triples(p, cap):
         for m in dims:
             betas = list(enumerate_maps(p, n, m))
             alphas = [
-                (alpha, [canon.setdefault((ab := alpha @ beta).key(), ab) for beta in betas])
+                (alpha, [canon.setdefault(((ab := alpha @ beta % p).shape, ab.tobytes()), ab) for beta in betas])
                 for x in dims
                 for alpha in enumerate_maps(p, m, x)
             ]
@@ -809,7 +823,7 @@ def oracle_validate(S):
     """The identity law, then (alpha beta)^* = beta^* alpha^* for every
     composable triple (alpha, beta, s) within the cap."""
     for d in range(S.cap + 1):
-        ident = LinearMap.identity(d, S.p)
+        ident = np.eye(d, dtype=np.int64)
         for s in S.elements(d):
             if S.act(ident, s) != s:
                 return False
@@ -826,7 +840,7 @@ def oracle_validate(S):
 def oracle_validate_pairs(S):
     """validate one pair (g, beta) at a time, on the cached table of each map."""
     for d in range(S.cap + 1):
-        moved = np.flatnonzero(S.act_table(LinearMap.identity(d, S.p)) != np.arange(S.size(d)))
+        moved = np.flatnonzero(S.act_table(np.eye(d, dtype=np.int64)) != np.arange(S.size(d)))
         if moved.size:
             return sf.ValidationReport(False, 0, ("identity", d, int(moved[0])))
     checked = 0
@@ -834,27 +848,27 @@ def oracle_validate_pairs(S):
         gens = elementary_invertibles(S.p, d)
         if d < S.cap:
             eye = np.eye(d + 1, dtype=np.int64)
-            gens += [LinearMap.from_array(eye[:d], S.p), LinearMap.from_array(eye[:, :d], S.p)]
+            gens += [eye[:d], eye[:, :d]]
         for g in gens:
             t_g = S.act_table(g)
             for n in range(S.cap + 1):
-                for beta in enumerate_maps(S.p, n, g.cols):
+                for beta in enumerate_maps(S.p, n, g.shape[1]):
                     checked += 1
                     lhs = S.act_table(beta)[t_g]
-                    rhs = S.act_table(g @ beta)
+                    rhs = S.act_table(g @ beta % S.p)
                     if not np.array_equal(lhs, rhs):
                         bad = int(np.nonzero(lhs != rhs)[0][0])
-                        return sf.ValidationReport(False, checked, (g, beta, sf.SElement(g.rows, bad)))
+                        return sf.ValidationReport(False, checked, (g, beta, sf.SElement(g.shape[0], bad)))
     return sf.ValidationReport(True, checked)
 
 
 def assert_real_violation(S, witness):
-    if witness[0] == "identity":
+    if isinstance(witness[0], str):
         _, d, i = witness
-        assert S.act(LinearMap.identity(d, S.p), sf.SElement(d, i)) != sf.SElement(d, i)
+        assert S.act(np.eye(d, dtype=np.int64), sf.SElement(d, i)) != sf.SElement(d, i)
     else:
         g, beta, s = witness
-        assert S.act(beta, S.act(g, s)) != S.act(g @ beta, s)
+        assert S.act(beta, S.act(g, s)) != S.act(g @ beta % S.p, s)
 
 
 def injective_identity_table(p=2, cap=2):
@@ -864,7 +878,7 @@ def injective_identity_table(p=2, cap=2):
     invertible or an inclusion on the left passes; only a projection on the
     left shows the failure, as pi iota = id on F^0 for iota: F^0 -> F^1."""
     action = {
-        (n, m, alpha.data): (0, 1) if alpha.is_injective() else (0, 0)
+        (n, m, alpha.astype(np.uint8).tobytes()): (0, 1) if rank(alpha, p) == n else (0, 0)
         for n in range(cap + 1)
         for m in range(cap + 1)
         for alpha in enumerate_maps(p, n, m)
@@ -882,7 +896,7 @@ def test_validate_matches_triple_loop(case):
     assert S.cap <= 3
     rep = sf.validate(S)
     assert rep.ok == oracle_validate(S) == (case != "injective-identity")
-    assert rep == oracle_validate_pairs(S)
+    assert plain(rep) == plain(oracle_validate_pairs(S))
     if not rep.ok:
         assert_real_violation(S, rep.witness)
 
@@ -911,7 +925,7 @@ def test_validate_matches_triple_loop_on_single_entry_changes(make, monkeypatch)
     for T in single_entry_changes(make()):
         rep = sf.validate(T)
         assert rep.ok == oracle_validate(T)
-        assert rep == oracle_validate_pairs(T)  # ok, checked_pairs and witness
+        assert plain(rep) == plain(oracle_validate_pairs(T))  # ok, checked_pairs and witness
         if not rep.ok:
             assert_real_violation(T, rep.witness)
         oks.append(rep.ok)
@@ -932,23 +946,40 @@ def test_act_reads_the_kept_table(monkeypatch):
     maps = [alpha for n in range(S.cap + 1) for m in range(S.cap + 1) for alpha in enumerate_maps(S.p, n, m)]
     for alpha in maps:
         tab = S.act_table(alpha)
-        assert tab.shape == (S.size(alpha.rows),)
-        for i in range(S.size(alpha.rows)):
-            assert S.act(alpha, sf.SElement(alpha.rows, i)) == (alpha.cols, tab[i])
-            assert S.act(alpha, i) == (alpha.cols, tab[i])
+        rows, cols = alpha.shape
+        assert tab.shape == (S.size(rows),)
+        for i in range(S.size(rows)):
+            assert S.act(alpha, sf.SElement(rows, i)) == (cols, tab[i])
+            assert S.act(alpha, i) == (cols, tab[i])
     assert pulls == [(1, slice(None))] * len(maps) and len(S._table_cache) == len(maps)
     with pytest.raises(ValueError, match="wrong dimension"):
-        S.act(LinearMap.identity(1, 2), sf.SElement(2, 0))
+        S.act(np.eye(1, dtype=np.int64), sf.SElement(2, 0))
     with pytest.raises(ValueError, match="exceeds the cap"):
-        S.act_table(LinearMap.identity(4, 2))
+        S.act_table(np.eye(4, dtype=np.int64))
+
+
+def test_act_table_keys_carry_the_shape_and_refuse_bad_arrays():
+    # the zero maps of shapes (0, 2), (2, 0) and (0, 0) have empty bytes but
+    # distinct tables; an entry outside 0..p-1 or an array that is not 2-d
+    # is refused on a miss, not read as some other map
+    S = sf.RepresentableFunctor(3, 1, 2)
+    for shape in [(0, 2), (2, 0), (0, 0)]:
+        zero = np.zeros(shape, dtype=np.int64)
+        assert np.array_equal(S.act_table(zero), S._pull(zero[None], slice(None))[0])
+    assert sorted(shape for shape, _ in S._table_cache) == [(0, 0), (0, 2), (2, 0)]
+    assert [len(S.act_table(np.zeros(shape, dtype=np.int64))) for shape in [(0, 2), (2, 0), (0, 0)]] == [1, 9, 1]
+    for bad in (np.array([[3]]), np.array([[0, -1]]), np.array([1, 0]), np.array([[1.0]])):
+        with pytest.raises(ValueError, match="not a matrix with int entries in 0..2"):
+            S.act_table(bad)
+    assert len(S._table_cache) == 3
 
 
 def orbit_p3():
-    return sf.OrbitFunctor(3, 2, [LinearMap.from_array([[2, 0], [0, 1]], 3)], 2)
+    return sf.OrbitFunctor(3, 2, [np.array([[2, 0], [0, 1]])], 2)
 
 
 def orbit_p5():
-    return sf.OrbitFunctor(5, 1, [LinearMap.from_array([[2]], 5)], 2)
+    return sf.OrbitFunctor(5, 1, [np.array([[2]])], 2)
 
 
 BATCHED_CASES = {
@@ -965,23 +996,23 @@ BATCHED_CASES = {
 
 
 def composition_oracle(S):
-    """act_table by LinearMap products, each result found by its bytes among
+    """act_table by matrix products, each result found by its bytes among
     enumerate_maps; shares no code with gf.map_stack or gf.map_indices."""
     if isinstance(S, sf.OrbitFunctor):
-        group = [LinearMap.from_array(g, S.p) for g in S._group_stack]
+        group = list(S._group_stack)
     else:
-        group = [LinearMap.identity(S.u_dim, S.p)]
+        group = [np.eye(S.u_dim, dtype=np.int64)]
     classes = {}
     for d in range(S.cap + 1):
         label, firsts = {}, []
         for m in enumerate_maps(S.p, d, S.u_dim):
-            if m.data not in label:
+            if m.tobytes() not in label:
                 for g in group:
-                    label[(g @ m).data] = len(firsts)
+                    label[(g @ m % S.p).tobytes()] = len(firsts)
                 firsts.append(m)
         classes[d] = label, firsts
     return lambda alpha: np.array(
-        [classes[alpha.cols][0][(m @ alpha).data] for m in classes[alpha.rows][1]], dtype=np.int64
+        [classes[alpha.shape[1]][0][(m @ alpha % S.p).tobytes()] for m in classes[alpha.shape[0]][1]], dtype=np.int64
     )
 
 
@@ -990,8 +1021,8 @@ def sample_maps(S, rows, cols, rng):
     larger ones the zero map, the identity and twelve random maps."""
     if count_maps(S.p, cols, rows) <= 81:
         return list(enumerate_maps(S.p, cols, rows))
-    return [LinearMap.zero(rows, cols, S.p), LinearMap.from_array(np.eye(rows, cols), S.p)] + [
-        LinearMap.from_array(rng.integers(0, S.p, (rows, cols)), S.p) for _ in range(12)
+    return [np.zeros((rows, cols), dtype=np.int64), np.eye(rows, cols, dtype=np.int64)] + [
+        rng.integers(0, S.p, (rows, cols)) for _ in range(12)
     ]
 
 
@@ -1005,7 +1036,7 @@ def assert_pull_matches(S, oracle, rng):
             for alpha, row in zip(maps, want):
                 got = S.act_table(alpha)
                 assert got.dtype == np.int64 and np.array_equal(got, row), alpha
-            stack = np.array([alpha.arr for alpha in maps])
+            stack = np.array(maps)
             assert np.array_equal(S._pull(stack, slice(None)), want)
             for i in range(S.size(rows)):
                 assert np.array_equal(S._pull(stack, i), want[:, i])
@@ -1024,7 +1055,7 @@ def subspace_oracle(S):
     """Pullback by preimage, each subspace found by value among
     enumerate_subspaces."""
     subs = {d: enumerate_subspaces(S.p, d) for d in range(S.cap + 1)}
-    return lambda alpha: [subs[alpha.cols].index(preimage(alpha, u)) for u in subs[alpha.rows]]
+    return lambda alpha: [subs[alpha.shape[1]].index(preimage(alpha, u)) for u in subs[alpha.shape[0]]]
 
 
 def table_oracle(doc):
@@ -1034,7 +1065,7 @@ def table_oracle(doc):
 
 def union_oracle(a, b, oracle_a, oracle_b):
     """a's pullbacks, then b's shifted past S_a(cols)."""
-    return lambda alpha: list(oracle_a(alpha)) + [a.size(alpha.cols) + t for t in oracle_b(alpha)]
+    return lambda alpha: list(oracle_a(alpha)) + [a.size(alpha.shape[1]) + t for t in oracle_b(alpha)]
 
 
 def component_oracle(base, oracle, gamma):
@@ -1042,13 +1073,13 @@ def component_oracle(base, oracle, gamma):
     members are the elements whose pullback along the inclusion of 0 is
     gamma."""
     members = {
-        d: [i for i, t in enumerate(oracle(LinearMap.zero(d, 0, base.p))) if t == gamma]
+        d: [i for i, t in enumerate(oracle(np.zeros((d, 0), dtype=np.int64))) if t == gamma]
         for d in range(base.cap + 1)
     }
 
     def pull(alpha):
         full = oracle(alpha)
-        return [members[alpha.cols].index(full[i]) for i in members[alpha.rows]]
+        return [members[alpha.shape[1]].index(full[i]) for i in members[alpha.shape[0]]]
 
     return pull
 
@@ -1085,6 +1116,6 @@ def test_pull_matches_element_oracle(case):
 def test_table_pull_names_a_missing_map():
     T = sf.from_json_dict(sf.to_json_dict(sf.RepresentableFunctor(2, 1, 1)))
     del T.action[(1, 1, b"\x01")]
-    stack = np.array([alpha.arr for alpha in enumerate_maps(2, 1, 1)])
+    stack = np.array(list(enumerate_maps(2, 1, 1)))
     with pytest.raises(sf.InvalidFunctorData, match="no pullback along the map 1x1:1"):
         T._pull(stack, slice(None))

@@ -296,9 +296,7 @@ def test_simples_report_shape(hom_simples, skhom):
 def test_classification_with_nontrivial_automorphisms():
     # orbits under the full invertible group: the top class has a six-element
     # automorphism group, so each degree contributes its two simple modules
-    from functorlab.gf import LinearMap
-
-    gens = [LinearMap.from_array([[0, 1], [1, 0]], 2), LinearMap.from_array([[1, 1], [0, 1]], 2)]
+    gens = [np.array([[0, 1], [1, 0]]), np.array([[1, 1], [0, 1]])]
     O = sf.OrbitFunctor(2, 2, gens, 4)
     sk = ec.Skeleton(O)
     assert [len(a) for a in sk.rector.aut_groups] == [1, 1, 6]
@@ -324,9 +322,7 @@ def test_p3_classification_with_automorphism_pairing():
     # scalar orbits at p = 3: the class automorphism group is the two
     # nonzero scalars, so each degree carries two one-dimensional simples
     # that agree in every value dimension yet are not isomorphic
-    from functorlab.gf import LinearMap
-
-    O = sf.OrbitFunctor(3, 1, [LinearMap.from_array([[2]], 3)], 3)
+    O = sf.OrbitFunctor(3, 1, [np.array([[2]])], 3)
     sk = ec.Skeleton(O)
     assert [len(a) for a in sk.rector.aut_groups] == [1, 2]
     descs = sp.enumerate_simples(sk, 1, seed=0)  # pairwise check runs inside
