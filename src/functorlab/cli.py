@@ -8,17 +8,19 @@ when the splitting search gives up.  The exceptions behind exit 2 live in
 Importing this module loads ``gf``, ``sfunctor``, ``elcat`` and ``report``;
 handlers import ``vfunctor``, ``modrep`` and ``simples`` when they run.
 
-The parser is flat and built per call: one ``ArgumentParser`` holds the
-shared flags, the command (a key of ``HANDLERS``, whose docstrings give the
-``--help`` lines) and the options of single commands, whose defaults
-``COMMAND_DEFAULTS`` fills in after parsing.
+The parser is flat and built per call, which reads the terminal width once:
+one ``ArgumentParser`` holds the shared flags, the command (a key of
+``HANDLERS``, whose docstrings give the ``--help`` lines) and the options of
+single commands, whose defaults ``COMMAND_DEFAULTS`` fills in after parsing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
+import shutil
 import sys
 
 import numpy as np
@@ -102,11 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
     """One flat parser, built per call: the shared flags, the command, and
     every command's own options with suppressed defaults."""
     helps = {name: (handler.__doc__ or "").partition("\n")[0] for name, handler in HANDLERS.items()}
+    # argparse builds a formatter per add_argument; each would ask the
+    # terminal for its width, so it is read once here, by argparse's own rule
+    width = shutil.get_terminal_size().columns - 2
     ap = argparse.ArgumentParser(
         prog="functorlab",
         description="exact functor-category computations over prime fields",
         epilog="commands:\n" + "\n".join(f"  {name:<20}{text}" for name, text in helps.items()),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        formatter_class=functools.partial(argparse.RawDescriptionHelpFormatter, width=width),
     )
     ap.add_argument("--p", type=_prime, default=2, help="field characteristic (prime)")
     ap.add_argument("--cap", type=_non_negative, default=3, help="dimension cap / window")

@@ -7,10 +7,15 @@ subspace functor can number its elements by it; it is stored through its
 reduced row-echelon basis, which makes equality of subspaces plain value
 equality.
 
-For p = 2 a bit-packed elimination path (rows packed into uint64 words)
-backs rref/rank/kernel computations on larger matrices; the dense generic
-path and the packed path compute the same canonical forms and the test
-suite checks them against each other.
+Every rref, rank, kernel and solve runs on one of three elimination
+regimes, chosen by the shape of the input.  A GF(2) matrix at least
+_PACK_THRESHOLD columns wide goes to rref_bits, which packs rows into uint64
+words and clears each pivot column with one XOR.  Any other matrix goes to
+rref_dense: up to _LIST_CELLS entries it is reduced as Python lists, which
+costs no numpy call per row or pivot; above that, each pivot makes one masked
+numpy update of the rows that are nonzero in its column.  All three compute
+the same canonical forms, and the tests check them against each other and
+against the row-by-row elimination they replaced.
 
 ``closure`` is the one closure engine: the smallest family of subspaces that
 contains given vectors and is closed under a set of linear maps between them.
@@ -40,7 +45,8 @@ DEFAULT_MAP_BUDGET = 1 << 20
 MAX_MAP_INDEX = np.iinfo(np.int64).max
 
 # Maps per slice when a hom-set is walked as a stack: bounds the memory of one
-# step of enumerate_maps, hom-set filters, table fills and functor-law checks.
+# step of enumerate_maps, hom-set filters, table fills, functor-law checks and
+# the elimination behind general_linear.
 MAP_SLICE = 1 << 8
 
 # Most vectors one exhaustive scan may visit: the kernel spins of the
@@ -56,6 +62,11 @@ MAP_KEY_SEP = "."
 
 # Matrices at least this wide go through the packed GF(2) path.
 _PACK_THRESHOLD = 48
+
+# rref_dense reduces matrices of at most this many entries as Python lists,
+# larger ones by masked numpy updates.  Lists lose from about 200-400 entries
+# on dense matrices and from about 1000-2000 on sparse ones.
+_LIST_CELLS = 512
 
 
 class BudgetExceeded(RuntimeError):
@@ -160,28 +171,67 @@ def rref_bits(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def rref_dense(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_p, generic dense elimination."""
+    """Reduced row echelon form over F_p, as a new array, with its pivot
+    columns: as Python rows up to _LIST_CELLS entries, above that by one
+    masked numpy update per pivot."""
     a = _as_mat(mat) % p
+    if a.size <= _LIST_CELLS:
+        return _rref_lists(a, p)
+    return _rref_masked(a, p)
+
+
+def _rref_lists(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """rref_dense on the rows of a as Python lists; one array at the end."""
     m, n = a.shape
-    a = a.copy()
+    rows = a.tolist()
     pivots: list[int] = []
     r = 0
     for col in range(n):
-        piv = None
-        for i in range(r, m):
-            if a[i, col]:
-                piv = i
+        for piv in range(r, m):
+            if rows[piv][col]:
                 break
-        if piv is None:
+        else:
             continue
+        top = rows[piv]
+        rows[piv] = rows[r]
+        if top[col] != 1:
+            inv = inv_mod(top[col], p)
+            top = [x * inv % p for x in top]
+        rows[r] = top
+        # top is zero left of col, so only the entries from col on change
+        tail = top[col:]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                rows[i] = row[:col] + [(x - f * y) % p for x, y in zip(row[col:], tail)]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    return np.array(rows, dtype=np.int64).reshape(m, n), pivots
+
+
+def _rref_masked(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """rref_dense in place on a: per pivot, one update of the rows that are
+    nonzero in its column, from that column on."""
+    m, n = a.shape
+    pivots: list[int] = []
+    r = 0
+    for col in range(n):
+        hits = np.flatnonzero(a[r:, col])
+        if not hits.size:
+            continue
+        piv = r + int(hits[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        inv = inv_mod(int(a[r, col]), p)
-        if inv != 1:
-            a[r] = (a[r] * inv) % p
-        for i in range(m):
-            if i != r and a[i, col]:
-                a[i] = (a[i] - a[i, col] * a[r]) % p
+        lead = int(a[r, col])
+        if lead != 1:
+            a[r, col:] = a[r, col:] * inv_mod(lead, p) % p
+        rows = np.flatnonzero(a[:, col])
+        rows = rows[rows != r]
+        if rows.size:
+            # row r is zero left of col, so this is the whole row update
+            a[rows, col:] = (a[rows, col:] - a[rows, col, None] * a[r, col:]) % p
         pivots.append(col)
         r += 1
         if r == m:
@@ -398,7 +448,8 @@ def restrict(big, src_basis: np.ndarray, dst_basis: np.ndarray, p: int) -> np.nd
 
 
 def _pivots(rref_rows: np.ndarray) -> list[int]:
-    return [int(np.nonzero(row)[0][0]) for row in rref_rows]
+    """The column of the first nonzero entry of each row (no zero rows)."""
+    return (rref_rows != 0).argmax(axis=1).tolist() if rref_rows.size else []
 
 
 def encode_entries(m: np.ndarray) -> str:
@@ -509,11 +560,12 @@ def proj_with_kernel(u: Subspace) -> tuple[np.ndarray, np.ndarray]:
     embeds F^{d-k} back onto the pivot complement, so P @ section = id.
     """
     p, d = u.p, u.ambient
-    piv = u.pivots
+    basis = u.basis_arr
+    piv = _pivots(basis)
     nonpiv = [j for j in range(d) if j not in piv]
     sect = np.eye(d, dtype=np.int64)[:, nonpiv]
     proj = sect.T.copy()
-    proj[:, piv] = -u.basis_arr[:, nonpiv].T % p
+    proj[:, piv] = -basis[:, nonpiv].T % p
     return proj, sect
 
 
@@ -580,11 +632,38 @@ def map_indices(stack: np.ndarray, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def general_linear(p: int, dim: int) -> np.ndarray:
-    """GL(dim, p) as one read-only (K, dim, dim) stack in enumerate_maps order."""
-    maps = map_stack(p, dim, dim)
-    stack = maps[[rank(m, p) == dim for m in maps]]
+    """GL(dim, p) as one read-only (K, dim, dim) stack in enumerate_maps
+    order: the maps of each map_slices stack that _invertible keeps, rebuilt
+    from their positions."""
+    keep = np.concatenate([_invertible(stack, p) for stack in map_slices(p, dim, dim)])
+    stack = np.flatnonzero(keep)[:, None, None] // _digit_weights(p, dim, dim) % p
     stack.setflags(write=False)
     return stack
+
+
+def _invertible(a: np.ndarray, p: int) -> np.ndarray:
+    """Which matrices of the (k, d, d) stack a are invertible, by one Gaussian
+    elimination of the whole stack in place.  Per column, each matrix takes
+    its first nonzero entry at or below the diagonal as pivot, scaled to 1
+    through a table of inverses, and clears the column below it.  A matrix
+    without such an entry is singular; its zero pivot row leaves the rest of
+    its elimination unchanged."""
+    k, d, _ = a.shape
+    inverses = np.array([0] + [inv_mod(x, p) for x in range(1, p)], dtype=np.int64)
+    each = np.arange(k)
+    invertible = np.ones(k, dtype=bool)
+    for col in range(d):
+        nonzero = a[:, col:, col] != 0
+        invertible &= nonzero.any(axis=1)
+        piv = col + nonzero.argmax(axis=1)
+        top = a[each, piv]
+        a[each, piv] = a[:, col]
+        top *= inverses[top[:, col], None]
+        top %= p
+        for row in range(col + 1, d):
+            a[:, row] -= a[:, row, col, None] * top
+            a[:, row] %= p
+    return invertible
 
 
 def elementary_invertibles(p: int, n: int) -> list[np.ndarray]:

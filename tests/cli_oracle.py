@@ -1,10 +1,20 @@
 """The parser functorlab.cli replaced, kept as the oracle of cli.parse_args:
 a top-level parser with the shared flags and one subparser per command,
-each repeating the shared flags with suppressed defaults."""
+each repeating the shared flags with suppressed defaults.  Also the oracle of
+cli's --help: its flat parser with argparse's own formatter."""
 
 import argparse
 
+from functorlab import cli
 from functorlab.cli import _non_negative, _non_negative_list, _positive, _prime
+
+
+def stock_formatter_parser() -> argparse.ArgumentParser:
+    """cli.build_parser() with argparse's formatter, which reads the terminal
+    width each time it is built."""
+    ap = cli.build_parser()
+    ap.formatter_class = argparse.RawDescriptionHelpFormatter
+    return ap
 
 
 def _add_common(ap: argparse.ArgumentParser, suppress: bool):

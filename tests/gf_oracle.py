@@ -1,13 +1,44 @@
-"""Routes gf has replaced, kept as oracles: the kernel basis that reduced
-twice, and the intertwiner solver that assembled Kronecker rows, the oracle
-of gf.intertwiner_space and of the stacked systems in the tests.  Also the
-helpers only tests use: injections, all vectors, subspace intersection."""
+"""Routes gf has replaced, kept as oracles: the elimination that updated one
+row per numpy call, the oracle of gf.rref_dense; the kernel basis that
+reduced twice; and the intertwiner solver that assembled Kronecker rows, the
+oracle of gf.intertwiner_space and of the stacked systems in the tests.  Also
+the helpers only tests use: injections, all vectors, subspace intersection."""
 
 import itertools
 
 import numpy as np
 
-from functorlab.gf import DEFAULT_MAP_BUDGET, Subspace, _as_mat, _extend, enumerate_maps, rank, rref
+from functorlab.gf import DEFAULT_MAP_BUDGET, Subspace, _as_mat, _extend, enumerate_maps, inv_mod, rank, rref
+
+
+def rref_dense(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over F_p, generic dense elimination."""
+    a = _as_mat(mat) % p
+    m, n = a.shape
+    a = a.copy()
+    pivots: list[int] = []
+    r = 0
+    for col in range(n):
+        piv = None
+        for i in range(r, m):
+            if a[i, col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        inv = inv_mod(int(a[r, col]), p)
+        if inv != 1:
+            a[r] = (a[r] * inv) % p
+        for i in range(m):
+            if i != r and a[i, col]:
+                a[i] = (a[i] - a[i, col] * a[r]) % p
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    return a, pivots
 
 
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:

@@ -100,12 +100,16 @@ def test_command_options_also_parse_before_the_command():
     assert (args.functor, args.times, args.save_functor) == ("tensor:2", 3, None)
 
 
-def test_help_lists_every_command(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--help"])
-    assert exc.value.code == 0
-    out = capsys.readouterr().out
-    for name, handler in cli.HANDLERS.items():
-        summary = handler.__doc__.partition("\n")[0]
-        assert summary
-        assert re.search(rf"^  {re.escape(name)} +{re.escape(summary)}$", out, re.M), name
+def test_help_lists_every_command(capsys, monkeypatch):
+    # the width is read once per parser: the help wraps as argparse's own formatter does
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out == cli_oracle.stock_formatter_parser().format_help(), columns
+        for name, handler in cli.HANDLERS.items():
+            summary = handler.__doc__.partition("\n")[0]
+            assert summary
+            assert re.search(rf"^  {re.escape(name)} +{re.escape(summary)}$", out, re.M), name

@@ -42,6 +42,7 @@ from functorlab.gf import (
 from gf_oracle import _stacked_nullspace, enumerate_injections, intersect
 from gf_oracle import intertwiner_space as oracle_intertwiner_space
 from gf_oracle import nullspace as oracle_nullspace
+from gf_oracle import rref_dense as oracle_rref_dense
 
 
 def test_rref_identity():
@@ -124,8 +125,11 @@ def test_enumerate_maps_basics():
     assert len(general_linear(2, 2)) == 6  # (4-1)(4-2)
 
 
-@pytest.mark.parametrize("p,n", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 2), (5, 1)])
+@pytest.mark.parametrize(
+    "p,n", [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 0), (3, 1), (3, 2), (3, 3), (5, 0), (5, 1), (5, 2)]
+)
 def test_general_linear_is_one_read_only_stack(p, n):
+    # the batched elimination against one rank per map
     gl = general_linear(p, n)
     stack = map_stack(p, n, n)
     assert gl.dtype == np.int64 and not gl.flags.writeable
@@ -250,12 +254,45 @@ def test_proj_with_kernel_contract():
 
 
 def test_bitpacked_matches_dense():
+    # half the widths are those rref sends to the packed path; rref_dense
+    # takes both its regimes on them
     rng = np.random.default_rng(7)
-    for _ in range(40):
-        m = rng.integers(0, 2, size=(rng.integers(1, 9), rng.integers(1, 70)))
+    for t in range(80):
+        m = rng.integers(0, 2, size=(rng.integers(1, 24), rng.integers(48, 71) if t % 2 else rng.integers(1, 71)))
         rb, pb = rref_bits(m)
         rd, pd = rref_dense(m, 2)
         assert np.array_equal(rb, rd) and pb == pd
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 251])
+def test_rref_dense_matches_the_row_by_row_oracle(p):
+    # shapes on both sides of _LIST_CELLS, dense and about 2% nonzero, some
+    # with a repeated combination of rows; entries outside 0..p-1 too
+    rng = np.random.default_rng(p)
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (256, 8), (8, 256), (16, 32), (16, 33), (32, 16), (33, 16), (3, 200)]
+    shapes += [tuple(int(x) for x in rng.integers(1, 40, size=2)) for _ in range(12)]
+    regimes = set()
+    for shape in shapes:
+        for density in (1.0, 0.02):
+            mat = rng.integers(0, p, size=shape) * (rng.random(shape) < density)
+            if shape[0] > 2:
+                mat[-1] = (2 * mat[0] + mat[1]) % p
+            for m in (mat, mat - p * rng.integers(-1, 2, size=shape)):
+                before = m.copy()
+                got, want = rref_dense(m, p), oracle_rref_dense(m, p)
+                assert got[0].dtype == want[0].dtype and got[0].shape == want[0].shape, shape
+                assert np.array_equal(got[0], want[0]) and got[1] == want[1], (shape, density)
+                got[0][...] = 1 - got[0]
+                assert np.array_equal(m, before), shape
+        regimes.add(shape[0] * shape[1] <= gf._LIST_CELLS)
+    assert regimes == {True, False}
+
+
+def test_pivots_read_the_leading_column_of_each_row():
+    for shape in ((0, 0), (0, 4)):
+        assert gf._pivots(np.zeros(shape, dtype=np.int64)) == []
+    for u in [Subspace.zero(0, 2), *enumerate_subspaces(3, 3)]:
+        assert u.pivots == [int(np.nonzero(row)[0][0]) for row in u.basis_arr]
 
 
 def test_solve_and_nullspace():

@@ -5,7 +5,10 @@ Each digest is the SHA-256 of one CLI call's stdout, a NUL, its stderr, a
 NUL and its exit code.  The calls print automorphism groups (rector's
 aut_elements), matrix witnesses (check-noetherian on the kernel-mismatch
 table, validate) and reports whose order follows the numbering of Aut x
-Sym(n) (the orbit spec, whose class 2 has |Aut| = 6).
+Sym(n) (the orbit spec, whose class 2 has |Aut| = 6).  The two p = 3 runs,
+the classification up to degree 4 and the simple modules of Sym(5), were
+pinned before gf.rref_dense chose its regime by shape; their eliminations are
+large and dense.
 """
 
 import hashlib
@@ -30,9 +33,12 @@ CASES = {
     "orbit-autsym": ["--input", "{orbit}", "simples-of-group", "--group", "autsym:2,2"],
     "orbit-enumerate": ["--input", "{orbit}", "--n-max", "1", "enumerate-simples"],
     "orbit-verify": ["--input", "{orbit}", "--n-max", "1", "verify-theorems"],
+    "enumerate-p3": ["--p", "3", "--u-dim", "0", "--cap", "5", "--n-max", "4", "--seed", "1", "enumerate-simples"],
+    "sym5-p3": ["--p", "3", "--seed", "1", "simples-of-group", "--group", "sym:5"],
 }
 
 PINNED = {  # case -> (exit code, digest)
+    "enumerate-p3": (0, "4541d2f04b2d8085db026c0f798f8abceb7f79f840965f76794a590ebcc4c1d7"),
     "kernel-mismatch": (1, "f0403ac28038b7faa8f41e351c1e1d8d5b1b4b6bf95e98f9a6e8665c7894d9e0"),
     "orbit-autsym": (0, "31f46e5c0f8c091f1879a79e7c6eb320d85ab082c6ae2354c97baf406ce24450"),
     "orbit-enumerate": (0, "60f5d1a8dfbdac0f12a0f666c09db44d5b4723dac0c1ffe9d49b2b8452a6d072"),
@@ -41,6 +47,7 @@ PINNED = {  # case -> (exit code, digest)
     "rector-u1": (0, "c4dccc577d0f4a95016a691210c62101a98271369c9f8e574587dd7b3e4d6936"),
     "rector-u2": (0, "81228c090ec43b49a4946cf80ba507c68e0958174dccc5258c528f89a3c8bc72"),
     "rector-u3": (0, "9f6b0a3d559f577de63dc95b9e2d2dcb9f17449c395195096d763bd40ad5277a"),
+    "sym5-p3": (0, "6844ea0dc51cd3347ab9f30a7183cb1de8e9d803171f929aa5e97f628ac24ab0"),
     "validate-composition": (1, "0f5cd982085579bd9c79c571a6c1b2a915f74dcbc36b4c498925275647702d2d"),
     "validate-identity": (1, "f3432fcef7a4a28868ab005a69209e7cf57f3b7bf5440d127c81fe4648391992"),
     "verify-theorems": (0, "ded1df3e886e66b3e5f1aef29b69f7c5760c94b4b59f18b9ad65dbee738946b9"),
