@@ -15,6 +15,7 @@ permutations of trivial coordinates, shears) have fixed shapes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -202,14 +203,24 @@ class SkObject:
     rclass: int
     vdim: int
     obj: ElObject  # realized pair
+    dim: int  # obj.dim
+    wdim: int  # dim of the regular block, obj.dim - vdim
 
-    @property
-    def dim(self) -> int:
-        return self.obj.dim
 
-    @property
-    def wdim(self) -> int:
-        return self.obj.dim - self.vdim
+def _kept(build):
+    """A Skeleton method whose matrix is built once per argument tuple and
+    kept read-only, so every caller shares one array."""
+
+    @functools.wraps(build)
+    def method(self, *args):
+        key = (build.__name__, *args)
+        m = self._special.get(key)
+        if m is None:
+            m = self._special[key] = build(self, *args)
+            m.setflags(write=False)
+        return m
+
+    return method
 
 
 class Skeleton:
@@ -219,7 +230,8 @@ class Skeleton:
     composition is by matrix product mod p.  Every morphism the skeleton
     hands out (hom-set rows, special morphisms, generators, class hom-sets)
     is, like a stack row, a (dim target, dim source) int64 matrix with
-    entries in 0..p-1.  Morphisms between skeletal objects are block lower
+    entries in 0..p-1; the special morphisms are built once and kept
+    read-only.  Morphisms between skeletal objects are block lower
     triangular in the (regular | trivial) coordinates.
     """
 
@@ -236,11 +248,13 @@ class Skeleton:
         for r, rep in enumerate(self.rector.classes):
             for v in range(self.window - rep.dim + 1):
                 elt = boxplus(S, rep, v)
-                sk = SkObject(len(self.objects), r, v, ElObject(rep.dim + v, elt.index))
+                d = rep.dim + v
+                sk = SkObject(len(self.objects), r, v, ElObject(d, elt.index), d, rep.dim)
                 self.index[(r, v)] = sk.index
                 self.objects.append(sk)
         self._hom: dict[tuple[int, int], np.ndarray] = {}
         self._rep_cache: dict[ElObject, tuple[int, np.ndarray]] = {}
+        self._special: dict[tuple, np.ndarray] = {}  # the matrices of _kept methods
         self._generators: list[tuple[int, int, np.ndarray]] | None = None
 
     @property
@@ -258,6 +272,7 @@ class Skeleton:
             stack.setflags(write=False)
         return stack
 
+    @_kept
     def identity(self, i: int) -> np.ndarray:
         return np.eye(self.objects[i].dim, dtype=np.int64)
 
@@ -297,16 +312,19 @@ class Skeleton:
 
     # -- special morphisms ----------------------------------------------------
 
+    @_kept
     def proj_one(self, r: int, v: int) -> np.ndarray:
         """The projection (r, v+1) -> (r, v) dropping the last trivial coordinate."""
         d = self.obj(r, v).dim
         return np.eye(d, d + 1, dtype=np.int64)
 
+    @_kept
     def incl_one(self, r: int, v: int) -> np.ndarray:
         """The inclusion (r, v) -> (r, v+1)."""
         d = self.obj(r, v).dim
         return np.eye(d + 1, d, dtype=np.int64)
 
+    @_kept
     def drop_coords(self, r: int, v: int, coords: tuple[int, ...]) -> np.ndarray:
         """Projection (r, v) -> (r, v - len(coords)) killing the given trivial
         coordinates (indices into the trivial block)."""
@@ -314,6 +332,7 @@ class Skeleton:
         keep = list(range(a.wdim)) + [a.wdim + k for k in range(v) if k not in coords]
         return np.eye(a.dim, dtype=np.int64)[keep]
 
+    @_kept
     def perm_trivial(self, r: int, v: int, perm: tuple[int, ...]) -> np.ndarray:
         """Automorphism of (r, v) permuting trivial coordinates: e_i -> e_perm(i)."""
         a = self.obj(r, v)

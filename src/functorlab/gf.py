@@ -15,7 +15,11 @@ rref_dense: up to _LIST_CELLS entries it is reduced as Python lists, which
 costs no numpy call per row or pivot; above that, each pivot makes one masked
 numpy update of the rows that are nonzero in its column.  All three compute
 the same canonical forms, and the tests check them against each other and
-against the row-by-row elimination they replaced.
+against the row-by-row elimination they replaced.  The list regime is one
+row-level routine, _reduce_rows, which nullspace, the increments of closure
+(_extend) and proj_with_kernel share: below _LIST_CELLS entries they too
+stay in Python rows and make one array at the end; above it they run on
+numpy arrays.  An empty input needs no elimination in rref and nullspace.
 
 ``closure`` is the one closure engine: the smallest family of subspaces that
 contains given vectors and is closed under a set of linear maps between them.
@@ -182,11 +186,21 @@ def rref_dense(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 def _rref_lists(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """rref_dense on the rows of a as Python lists; one array at the end."""
-    m, n = a.shape
     rows = a.tolist()
+    pivots = _reduce_rows(rows, a.shape[1], p)
+    return np.array(rows, dtype=np.int64).reshape(a.shape), pivots
+
+
+def _reduce_rows(rows: list[list[int]], n: int, p: int) -> list[int]:
+    """Bring rows, Python lists of n entries in 0..p-1, to reduced row
+    echelon form in place and return the pivot columns.  The list regime of
+    every kernel below _LIST_CELLS entries runs on this."""
+    m = len(rows)
     pivots: list[int] = []
     r = 0
     for col in range(n):
+        if r == m:
+            break
         for piv in range(r, m):
             if rows[piv][col]:
                 break
@@ -206,9 +220,13 @@ def _rref_lists(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
                 rows[i] = row[:col] + [(x - f * y) % p for x, y in zip(row[col:], tail)]
         pivots.append(col)
         r += 1
-        if r == m:
-            break
-    return np.array(rows, dtype=np.int64).reshape(m, n), pivots
+    return pivots
+
+
+def _in_lists(a: np.ndarray, p: int) -> bool:
+    """Whether rref reduces a as Python lists: at most _LIST_CELLS entries,
+    and not a GF(2) matrix wide enough for rref_bits."""
+    return a.size <= _LIST_CELLS and (p != 2 or a.shape[1] < _PACK_THRESHOLD)
 
 
 def _rref_masked(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -242,6 +260,8 @@ def _rref_masked(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """RREF with pivot columns; dispatches to the packed path for wide GF(2) input."""
     a = _as_mat(mat)
+    if not a.size:
+        return a % p, []
     if p == 2 and a.shape[1] >= _PACK_THRESHOLD:
         return rref_bits(a)
     return rref_dense(a, p)
@@ -258,7 +278,11 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     reversed back, its leading 1 sits at a free column no other vector
     touches, so the vectors, last first, are already the reduced basis."""
     a = _as_mat(mat) % p
-    n = a.shape[1]
+    m, n = a.shape
+    if not m or not n:
+        return np.eye(n, dtype=np.int64)
+    if _in_lists(a, p):
+        return _nullspace_lists(a, p)
     r, pivots = rref(a[:, ::-1], p)
     free = [j for j in range(n) if j not in pivots]
     if not free:
@@ -266,6 +290,27 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     basis = np.eye(n, dtype=np.int64)[free]
     basis[:, pivots] = -r[: len(pivots), free].T % p
     return np.ascontiguousarray(basis[::-1, ::-1])
+
+
+def _nullspace_lists(a: np.ndarray, p: int) -> np.ndarray:
+    """nullspace on the rows of a as Python lists; one array at the end."""
+    n = a.shape[1]
+    rows = a[:, ::-1].tolist()
+    pivots = _reduce_rows(rows, n, p)
+    out = []
+    for f in reversed(range(n)):
+        if f in pivots:
+            continue
+        v = [0] * n
+        v[n - 1 - f] = 1
+        # rows of pivots after f are zero at f
+        for row, c in zip(rows, pivots):
+            if c > f:
+                break
+            if row[f]:
+                v[n - 1 - c] = p - row[f]
+        out.append(v)
+    return np.array(out, dtype=np.int64).reshape(len(out), n)
 
 
 def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
@@ -377,7 +422,11 @@ def closure(dims: dict, edges, start: dict, p: int) -> dict:
 
 def _extend(basis: np.ndarray, pivots: list[int], rows: np.ndarray, p: int):
     """The RREF basis and pivots of span(basis) + span(rows), and the
-    increment: the rows of that basis at pivot columns not in ``pivots``."""
+    increment: the rows of that basis at pivot columns not in ``pivots``.
+    Up to _LIST_CELLS entries in all, basis and rows are reduced together as
+    Python lists."""
+    if _in_lists(rows, p) and basis.size + rows.size <= _LIST_CELLS:
+        return _extend_lists(basis, pivots, rows, p)
     if pivots:
         rows = (rows - rows[:, pivots] @ basis) % p
     rows = rows[rows.any(axis=1)]
@@ -389,6 +438,20 @@ def _extend(basis: np.ndarray, pivots: list[int], rows: np.ndarray, p: int):
         basis = (basis - basis[:, piv] @ inc) % p
     order = np.argsort(pivots + piv)
     return np.concatenate([basis, inc])[order], sorted(pivots + piv), inc
+
+
+def _extend_lists(basis: np.ndarray, pivots: list[int], rows: np.ndarray, p: int):
+    """_extend by one list RREF of the rows of basis over those of rows: the
+    RREF of the sum is unique, and its rows at new pivot columns are the
+    increment."""
+    n = rows.shape[1]
+    stacked = basis.tolist() + (rows % p).tolist()
+    new = _reduce_rows(stacked, n, p)
+    if len(new) == len(pivots):
+        return basis, pivots, np.zeros((0, n), dtype=np.int64)
+    out = np.array(stacked[: len(new)], dtype=np.int64).reshape(len(new), n)
+    old = set(pivots)
+    return out, new, out[[k for k, c in enumerate(new) if c not in old]]
 
 
 def nonzero_combinations(basis: np.ndarray, p: int):
@@ -558,8 +621,11 @@ def proj_with_kernel(u: Subspace) -> tuple[np.ndarray, np.ndarray]:
     P restricted to the pivot complement sends the j-th non-pivot standard
     basis vector to the j-th standard basis vector; the returned section
     embeds F^{d-k} back onto the pivot complement, so P @ section = id.
+    Up to _LIST_CELLS entries in F^d x F^d, both are built as Python lists.
     """
     p, d = u.p, u.ambient
+    if d * d <= _LIST_CELLS:
+        return _proj_with_kernel_lists(u)
     basis = u.basis_arr
     piv = _pivots(basis)
     nonpiv = [j for j in range(d) if j not in piv]
@@ -567,6 +633,25 @@ def proj_with_kernel(u: Subspace) -> tuple[np.ndarray, np.ndarray]:
     proj = sect.T.copy()
     proj[:, piv] = -basis[:, nonpiv].T % p
     return proj, sect
+
+
+def _proj_with_kernel_lists(u: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """proj_with_kernel read off the basis bytes as Python lists."""
+    p, d, b = u.p, u.ambient, u.basis
+    rows = [b[i * d: (i + 1) * d] for i in range(u.dim)]
+    piv = [d - len(row.lstrip(b"\0")) for row in rows]
+    nonpiv = [j for j in range(d) if j not in piv]
+    proj = []
+    for j in nonpiv:
+        v = [0] * d
+        v[j] = 1
+        for row, c in zip(rows, piv):
+            if row[j]:
+                v[c] = p - row[j]
+        proj.append(v)
+    sect = [[int(j == c) for c in nonpiv] for j in range(d)]
+    k = len(nonpiv)
+    return np.array(proj, dtype=np.int64).reshape(k, d), np.array(sect, dtype=np.int64).reshape(d, k)
 
 
 # ---------------------------------------------------------------------------

@@ -134,11 +134,13 @@ class VecFunctor:
         if rule is not None:  # a subclass passes None and defines _rule as a method
             self._rule = rule
         self._cache: dict = {}
+        self._indices = tuple(o.index for o in sk.objects if o.dim <= window)
 
     # -- structure -----------------------------------------------------------
 
-    def object_indices(self) -> list[int]:
-        return [o.index for o in self.sk.objects if o.dim <= self.window]
+    def object_indices(self) -> tuple[int, ...]:
+        """The objects inside the window, in skeleton order."""
+        return self._indices
 
     def dim(self, i: int) -> int:
         if self.sk.objects[i].dim > self.window:
@@ -1204,12 +1206,13 @@ def ses_delta_exactness(F: VecFunctor, sub: SubFunctor) -> bool:
             return False
         if len(rref(inc.T, F.p)[1]) != dS.dim(i):
             return False  # induced inclusion not injective
-        if len(rref(proj, F.p)[1]) != dQ.dim(i):
+        proj_rank = rank(proj, F.p)
+        if proj_rank != dQ.dim(i):
             return False  # induced projection not surjective
         if ((proj @ inc) % F.p).any():
             return False
         # image of inc = kernel of proj by dimension count
-        if dS.dim(i) != dF.dim(i) - len(rref(proj, F.p)[1]):
+        if dS.dim(i) != dF.dim(i) - proj_rank:
             return False
     return True
 

@@ -390,10 +390,40 @@ def test_rector_report_shape(sk):
 
 
 @pytest.mark.parametrize("p,u_dim,cap", [(2, 2, 3), (3, 1, 2)])
+def test_special_morphisms_are_kept_read_only(p, u_dim, cap):
+    # each special morphism is built once per skeleton: later calls return
+    # the same read-only array, equal to one built afresh, and a caller that
+    # writes into it fails
+    sk = ec.Skeleton(sf.RepresentableFunctor(p, u_dim, cap))
+    for a in sk.objects:
+        r, v, d, w = a.rclass, a.vdim, a.dim, a.wdim
+        assert (d, w) == (a.obj.dim, a.obj.dim - v)
+        perm = tuple(reversed(range(v)))
+        fresh_perm = np.eye(d, dtype=np.int64)
+        fresh_perm[w:, w:] = np.eye(v, dtype=np.int64)[:, list(perm)]
+        kept = [
+            (lambda: sk.identity(a.index), np.eye(d, dtype=np.int64)),
+            (lambda: sk.perm_trivial(r, v, perm), fresh_perm),
+        ]
+        if v:
+            kept.append((lambda: sk.drop_coords(r, v, (0,)), np.delete(np.eye(d, dtype=np.int64), w, axis=0)))
+        if (r, v + 1) in sk.index:
+            kept.append((lambda: sk.proj_one(r, v), np.eye(d, d + 1, dtype=np.int64)))
+            kept.append((lambda: sk.incl_one(r, v), np.eye(d + 1, d, dtype=np.int64)))
+        for get, fresh in kept:
+            m = get()
+            assert get() is m and not m.flags.writeable
+            assert m.dtype == np.int64 and np.array_equal(m, fresh)
+            if m.size:
+                with pytest.raises(ValueError):
+                    m[0, 0] = 1
+
+
+@pytest.mark.parametrize("p,u_dim,cap", [(2, 2, 3), (3, 1, 2)])
 def test_skeletal_morphisms_are_int64_matrices(p, u_dim, cap):
     # every morphism a Skeleton hands out is a (dim target, dim source) int64
-    # matrix with entries in 0..p-1; those drawn from hom-set stacks, and
-    # the kept generators, are read-only
+    # matrix with entries in 0..p-1; those drawn from hom-set stacks, the
+    # special morphisms and the kept generators are read-only
     sk = ec.Skeleton(sf.RepresentableFunctor(p, u_dim, cap))
 
     def check(m, rows, cols, read_only=False):
@@ -404,12 +434,12 @@ def test_skeletal_morphisms_are_int64_matrices(p, u_dim, cap):
     shears = 0
     for a in sk.objects:
         r, v, d = a.rclass, a.vdim, a.dim
-        check(sk.identity(a.index), d, d)
+        check(sk.identity(a.index), d, d, read_only=True)
         if (r, v + 1) in sk.index:
-            check(sk.proj_one(r, v), d, d + 1)
-            check(sk.incl_one(r, v), d + 1, d)
-        check(sk.drop_coords(r, v, tuple(range(v))), a.wdim, d)
-        check(sk.perm_trivial(r, v, tuple(reversed(range(v)))), d, d)
+            check(sk.proj_one(r, v), d, d + 1, read_only=True)
+            check(sk.incl_one(r, v), d + 1, d, read_only=True)
+        check(sk.drop_coords(r, v, tuple(range(v))), a.wdim, d, read_only=True)
+        check(sk.perm_trivial(r, v, tuple(reversed(range(v)))), d, d, read_only=True)
         for s in sk.shears(r, v):
             check(s, d, d)
             shears += 1

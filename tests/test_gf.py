@@ -324,6 +324,105 @@ def test_nullspace_matches_two_rref_oracle():
     assert shapes == {(True, False), (False, True), (False, False), (True, True)}
 
 
+# shapes whose cell counts straddle _LIST_CELLS = 512, and empty ones
+REGIME_SHAPES = [(0, 0), (0, 6), (6, 0), (1, 1), (2, 4), (7, 73), (73, 7), (16, 32), (32, 16), (27, 19), (19, 27), (3, 200)]
+
+
+def _entries(rng, p, shape, density):
+    """Seeded entries in 0..p-1, about density nonzero, some rows repeated."""
+    mat = rng.integers(0, p, size=shape) * (rng.random(shape) < density)
+    if shape[0] > 2:
+        mat[-1] = (2 * mat[0] + mat[1]) % p
+    return mat
+
+
+def _spy(monkeypatch, name):
+    """Count the calls to gf.<name> in a list that is returned."""
+    calls, fn = [], getattr(gf, name)
+    monkeypatch.setattr(gf, name, lambda *args: calls.append(1) or fn(*args))
+    return calls
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 251])
+def test_nullspace_regimes_match_the_two_rref_oracle(p, monkeypatch):
+    # both regimes, on entries outside 0..p-1 too; the result is a new array
+    # and the input stays as it was
+    rng = np.random.default_rng(100 + p)
+    lists = _spy(monkeypatch, "_nullspace_lists")
+    calls = 0
+    for shape in REGIME_SHAPES:
+        for density in (1.0, 0.1, 0.02):
+            mat = _entries(rng, p, shape, density)
+            for m in (mat, mat - p * rng.integers(-1, 2, size=shape)):
+                before = m.copy()
+                got, want = nullspace(m, p), oracle_nullspace(m, p)
+                assert got.dtype == want.dtype and got.shape == want.shape, shape
+                assert np.array_equal(got, want) and got.flags.c_contiguous, (shape, density)
+                assert not np.shares_memory(got, m)
+                got[...] = 1 - got
+                assert np.array_equal(m, before), shape
+                calls += bool(m.size)
+    assert 0 < len(lists) < calls
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 251])
+def test_extend_regimes_match_one_rref_of_the_sum(p, monkeypatch):
+    # _extend(basis, pivots, rows) is the RREF of the stacked rows, and its
+    # increment the rows of that RREF at new pivots; basis and rows together
+    # straddle _LIST_CELLS (511, 512 and 513 cells where the rank allows)
+    rng = np.random.default_rng(200 + p)
+    lists = _spy(monkeypatch, "_extend_lists")
+    calls = 0
+    for n, cells in ((1, 4), (4, 12), (73, 511), (32, 512), (19, 513), (16, 512), (40, 2000)):
+        for density in (1.0, 0.1):
+            for k in (0, 1, cells // n // 2, cells // n):
+                r, piv = rref(_entries(rng, p, (k, n), density), p)
+                basis = r[: len(piv)]
+                t = max(cells // n - len(piv), 1)
+                rows = _entries(rng, p, (t, n), density) - p * rng.integers(-1, 2, size=(t, n))
+                before = (basis.copy(), rows.copy())
+                out, pivots, inc = gf._extend(basis, list(piv), rows, p)
+                want, want_piv = rref(np.concatenate([basis, rows]), p)
+                assert np.array_equal(out, want[: len(want_piv)]) and pivots == want_piv, (n, k)
+                new = [i for i, c in enumerate(want_piv) if c not in piv]
+                assert inc.dtype == np.int64 and np.array_equal(inc, want[new]), (n, k)
+                for got in (out, inc):
+                    assert not np.shares_memory(got, rows)
+                    assert got is basis or not np.shares_memory(got, basis)
+                assert all(np.array_equal(a, b) for a, b in zip((basis, rows), before))
+                calls += 1
+    assert 0 < len(lists) < calls
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 251])
+def test_proj_with_kernel_regimes_keep_the_contract(p, monkeypatch):
+    # P kills exactly u, P @ section = id, the section sends the j-th unit
+    # vector to the j-th non-pivot one; both are fresh writable arrays, and
+    # the two regimes agree (F^d x F^d holds 484, 529 and 900 cells at d =
+    # 22, 23 and 30)
+    rng = np.random.default_rng(300 + p)
+    spaces = [Subspace.zero(0, p), Subspace.zero(5, p), Subspace.full(5, p)]
+    for d in (1, 2, 5, 22, 23, 30):
+        for k in (1, d // 2, d - 1):
+            spaces.append(Subspace.from_vectors(_entries(rng, p, (k, d), rng.choice([1.0, 0.1])), p, d))
+    lists = _spy(monkeypatch, "_proj_with_kernel_lists")
+    for u in spaces:
+        proj, sect = proj_with_kernel(u)
+        d, piv = u.ambient, u.pivots
+        nonpiv = [j for j in range(d) if j not in piv]
+        assert proj.shape == (d - u.dim, d) and sect.shape == (d, d - u.dim)
+        assert proj.dtype == sect.dtype == np.int64
+        assert kernel_space(proj, p) == u
+        assert np.array_equal(proj @ sect % p, np.eye(d - u.dim, dtype=np.int64))
+        assert np.array_equal(sect, np.eye(d, dtype=np.int64)[:, nonpiv])
+        assert proj.flags.writeable and sect.flags.writeable and not np.shares_memory(proj, sect)
+        with monkeypatch.context() as m:
+            m.setattr(gf, "_LIST_CELLS", 0 if d * d <= gf._LIST_CELLS else 10**9)
+            other = proj_with_kernel(u)
+        assert np.array_equal(other[0], proj) and np.array_equal(other[1], sect)
+    assert 0 < len(lists) < 2 * len(spaces)
+
+
 def test_line_vectors_match_enumerate_subspaces():
     for p in (2, 3, 5):
         for d in range(5):
@@ -564,6 +663,27 @@ def test_closure_matches_fixed_point_on_random_graphs(p):
         assert got.keys() == want.keys()
         for k in dims:
             assert np.array_equal(got[k], want[k]), (dims, k)
+
+
+@pytest.mark.parametrize("p", [2, 3, 251])
+def test_closure_matches_fixed_point_across_regimes(p, monkeypatch):
+    # pieces of 6 to 40 coordinates, so increments are pushed in both
+    # regimes of _extend
+    rng = np.random.default_rng(400 + p)
+    lists = _spy(monkeypatch, "_extend_lists")
+    calls = _spy(monkeypatch, "_extend")
+    for _ in range(6):
+        dims = {k: int(rng.choice([6, 20, 40])) for k in range(3)}
+        edges = []
+        for i, j in ((0, 1), (1, 2), (2, 0), (1, 1)):
+            m = rng.integers(0, p, size=(dims[j], dims[i]))
+            edges.append((i, j, m * (rng.random(m.shape) < 0.05)))
+        start = {0: rng.integers(0, p, size=(int(rng.integers(1, 4)), dims[0]))}
+        got = closure(dims, edges, start, p)
+        want = _closure_oracle(dims, edges, start, p)
+        for k in dims:
+            assert np.array_equal(got[k], want[k]), (dims, k)
+    assert 0 < len(lists) < len(calls)
 
 
 def test_closure_pushes_increments_and_reads_matrices_lazily():

@@ -8,7 +8,8 @@ table, validate) and reports whose order follows the numbering of Aut x
 Sym(n) (the orbit spec, whose class 2 has |Aut| = 6).  The two p = 3 runs,
 the classification up to degree 4 and the simple modules of Sym(5), were
 pinned before gf.rref_dense chose its regime by shape; their eliminations are
-large and dense.
+large and dense.  Three cases must also give their digests with every gf
+kernel held in one regime, numpy arrays or Python lists.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ import json
 
 import pytest
 
-from functorlab import cli
+from functorlab import cli, gf
 from functorlab import sfunctor as sf
 
 ORBIT = {"type": "orbit", "p": 2, "U_dim": 2, "cap": 3, "gamma_generators": [[[0, 1], [1, 0]], [[1, 1], [0, 1]]]}
@@ -73,5 +74,15 @@ def write_inputs(tmp_path) -> dict:
 def test_report_digest_matches_pinned(tmp_path, capsys, case):
     paths = write_inputs(tmp_path)
     code = cli.main([arg.format(**paths) for arg in CASES[case]])
+    out, err = capsys.readouterr()
+    assert (code, hashlib.sha256(f"{out}\0{err}\0{code}".encode()).hexdigest()) == PINNED[case]
+
+
+@pytest.mark.parametrize("cells", [0, 10**9])
+@pytest.mark.parametrize("case", ["rector-u1", "rector-u2", "verify-theorems"])
+def test_report_digest_holds_in_one_regime(capsys, monkeypatch, case, cells):
+    # every kernel with a list regime runs numpy only (0) or lists only (10^9)
+    monkeypatch.setattr(gf, "_LIST_CELLS", cells)
+    code = cli.main(CASES[case])
     out, err = capsys.readouterr()
     assert (code, hashlib.sha256(f"{out}\0{err}\0{code}".encode()).hexdigest()) == PINNED[case]
