@@ -8,18 +8,19 @@ reduced row-echelon basis, which makes equality of subspaces plain value
 equality.
 
 Every rref, rank, kernel and solve runs on one of three elimination
-regimes, chosen by the shape of the input.  A GF(2) matrix at least
-_PACK_THRESHOLD columns wide goes to rref_bits, which packs rows into uint64
-words and clears each pivot column with one XOR.  Any other matrix goes to
-rref_dense: up to _LIST_CELLS entries it is reduced as Python lists, which
-costs no numpy call per row or pivot; above that, each pivot makes one masked
-numpy update of the rows that are nonzero in its column.  All three compute
-the same canonical forms, and the tests check them against each other and
-against the row-by-row elimination they replaced.  The list regime is one
-row-level routine, _reduce_rows, which nullspace, the increments of closure
-(_extend) and proj_with_kernel share: below _LIST_CELLS entries they too
-stay in Python rows and make one array at the end; above it they run on
-numpy arrays.  An empty input needs no elimination in rref and nullspace.
+regimes, chosen by the shape of the input.  Up to _LIST_CELLS entries, for
+every p, a matrix is reduced as Python lists, which costs no numpy call per
+row or pivot.  Above that, a GF(2) matrix at least _PACK_THRESHOLD columns
+wide goes to rref_bits, which packs rows into uint64 words and clears each
+pivot column with one XOR, and any other matrix makes one masked numpy
+update per pivot of the rows that are nonzero in its column.  All three
+compute the same canonical forms, and the tests check them against each
+other and against the row-by-row elimination they replaced.  The list regime
+is one row-level routine, _reduce_rows, which nullspace, proj_with_kernel
+and the increments of closure (_extend) and of generator_start
+(_extend_carrying) share: below _LIST_CELLS entries they too stay in Python
+rows and make one array at the end; above it they run on numpy arrays.  An
+empty input needs no elimination in rref and nullspace.
 
 ``closure`` is the one closure engine: the smallest family of subspaces that
 contains given vectors and is closed under a set of linear maps between them.
@@ -27,7 +28,11 @@ Generated subfunctors and module spins both run on it.
 
 ``intertwiner_space`` solves the equations X_j a = b X_i of natural
 transformations and module homs on the solutions themselves, one equation at
-a time; no equation is written out over all unknowns.
+a time; no equation is written out over all unknowns.  The solutions start
+as the identity on every unknown entry, or as the rows of
+``generator_start``: a closure of the a's that carries each vector's image
+and leaves one row per value on a generating vector, far fewer rows whose
+span still holds every solution.
 
 ``BudgetExceeded``, ``WindowExceeded`` and ``SplittingFailure``, the errors
 that end a CLI run with exit 2, live here, so callers catch them without
@@ -181,7 +186,7 @@ def rref_dense(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     a = _as_mat(mat) % p
     if a.size <= _LIST_CELLS:
         return _rref_lists(a, p)
-    return _rref_masked(a, p)
+    return _rref_masked(a, a.shape[1], p)
 
 
 def _rref_lists(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -223,16 +228,11 @@ def _reduce_rows(rows: list[list[int]], n: int, p: int) -> list[int]:
     return pivots
 
 
-def _in_lists(a: np.ndarray, p: int) -> bool:
-    """Whether rref reduces a as Python lists: at most _LIST_CELLS entries,
-    and not a GF(2) matrix wide enough for rref_bits."""
-    return a.size <= _LIST_CELLS and (p != 2 or a.shape[1] < _PACK_THRESHOLD)
-
-
-def _rref_masked(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """rref_dense in place on a: per pivot, one update of the rows that are
-    nonzero in its column, from that column on."""
-    m, n = a.shape
+def _rref_masked(a: np.ndarray, n: int, p: int) -> tuple[np.ndarray, list[int]]:
+    """rref_dense in place on a, with pivots in its first n columns: per
+    pivot, one update of the rows that are nonzero in its column, from that
+    column on."""
+    m = a.shape[0]
     pivots: list[int] = []
     r = 0
     for col in range(n):
@@ -258,11 +258,12 @@ def _rref_masked(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """RREF with pivot columns; dispatches to the packed path for wide GF(2) input."""
+    """RREF with pivot columns; dispatches to the packed path for GF(2) input
+    wide enough and above _LIST_CELLS entries."""
     a = _as_mat(mat)
     if not a.size:
         return a % p, []
-    if p == 2 and a.shape[1] >= _PACK_THRESHOLD:
+    if p == 2 and a.shape[1] >= _PACK_THRESHOLD and a.size > _LIST_CELLS:
         return rref_bits(a)
     return rref_dense(a, p)
 
@@ -281,7 +282,7 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     m, n = a.shape
     if not m or not n:
         return np.eye(n, dtype=np.int64)
-    if _in_lists(a, p):
+    if a.size <= _LIST_CELLS:
         return _nullspace_lists(a, p)
     r, pivots = rref(a[:, ::-1], p)
     free = [j for j in range(n) if j not in pivots]
@@ -342,7 +343,7 @@ def inverse(a: np.ndarray, p: int) -> np.ndarray:
     return np.ascontiguousarray(r[:, n:])
 
 
-def intertwiner_space(shapes: dict, blocks, p: int) -> list[dict]:
+def intertwiner_space(shapes: dict, blocks, p: int, start: np.ndarray | None = None) -> list[dict]:
     """Basis of the solutions of the equations X_j a = b X_i.
 
     ``shapes`` maps each unknown's key to its (rows, cols).  ``blocks`` yields
@@ -350,10 +351,13 @@ def intertwiner_space(shapes: dict, blocks, p: int) -> list[dict]:
     consumed lazily and left unfinished once the equations force every
     unknown to zero.  Each solution is a dict key -> matrix.  The rows of
     ``sols`` span the solutions of the equations read so far: every unknown's
-    entries, row-major, one unknown after another.  An equation keeps the
-    combinations of rows whose residues vanish.  The rows left depend on the
-    order of the equations and their RREF only on the solution space, so the
-    returned basis is canonical.
+    entries, row-major, one unknown after another.  They start as the
+    identity on every entry, or as the independent rows of ``start`` when
+    given, whose span must hold every solution (``generator_start``); either
+    way blocks are read as lazily.  An equation keeps the combinations of
+    rows whose residues vanish.  The rows left depend on the order of the
+    equations and their RREF only on the solution space, so the returned
+    basis is canonical.
     """
     offsets, total = {}, 0
     for key, (r, c) in shapes.items():
@@ -366,7 +370,9 @@ def intertwiner_space(shapes: dict, blocks, p: int) -> list[dict]:
         (r, c), off = shapes[key], offsets[key]
         return sols[:, off: off + r * c].reshape(len(sols), r, c)
 
-    sols = np.eye(total, dtype=np.int64)
+    sols = np.eye(total, dtype=np.int64) if start is None else start
+    if not len(sols):
+        return []
     for i, j, a, b in blocks:
         if shapes[j][0] * shapes[i][1] == 0:
             continue
@@ -381,6 +387,77 @@ def intertwiner_space(shapes: dict, blocks, p: int) -> list[dict]:
             return []
     sols = rref(sols, p)[0]
     return [{key: unknown(key)[t] for key in shapes} for t in range(len(sols))]
+
+
+def generator_start(shapes: dict, blocks: list, p: int) -> np.ndarray:
+    """K independent rows, laid out as intertwiner_space lays out unknowns,
+    whose span holds every solution of the equations X_j a = b X_i.
+
+    A semi-naive closure of the a's over the pieces, in ``shapes`` order:
+    when nothing grows, the first piece that is not full takes its non-pivot
+    standard vectors as generators, each with rows_o fresh unknowns for its
+    image.  Beside each RREF row v of piece i rides its image X_i v, a
+    (K, rows_i) block flattened after v, which an edge pushes by b; a pushed
+    row that reduces to zero is a relation the equations check later.  Once
+    every piece is full its rows are the identity, so the images are the
+    columns of X_i."""
+    outgoing = {k: [] for k in shapes}
+    for i, j, a, b in blocks:
+        outgoing[i].append((j, a, b))
+    aug = {k: np.zeros((0, c), dtype=np.int64) for k, (_, c) in shapes.items()}
+    k_total, pending = 0, {}
+    while True:
+        if not pending:
+            o = next((k for k, (_, c) in shapes.items() if len(aug[k]) < c), None)
+            if o is None:
+                break
+            r, c = shapes[o]
+            piv = _pivots(aug[o][:, :c])
+            free = [x for x in range(c) if x not in piv]
+            g = len(free)
+            aug = {k: np.concatenate([m, np.zeros((len(m), g * r * shapes[k][0]), dtype=np.int64)], axis=1)
+                   for k, m in aug.items()}
+            # generator t's image is the identity on unknowns t*r .. t*r + r-1
+            fresh = (np.eye(g, dtype=np.int64)[:, :, None] * np.eye(r, dtype=np.int64).ravel()).reshape(g, -1)
+            gens = np.eye(c, dtype=np.int64)[free]
+            pending = {o: [np.concatenate([gens, np.zeros((g, k_total * r), dtype=np.int64), fresh], axis=1)]}
+            k_total += g * r
+        grown = {}
+        for k, rows in pending.items():
+            aug[k], inc = _extend_carrying(aug[k], shapes[k][1], rows, p)
+            if len(inc):
+                grown[k] = inc
+        pending = {}
+        for i, inc in grown.items():
+            ci, ri = shapes[i][1], shapes[i][0]
+            for j, a, b in outgoing[i]:
+                if len(aug[j]) < shapes[j][1]:
+                    img = inc[:, ci:].reshape(len(inc) * k_total, ri) @ b.T
+                    pushed = np.concatenate([inc[:, :ci] @ a.T, img.reshape(len(inc), -1)], axis=1)
+                    pending.setdefault(j, []).append(pushed % p)
+    return np.concatenate(
+        [m[:, c:].reshape(c, k_total, r).transpose(1, 2, 0).reshape(k_total, r * c)
+         for (r, c), m in zip(shapes.values(), aug.values())],
+        axis=1,
+    )
+
+
+def _extend_carrying(aug: np.ndarray, n: int, rows: list[np.ndarray], p: int):
+    """The RREF, with pivots in the first n columns only, of the rows of aug
+    (already in that form) over the blocks of rows (entries in 0..p-1); the
+    other entries ride along with every row operation.  Returns it with the
+    increment, its rows at new pivots; up to _LIST_CELLS entries it runs on
+    Python rows."""
+    old = set(_pivots(aug[:, :n]))
+    stacked = np.concatenate([aug, *rows])
+    if stacked.size <= _LIST_CELLS:
+        out = stacked.tolist()
+        new = _reduce_rows(out, n, p)
+        out = np.array(out[: len(new)], dtype=np.int64).reshape(len(new), stacked.shape[1])
+    else:
+        out, new = _rref_masked(stacked, n, p)
+        out = out[: len(new)]
+    return out, out[[k for k, c in enumerate(new) if c not in old]]
 
 
 def closure(dims: dict, edges, start: dict, p: int) -> dict:
@@ -425,7 +502,7 @@ def _extend(basis: np.ndarray, pivots: list[int], rows: np.ndarray, p: int):
     increment: the rows of that basis at pivot columns not in ``pivots``.
     Up to _LIST_CELLS entries in all, basis and rows are reduced together as
     Python lists."""
-    if _in_lists(rows, p) and basis.size + rows.size <= _LIST_CELLS:
+    if basis.size + rows.size <= _LIST_CELLS:
         return _extend_lists(basis, pivots, rows, p)
     if pivots:
         rows = (rows - rows[:, pivots] @ basis) % p

@@ -13,7 +13,8 @@ cross effects with their symmetric-group action, polynomial degree
 certificates, greatest polynomial subfunctors, the restriction/extension
 comparison with functors on (regular classes) x (plain spaces), the balanced
 tensor construction attached to a symmetric-group module functor, and
-natural-transformation spaces solved on the solutions themselves.
+natural-transformation spaces solved on the solutions themselves, starting
+from their values on vectors that generate the source.
 Generated subfunctors come from ``gf.closure``, the one closure engine, run
 over the skeleton's generating morphisms; ``p_n`` runs the same engine on
 annihilators, pushing functionals backwards along the transposed generators.
@@ -47,6 +48,7 @@ from .gf import (
     count_maps,
     decode_entries,
     encode_entries,
+    generator_start,
     intertwiner_space,
     inverse,
     map_indices,
@@ -1041,18 +1043,24 @@ def nat_space(A: VecFunctor, B: VecFunctor) -> list[NatTransform]:
 
     The constraint system runs over a generating family of morphisms (which
     pins down naturality for all composites); each solution is then verified
-    against the generators again.
+    against the generators again.  The solver starts from
+    ``gf.generator_start``, not from every unknown entry: naturality gives
+    X_j(A(g) v) = B(g) X_i v, so X is fixed on every object by its values on
+    vectors that generate A under the generating morphisms, the condensation
+    at generating objects of Green, LNM 830, 6.2.  The start's span thus
+    holds every solution, and the basis, the RREF of the solution space, is
+    the one the identity start gives.
     """
     sk = A.sk
     w = min(A.window, B.window)
     shapes = {o.index: (B.dim(o.index), A.dim(o.index)) for o in sk.objects if o.dim <= w}
-    blocks = (
+    blocks = [
         (i, j, A.mat(i, j, g), B.mat(i, j, g))
         for (i, j, g) in sk.generating_morphisms()
         if sk.objects[i].dim <= w and sk.objects[j].dim <= w
-    )
+    ]
     out = []
-    for mats in intertwiner_space(shapes, blocks, A.p):
+    for mats in intertwiner_space(shapes, blocks, A.p, generator_start(shapes, blocks, A.p)):
         t = NatTransform(A, B, mats)
         if not t.is_natural():
             raise ValueError("solver produced a non-natural transformation")
@@ -1206,14 +1214,12 @@ def ses_delta_exactness(F: VecFunctor, sub: SubFunctor) -> bool:
             return False
         if len(rref(inc.T, F.p)[1]) != dS.dim(i):
             return False  # induced inclusion not injective
-        proj_rank = rank(proj, F.p)
-        if proj_rank != dQ.dim(i):
+        if rank(proj, F.p) != dQ.dim(i):
             return False  # induced projection not surjective
         if ((proj @ inc) % F.p).any():
-            return False
-        # image of inc = kernel of proj by dimension count
-        if dS.dim(i) != dF.dim(i) - proj_rank:
-            return False
+            return False  # im inc not inside ker proj
+    # so im inc lies in ker proj, and dim im inc = dS = dF - dQ = dim ker proj
+    # by the checks above: each pair is exact in the middle
     return True
 
 

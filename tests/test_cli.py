@@ -145,6 +145,20 @@ def test_verify_theorems_passes_when_the_window_skips_pairs(u_dim, cap, n_max, c
     assert code == 0 and all(doc["suites"].values()), doc["suites"]
 
 
+@pytest.mark.parametrize("p,found", [(2, 5), (3, 6)])
+def test_verify_theorems_to_degree_3_on_the_plain_base(p, found, capsys):
+    # the degree-3 naturality systems of the adjunction suite have 4,890
+    # unknowns at p = 2; nat_space solves them from their generators
+    code, out = run_cli(
+        ["--p", str(p), "--builtin", "representable", "--u-dim", "0", "--cap", "4", "--n-max", "3", "--seed", "1",
+         "verify-theorems"],
+        capsys,
+    )
+    doc = json.loads(out)
+    assert code == 0 and len(doc["suites"]) == 8 and all(doc["suites"].values()), doc["suites"]
+    assert doc["simples_found"] == found
+
+
 def test_oversize_balanced_tensor_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(vfunctor, "MAX_RELATION_CELLS", 15)
     assert cli.main(["--u-dim", "0", "--cap", "3", "--n-max", "2", "enumerate-simples"]) == 2

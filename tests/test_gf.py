@@ -20,6 +20,7 @@ from functorlab.gf import (
     enumerate_subspaces,
     gaussian_binomial,
     general_linear,
+    generator_start,
     gl_generators,
     intertwiner_space,
     inverse,
@@ -262,6 +263,22 @@ def test_bitpacked_matches_dense():
         rb, pb = rref_bits(m)
         rd, pd = rref_dense(m, 2)
         assert np.array_equal(rb, rd) and pb == pd
+
+
+def test_short_wide_gf2_rref_stays_in_lists(monkeypatch):
+    # up to _LIST_CELLS entries rref reduces GF(2) input as Python lists
+    # however wide it is, with the forms rref_bits computes
+    rng = np.random.default_rng(27)
+    packed = _spy(monkeypatch, "rref_bits")
+    for t in range(120):
+        m = int(rng.integers(1, 9))
+        n = int(rng.integers(48, gf._LIST_CELLS // m + 1))
+        mat = _entries(rng, 2, (m, n), (1.0, 0.3, 0.05)[t % 3])
+        got = rref(mat, 2)
+        want = rref_bits(mat)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1], (m, n)
+    assert not packed
+    assert len(rref(np.ones((8, 65), dtype=np.int64), 2)[1]) == 1 and len(packed) == 1
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 251])
@@ -738,19 +755,36 @@ def _random_system(rng, p):
 
 
 def test_intertwiner_space_matches_kronecker_oracle():
+    # from the identity on every entry and from the condensed start
     rng = np.random.default_rng(18)
     proper = 0  # systems whose solutions are neither zero nor everything
+    condensed = 0  # systems whose start has fewer rows than unknowns
     for p in (2, 3, 5):
         for _ in range(400):
             shapes, blocks = _random_system(rng, p)
             want = oracle_intertwiner_space(shapes, iter(blocks), p)
-            got = intertwiner_space(shapes, iter(blocks), p)
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert list(g) == list(w) == list(shapes)
-                assert all(np.array_equal(g[k], w[k]) for k in shapes)
-            proper += 0 < len(want) < sum(r * c for r, c in shapes.values())
-    assert proper >= 300
+            start = generator_start(shapes, blocks, p)
+            total = sum(r * c for r, c in shapes.values())
+            assert start.shape[1] == total and rank(start, p) == len(start)
+            for got in (intertwiner_space(shapes, iter(blocks), p), intertwiner_space(shapes, iter(blocks), p, start)):
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert list(g) == list(w) == list(shapes)
+                    assert all(np.array_equal(g[k], w[k]) for k in shapes)
+            proper += 0 < len(want) < total
+            condensed += len(start) < total
+    assert proper >= 300 and condensed >= 40
+
+
+def test_generator_start_rows_agree_across_regimes(monkeypatch):
+    # the carried extension builds the same rows as Python lists and as
+    # numpy updates, which larger systems take
+    rng = np.random.default_rng(27)
+    systems = [(*_random_system(rng, p), p) for p in (2, 3, 5) for _ in range(100)]
+    lists = [generator_start(shapes, blocks, p) for shapes, blocks, p in systems]
+    monkeypatch.setattr(gf, "_LIST_CELLS", 0)
+    for (shapes, blocks, p), want in zip(systems, lists):
+        assert np.array_equal(generator_start(shapes, blocks, p), want), shapes
 
 
 def test_intertwiner_space_reads_no_block_past_zero():

@@ -12,6 +12,7 @@ from functorlab import elcat as ec
 from functorlab import gf
 from functorlab import modrep as mr
 from functorlab import sfunctor as sf
+from functorlab import simples
 from functorlab import vfunctor as vf
 from gf_oracle import _stacked_nullspace
 
@@ -1134,3 +1135,43 @@ def test_functor_json_roundtrip_p11():
     i = sk.index[(0, 1)]
     g = np.array([[10]], dtype=np.int64)
     assert np.array_equal(G.mat(i, i, g), F.mat(i, i, g))
+
+
+def _identity_start_nat(A, B):
+    """nat_space's system solved from the identity on every unknown entry."""
+    sk, w = A.sk, min(A.window, B.window)
+    shapes = {o.index: (B.dim(o.index), A.dim(o.index)) for o in sk.objects if o.dim <= w}
+    blocks = (
+        (i, j, A.mat(i, j, g), B.mat(i, j, g))
+        for (i, j, g) in sk.generating_morphisms()
+        if sk.objects[i].dim <= w and sk.objects[j].dim <= w
+    )
+    return gf.intertwiner_space(shapes, blocks, A.p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("u_dim", [0, 1])
+def test_nat_space_from_generators_equals_the_identity_start_solve(p, u_dim):
+    # the condensed start changes no basis: T(M) -> F and back, cogenerators,
+    # and every pair of classified simples
+    sk = ec.Skeleton(sf.RepresentableFunctor(p, u_dim, 4))
+    pairs = []
+    for rclass, n in simples.simple_tasks(sk, 2):
+        if n == 0:
+            continue
+        F = vf.forgetful_lift(sk, vf.TensorPower(n, p))
+        G = vf.aut_sigma_group(sk, rclass, n)
+        TM = vf.tensor_sigma_n(sk, vf.sigma_functor_from_module(sk, rclass, n, mr.regular_module(G, p)), n)
+        pairs += [(TM, F), (F, TM)]
+    cogens = [vf.injective_cogen(sk, sk.index[(r, 0)], window=2) for r in range(len(sk.rector.classes))]
+    pairs += [(I, J) for I in cogens for J in cogens]
+    pairs.append((vf.forgetful_lift(sk, vf.TensorPower(1, p), window=2), cogens[0]))
+    found = [d.realization for d in simples.enumerate_simples(sk, 2, seed=1)]
+    pairs += [(S, T) for S in found for T in found]
+    proper = 0
+    for A, B in pairs:
+        got, want = vf.nat_space(A, B), _identity_start_nat(A, B)
+        assert len(got) == len(want), (A.name, B.name)
+        assert all(t.mats.keys() == w.keys() and all(np.array_equal(t.mats[k], w[k]) for k in w) for t, w in zip(got, want))
+        proper += bool(want)
+    assert proper >= len(found)
