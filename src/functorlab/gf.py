@@ -27,12 +27,12 @@ contains given vectors and is closed under a set of linear maps between them.
 Generated subfunctors and module spins both run on it.
 
 ``intertwiner_space`` solves the equations X_j a = b X_i of natural
-transformations and module homs on the solutions themselves, one equation at
-a time; no equation is written out over all unknowns.  The solutions start
-as the identity on every unknown entry, or as the rows of
-``generator_start``: a closure of the a's that carries each vector's image
-and leaves one row per value on a generating vector, far fewer rows whose
-span still holds every solution.
+transformations, module-functor maps and module homs on the solutions
+themselves, one equation at a time; no equation is written out over all
+unknowns.  The solutions start as the rows of ``generator_start``: a closure
+of the a's, one generator at a time, that carries each vector's image and
+leaves one row per value on a generating vector, far fewer rows than
+unknowns whose span still holds every solution.
 
 ``BudgetExceeded``, ``WindowExceeded`` and ``SplittingFailure``, the errors
 that end a CLI run with exit 2, live here, so callers catch them without
@@ -343,21 +343,19 @@ def inverse(a: np.ndarray, p: int) -> np.ndarray:
     return np.ascontiguousarray(r[:, n:])
 
 
-def intertwiner_space(shapes: dict, blocks, p: int, start: np.ndarray | None = None) -> list[dict]:
+def intertwiner_space(shapes: dict, blocks, p: int) -> list[dict]:
     """Basis of the solutions of the equations X_j a = b X_i.
 
     ``shapes`` maps each unknown's key to its (rows, cols).  ``blocks`` yields
     (i, j, a, b) with a: cols_i -> cols_j and b: rows_i -> rows_j; it is
-    consumed lazily and left unfinished once the equations force every
-    unknown to zero.  Each solution is a dict key -> matrix.  The rows of
-    ``sols`` span the solutions of the equations read so far: every unknown's
-    entries, row-major, one unknown after another.  They start as the
-    identity on every entry, or as the independent rows of ``start`` when
-    given, whose span must hold every solution (``generator_start``); either
-    way blocks are read as lazily.  An equation keeps the combinations of
-    rows whose residues vanish.  The rows left depend on the order of the
-    equations and their RREF only on the solution space, so the returned
-    basis is canonical.
+    listed once, and not read at all when every unknown is empty.  Each
+    solution is a dict key -> matrix.  The rows of ``sols`` span the
+    solutions of the equations read so far: every unknown's entries,
+    row-major, one unknown after another.  They start as the rows of
+    ``generator_start``, whose span holds every solution, and an equation
+    keeps the combinations of rows whose residues vanish.  The rows left
+    depend on the order of the equations and their RREF only on the solution
+    space, so the returned basis is canonical.
     """
     offsets, total = {}, 0
     for key, (r, c) in shapes.items():
@@ -370,12 +368,9 @@ def intertwiner_space(shapes: dict, blocks, p: int, start: np.ndarray | None = N
         (r, c), off = shapes[key], offsets[key]
         return sols[:, off: off + r * c].reshape(len(sols), r, c)
 
-    sols = np.eye(total, dtype=np.int64) if start is None else start
-    if not len(sols):
-        return []
+    blocks = list(blocks)
+    sols = generator_start(shapes, blocks, p)
     for i, j, a, b in blocks:
-        if shapes[j][0] * shapes[i][1] == 0:
-            continue
         res = (unknown(j) @ a - b @ unknown(i)) % p
         if not res.any():
             continue
@@ -393,62 +388,60 @@ def generator_start(shapes: dict, blocks: list, p: int) -> np.ndarray:
     """K independent rows, laid out as intertwiner_space lays out unknowns,
     whose span holds every solution of the equations X_j a = b X_i.
 
-    A semi-naive closure of the a's over the pieces, in ``shapes`` order:
-    when nothing grows, the first piece that is not full takes its non-pivot
-    standard vectors as generators, each with rows_o fresh unknowns for its
-    image.  Beside each RREF row v of piece i rides its image X_i v, a
-    (K, rows_i) block flattened after v, which an edge pushes by b; a pushed
-    row that reduces to zero is a relation the equations check later.  Once
-    every piece is full its rows are the identity, so the images are the
-    columns of X_i."""
+    The equations give X_j (a v) = b (X_i v), so X is fixed by its values on
+    vectors that generate the pieces under the a's: the condensation at
+    generating objects of Green, LNM 830, 6.2.  A semi-naive closure of the
+    a's over the pieces, in ``shapes`` order: when nothing grows, the first
+    piece o that is not full takes its first non-pivot standard vector as
+    one more generator, with rows_o fresh unknowns for its image.  Beside
+    each RREF row v of piece i rides its image X_i v, a (K, rows_i) block
+    flattened after v, which an edge pushes by b; a pushed row that reduces
+    to zero is a relation the equations check later.  Once every piece is
+    full its rows are the identity, so the images are the columns of X_i."""
     outgoing = {k: [] for k in shapes}
     for i, j, a, b in blocks:
         outgoing[i].append((j, a, b))
     aug = {k: np.zeros((0, c), dtype=np.int64) for k, (_, c) in shapes.items()}
-    k_total, pending = 0, {}
-    while True:
-        if not pending:
-            o = next((k for k, (_, c) in shapes.items() if len(aug[k]) < c), None)
-            if o is None:
-                break
-            r, c = shapes[o]
-            piv = _pivots(aug[o][:, :c])
-            free = [x for x in range(c) if x not in piv]
-            g = len(free)
-            aug = {k: np.concatenate([m, np.zeros((len(m), g * r * shapes[k][0]), dtype=np.int64)], axis=1)
-                   for k, m in aug.items()}
-            # generator t's image is the identity on unknowns t*r .. t*r + r-1
-            fresh = (np.eye(g, dtype=np.int64)[:, :, None] * np.eye(r, dtype=np.int64).ravel()).reshape(g, -1)
-            gens = np.eye(c, dtype=np.int64)[free]
-            pending = {o: [np.concatenate([gens, np.zeros((g, k_total * r), dtype=np.int64), fresh], axis=1)]}
-            k_total += g * r
-        grown = {}
-        for k, rows in pending.items():
-            aug[k], inc = _extend_carrying(aug[k], shapes[k][1], rows, p)
-            if len(inc):
-                grown[k] = inc
-        pending = {}
-        for i, inc in grown.items():
-            ci, ri = shapes[i][1], shapes[i][0]
-            for j, a, b in outgoing[i]:
-                if len(aug[j]) < shapes[j][1]:
-                    img = inc[:, ci:].reshape(len(inc) * k_total, ri) @ b.T
-                    pushed = np.concatenate([inc[:, :ci] @ a.T, img.reshape(len(inc), -1)], axis=1)
-                    pending.setdefault(j, []).append(pushed % p)
+    piv = {k: [] for k in shapes}
+    k_total = 0
+
+    def widened(k):
+        # a piece's rows carry no image entries for unknowns added since it last grew
+        m, width = aug[k], shapes[k][1] + k_total * shapes[k][0]
+        return m if m.shape[1] == width else np.concatenate(
+            [m, np.zeros((len(m), width - m.shape[1]), dtype=np.int64)], axis=1)
+
+    for o, (r, c) in shapes.items():
+        while len(piv[o]) < c:
+            gen = np.zeros((1, c + (k_total + r) * r), dtype=np.int64)
+            gen[0, next(x for x in range(c) if x not in piv[o])] = 1
+            # its image is the identity on the fresh unknowns k_total .. k_total + r-1
+            gen[0, c + k_total * r :: r + 1] = 1
+            k_total += r
+            pending = {o: [gen]}
+            while pending:
+                this_round, pending = pending, {}
+                for i, rows in this_round.items():
+                    ri, ci = shapes[i]
+                    aug[i], piv[i], inc = _extend_carrying(widened(i), ci, piv[i], rows, p)
+                    for j, a, b in outgoing[i]:
+                        if len(inc) and len(piv[j]) < shapes[j][1]:
+                            img = inc[:, ci:].reshape(len(inc) * k_total, ri) @ b.T
+                            pushed = np.concatenate([inc[:, :ci] @ a.T, img.reshape(len(inc), -1)], axis=1)
+                            pending.setdefault(j, []).append(pushed % p)
     return np.concatenate(
-        [m[:, c:].reshape(c, k_total, r).transpose(1, 2, 0).reshape(k_total, r * c)
-         for (r, c), m in zip(shapes.values(), aug.values())],
+        [widened(k)[:, c:].reshape(c, k_total, r).transpose(1, 2, 0).reshape(k_total, r * c)
+         for k, (r, c) in shapes.items()],
         axis=1,
     )
 
 
-def _extend_carrying(aug: np.ndarray, n: int, rows: list[np.ndarray], p: int):
+def _extend_carrying(aug: np.ndarray, n: int, pivots: list[int], rows: list[np.ndarray], p: int):
     """The RREF, with pivots in the first n columns only, of the rows of aug
-    (already in that form) over the blocks of rows (entries in 0..p-1); the
-    other entries ride along with every row operation.  Returns it with the
-    increment, its rows at new pivots; up to _LIST_CELLS entries it runs on
-    Python rows."""
-    old = set(_pivots(aug[:, :n]))
+    (already in that form, at ``pivots``) over the blocks of rows (entries in
+    0..p-1); the other entries ride along with every row operation.  Returns
+    it with its pivots and the increment, its rows at new pivots; up to
+    _LIST_CELLS entries it runs on Python rows."""
     stacked = np.concatenate([aug, *rows])
     if stacked.size <= _LIST_CELLS:
         out = stacked.tolist()
@@ -457,7 +450,10 @@ def _extend_carrying(aug: np.ndarray, n: int, rows: list[np.ndarray], p: int):
     else:
         out, new = _rref_masked(stacked, n, p)
         out = out[: len(new)]
-    return out, out[[k for k, c in enumerate(new) if c not in old]]
+    if not pivots:
+        return out, new, out
+    old = set(pivots)
+    return out, new, out[[k for k, c in enumerate(new) if c not in old]]
 
 
 def closure(dims: dict, edges, start: dict, p: int) -> dict:

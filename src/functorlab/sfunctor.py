@@ -802,6 +802,8 @@ def from_json_dict(doc: dict, name: str = "table") -> TableFunctor:
         if type(doc.get(key)) is not kind:
             raise InvalidFunctorData(f"functor table needs the key {key!r} holding a {kind.__name__}")
     p, cap, sizes = check_prime(doc["p"]), doc["cap"], doc["sets"]
+    if cap < 0:
+        raise InvalidFunctorData(f"functor table: 'cap' must be non-negative, not {cap}")
     if not all(type(n) is int and n >= 0 for n in sizes):
         raise InvalidFunctorData(f"functor table: 'sets' must hold non-negative ints, not {sizes}")
     action = {}

@@ -12,9 +12,10 @@ induced by dropping one trivial coordinate), iterated differences, general
 cross effects with their symmetric-group action, polynomial degree
 certificates, greatest polynomial subfunctors, the restriction/extension
 comparison with functors on (regular classes) x (plain spaces), the balanced
-tensor construction attached to a symmetric-group module functor, and
-natural-transformation spaces solved on the solutions themselves, starting
-from their values on vectors that generate the source.
+tensor construction attached to a symmetric-group module functor, and the
+spaces of natural transformations and of symmetric-group module-functor
+maps, both solved by ``gf.intertwiner_space`` from their values on vectors
+that generate the source.
 Generated subfunctors come from ``gf.closure``, the one closure engine, run
 over the skeleton's generating morphisms; ``p_n`` runs the same engine on
 annihilators, pushing functionals backwards along the transposed generators.
@@ -48,7 +49,6 @@ from .gf import (
     count_maps,
     decode_entries,
     encode_entries,
-    generator_start,
     intertwiner_space,
     inverse,
     map_indices,
@@ -457,10 +457,9 @@ class SubFunctor:
     def total_dim(self) -> int:
         return sum(b.shape[0] for b in self.bases.values())
 
-    def is_stable(self, generators=None) -> bool:
+    def is_stable(self) -> bool:
         F = self.parent
-        gens = F.sk.generating_morphisms() if generators is None else generators
-        for i, j, g in gens:
+        for i, j, g in F.sk.generating_morphisms():
             if F.sk.objects[i].dim > F.window or F.sk.objects[j].dim > F.window or not self.bases[i].shape[0]:
                 continue
             if not _spans(self.bases[j], (self.bases[i] @ F.mat(i, j, g).T) % F.p, F.p):
@@ -1042,14 +1041,9 @@ def nat_space(A: VecFunctor, B: VecFunctor) -> list[NatTransform]:
     """Basis of the space of natural transformations A -> B on the window.
 
     The constraint system runs over a generating family of morphisms (which
-    pins down naturality for all composites); each solution is then verified
-    against the generators again.  The solver starts from
-    ``gf.generator_start``, not from every unknown entry: naturality gives
-    X_j(A(g) v) = B(g) X_i v, so X is fixed on every object by its values on
-    vectors that generate A under the generating morphisms, the condensation
-    at generating objects of Green, LNM 830, 6.2.  The start's span thus
-    holds every solution, and the basis, the RREF of the solution space, is
-    the one the identity start gives.
+    pins down naturality for all composites), solved from the values on
+    vectors that generate A (``gf.intertwiner_space``); each solution is then
+    verified against the generators again.
     """
     sk = A.sk
     w = min(A.window, B.window)
@@ -1060,7 +1054,7 @@ def nat_space(A: VecFunctor, B: VecFunctor) -> list[NatTransform]:
         if sk.objects[i].dim <= w and sk.objects[j].dim <= w
     ]
     out = []
-    for mats in intertwiner_space(shapes, blocks, A.p, generator_start(shapes, blocks, A.p)):
+    for mats in intertwiner_space(shapes, blocks, A.p):
         t = NatTransform(A, B, mats)
         if not t.is_natural():
             raise ValueError("solver produced a non-natural transformation")
@@ -1141,6 +1135,8 @@ def functor_from_json(sk: Skeleton, doc: dict, name: str = "loaded") -> VecFunct
     for key, kind, what in (("window", int, "an int"), ("dims", list, "a list"), ("maps", dict, "an object")):
         if type(doc[key]) is not kind:
             raise ValueError(f"functor document: {key!r} must hold {what}")
+    if doc["window"] < 0:
+        raise ValueError(f"functor document: 'window' must be non-negative, not {doc['window']}")
     p = sk.p
     if type(doc["p"]) is not int or doc["p"] != p:
         raise ValueError(f"functor document: 'p' is {doc['p']!r}, but the skeleton is over p = {p}")
@@ -1166,6 +1162,8 @@ def functor_from_json(sk: Skeleton, doc: dict, name: str = "loaded") -> VecFunct
             for row in mat
         )):
             raise ValueError(f"map {key} must hold a {rows}x{cols} matrix of ints in 0..{p - 1}")
+        if (i, j, gamma.tobytes()) in table:
+            raise ValueError(f"map key {key!r} names the map {_map_key(sk.objects[i], sk.objects[j], gamma)} a second time")
         table[(i, j, gamma.tobytes())] = np.array(mat, dtype=np.int64).reshape(rows, cols)
 
     def rule(i, j, gamma):

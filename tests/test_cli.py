@@ -650,6 +650,7 @@ def test_missing_map_table_exit_2(tmp_path, capsys):
         (lambda doc: {**doc, "cap": True}, "functor table needs the key 'cap' holding a int"),
         (lambda doc: {"type": "representable", "U_dim": 1, "cap": True}, "needs a non-negative int cap, not True"),
         (lambda doc: {"type": "representable", "U_dim": True}, "a representable spec needs the key 'U_dim'"),
+        (lambda doc: {**doc, "cap": -1, "sets": []}, "functor table: 'cap' must be non-negative, not -1"),
         *[(lambda doc, g=g: {"type": "orbit", "p": 2, "U_dim": 2, "cap": 2, "gamma_generators": [g]}, reason)
           for g, reason in [
               ([[1, 1], [1, 1]], "'gamma_generators' holds [[1, 1], [1, 1]], which is not invertible mod 2"),
@@ -660,7 +661,7 @@ def test_missing_map_table_exit_2(tmp_path, capsys):
     ],
     ids=["entry-not-a-list", "no-sets", "top-level-list", "spec-without-type", "spec-without-u-dim",
          "sets-entry-not-an-int", "spec-p-not-an-int", "spec-cap-not-an-int", "entry-a-float", "sets-entry-a-bool",
-         "table-cap-a-bool", "spec-cap-a-bool", "spec-u-dim-a-bool", "orbit-generator-singular",
+         "table-cap-a-bool", "spec-cap-a-bool", "spec-u-dim-a-bool", "table-cap-negative", "orbit-generator-singular",
          "orbit-generator-entry-out-of-range", "orbit-generator-entry-a-bool", "orbit-generator-wrong-shape"],
 )
 def test_malformed_set_functor_json_exit_2(tmp_path, capsys, edit, reason):
@@ -692,6 +693,7 @@ def test_malformed_set_functor_json_exit_2(tmp_path, capsys, edit, reason):
          "has no map 0,0->0,0:"),
         (lambda doc: {**doc, "window": "2"}, "'window' must hold an int"),
         (lambda doc: {**doc, "window": True}, "'window' must hold an int"),
+        (lambda doc: {**doc, "window": -1}, "'window' must be non-negative, not -1"),
         *[(lambda doc, k=k: {**doc, "dims": [{**doc["dims"][0], k: True}] + doc["dims"][1:]},
            "needs non-negative ints under 'class', 'trivial_dim' and 'dim'") for k in ("class", "trivial_dim", "dim")],
         (lambda doc: {**doc, "maps": []}, "'maps' must hold an object"),
@@ -706,14 +708,16 @@ def test_malformed_set_functor_json_exit_2(tmp_path, capsys, edit, reason):
          "map key '0,1->0,1:1.1': map key '1.1' does not hold 1x1 entries"),
         (lambda doc: {**doc, "maps": {**doc["maps"], "0,1->7,1:1": [[1]]}},
          "map 0,1->7,1:1 names the object (7, 1), which the skeleton lacks"),
+        (lambda doc: {**doc, "maps": {**doc["maps"], "0,1->0,1:01": [[1]]}},
+         "map key '0,1->0,1:01' names the map 0,1->0,1:1 a second time"),
     ],
     ids=["dims-row-outside-skeleton", "no-dims", "map-object-without-dims-row", "dims-row-without-class",
-         "dim-not-an-int", "top-level-list", "missing-map", "window-not-an-int", "window-a-bool",
+         "dim-not-an-int", "top-level-list", "missing-map", "window-not-an-int", "window-a-bool", "window-negative",
          "class-a-bool", "trivial-dim-a-bool", "dim-a-bool", "maps-not-an-object",
          "entry-a-float", "entry-a-fraction", "entry-a-bool", "entry-above-p", "entry-negative", "no-p",
          "p-of-another-skeleton", "key-class-not-an-int", "key-without-arrow", "key-without-colon",
          "key-entry-not-a-digit", "key-object-without-comma", "key-entries-of-wrong-count",
-         "key-object-outside-skeleton"],
+         "key-object-outside-skeleton", "key-naming-a-map-twice"],
 )
 def test_malformed_vfunctor_json_exit_2(tmp_path, capsys, edit, reason):
     # each layout error exits 2 with its reason, not a traceback with exit 1

@@ -6,9 +6,10 @@ import itertools
 import numpy as np
 import pytest
 
-from functorlab.gf import BudgetExceeded, rref
+from functorlab.gf import BudgetExceeded, generator_start, rref
 from functorlab import modrep as mr
 from gf_oracle import enumerate_vectors
+from gf_oracle import intertwiner_space as oracle_intertwiner_space
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +268,32 @@ def test_iso_modules_conjugate_copies(S3):
     assert conj.validate()
     assert mr.iso_modules(two, conj)
     assert not mr.iso_modules(two, mr.trivial_module(S3, 2))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [3, 4])
+def test_module_hom_matches_kronecker_oracle(n, p):
+    # every ordered pair of the regular, trivial and epsilon_lambda modules
+    G = mr.FiniteGroup.symmetric(n)
+    mods = [mr.regular_module(G, p), mr.trivial_module(G, p)]
+    mods += [mr.epsilon_lambda_module(lam, n, p) for lam in mr.p_regular_partitions(n, p)]
+    nonzero = 0
+    for m1 in mods:
+        for m2 in mods:
+            blocks = [(0, 0, m1.gen_mats[g], m2.gen_mats[g]) for g in G.generators]
+            want = [s[0] for s in oracle_intertwiner_space({0: (m2.dim, m1.dim)}, iter(blocks), p)]
+            got = mr.module_hom(m1, m2)
+            assert len(got) == len(want) and all(np.array_equal(x, y) for x, y in zip(got, want)), (m1.name, m2.name)
+            nonzero += bool(want)
+    assert 0 < nonzero < len(mods) ** 2
+
+
+def test_regular_module_start_is_one_generator(S3):
+    # the regular module is cyclic: End(F_2[Sym(3)]) is fixed by the image of
+    # the identity element, 6 values for 36 unknowns
+    R = mr.regular_module(S3, 2)
+    blocks = [(0, 0, R.gen_mats[g], R.gen_mats[g]) for g in S3.generators]
+    assert generator_start({0: (6, 6)}, blocks, 2).shape == (6, 36)
 
 
 def test_partitions():
